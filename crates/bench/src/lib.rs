@@ -6,6 +6,8 @@
 //! workspace integration tests can assert on the same numbers the benches
 //! print.
 
+#![forbid(unsafe_code)]
+
 use unimem::exec::{run_workload, Policy, RunReport};
 use unimem::UnimemConfig;
 use unimem_cache::CacheModel;

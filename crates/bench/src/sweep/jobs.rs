@@ -14,10 +14,10 @@
 //! policy) order, and [`run_pool`] reassembles results by that index, so
 //! the output is a pure function of the input — byte-identical to the
 //! serial walk regardless of worker count or scheduling. Workers run on
-//! [`std::thread::scope`] and pull jobs from the vendored
-//! `crossbeam::channel` MPMC queue; a job that returns `Err` or panics
-//! surfaces as the pool's `Err` (first failing job index wins,
-//! deterministically) instead of deadlocking the caller.
+//! [`std::thread::scope`] and claim job indices from one atomic cursor;
+//! a job that returns `Err` or panics surfaces as the pool's `Err`
+//! (first failing job index wins, deterministically) instead of
+//! deadlocking the caller.
 //!
 //! The pool itself now lives in [`unimem_sim::pool`] so the execution
 //! driver can schedule ranks on it too; the historical re-exports below

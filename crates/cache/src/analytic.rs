@@ -18,12 +18,11 @@
 //! against the trace simulator in this crate's tests.
 
 use crate::pattern::{AccessPattern, ObjAccess};
-use serde::{Deserialize, Serialize};
 use unimem_sim::units::CACHE_LINE;
 use unimem_sim::Bytes;
 
 /// Per-rank last-level cache description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheModel {
     /// Capacity available to this rank.
     pub size: Bytes,
@@ -32,7 +31,7 @@ pub struct CacheModel {
 }
 
 /// Estimated main-memory traffic for one (phase, object).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MissEstimate {
     pub misses: u64,
     pub miss_bytes: Bytes,

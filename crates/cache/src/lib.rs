@@ -16,6 +16,8 @@
 //!   parallelism estimate that makes an object bandwidth- or
 //!   latency-sensitive in the ground-truth timing model.
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod pattern;
 pub mod setassoc;

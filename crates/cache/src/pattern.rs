@@ -7,13 +7,12 @@
 //! [`AccessPattern`] encodes exactly that taxonomy; its `mlp()` (memory-level
 //! parallelism) feeds the ground-truth roofline in `unimem-hms`.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::object::ObjId;
 use unimem_hms::tier::AccessMix;
 use unimem_sim::Bytes;
 
 /// How a data object is referenced within one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Unit-or-small-stride sequential sweep (STREAM-like). High MLP;
     /// bandwidth-bound on any tier.
@@ -77,7 +76,7 @@ impl AccessPattern {
 }
 
 /// References to one data object within one phase, at class scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjAccess {
     pub obj: ObjId,
     /// Number of memory references the phase issues to the object.

@@ -5,12 +5,11 @@
 //! runtime will activate phase profiling again and adjust the data
 //! placement decision."
 
-use serde::{Deserialize, Serialize};
 use unimem_mpi::PhaseId;
 use unimem_sim::{OnlineStats, VDur};
 
 /// Per-phase running statistics with a relative-deviation trigger.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariationMonitor {
     threshold: f64,
     per_phase: Vec<OnlineStats>,

@@ -17,9 +17,8 @@
 //! touches); the full sampling→model→knapsack pipeline is exercised by the
 //! simulation driver in [`crate::exec`].
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use unimem_hms::pools::{HelperThread, RealHms, RealObject, Ticket};
 use unimem_hms::tier::TierKind;
 use unimem_sim::Bytes;
@@ -74,28 +73,26 @@ impl Unimem {
             .hms
             .alloc(name, len, TierKind::Nvm)
             .expect("NVM pool is unbounded");
-        self.objects
-            .lock()
-            .insert(name.to_string(), Arc::clone(&obj));
-        self.touches.lock().insert(name.to_string(), 0);
+        self.objects().insert(name.to_string(), Arc::clone(&obj));
+        self.touches().insert(name.to_string(), 0);
         obj
     }
 
     /// `unimem_free`: drop a target data object.
     pub fn free(&self, name: &str) {
-        self.objects.lock().remove(name);
-        self.touches.lock().remove(name);
+        self.objects().remove(name);
+        self.touches().remove(name);
     }
 
     /// `unimem_start`: the main computation loop begins.
     pub fn start(&self) {
-        *self.in_loop.lock() = true;
+        *self.in_loop.lock().expect("loop flag poisoned") = true;
     }
 
     /// Software access accounting (stands in for the hardware counters the
     /// simulation path models; see module docs).
     pub fn record_access(&self, name: &str, count: u64) {
-        if let Some(t) = self.touches.lock().get_mut(name) {
+        if let Some(t) = self.touches().get_mut(name) {
             *t += count;
         }
     }
@@ -105,8 +102,8 @@ impl Unimem {
     /// capacity — and enqueue the moves on the helper thread (proactive,
     /// overlapping the next iteration's work).
     pub fn end_iteration(&self) {
-        let objects = self.objects.lock();
-        let touches = self.touches.lock();
+        let objects = self.objects();
+        let touches = self.touches();
         let mut ranked: Vec<(&String, f64)> = touches
             .iter()
             .filter_map(|(n, &t)| {
@@ -125,7 +122,7 @@ impl Unimem {
 
         let cap = self.hms.accounts().dram_capacity().get();
         let mut planned = self.hms.accounts().dram_used().get();
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().expect("pending tickets poisoned");
         for (name, density) in ranked {
             // Below one touch per byte the movement cannot pay off.
             if density < 1.0 {
@@ -138,14 +135,14 @@ impl Unimem {
             }
             planned += len;
             pending.push(self.helper.migrate(Arc::clone(obj), TierKind::Dram));
-            *self.migrations.lock() += 1;
+            *self.migrations.lock().expect("migration count poisoned") += 1;
         }
     }
 
     /// Block until all enqueued migrations finished (the per-phase queue
     /// check of §3.3, collapsed to one call in real mode).
     pub fn quiesce(&self) -> usize {
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().expect("pending tickets poisoned");
         let n = pending.len();
         for t in pending.drain(..) {
             t.wait();
@@ -155,9 +152,12 @@ impl Unimem {
 
     /// `unimem_end`: the loop finished; returns (migrations, DRAM bytes).
     pub fn end(&self) -> (u64, Bytes) {
-        *self.in_loop.lock() = false;
+        *self.in_loop.lock().expect("loop flag poisoned") = false;
         self.quiesce();
-        (*self.migrations.lock(), self.hms.accounts().dram_used())
+        (
+            *self.migrations.lock().expect("migration count poisoned"),
+            self.hms.accounts().dram_used(),
+        )
     }
 
     pub fn dram_used(&self) -> Bytes {
@@ -165,7 +165,15 @@ impl Unimem {
     }
 
     pub fn tier_of(&self, name: &str) -> Option<TierKind> {
-        self.objects.lock().get(name).map(|o| o.tier())
+        self.objects().get(name).map(|o| o.tier())
+    }
+
+    fn objects(&self) -> MutexGuard<'_, HashMap<String, Arc<RealObject>>> {
+        self.objects.lock().expect("object table poisoned")
+    }
+
+    fn touches(&self) -> MutexGuard<'_, HashMap<String, u64>> {
+        self.touches.lock().expect("touch counts poisoned")
     }
 }
 

@@ -17,66 +17,47 @@
 //! reads), so two machines that differ in the last ulp memoize
 //! separately rather than sharing a almost-right result.
 //!
-//! Concurrency follows the sharded-ledger discipline (PR 9): a fixed
-//! array of mutex-guarded shards selected by key hash, so parallel sweep
-//! workers calibrating *different* platforms never contend on one lock.
-//! The computation itself runs outside any lock; two workers racing on
-//! the same cold key may both compute (identical) results and one insert
-//! wins — a benign duplicate beats serializing every worker behind the
-//! slowest calibration.
+//! One mutex guards one map: a full matrix makes about 385 lookups, too
+//! few for the lock to be contended enough to matter. The computation
+//! itself runs outside the lock; two workers racing on the same cold key
+//! may both compute (identical) results and one insert wins — a benign
+//! duplicate beats serializing every worker behind the slowest
+//! calibration.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{LazyLock, Mutex};
 use unimem_cache::CacheModel;
 use unimem_hms::MachineConfig;
 use unimem_perf::{calibrate, Calibration, SamplerConfig};
 
-/// Shard count: comfortably above the distinct-platform count of any
-/// real sweep (|profiles| × |occupancies|), tiny in memory.
-const SHARDS: usize = 16;
-
-struct Memo {
-    shards: [Mutex<HashMap<String, Calibration>>; SHARDS],
-}
-
-static MEMO: OnceLock<Memo> = OnceLock::new();
+static MEMO: LazyLock<Mutex<HashMap<[u64; 15], Calibration>>> = LazyLock::new(Default::default);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn memo() -> &'static Memo {
-    MEMO.get_or_init(|| Memo {
-        shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-    })
-}
-
-/// The bit-exact memo key: every parameter [`calibrate`](fn@calibrate) reads, rendered
-/// as fixed-width hex of its raw bits. `f64::to_bits` (not `Display`)
-/// because the key must distinguish values that print alike: -0.0 vs
-/// 0.0, or NaNs with different payloads, would otherwise alias.
-fn key(machine: &MachineConfig, cache: &CacheModel, cfg: SamplerConfig, seed: u64) -> String {
-    let mut k = String::with_capacity(16 * 18);
-    for f in [
-        machine.dram.read_lat.0,
-        machine.dram.write_lat.0,
-        machine.dram.read_bw.0,
-        machine.dram.write_bw.0,
-        machine.nvm.read_lat.0,
-        machine.nvm.write_lat.0,
-        machine.nvm.read_bw.0,
-        machine.nvm.write_bw.0,
-        cfg.cpu_hz,
-        cfg.per_window_cost.0,
-    ] {
-        let _ = write!(k, "{:016x}.", f.to_bits());
-    }
-    let _ = write!(
-        k,
-        "{:x}.{:x}.{:x}.{:x}.{:x}",
-        cache.size.0, cache.line.0, cfg.window_cycles, cfg.event_period, seed
-    );
-    k
+/// The bit-exact memo key: the raw bits of every parameter
+/// [`calibrate`](fn@calibrate) reads — ten floats, then five integers.
+/// `f64::to_bits` (not `Display`) because the key must distinguish
+/// values that print alike: -0.0 vs 0.0, or NaNs with different
+/// payloads, would otherwise alias.
+fn key(machine: &MachineConfig, cache: &CacheModel, cfg: SamplerConfig, seed: u64) -> [u64; 15] {
+    [
+        machine.dram.read_lat.0.to_bits(),
+        machine.dram.write_lat.0.to_bits(),
+        machine.dram.read_bw.0.to_bits(),
+        machine.dram.write_bw.0.to_bits(),
+        machine.nvm.read_lat.0.to_bits(),
+        machine.nvm.write_lat.0.to_bits(),
+        machine.nvm.read_bw.0.to_bits(),
+        machine.nvm.write_bw.0.to_bits(),
+        cfg.cpu_hz.to_bits(),
+        cfg.per_window_cost.0.to_bits(),
+        cache.size.0,
+        cache.line.0,
+        cfg.window_cycles,
+        cfg.event_period,
+        seed,
+    ]
 }
 
 /// [`calibrate`](fn@calibrate), memoized process-wide. Returns exactly what a direct
@@ -90,15 +71,15 @@ pub fn calibrate_memoized(
     seed: u64,
 ) -> Calibration {
     let k = key(machine, cache, cfg, seed);
-    let shard =
-        &memo().shards[unimem_sim::Fnv64::new().update(k.as_bytes()).finish() as usize % SHARDS];
-    if let Some(cal) = shard.lock().expect("memo shard poisoned").get(&k) {
+    if let Some(cal) = MEMO.lock().expect("calibration memo poisoned").get(&k) {
         HITS.fetch_add(1, Ordering::Relaxed);
         return *cal;
     }
     let cal = calibrate(machine, cache, cfg, seed);
     MISSES.fetch_add(1, Ordering::Relaxed);
-    shard.lock().expect("memo shard poisoned").insert(k, cal);
+    MEMO.lock()
+        .expect("calibration memo poisoned")
+        .insert(k, cal);
     cal
 }
 

@@ -11,21 +11,20 @@
 //! cyclic — iteration `n`'s phase 0 follows iteration `n−1`'s last phase —
 //! and the trigger search walks backwards across the iteration boundary.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use unimem_hms::object::UnitId;
 use unimem_mpi::PhaseId;
 use unimem_sim::VDur;
 
 /// Which units each phase of the iteration references.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseRefTable {
     /// `refs[p]` = units referenced by phase `p` (compute or comm).
     refs: Vec<BTreeSet<UnitId>>,
 }
 
 /// The migration window for one (unit, use-phase) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriggerWindow {
     /// Phase at whose beginning the migration may start.
     pub trigger: PhaseId,

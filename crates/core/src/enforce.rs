@@ -16,7 +16,6 @@
 
 use crate::deps::PhaseRefTable;
 use crate::search::PlacementPlan;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use unimem_hms::alloc::Region;
 use unimem_hms::object::{ObjectRegistry, UnitId};
@@ -26,7 +25,7 @@ use unimem_mpi::PhaseId;
 use unimem_sim::{VDur, VTime};
 
 /// One scheduled movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     /// Evict `unit` to NVM (scheduled before admissions at the trigger).
     Out { unit: UnitId },

@@ -368,7 +368,7 @@ impl JournalRig {
 /// [`run_workload_leased`] with an optional journaling rig — the shared
 /// implementation for the flat single-machine entry points. Comm timing
 /// stays *flat* (every rank rendezvouses as one node), which keeps this
-/// path byte-identical to the pre-topology driver (the v4 golden guard
+/// path byte-identical to the pre-topology driver (`tests/golden.rs`
 /// pins this); the bandwidth ledger still models `ranks_per_node`-sized
 /// bandwidth domains exactly as before.
 pub(crate) fn run_workload_rig(
@@ -556,10 +556,10 @@ fn run_topology_rig(
     .unwrap_or_else(|e| panic!("rank setup failed: {e}"));
 
     // Bulk-synchronous rounds until every rank's script is exhausted.
-    // Tasks stay resident in one `Vec` for the whole run: workers claim
-    // disjoint indices and advance each task in place (requests
-    // reassemble by index, so rank order is preserved) — no per-round
-    // `Mutex<Option<_>>` wrappers, no moving task state between rounds.
+    // Tasks stay resident in one `Vec` for the whole run: each worker
+    // advances one contiguous piece of it in place (requests come back
+    // in rank order) — no per-round `Mutex<Option<_>>` wrappers, no
+    // moving task state between rounds.
     loop {
         let reqs = run_pool_mut(&mut tasks, workers, |_, t| Ok(t.advance()))
             .unwrap_or_else(|e| panic!("rank execution failed: {e}"));
@@ -598,7 +598,7 @@ fn run_topology_rig(
 /// non-journaled path never pays a nanosecond.
 fn drain_journal(journal: &Option<JournalHandle>, clock: &mut RankClock) {
     if let Some(j) = journal {
-        let cost = j.lock().take_cost();
+        let cost = j.lock().expect("journal poisoned").take_cost();
         if !cost.is_zero() {
             clock.advance(cost);
         }
@@ -745,7 +745,7 @@ impl<'a> RankTask<'a> {
         // machine from the log alone.
         if let Some(j) = &journal {
             let t0 = clock.now();
-            let mut jm = j.lock();
+            let mut jm = j.lock().expect("journal poisoned");
             jm.append(
                 &Record::RunHeader {
                     rank: rank as u32,
@@ -858,7 +858,7 @@ impl<'a> RankTask<'a> {
                                     }
                                 };
                             if let Some(j) = &self.journal {
-                                let mut jm = j.lock();
+                                let mut jm = j.lock().expect("journal poisoned");
                                 let seq = jm.next_seq();
                                 jm.append(
                                     &Record::Observe {
@@ -931,7 +931,7 @@ impl<'a> RankTask<'a> {
                         o.check_comm(dt);
                     }
                     if let Some(j) = &self.journal {
-                        let mut jm = j.lock();
+                        let mut jm = j.lock().expect("journal poisoned");
                         let seq = jm.next_seq();
                         jm.append(
                             &Record::Comm {
@@ -955,7 +955,9 @@ impl<'a> RankTask<'a> {
                         // record ahead of it becomes durable under
                         // Buffered mode, stamped with the ledger epoch.
                         if let Some(j) = &self.journal {
-                            j.lock().commit(epoch, self.clock.now());
+                            j.lock()
+                                .expect("journal poisoned")
+                                .commit(epoch, self.clock.now());
                         }
                         drain_journal(&self.journal, &mut self.clock);
                     }
@@ -975,7 +977,7 @@ impl<'a> RankTask<'a> {
         self.plan_kind = self.state.finish(&mut self.stats);
 
         if let (Some(r), Some(j)) = (self.rig, &self.journal) {
-            let jm = j.lock();
+            let jm = j.lock().expect("journal poisoned");
             r.outs.lock().expect("journal out lock")[self.rank] = Some(RankJournalOut {
                 bytes: jm.bytes().to_vec(),
                 stats: jm.stats(),

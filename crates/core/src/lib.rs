@@ -40,6 +40,8 @@
 //!   whose knapsack capacities are leased from the
 //!   `unimem_hms::arbiter` broker and re-planned when leases move.
 
+#![forbid(unsafe_code)]
+
 pub mod adapt;
 pub mod api;
 pub mod calib;

@@ -6,7 +6,6 @@
 //! bandwidth or memory latency", with the calibration constants `CF_bw` and
 //! `CF_lat` absorbing sampling undercount and ignored effects.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::tier::TierParams;
 use unimem_perf::eq1::eq1_bandwidth;
 use unimem_perf::Calibration;
@@ -14,7 +13,7 @@ use unimem_sim::units::CACHE_LINE;
 use unimem_sim::{Bandwidth, Bytes, VDur};
 
 /// Sensitivity classification of a data object in a phase (§3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sensitivity {
     /// `BW_obj ≥ t1% · BW_peak`: benefit dominated by bandwidth (Eq. 2).
     Bandwidth,
@@ -30,7 +29,7 @@ pub enum Sensitivity {
 /// are the rank's *share* of the node (node bandwidth over occupancy) and
 /// `copy_bw` is the helper's fair slice of the node copy path, so every
 /// equation reasons about the bandwidth this rank can actually get.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     pub dram: TierParams,
     pub nvm: TierParams,

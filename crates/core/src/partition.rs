@@ -7,12 +7,11 @@
 //! and a 128 MB DRAM goes underused). Chunks become independent placement
 //! units profiled and moved separately.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::object::{ObjId, ObjectRegistry};
 use unimem_sim::Bytes;
 
 /// Partitioning policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionPolicy {
     /// Split objects larger than this fraction of DRAM capacity.
     pub threshold_frac: f64,

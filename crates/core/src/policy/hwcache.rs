@@ -26,7 +26,6 @@
 //! tracks the footprint, not the benefit.
 
 use super::{PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use unimem_hms::contention::BwClient;
 use unimem_hms::object::UnitId;
@@ -36,7 +35,7 @@ use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, VDur, VTime};
 
 /// Configuration for the hardware DRAM-cache policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwCacheConfig {
     /// Set associativity of the DRAM cache (the conflict-miss discount
     /// is `1 − 1/(2·assoc)`).

@@ -19,7 +19,6 @@ use crate::deps::PhaseRefTable;
 use crate::exec::StepSpec;
 use crate::search::SearchKind;
 use crate::stats::RunStats;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use unimem_hms::contention::HelperLink;
 use unimem_hms::object::UnitId;
@@ -30,7 +29,7 @@ use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, DetRng, VDur};
 
 /// Configuration for the online-guidance policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineConfig {
     /// Per-miss sampling probability of the hotness profiler.
     pub sample_prob: f64,

@@ -14,7 +14,6 @@ use crate::partition::{partition_large_objects, PartitionPolicy};
 use crate::profile::{IterationProfile, PhaseRecord};
 use crate::search::{best_plan, SearchInput, SearchKind};
 use crate::stats::RunStats;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use unimem_hms::contention::HelperLink;
 use unimem_hms::object::UnitId;
@@ -27,7 +26,7 @@ use unimem_sim::{Bytes, VDur};
 
 /// Runtime configuration for the Unimem policy, with ablation toggles
 /// matching Fig. 11's four techniques.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnimemConfig {
     /// Enable the cross-phase global search.
     pub use_global: bool,

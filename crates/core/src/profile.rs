@@ -5,7 +5,6 @@
 //! per-unit access counts, the sampling-window bookkeeping, and the phase
 //! execution time. This is everything the models of step 2 consume.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use unimem_hms::object::UnitId;
 use unimem_mpi::PhaseId;
@@ -13,7 +12,7 @@ use unimem_perf::PhaseProfile;
 use unimem_sim::VDur;
 
 /// Profile of one phase, reduced to what the models need.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseRecord {
     /// Sampled (recorded, windows_hit) per unit — only units the counters
     /// actually saw ("we select those target data objects that have memory
@@ -52,7 +51,7 @@ impl PhaseRecord {
 }
 
 /// All phases of one iteration, keyed by phase id.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IterationProfile {
     phases: BTreeMap<PhaseId, PhaseRecord>,
 }

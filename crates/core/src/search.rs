@@ -18,14 +18,13 @@ use crate::deps::PhaseRefTable;
 use crate::knapsack::{self, Item};
 use crate::model::ModelParams;
 use crate::profile::{IterationProfile, PhaseRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use unimem_hms::object::{ObjectRegistry, UnitId};
 use unimem_mpi::PhaseId;
 use unimem_sim::{Bytes, VDur};
 
 /// Which search produced a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchKind {
     Global,
     Local,
@@ -51,7 +50,7 @@ impl SearchKind {
 }
 
 /// A cyclic placement plan: desired DRAM contents per phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlan {
     pub kind: SearchKind,
     /// Indexed by phase id; the DRAM-resident unit set while that phase runs.

@@ -1,11 +1,10 @@
 //! Run statistics: everything Table 4 and the harness summaries report.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::MigrationStats;
 use unimem_sim::{Bytes, Json, VDur};
 
 /// Statistics of one rank's run under one policy.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Total virtual execution time of the rank.
     pub total_time: VDur,

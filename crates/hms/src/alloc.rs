@@ -8,11 +8,10 @@
 //! the simulation never backs them with real memory (the [`crate::pools`]
 //! module does that for the wall-clock path).
 
-use serde::{Deserialize, Serialize};
 use unimem_sim::Bytes;
 
 /// A granted region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     pub offset: u64,
     pub len: u64,

@@ -27,8 +27,7 @@
 
 use crate::alloc::{Region, SpaceAllocator};
 use crate::topology::ClusterTopology;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use unimem_sim::Bytes;
 
 /// Shared handle to the DRAM services of every node in the job.
@@ -111,6 +110,12 @@ impl DramService {
         }
     }
 
+    /// `rank`'s allocator. Never contended: only that rank's program
+    /// order takes it.
+    fn slot(&self, rank: usize) -> MutexGuard<'_, SpaceAllocator> {
+        self.slots[rank].lock().expect("DRAM slot poisoned")
+    }
+
     pub fn node_of(&self, rank: usize) -> usize {
         self.node_of[rank]
     }
@@ -122,7 +127,7 @@ impl DramService {
     /// Try to reserve `size` bytes of DRAM for `rank` from its static
     /// share. Non-blocking.
     pub fn reserve(&self, rank: usize, size: Bytes) -> Option<Region> {
-        let mut region = self.slots[rank].lock().alloc(size)?;
+        let mut region = self.slot(rank).alloc(size)?;
         region.offset += self.bases[rank];
         Some(region)
     }
@@ -130,17 +135,17 @@ impl DramService {
     /// Return a region previously granted to `rank`.
     pub fn release(&self, rank: usize, mut region: Region) {
         region.offset -= self.bases[rank];
-        self.slots[rank].lock().free(region);
+        self.slot(rank).free(region);
     }
 
     /// Free DRAM in `rank`'s share right now.
     pub fn available(&self, rank: usize) -> Bytes {
-        self.slots[rank].lock().available()
+        self.slot(rank).available()
     }
 
     /// Largest single allocatable run in `rank`'s share.
     pub fn largest_run(&self, rank: usize) -> Bytes {
-        self.slots[rank].lock().largest_free_run()
+        self.slot(rank).largest_free_run()
     }
 
     /// `rank`'s static share of its node's allowance (the knapsack's

@@ -44,9 +44,8 @@
 //! a prefix, which is what [`durable_prefix`] computes per mode.
 
 use crate::contention::BwClient;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use unimem_sim::{Bandwidth, Bytes, CrashSpec, VDur, VTime};
 
 /// Frame header: payload length, append vtime, payload checksum.

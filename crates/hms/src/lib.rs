@@ -37,6 +37,8 @@
 //!   including the tenant-aware scheduler
 //!   ([`topology::ClusterTopology::scheduled`]).
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod arbiter;
 pub mod contention;

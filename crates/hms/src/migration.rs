@@ -24,12 +24,11 @@ use crate::contention::HelperLink;
 use crate::journal::{JournalHandle, Record};
 use crate::object::UnitId;
 use crate::tier::TierKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use unimem_sim::{Bandwidth, Bytes, EventKind, TraceLog, VDur, VTime};
 
 /// One migration's lifecycle record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigRecord {
     pub unit: UnitId,
     pub to: TierKind,
@@ -61,7 +60,7 @@ impl MigRecord {
 }
 
 /// Aggregate migration statistics (Table 4 columns).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationStats {
     /// Times of migration (both directions, as the paper counts).
     pub count: u64,
@@ -172,7 +171,7 @@ impl MigrationEngine {
         // Redo rule: the intent reaches the journal before the copy is
         // scheduled, so no copy can be in flight unjournaled.
         if let Some(j) = &self.journal {
-            j.lock().append(
+            j.lock().expect("journal poisoned").append(
                 &Record::MigIntent {
                     seq: self.records.len() as u64,
                     obj: unit.obj.0,
@@ -237,7 +236,7 @@ impl MigrationEngine {
         }
         let stall = rec.done.since(now);
         if let Some(j) = &self.journal {
-            j.lock().append(
+            j.lock().expect("journal poisoned").append(
                 &Record::MigRequire {
                     seq: idx as u64,
                     at: now.secs(),
@@ -468,7 +467,7 @@ mod tests {
         let mut e = engine().with_journal(Some(j.clone()));
         e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
         let _ = e.require(unit(0), VTime(0.0005));
-        let st = ReplayedState::replay(j.lock().bytes());
+        let st = ReplayedState::replay(j.lock().expect("journal poisoned").bytes());
         assert_eq!(st.migrations.len(), 1);
         let m = &st.migrations[&0];
         assert!(m.to_dram);

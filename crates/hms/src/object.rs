@@ -7,13 +7,12 @@
 //! an unpartitioned object is a single chunk.
 
 use crate::tier::TierKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use unimem_sim::{Bytes, StrArena};
 
 /// Identifier of a registered data object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u32);
 
 impl fmt::Display for ObjId {
@@ -24,7 +23,7 @@ impl fmt::Display for ObjId {
 
 /// A placement unit: one chunk of one object. Unpartitioned objects have a
 /// single chunk with index 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UnitId {
     pub obj: ObjId,
     pub chunk: u16,
@@ -52,7 +51,7 @@ impl fmt::Display for UnitId {
 /// owning [`ObjectRegistry`]'s string arena (one allocation for the
 /// whole registry instead of one `String` per object), so ask the
 /// registry via [`ObjectRegistry::name_of`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataObject {
     pub id: ObjId,
     /// Modeled size (the size the placement problem sees).
@@ -241,7 +240,7 @@ impl ObjectRegistry {
 
 /// A placement: which tier each placement unit lives in. Units default to
 /// NVM (the paper's default initial placement before optimization).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Placement {
     in_dram: HashMap<UnitId, ()>,
 }

@@ -14,10 +14,9 @@
 //! current, and migration atomically swaps the buffer under the write lock.
 
 use crate::tier::TierKind;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use unimem_sim::Bytes;
 
@@ -99,7 +98,7 @@ pub struct RealObject {
 
 impl RealObject {
     pub fn len(&self) -> usize {
-        self.storage.read().len()
+        self.storage.read().expect("object storage poisoned").len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -107,28 +106,28 @@ impl RealObject {
     }
 
     pub fn tier(&self) -> TierKind {
-        *self.tier.lock()
+        *self.tier.lock().expect("object tier poisoned")
     }
 
     /// Read access to the bytes.
     pub fn with_read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.storage.read())
+        f(&self.storage.read().expect("object storage poisoned"))
     }
 
     /// Write access to the bytes.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.storage.write())
+        f(&mut self.storage.write().expect("object storage poisoned"))
     }
 
     /// Synchronous migration: accounts space in the destination pool,
     /// copies, then releases the source accounting. Returns false when the
     /// destination (DRAM) has no room — the object stays where it is.
     pub fn migrate_sync(&self, to: TierKind) -> bool {
-        let mut tier = self.tier.lock();
+        let mut tier = self.tier.lock().expect("object tier poisoned");
         if *tier == to {
             return true;
         }
-        let len = self.storage.read().len() as u64;
+        let len = self.storage.read().expect("object storage poisoned").len() as u64;
         if !self.accounts.charge(to, len) {
             return false;
         }
@@ -136,7 +135,7 @@ impl RealObject {
             // The "copy": allocate in the destination pool and move bytes.
             // Both pools are host RAM here; what matters for the machinery
             // is the accounting transfer and the pointer swap under lock.
-            let mut guard = self.storage.write();
+            let mut guard = self.storage.write().expect("object storage poisoned");
             let mut fresh = Vec::with_capacity(guard.len());
             fresh.extend_from_slice(&guard);
             *guard = fresh;
@@ -149,8 +148,15 @@ impl RealObject {
 
 impl Drop for RealObject {
     fn drop(&mut self) {
-        let len = self.storage.get_mut().len() as u64;
-        self.accounts.refund(*self.tier.get_mut(), len);
+        // Drop must not panic: both reads are valid even after a panic
+        // elsewhere poisoned the locks.
+        let len = self
+            .storage
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64;
+        let tier = *self.tier.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.accounts.refund(tier, len);
     }
 }
 
@@ -169,23 +175,22 @@ impl Ticket {
 
     fn complete(&self, ok: bool) {
         let (lock, cv) = &*self.state;
-        *lock.lock() = Some(ok);
+        *lock.lock().expect("ticket poisoned") = Some(ok);
         cv.notify_all();
     }
 
     /// Non-blocking status check (the per-phase queue poll of §3.3).
     pub fn is_done(&self) -> bool {
-        self.state.0.lock().is_some()
+        self.state.0.lock().expect("ticket poisoned").is_some()
     }
 
     /// Block until the migration finished; returns whether it succeeded.
     pub fn wait(&self) -> bool {
         let (lock, cv) = &*self.state;
-        let mut st = lock.lock();
-        while st.is_none() {
-            cv.wait(&mut st);
-        }
-        st.unwrap()
+        let st = cv
+            .wait_while(lock.lock().expect("ticket poisoned"), |st| st.is_none())
+            .expect("ticket poisoned");
+        st.expect("wait_while returns once the ticket is set")
     }
 }
 
@@ -206,7 +211,7 @@ pub struct HelperThread {
 
 impl HelperThread {
     pub fn spawn() -> HelperThread {
-        let (tx, rx): (Sender<Request>, Receiver<Request>) = channel::unbounded();
+        let (tx, rx) = mpsc::channel::<Request>();
         let handle = std::thread::Builder::new()
             .name("unimem-helper".into())
             .spawn(move || {

@@ -7,7 +7,6 @@
 //! (Edison: 60% of DRAM bandwidth, 1.89× latency). We provide both forms.
 
 use crate::tier::TierParams;
-use serde::{Deserialize, Serialize};
 use unimem_sim::{Bandwidth, Bytes, VDur};
 
 /// A complete HMS machine description for one node.
@@ -18,7 +17,7 @@ use unimem_sim::{Bandwidth, Bytes, VDur};
 /// sharing the DRAM capacity through the per-node service. At the
 /// default `ranks_per_node = 1` the node-level and per-rank views
 /// coincide.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     pub dram: TierParams,
     pub nvm: TierParams,

@@ -15,11 +15,10 @@
 //! single formula produces the paper's Observation 3 — different objects are
 //! sensitive to different tier parameters — from the workload structure.
 
-use serde::{Deserialize, Serialize};
 use unimem_sim::{Bandwidth, Bytes, Latency, VDur};
 
 /// Which tier a data object resides in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TierKind {
     Dram,
     Nvm,
@@ -43,7 +42,7 @@ impl TierKind {
 
 /// Read/write fractions of an access stream. Writes matter because NVM is
 /// strongly read/write asymmetric (Table 1: PCRAM writes up to 50× slower).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessMix {
     /// Fraction of accesses that are reads, in `[0, 1]`.
     pub read_frac: f64,
@@ -61,7 +60,7 @@ impl AccessMix {
 }
 
 /// Timing parameters of one memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierParams {
     pub read_lat: Latency,
     pub write_lat: Latency,

@@ -18,6 +18,8 @@
 //! §3.3), merging non-blocking posts into the following phase exactly as
 //! the paper prescribes.
 
+#![forbid(unsafe_code)]
+
 pub mod ctx;
 pub mod net;
 pub mod pmpi;

@@ -6,11 +6,10 @@
 //! default to a modest FDR-class cluster network (Platform A is a small
 //! Ethernet/IB cluster; only relative magnitudes matter for the figures).
 
-use serde::{Deserialize, Serialize};
 use unimem_sim::{Bandwidth, Bytes, VDur};
 
 /// Collective operation shapes with distinct cost structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveKind {
     Barrier,
     /// Reduce + broadcast of `n` bytes.
@@ -22,7 +21,7 @@ pub enum CollectiveKind {
 }
 
 /// Interconnect parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetParams {
     /// Per-message latency.
     pub alpha: VDur,

@@ -13,11 +13,10 @@
 //! loop head and phase *k* of every iteration denotes the same program
 //! region.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a program phase within the main loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhaseId(pub u32);
 
 impl fmt::Display for PhaseId {
@@ -27,14 +26,14 @@ impl fmt::Display for PhaseId {
 }
 
 /// Whether a phase is computation or communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     Compute,
     Comm,
 }
 
 /// The per-rank phase counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseTracker {
     next: u32,
     iteration: u64,

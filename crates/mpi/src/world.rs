@@ -6,9 +6,8 @@
 
 use crate::net::{CollectiveKind, NetParams};
 use crate::topo::{collective_timing, RankPlacement};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use unimem_sim::{Bytes, VTime};
 
 /// Reduction semantics for collectives carrying data.
@@ -128,7 +127,7 @@ impl CommWorld {
     /// Deposit a message from `src` to `dst`.
     pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
         let mb = self.mailbox(src, dst);
-        mb.queue.lock().push_back(msg);
+        mb.queue.lock().expect("mailbox poisoned").push_back(msg);
         mb.cv.notify_all();
     }
 
@@ -136,12 +135,12 @@ impl CommWorld {
     /// and return it. MPI non-overtaking order holds per (src, tag).
     pub(crate) fn fetch(&self, src: usize, dst: usize, tag: u64) -> Message {
         let mb = self.mailbox(src, dst);
-        let mut q = mb.queue.lock();
+        let mut q = mb.queue.lock().expect("mailbox poisoned");
         loop {
             if let Some(pos) = q.iter().position(|m| m.tag == tag) {
                 return q.remove(pos).expect("position valid");
             }
-            mb.cv.wait(&mut q);
+            q = mb.cv.wait(q).expect("mailbox poisoned");
         }
     }
 
@@ -156,7 +155,7 @@ impl CommWorld {
         contrib: Vec<f64>,
         op: ReduceOp,
     ) -> (VTime, Vec<f64>) {
-        let mut slot = self.coll.m.lock();
+        let mut slot = self.coll.m.lock().expect("collective slot poisoned");
         let my_gen = slot.gen;
         slot.clocks[rank] = clock;
         slot.contrib[rank] = contrib;
@@ -182,9 +181,11 @@ impl CommWorld {
             }
             self.coll.cv.notify_all();
         } else {
-            while !slot.results.contains_key(&my_gen) {
-                self.coll.cv.wait(&mut slot);
-            }
+            slot = self
+                .coll
+                .cv
+                .wait_while(slot, |s| !s.results.contains_key(&my_gen))
+                .expect("collective slot poisoned");
         }
         let (result, remaining) = slot.results.get_mut(&my_gen).expect("result present");
         let leave = result.leave_at;

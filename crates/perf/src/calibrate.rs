@@ -15,7 +15,6 @@
 
 use crate::eq1::eq1_bandwidth;
 use crate::sampler::{GroundTruth, Sampler, SamplerConfig};
-use serde::{Deserialize, Serialize};
 use unimem_cache::{AccessPattern, CacheModel, ObjAccess};
 use unimem_hms::object::{ObjId, UnitId};
 use unimem_hms::profiles::MachineConfig;
@@ -23,7 +22,7 @@ use unimem_hms::tier::{AccessMix, TierKind};
 use unimem_sim::Bytes;
 
 /// Platform constants produced by offline calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Eq. 2 constant factor (bandwidth model).
     pub cf_bw: f64,

@@ -21,6 +21,8 @@
 //! * [`kernels`] — *real* STREAM-triad and pointer-chase kernels used by
 //!   wall-clock benches and the quickstart example.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod eq1;
 pub mod kernels;

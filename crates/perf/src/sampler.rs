@@ -17,12 +17,11 @@
 //! Both are thinned with deterministic binomial noise so repeated profiling
 //! of identical phases shows realistic (but reproducible) jitter.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::object::UnitId;
 use unimem_sim::{Bytes, DetRng, VDur};
 
 /// Sampler configuration (defaults match the paper's §4 setup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplerConfig {
     /// Time-based sampling interval in CPU cycles (paper: 1000).
     pub window_cycles: u64,
@@ -48,7 +47,7 @@ impl Default for SamplerConfig {
 }
 
 /// What the counters reported for one object in one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjSample {
     pub unit: UnitId,
     /// Sampled access count (`#data_access`): addresses captured in this
@@ -59,7 +58,7 @@ pub struct ObjSample {
 }
 
 /// Profile of one phase execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
     /// Total time-based windows in the phase (`#samples`).
     pub windows: u64,
@@ -81,7 +80,7 @@ impl PhaseProfile {
 }
 
 /// Ground truth the sampler observes for one object in one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruth {
     pub unit: UnitId,
     /// True LLC misses to the object in the phase.

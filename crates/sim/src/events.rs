@@ -6,11 +6,10 @@
 //! that referenced it"). Logging is opt-in; a disabled log is a no-op.
 
 use crate::time::VTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A migration was enqueued on the helper thread's FIFO queue.
     MigrationEnqueued,
@@ -33,7 +32,7 @@ pub enum EventKind {
 }
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     pub at: VTime,
     pub kind: EventKind,

@@ -1,8 +1,8 @@
 //! Minimal deterministic JSON document builder **and parser**.
 //!
-//! The vendored `serde` is a trait-only stub (see `vendor/README.md`), so
-//! machine-readable reports are built through this hand-rolled value tree
-//! instead. Two properties matter more than generality:
+//! The workspace has no serialization crate, so machine-readable reports
+//! are built through this hand-rolled value tree. Two properties matter
+//! more than generality:
 //!
 //! * **Determinism** — object members keep insertion order, floats render
 //!   with Rust's shortest round-trip formatting, and nothing consults

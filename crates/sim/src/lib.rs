@@ -20,8 +20,8 @@
 //!   neighbor flows by fence-epoch rates).
 //! * [`json`] — a deterministic JSON document builder **and parser** used
 //!   for the machine-readable run/sweep reports and the sweep's on-disk
-//!   cell cache (the vendored `serde` is a trait-only stub, so
-//!   serialization is hand-rolled here).
+//!   cell cache, hand-rolled so the workspace needs no serialization
+//!   crate.
 //! * [`hash`] — deterministic FNV-1a content hashing (vendored `fnv`):
 //!   the digest convention behind the content-addressed sweep cache.
 //! * [`crash`] — seeded virtual-time kill points for the crash-injection
@@ -33,6 +33,8 @@
 //!
 //! Everything is deterministic: identical inputs yield bit-identical outputs
 //! regardless of host scheduling, which the integration tests assert.
+
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod crash;
@@ -57,3 +59,23 @@ pub use rng::DetRng;
 pub use stats::{OnlineStats, Summary};
 pub use time::{VDur, VTime};
 pub use units::{Bandwidth, Bytes, Latency};
+
+#[cfg(test)]
+mod tests {
+    use super::DetRng;
+
+    /// Every seed names one stream: two generators seeded alike agree
+    /// draw for draw, and neighbouring seeds do not share a stream.
+    #[test]
+    fn deterministic_per_seed() {
+        for seed in [0u64, 1, 2, u64::MAX] {
+            let mut a = DetRng::seed(seed);
+            let mut b = DetRng::seed(seed);
+            for _ in 0..64 {
+                assert_eq!(a.u64(), b.u64());
+            }
+        }
+        let first = |seed| DetRng::seed(seed).u64();
+        assert_ne!(first(1), first(2));
+    }
+}

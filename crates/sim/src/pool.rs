@@ -9,24 +9,22 @@
 //! output is a pure function of the input: byte-identical to the serial
 //! walk regardless of worker count or scheduling.
 //!
-//! The distribution machinery is lock-free (PR 9): jobs sit in a
-//! [`crossbeam::queue::ArrayQueue`] (Vyukov sequence-stamped ring) that
-//! workers pop with a single CAS, and every worker accumulates
-//! `(index, result)` pairs in a thread-local buffer that the caller
-//! merges after the scoped join — no result channel, no mutex anywhere
-//! on the hot path. The earlier design funneled both job hand-off and
-//! result collection through a `Mutex<VecDeque>` channel, which
-//! serialized exactly the fan-out the pool exists to provide.
-//! [`run_pool_mut`] is the zero-copy variant for resident state: workers
-//! claim disjoint indices of a caller-owned slice from an atomic cursor
-//! and advance the items in place, so a bulk-synchronous round loop does
-//! not move (or re-wrap) its tasks every round.
+//! [`run_pool`] hands out job indices from one atomic cursor over the
+//! shared job slice, so a worker that finishes a cheap job claims the
+//! next one at once: sweep cells differ in cost by orders of magnitude.
+//! Every worker buffers `(index, result)` pairs locally and the caller
+//! merges them after the scoped join, so no lock sits on the hot path.
+//! [`run_pool_mut`] is the in-place variant for resident state: each
+//! worker advances one contiguous `chunks_mut` piece of a caller-owned
+//! slice, so a bulk-synchronous round loop does not move its tasks every
+//! round, and the borrow checker proves the pieces disjoint. The ranks
+//! of one round do similar work, so the static split stays balanced, and
+//! neighbouring ranks (one node's ranks) stay on one thread.
 //!
 //! A job that returns `Err` or panics surfaces as the pool's `Err`
 //! (first failing job index wins, deterministically) instead of
 //! deadlocking the caller.
 
-use crossbeam::queue::ArrayQueue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,11 +37,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///   the error of the **lowest-indexed** failing job is returned with a
 ///   `job {idx}:` prefix — identical from the serial and threaded paths,
 ///   so the reported failure never depends on worker count or
-///   scheduling. (The threaded path still drains the queue; the serial
+///   scheduling. (The threaded path still runs every job; the serial
 ///   path stops at the failure, which is unobservable in the result.)
 pub fn run_pool<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> Result<Vec<R>, String>
 where
-    J: Send,
+    J: Sync,
     R: Send,
     F: Fn(&J) -> Result<R, String> + Sync,
 {
@@ -52,32 +50,24 @@ where
         return jobs
             .iter()
             .enumerate()
-            .map(|(idx, job)| run_caught(&f, job).map_err(|e| format!("job {idx}: {e}")))
+            .map(|(idx, job)| run_caught(|| f(job)).map_err(|e| format!("job {idx}: {e}")))
             .collect();
     }
 
-    // Lock-free hand-off: every job is enqueued up front (the queue is
-    // sized to hold them all, so push cannot fail), workers pop until
-    // the queue reads empty — which, with all producers done before the
-    // first pop, really means drained.
-    let queue = ArrayQueue::new(n);
-    for job in jobs.into_iter().enumerate() {
-        if queue.push(job).is_err() {
-            unreachable!("queue sized to the job count");
-        }
-    }
-
-    let mut slots: Vec<Option<Result<R, String>>> =
-        std::iter::repeat_with(|| None).take(n).collect();
+    // Each `fetch_add` hands exactly one worker the next unclaimed job.
+    // The counter publishes nothing but the index: the jobs were written
+    // before the scope spawned the workers, and the results travel back
+    // through the joins.
+    let cursor = AtomicUsize::new(0);
     let buffers: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move || {
+                scope.spawn(|| {
                     let mut local = Vec::new();
-                    while let Some((idx, job)) = queue.pop() {
-                        local.push((idx, run_caught(f, &job)));
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(idx) else { break };
+                        local.push((idx, run_caught(|| f(job))));
                     }
                     local
                 })
@@ -88,10 +78,20 @@ where
             .map(|h| h.join().expect("pool worker panics are caught per job"))
             .collect()
     });
+
+    let mut slots: Vec<Option<Result<R, String>>> =
+        std::iter::repeat_with(|| None).take(n).collect();
     for (idx, res) in buffers.into_iter().flatten() {
         slots[idx] = Some(res);
     }
-    collect_slots(slots)
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(idx, slot)| {
+            slot.expect("the cursor hands out every index exactly once")
+                .map_err(|e| format!("job {idx}: {e}"))
+        })
+        .collect()
 }
 
 /// Run `f` over every element of `items` **in place** on a pool of
@@ -100,12 +100,11 @@ where
 /// The mutable-slice twin of [`run_pool`] for state that must survive
 /// across calls: a bulk-synchronous driver keeps its per-rank tasks in
 /// one `Vec` and advances them round after round without moving them
-/// into per-round wrappers. Workers claim indices from an atomic cursor
-/// (each index is handed out exactly once, so the `&mut` accesses are
-/// provably disjoint) and buffer results locally; error semantics are
-/// identical to [`run_pool`] — lowest failing index wins, panics become
-/// `Err`, and a failing round leaves `items` in whatever mixed state
-/// the round reached (callers treat a round error as fatal).
+/// into per-round wrappers. Each worker takes one contiguous piece of
+/// `items`; error semantics are identical to [`run_pool`] — lowest
+/// failing index wins, panics become `Err`, and a failing round leaves
+/// `items` in whatever mixed state the round reached (callers treat a
+/// round error as fatal).
 pub fn run_pool_mut<T, R, F>(items: &mut [T], workers: usize, f: F) -> Result<Vec<R>, String>
 where
     T: Send,
@@ -114,43 +113,17 @@ where
 {
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for (idx, item) in items.iter_mut().enumerate() {
-            out.push(run_caught_mut(&f, idx, item).map_err(|e| format!("job {idx}: {e}"))?);
-        }
-        return Ok(out);
+        return run_piece(&f, 0, items);
     }
 
-    // One atomic cursor hands each index to exactly one worker, so the
-    // raw-pointer `&mut` projections below never alias.
-    struct SharedSlice<T>(*mut T);
-    unsafe impl<T: Send> Sync for SharedSlice<T> {}
-    let base = SharedSlice(items.as_mut_ptr());
-    let cursor = AtomicUsize::new(0);
-
-    let mut slots: Vec<Option<Result<R, String>>> =
-        std::iter::repeat_with(|| None).take(n).collect();
-    let buffers: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                let base = &base;
-                let cursor = &cursor;
+    let piece = n.div_ceil(workers.min(n));
+    let pieces: Vec<Result<Vec<R>, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks_mut(piece)
+            .enumerate()
+            .map(|(i, chunk)| {
                 let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        // Safety: `idx < n` is in bounds, and the
-                        // fetch_add gives this worker sole ownership of
-                        // index `idx` for the lifetime of the scope.
-                        let item = unsafe { &mut *base.0.add(idx) };
-                        local.push((idx, run_caught_mut(f, idx, item)));
-                    }
-                    local
-                })
+                scope.spawn(move || run_piece(f, i * piece, chunk))
             })
             .collect();
         handles
@@ -158,41 +131,37 @@ where
             .map(|h| h.join().expect("pool worker panics are caught per job"))
             .collect()
     });
-    for (idx, res) in buffers.into_iter().flatten() {
-        slots[idx] = Some(res);
-    }
-    collect_slots(slots)
-}
-
-/// Reassemble per-index result slots into the pool's return value:
-/// all-`Ok` in index order, or the lowest-indexed failure.
-fn collect_slots<R>(slots: Vec<Option<Result<R, String>>>) -> Result<Vec<R>, String> {
-    let mut out = Vec::with_capacity(slots.len());
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(format!("job {idx}: {e}")),
-            None => return Err(format!("job {idx}: worker exited without a result")),
-        }
+    let mut out = Vec::with_capacity(n);
+    for outs in pieces {
+        out.extend(outs?);
     }
     Ok(out)
+}
+
+/// Advance one contiguous piece, whose first item has index `base`, in
+/// order, stopping at its first failure. Every piece before the first
+/// failing one ran clean, so that failure is the lowest failing index
+/// overall — the error the serial walk reports.
+fn run_piece<T, R>(
+    f: &impl Fn(usize, &mut T) -> Result<R, String>,
+    base: usize,
+    items: &mut [T],
+) -> Result<Vec<R>, String> {
+    items
+        .iter_mut()
+        .enumerate()
+        .map(|(i, item)| {
+            let idx = base + i;
+            run_caught(|| f(idx, item)).map_err(|e| format!("job {idx}: {e}"))
+        })
+        .collect()
 }
 
 /// Run one job, converting a panic into `Err` — a panicking job must not
 /// take down the worker (and the results the caller is waiting for) on
 /// the threaded path, nor abort the process on the serial path.
-fn run_caught<J, R>(f: &(impl Fn(&J) -> Result<R, String> + Sync), job: &J) -> Result<R, String> {
-    catch_unwind(AssertUnwindSafe(|| f(job)))
-        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_msg(&*p))))
-}
-
-/// [`run_caught`] for the in-place variant's `(index, &mut item)` shape.
-fn run_caught_mut<T, R>(
-    f: &(impl Fn(usize, &mut T) -> Result<R, String> + Sync),
-    idx: usize,
-    item: &mut T,
-) -> Result<R, String> {
-    catch_unwind(AssertUnwindSafe(|| f(idx, item)))
+fn run_caught<R>(body: impl FnOnce() -> Result<R, String>) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(body))
         .unwrap_or_else(|p| Err(format!("panicked: {}", panic_msg(&*p))))
 }
 
@@ -204,9 +173,7 @@ pub fn with_label<R>(
     label: impl Fn() -> String,
     body: impl FnOnce() -> Result<R, String>,
 ) -> Result<R, String> {
-    catch_unwind(AssertUnwindSafe(body))
-        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_msg(&*p))))
-        .map_err(|e| format!("{}: {e}", label()))
+    run_caught(body).map_err(|e| format!("{}: {e}", label()))
 }
 
 // Takes the unsized payload directly: passing `&Box<dyn Any>` would let

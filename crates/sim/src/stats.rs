@@ -5,10 +5,8 @@
 //! deviates more than 10% from its running mean) and by the benchmark
 //! harnesses to summarize repeated runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford online mean/variance with min/max tracking.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -122,7 +120,7 @@ impl OnlineStats {
 }
 
 /// Snapshot of an [`OnlineStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub count: u64,
     pub mean: f64,

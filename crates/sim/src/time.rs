@@ -8,19 +8,18 @@
 //! points. The distinction catches unit bugs at compile time (you cannot add
 //! two instants, only an instant and a duration).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in virtual time, in seconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct VTime(pub f64);
 
 /// A span of virtual time, in seconds. May never be negative (construction
 /// clamps; subtraction that would underflow saturates to zero via
 /// [`VDur::saturating_sub`], while `-` panics in debug builds on underflow).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct VDur(pub f64);
 
 impl VTime {

@@ -7,10 +7,8 @@
 //! uniformly (the steady-state behaviour repeats, and the runtime's
 //! decisions happen within the first few iterations).
 
-use serde::{Deserialize, Serialize};
-
 /// NPB problem class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Class {
     /// Miniature, for tests: everything fits caches; runs in microseconds.
     S,

@@ -27,6 +27,8 @@
 //! suite members into multi-tenant mixes (pairs/triples with staggered
 //! phase clocks) for the DRAM-arbitration co-run sweep.
 
+#![forbid(unsafe_code)]
+
 pub mod bt;
 pub mod cg;
 pub mod classes;

@@ -26,6 +26,8 @@
 //! frozen from the training iteration, so Nek5000's drifting access
 //! pattern leaves it behind (Fig. 9/10's 10% gap on Nek5000).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use unimem::exec::{Policy, StepSpec, Workload};
 use unimem_cache::{AccessPattern, CacheModel};

@@ -4,6 +4,8 @@
 //! tests can `use unimem_repro::...`. See the README for a tour and
 //! DESIGN.md for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use unimem as runtime;
 pub use unimem_bench as bench;
 pub use unimem_cache as cache;

@@ -1,0 +1,140 @@
+//! Byte-identity guards: the committed `BENCH_sweep.json` is the
+//! behaviour contract every refactor must keep.
+//!
+//! The sweep's output is virtual-time and schedule-independent by
+//! construction, so the guards are maximal. The reduced matrix must
+//! reproduce the committed bytes on the serial path and on pools of 4
+//! and 8 workers (8 oversubscribes small hosts on purpose), and from a
+//! cold and a fully-warm cell cache. The four legacy policies, run on
+//! their own, must reproduce the committed report projected onto them:
+//! the baseline of the enum-dispatch implementation the
+//! `PlacementPolicy` trait replaced.
+
+use unimem_repro::bench::sweep::{
+    run_sweep_cached, run_sweep_jobs, PolicyKind, SweepCache, SweepConfig,
+};
+use unimem_repro::sim::Json;
+
+const GOLDEN: &str = include_str!("../BENCH_sweep.json");
+
+/// The policies the sweep had before `online-guidance` and `hw-cache`.
+const LEGACY: [PolicyKind; 4] = [
+    PolicyKind::Unimem,
+    PolicyKind::Xmem,
+    PolicyKind::DramOnly,
+    PolicyKind::NvmOnly,
+];
+
+/// Panic with the first differing line when `got` is not `want`.
+fn assert_same_bytes(what: &str, got: &str, want: &str) {
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(a, b)| a != b)
+            .map(|i| i + 1);
+        panic!(
+            "{what} diverges from the committed BENCH_sweep.json ({} vs {} bytes; \
+             first differing line: {line:?})",
+            got.len(),
+            want.len(),
+        );
+    }
+}
+
+fn reduced_report(cfg: &SweepConfig, jobs: usize) -> String {
+    run_sweep_jobs(cfg, jobs)
+        .expect("reduced sweep runs")
+        .to_json()
+        .to_pretty()
+}
+
+/// The committed report restricted to `policies`: the `policies` axis
+/// and `n_cells` rewritten, the other policies' cells dropped, and
+/// everything else, the co-run cells included, untouched.
+fn golden_projected_onto(policies: &[PolicyKind]) -> Json {
+    let mut report = Json::parse(GOLDEN).expect("the committed report parses");
+    let Json::Obj(members) = &mut report else {
+        panic!("the committed report is not a JSON object");
+    };
+    let kept = |v: &Json| policies.iter().any(|p| v.as_str() == Some(p.name()));
+    let mut n_cells = 0;
+    for (key, value) in members.iter_mut() {
+        match (key.as_str(), value) {
+            ("policies", Json::Arr(names)) => names.retain(kept),
+            ("cells", Json::Arr(cells)) => {
+                cells.retain(|c| c.get("policy").is_some_and(kept));
+                n_cells = cells.len();
+            }
+            _ => {}
+        }
+    }
+    for (key, value) in members.iter_mut() {
+        if key == "n_cells" {
+            *value = Json::UInt(n_cells as u64);
+        }
+    }
+    report
+}
+
+#[test]
+fn serial_path_reproduces_the_committed_sweep_bytes() {
+    let got = reduced_report(&SweepConfig::reduced(), 1);
+    assert_same_bytes("the serial sweep", &got, GOLDEN);
+}
+
+/// The journal hooks thread an `Option<JournalHandle>` through the
+/// driver, the policies and the migration engine. With no journal (the
+/// default) the run must be not merely cheap but invisible.
+#[test]
+fn journal_disabled_path_reproduces_the_committed_sweep_bytes() {
+    let got = reduced_report(&SweepConfig::reduced(), 4);
+    assert_same_bytes("the journal-free sweep on 4 workers", &got, GOLDEN);
+}
+
+#[test]
+fn wide_pool_reproduces_the_committed_sweep_bytes() {
+    let got = reduced_report(&SweepConfig::reduced(), 8);
+    assert_same_bytes("the sweep on 8 workers", &got, GOLDEN);
+}
+
+/// A cold cached run and a fully-warm rerun must both reproduce the
+/// committed bytes: on a warm run every cell is reconstructed from disk,
+/// so this exercises the full-fidelity (de)serialization of every cell.
+#[test]
+fn cached_runs_reproduce_the_committed_sweep_bytes() {
+    let dir = std::env::temp_dir().join(format!("unimem-golden-cache-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = SweepCache::open(&dir).expect("cache opens");
+    let cfg = SweepConfig::reduced();
+
+    let cold = run_sweep_cached(&cfg, 1, Some(&store)).expect("cold cached sweep runs");
+    assert_eq!(cold.cache_hits, 0, "cold cache cannot hit");
+    assert_same_bytes("the cold cached run", &cold.to_json().to_pretty(), GOLDEN);
+
+    let warm = run_sweep_cached(&cfg, 1, Some(&store)).expect("warm cached sweep runs");
+    assert_eq!(
+        warm.cache_hits, warm.cache_lookups,
+        "a rerun of the identical matrix must answer every lookup from disk"
+    );
+    assert_same_bytes(
+        "the warm (all-cells-from-disk) run",
+        &warm.to_json().to_pretty(),
+        GOLDEN,
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The placement-policy refactor guard: the four legacy policies,
+/// regenerated through the `PlacementPolicy` trait machinery, produce
+/// exactly the committed report's cells for those policies.
+#[test]
+fn legacy_policies_reproduce_the_projected_sweep_bytes() {
+    let mut cfg = SweepConfig::reduced();
+    cfg.policies = LEGACY.to_vec();
+    assert_same_bytes(
+        "the four-policy sweep",
+        &reduced_report(&cfg, 4),
+        &golden_projected_onto(&LEGACY).to_pretty(),
+    );
+}

@@ -642,17 +642,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool identity (the lock-free queue behind the sweep executor and
-// the rank scheduler; see also tests/concurrency_stress.rs).
+// Worker-pool identity (the atomic-cursor pool behind the sweep executor
+// and the chunked in-place pool behind the rank scheduler; see also
+// tests/concurrency_stress.rs).
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary job sets through the lock-free pool reassemble
-    /// byte-identically at every width, on both the read-only path (the
-    /// sweep) and the in-place path (the rank scheduler). The workers
-    /// race over a shared queue, so the *completion* order is arbitrary;
-    /// reassembly by job index must erase it completely.
+    /// Arbitrary job sets through the pool reassemble byte-identically
+    /// at every width, on both the read-only path (the sweep) and the
+    /// in-place path (the rank scheduler). The workers race over a
+    /// shared cursor, so the *completion* order is arbitrary; reassembly
+    /// by job index must erase it completely.
     #[test]
     fn pool_reassembles_byte_identically(
         items in prop::collection::vec(any::<u64>(), 0..48),
