@@ -3,7 +3,7 @@
 //! These measure the *real* cost of the pieces the simulation charges
 //! virtual costs for: the knapsack solver, the sampler, the analytic cache
 //! model, the real helper thread + FIFO queue (actual memcpy between the
-//! accounted pools), mini-MPI collectives, and a full driver step.
+//! accounted pools), and one end-to-end `run_workload` call.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -15,7 +15,6 @@ use unimem_hms::object::ObjId;
 use unimem_hms::pools::{HelperThread, RealHms};
 use unimem_hms::tier::TierKind;
 use unimem_hms::MachineConfig;
-use unimem_mpi::{CommWorld, NetParams};
 use unimem_perf::kernels::{build_chase_ring, pointer_chase, stream_triad};
 use unimem_perf::sampler::{GroundTruth, Sampler, SamplerConfig};
 use unimem_sim::{Bytes, DetRng, VDur};
@@ -91,20 +90,6 @@ fn bench_helper_thread(c: &mut Criterion) {
     });
 }
 
-fn bench_collectives(c: &mut Criterion) {
-    c.bench_function("minimpi_allreduce_4ranks_x64", |b| {
-        b.iter(|| {
-            CommWorld::run(4, NetParams::default(), |ctx| {
-                let mut acc = 0.0;
-                for i in 0..64 {
-                    acc += ctx.allreduce_sum_scalar(i as f64);
-                }
-                acc
-            })
-        })
-    });
-}
-
 fn bench_driver(c: &mut Criterion) {
     let w = by_name("CG", Class::S).unwrap();
     let m = MachineConfig::nvm_bw_fraction(0.5).with_dram_capacity(Bytes::mib(4));
@@ -136,7 +121,6 @@ criterion_group!(
     bench_sampler,
     bench_cache_model,
     bench_helper_thread,
-    bench_collectives,
     bench_driver,
     bench_kernels
 );

@@ -441,7 +441,7 @@ pub fn check_contention(cfg: &SweepConfig) -> Vec<Violation> {
         return Vec::new();
     };
     let Ok(selection) = select(&[workload.as_str()], cfg.class) else {
-        return Vec::new(); // unknown names are run_sweep's error to report
+        return Vec::new(); // unknown names are run_sweep_cached's error to report
     };
     let (canon, w) = &selection[0];
 
@@ -577,7 +577,7 @@ pub fn check_determinism(cfg: &SweepConfig) -> Vec<Violation> {
         return Vec::new();
     };
     let Ok(selection) = select(&[workload.as_str()], cfg.class) else {
-        return Vec::new(); // unknown names are run_sweep's error to report
+        return Vec::new(); // unknown names are run_sweep_cached's error to report
     };
     let (canon, w) = &selection[0];
 
@@ -655,7 +655,7 @@ pub fn check_weak_scaling(cfg: &SweepConfig, tol: &Tolerances) -> Vec<Violation>
         return coverage("matrix has no NVM profiles; the scaling claim was not evaluated".into());
     };
     let Ok(selection) = select(&[workload.as_str()], cfg.class) else {
-        return Vec::new(); // unknown names are run_sweep's error to report
+        return Vec::new(); // unknown names are run_sweep_cached's error to report
     };
     let (canon, w) = &selection[0];
 
@@ -797,7 +797,7 @@ pub fn check_recovery(cfg: &SweepConfig, tol: &Tolerances) -> Vec<Violation> {
     let mut advantage_checked = false;
     for name in names {
         let Ok(selection) = select(&[name.as_str()], cfg.class) else {
-            continue; // unknown names are run_sweep's error to report
+            continue; // unknown names are run_sweep_cached's error to report
         };
         let (canon, w) = &selection[0];
         let setup = RecoverySetup {
@@ -886,8 +886,9 @@ pub fn check_recovery(cfg: &SweepConfig, tol: &Tolerances) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::jobs::default_workers;
     use crate::sweep::matrix::NvmProfile;
-    use crate::sweep::runner::run_sweep;
+    use crate::sweep::runner::run_sweep_cached;
     use unimem_workloads::Class;
 
     fn small_matrix() -> SweepConfig {
@@ -907,7 +908,7 @@ mod tests {
 
     #[test]
     fn small_matrix_conforms() {
-        let rep = run_sweep(&small_matrix()).unwrap();
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
         let violations = check_report(&rep, &Tolerances::default());
         assert!(
             violations.is_empty(),
@@ -917,7 +918,7 @@ mod tests {
 
     #[test]
     fn impossible_tolerances_fire_with_cell_coordinates() {
-        let rep = run_sweep(&small_matrix()).unwrap();
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
         let strict = Tolerances {
             dram_tracking: 0.5, // unimem can never halve DRAM-only time
             max_runtime_cost: 0.0,
@@ -934,7 +935,7 @@ mod tests {
     fn scale_scoped_checks_skip_single_rank_cells() {
         let mut cfg = small_matrix();
         cfg.ranks = vec![1];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         // 1-rank cells are out of scope for tracking/drift even with
         // impossible tolerances; only the global checks may fire.
         let strict = Tolerances {
@@ -952,7 +953,7 @@ mod tests {
     fn matrix_without_unimem_is_a_coverage_violation() {
         let mut cfg = small_matrix();
         cfg.policies = vec![PolicyKind::DramOnly, PolicyKind::NvmOnly];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let violations = check_report(&rep, &Tolerances::default());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].check, "coverage");
@@ -962,7 +963,7 @@ mod tests {
     fn missing_baselines_are_violations_not_silent_skips() {
         let mut cfg = small_matrix();
         cfg.policies = vec![PolicyKind::Unimem];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let violations = check_report(&rep, &Tolerances::default());
         for check in ["nvm-win", "dram-tracking", "xmem-drift"] {
             assert!(
@@ -980,7 +981,7 @@ mod tests {
         // drift claim in scope.
         let mut cfg = small_matrix();
         cfg.workloads = vec!["nek".into()];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.config.workloads, ["Nek5000"]);
         let strict = Tolerances {
             xmem_drift: 0.0,
@@ -995,7 +996,7 @@ mod tests {
 
     #[test]
     fn impossible_ordering_tolerance_fires_both_directions() {
-        let rep = run_sweep(&small_matrix()).unwrap();
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
         let strict = Tolerances {
             policy_ordering: 0.0, // no finite ratio can pass
             ..Tolerances::default()
@@ -1031,7 +1032,7 @@ mod tests {
             PolicyKind::DramOnly,
             PolicyKind::NvmOnly,
         ];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let strict = Tolerances {
             policy_ordering: 0.0,
             ..Tolerances::default()
@@ -1048,7 +1049,7 @@ mod tests {
         // A report whose config promises the axis but whose cells lost
         // the online-guidance rows (e.g. a mis-filtered rerun) must fail
         // coverage, not pass silently.
-        let rep = run_sweep(&small_matrix()).unwrap();
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
         let kept: Vec<_> = rep
             .cells
             .iter()
@@ -1078,7 +1079,7 @@ mod tests {
         // cells are out of their scope by construction.
         let mut cfg = small_matrix();
         cfg.topologies.push(TopologySpec::Nodes { count: 4 });
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let violations = check_report(&rep, &Tolerances::default());
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -1173,7 +1174,7 @@ mod tests {
 
     #[test]
     fn packed_matrix_without_neighbor_contention_evidence_fires() {
-        let rep = run_sweep(&small_matrix()).unwrap();
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
         // An impossible evidence floor: nothing can reach it, so the
         // no-vacuous-pass arm must fire with the best cell's coordinates.
         let strict = Tolerances {
@@ -1193,7 +1194,7 @@ mod tests {
     fn unpacked_matrix_is_out_of_contention_scope() {
         let mut cfg = small_matrix();
         cfg.ranks_per_node = vec![1];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let strict = Tolerances {
             contention_evidence_min: f64::INFINITY,
             ..Tolerances::default()
@@ -1214,7 +1215,7 @@ mod tests {
 
     #[test]
     fn corun_checks_pass_on_a_contended_mix() {
-        let rep = run_sweep(&corun_matrix()).unwrap();
+        let rep = run_sweep_cached(&corun_matrix(), default_workers(), None).unwrap();
         assert_eq!(rep.corun_cells.len(), 2 * 3);
         let violations = check_report(&rep, &Tolerances::default());
         assert!(violations.is_empty(), "{violations:?}");
@@ -1222,7 +1223,7 @@ mod tests {
 
     #[test]
     fn impossible_corun_tolerances_fire_with_coordinates() {
-        let rep = run_sweep(&corun_matrix()).unwrap();
+        let rep = run_sweep_cached(&corun_matrix(), default_workers(), None).unwrap();
         let strict = Tolerances {
             corun_sanity: 2.0, // no tenant doubles its solo time here
             tenant_qos: 0.0,   // no slowdown can be ≤ 0
@@ -1243,7 +1244,7 @@ mod tests {
     fn corun_matrix_without_priority_cells_is_a_coverage_violation() {
         let mut cfg = corun_matrix();
         cfg.arbiters = vec![ArbiterPolicy::FairShare];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         let violations = check_report(&rep, &Tolerances::default());
         assert!(
             violations

@@ -1,5 +1,5 @@
 //! Flat job enumeration and the deterministic worker pool behind
-//! [`crate::sweep::runner::run_sweep`].
+//! [`crate::sweep::runner::run_sweep_cached`].
 //!
 //! The serial runner walked the matrix in nested loops, leaving all but
 //! one core idle. This module splits that walk into two data-parallel

@@ -203,7 +203,9 @@ impl TopologySpec {
 /// # Example — a miniature custom slice
 ///
 /// ```
-/// use unimem_bench::sweep::{run_sweep, NvmProfile, PolicyKind, SweepConfig, TopologySpec};
+/// use unimem_bench::sweep::{
+///     default_workers, run_sweep_cached, NvmProfile, PolicyKind, SweepConfig, TopologySpec,
+/// };
 /// use unimem_workloads::Class;
 ///
 /// let cfg = SweepConfig {
@@ -219,7 +221,7 @@ impl TopologySpec {
 ///     arbiters: vec![],
 /// };
 /// assert_eq!(cfg.n_cells(), 2);
-/// let report = run_sweep(&cfg).unwrap();
+/// let report = run_sweep_cached(&cfg, default_workers(), None).unwrap();
 /// assert_eq!(report.cells.len(), 2);
 /// // Cells come back in canonical order, normalized to the row's
 /// // DRAM-only baseline. (At CLASS S the arrays fit the LLC, so

@@ -29,7 +29,7 @@
 //! Cells execute on a deterministic worker pool ([`jobs`]): baselines
 //! first, then the remaining policy cells, reassembled in canonical order
 //! so the report bytes never depend on the worker count (`--jobs N` on
-//! the CLI; [`runner::run_sweep_jobs`] in code).
+//! the CLI; [`runner::run_sweep_cached`] in code).
 //!
 //! Beyond the paper's single-application evaluation, the sweep carries a
 //! **co-run matrix** (stage 3): multi-tenant mixes
@@ -60,4 +60,4 @@ pub use conformance::{
 };
 pub use jobs::{default_workers, run_pool};
 pub use matrix::{ArbiterPolicy, NvmProfile, PolicyKind, SweepConfig, TopologySpec};
-pub use runner::{run_sweep, run_sweep_cached, run_sweep_jobs, CorunCell, SweepCell, SweepReport};
+pub use runner::{run_sweep_cached, CorunCell, SweepCell, SweepReport};

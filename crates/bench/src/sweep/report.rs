@@ -211,8 +211,9 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::jobs::default_workers;
     use crate::sweep::matrix::{NvmProfile, PolicyKind, SweepConfig};
-    use crate::sweep::runner::run_sweep;
+    use crate::sweep::runner::run_sweep_cached;
     use unimem_workloads::Class;
 
     fn micro_cfg() -> SweepConfig {
@@ -235,7 +236,7 @@ mod tests {
     }
 
     fn micro_report() -> SweepReport {
-        run_sweep(&micro_cfg()).unwrap()
+        run_sweep_cached(&micro_cfg(), default_workers(), None).unwrap()
     }
 
     #[test]
@@ -264,7 +265,9 @@ mod tests {
         // Clustered rooms turn both keys on, but flat cells stay bare.
         let mut cfg = micro_cfg();
         cfg.topologies.push(TopologySpec::Nodes { count: 2 });
-        let j = run_sweep(&cfg).unwrap().to_json();
+        let j = run_sweep_cached(&cfg, default_workers(), None)
+            .unwrap()
+            .to_json();
         let axis = j.get("topologies").and_then(Json::as_arr).unwrap();
         assert_eq!(axis.len(), 2);
         assert_eq!(axis[1].as_str(), Some("nodes2"));

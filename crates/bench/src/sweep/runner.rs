@@ -11,8 +11,7 @@
 
 use crate::sweep::cache::SweepCache;
 use crate::sweep::jobs::{
-    default_workers, enumerate_cells, enumerate_coruns, enumerate_rows, run_pool, with_label,
-    CellJob, CorunJob,
+    enumerate_cells, enumerate_coruns, enumerate_rows, run_pool, with_label, CellJob, CorunJob,
 };
 use crate::sweep::matrix::{NvmProfile, PolicyKind, SweepConfig, TopologySpec};
 use std::collections::HashMap;
@@ -149,10 +148,11 @@ pub struct SweepReport {
     /// The worker-pool width the sweep actually executed on. Run-time
     /// metadata only: it is **never serialized** (the report bytes are a
     /// pure function of the matrix, byte-identical for every worker
-    /// count), but callers can surface it — [`run_sweep`] defaults to
-    /// the host's available parallelism, which on a 1-CPU host silently
-    /// serializes the whole matrix, and before this field nothing
-    /// recorded that it had happened.
+    /// count), but callers can surface it —
+    /// [`crate::sweep::default_workers`] is the host's available
+    /// parallelism, which on a 1-CPU host silently serializes the whole
+    /// matrix, and before this field nothing recorded that it had
+    /// happened.
     pub effective_workers: usize,
     /// How many cache lookups hit ([`run_sweep_cached`] with a cache; 0
     /// otherwise). Run-time metadata only, never serialized — the cache
@@ -285,32 +285,25 @@ impl SweepReport {
     }
 }
 
-/// Run the whole matrix on the default worker count (the host's available
-/// parallelism). Fails (rather than silently skipping) when the config
-/// names an unknown workload. Axes are canonicalized and deduplicated; the
-/// returned report's `config` reflects what actually ran.
+/// Run the whole matrix on `n_workers` pool workers, with an optional
+/// content-addressed cell cache. Fails (rather than silently skipping)
+/// when the config names an unknown workload. Axes are canonicalized and
+/// deduplicated; the returned report's `config` reflects what actually
+/// ran.
 ///
-/// On a 1-CPU host `default_workers()` is 1 and the matrix runs serially;
+/// `n_workers = 1` runs every cell in order on the calling thread; any
+/// count produces byte-identical reports. Callers without a preference
+/// pass [`crate::sweep::default_workers`], the host's available
+/// parallelism. On a 1-CPU host that is 1 and the matrix runs serially;
 /// the width actually used is recorded in
 /// [`SweepReport::effective_workers`] so callers can see (and report)
 /// that, instead of assuming the pool fanned out.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
-    run_sweep_jobs(cfg, default_workers())
-}
-
-/// [`run_sweep`] with an explicit worker count. `n_workers = 1` runs every
-/// cell in order on the calling thread; any count produces byte-identical
-/// reports.
-pub fn run_sweep_jobs(cfg: &SweepConfig, n_workers: usize) -> Result<SweepReport, String> {
-    run_sweep_cached(cfg, n_workers, None)
-}
-
-/// [`run_sweep_jobs`] with an optional content-addressed cell cache
-/// ([`SweepCache`]): finished cells load instead of recomputing, misses
-/// run on the pool and are written back, and the assembled report —
-/// including its serialized JSON — is **byte-identical** to a cacheless
-/// run (the property tests assert this). The hit/miss outcome lands in
-/// [`SweepReport::cache_hits`] / [`SweepReport::cache_lookups`].
+///
+/// With a [`SweepCache`], finished cells load instead of recomputing,
+/// misses run on the pool and are written back, and the assembled
+/// report — including its serialized JSON — is **byte-identical** to a
+/// cacheless run (the property tests assert this). The hit/miss outcome
+/// lands in [`SweepReport::cache_hits`] / [`SweepReport::cache_lookups`].
 pub fn run_sweep_cached(
     cfg: &SweepConfig,
     n_workers: usize,
@@ -710,6 +703,7 @@ fn normalized_to_dram(cell_secs: f64, dram_secs: f64) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::jobs::default_workers;
     use unimem_workloads::Class;
 
     /// A two-cell micro matrix exercises the runner end to end without
@@ -731,7 +725,7 @@ mod tests {
 
     #[test]
     fn runner_fills_every_cell_in_order() {
-        let rep = run_sweep(&micro()).expect("micro matrix runs");
+        let rep = run_sweep_cached(&micro(), default_workers(), None).expect("micro matrix runs");
         assert_eq!(rep.cells.len(), 2);
         assert_eq!(rep.cells[0].policy, PolicyKind::DramOnly);
         assert_eq!(rep.cells[1].policy, PolicyKind::Unimem);
@@ -742,7 +736,7 @@ mod tests {
 
     #[test]
     fn lookup_by_coordinates() {
-        let rep = run_sweep(&micro()).unwrap();
+        let rep = run_sweep_cached(&micro(), default_workers(), None).unwrap();
         assert!(rep
             .get("CG", PolicyKind::Unimem, NvmProfile::BwHalf, 2, 1)
             .is_some());
@@ -762,7 +756,7 @@ mod tests {
         let mut cfg = micro();
         cfg.workloads = vec!["CG".into(), "LU".into()];
         cfg.policies = PolicyKind::ALL.to_vec();
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         for c in &rep.cells {
             let found = rep
                 .get(&c.workload, c.policy, c.profile, c.nranks, c.ranks_per_node)
@@ -775,7 +769,7 @@ mod tests {
     fn ranks_per_node_axis_expands_cells_and_shows_contention() {
         let mut cfg = micro();
         cfg.ranks_per_node = vec![1, 2];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.cells.len(), 2 * 2, "two layouts x two policies");
         let at = |rpn| {
             rep.get("CG", PolicyKind::DramOnly, NvmProfile::BwHalf, 2, rpn)
@@ -795,7 +789,7 @@ mod tests {
     fn topology_axis_adds_clustered_cells_after_the_flat_block() {
         let mut cfg = micro();
         cfg.topologies.push(TopologySpec::Nodes { count: 2 });
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.cells.len(), 4, "flat block + 2-node room block");
         // Flat lookups are untouched by the new axis.
         assert!(rep
@@ -832,7 +826,7 @@ mod tests {
         cfg.topologies = vec![TopologySpec::Mixed {
             profiles: vec![NvmProfile::BwHalf, NvmProfile::Lat4x],
         }];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.cells.len(), 2);
         // 4 ranks over 2 nodes: the cell reports the room's packing.
         assert_eq!(rep.cells[0].ranks_per_node, 2);
@@ -846,26 +840,32 @@ mod tests {
     fn zero_node_topology_is_an_error() {
         let mut cfg = micro();
         cfg.topologies = vec![];
-        assert!(run_sweep(&cfg).unwrap_err().contains("topologies"));
+        assert!(run_sweep_cached(&cfg, default_workers(), None)
+            .unwrap_err()
+            .contains("topologies"));
         cfg.topologies = vec![TopologySpec::Nodes { count: 0 }];
-        assert!(run_sweep(&cfg).unwrap_err().contains("zero nodes"));
+        assert!(run_sweep_cached(&cfg, default_workers(), None)
+            .unwrap_err()
+            .contains("zero nodes"));
         // A room bigger than the job applies to no row: error, not a
         // silent zero-cell report.
         cfg.topologies = vec![TopologySpec::Nodes { count: 8 }];
-        assert!(run_sweep(&cfg).unwrap_err().contains("applies to"));
+        assert!(run_sweep_cached(&cfg, default_workers(), None)
+            .unwrap_err()
+            .contains("applies to"));
     }
 
     #[test]
     fn empty_ranks_per_node_axis_is_an_error() {
         let mut cfg = micro();
         cfg.ranks_per_node = vec![];
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_cached(&cfg, default_workers(), None).is_err());
         cfg.ranks_per_node = vec![0];
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_cached(&cfg, default_workers(), None).is_err());
         // All layouts filtered out (every rpn > every rank count) must be
         // an error, not a silent zero-cell report.
         cfg.ranks_per_node = vec![8];
-        let err = run_sweep(&cfg).unwrap_err();
+        let err = run_sweep_cached(&cfg, default_workers(), None).unwrap_err();
         assert!(err.contains("no valid"), "{err}");
     }
 
@@ -873,17 +873,17 @@ mod tests {
     fn unknown_workload_is_an_error() {
         let mut cfg = micro();
         cfg.workloads.push("EP".into());
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_cached(&cfg, default_workers(), None).is_err());
         // Even when another axis is empty and no cell would ever run.
         cfg.profiles.clear();
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_cached(&cfg, default_workers(), None).is_err());
     }
 
     #[test]
     fn zero_ranks_is_an_error() {
         let mut cfg = micro();
         cfg.ranks = vec![0];
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_cached(&cfg, default_workers(), None).is_err());
     }
 
     #[test]
@@ -891,7 +891,7 @@ mod tests {
         let mut cfg = micro();
         cfg.ranks = vec![2, 2];
         cfg.profiles = vec![NvmProfile::BwHalf, NvmProfile::BwHalf];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.cells.len(), 2, "duplicates must not double-count cells");
         assert_eq!(rep.config.ranks, [2]);
         assert_eq!(rep.config.profiles, [NvmProfile::BwHalf]);
@@ -901,8 +901,8 @@ mod tests {
     fn worker_counts_produce_identical_reports() {
         let mut cfg = micro();
         cfg.policies = PolicyKind::ALL.to_vec();
-        let serial = run_sweep_jobs(&cfg, 1).unwrap();
-        let parallel = run_sweep_jobs(&cfg, 8).unwrap();
+        let serial = run_sweep_cached(&cfg, 1, None).unwrap();
+        let parallel = run_sweep_cached(&cfg, 8, None).unwrap();
         assert_eq!(serial.cells.len(), parallel.cells.len());
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(
@@ -918,14 +918,16 @@ mod tests {
     #[test]
     fn effective_workers_is_recorded_but_never_serialized() {
         let cfg = micro();
-        let serial = run_sweep_jobs(&cfg, 1).unwrap();
-        let wide = run_sweep_jobs(&cfg, 8).unwrap();
-        // The report remembers the width it ran on (the PR-3 footgun:
-        // `run_sweep` on a 1-CPU host silently serialized with no trace)…
+        let serial = run_sweep_cached(&cfg, 1, None).unwrap();
+        let wide = run_sweep_cached(&cfg, 8, None).unwrap();
+        // The report remembers the width it ran on (the footgun: the
+        // default width on a 1-CPU host silently serialized with no trace)…
         assert_eq!(serial.effective_workers, 1);
         assert_eq!(wide.effective_workers, 8);
         assert_eq!(
-            run_sweep(&cfg).unwrap().effective_workers,
+            run_sweep_cached(&cfg, default_workers(), None)
+                .unwrap()
+                .effective_workers,
             default_workers().max(1)
         );
         // …but the serialized bytes stay a pure function of the matrix.
@@ -948,7 +950,7 @@ mod tests {
         let mut cfg = micro();
         cfg.coruns = unimem_workloads::parse_mixes(&["CG+LU"]).unwrap();
         cfg.arbiters = vec![ArbiterPolicy::FairShare, ArbiterPolicy::Priority];
-        let rep = run_sweep(&cfg).unwrap();
+        let rep = run_sweep_cached(&cfg, default_workers(), None).unwrap();
         assert_eq!(rep.corun_cells.len(), 2 * 2, "2 tenants x 2 arbiters");
         // Canonical (profile, mix, arbiter, tenant) order.
         let coords: Vec<String> = rep.corun_cells.iter().map(CorunCell::coords).collect();
@@ -970,7 +972,7 @@ mod tests {
 
     #[test]
     fn empty_corun_axes_produce_no_corun_cells() {
-        let rep = run_sweep(&micro()).unwrap();
+        let rep = run_sweep_cached(&micro(), default_workers(), None).unwrap();
         assert!(rep.corun_cells.is_empty());
     }
 
@@ -987,7 +989,7 @@ mod tests {
         cfg.arbiters = vec![ArbiterPolicy::FairShare];
         let store = SweepCache::open(&dir).expect("cache opens");
 
-        let plain = run_sweep_jobs(&cfg, 1).expect("cacheless run");
+        let plain = run_sweep_cached(&cfg, 1, None).expect("cacheless run");
         let cold = run_sweep_cached(&cfg, 1, Some(&store)).expect("cold run");
         assert_eq!(cold.cache_hits, 0, "nothing to hit on a cold cache");
         assert_eq!(cold.cache_lookups, 3, "2 cells + 1 co-run group");

@@ -17,11 +17,10 @@
 //! `RankTask` that runs to its next communication step on a bounded
 //! worker pool ([`unimem_sim::run_pool`]), and a serial resolver computes
 //! the synchronized departure clocks — so a 256-rank topology costs a
-//! handful of OS threads, not 256. The output is byte-identical to the
-//! historical thread-per-rank rendezvous driver: the bandwidth ledger's
-//! fence-visibility rule makes every cross-rank read a pure function of
-//! virtual program order, and collective departure times depend only on
-//! the entry clocks.
+//! handful of OS threads, not 256. The output is byte-identical at any
+//! pool width: the bandwidth ledger's fence-visibility rule makes every
+//! cross-rank read a pure function of virtual program order, and
+//! collective departure times depend only on the entry clocks.
 //!
 //! Runs either target one flat machine config ([`run_workload`], the
 //! legacy single-node path every paper experiment uses) or an explicit
@@ -396,39 +395,7 @@ pub(crate) fn run_workload_rig(
         RankPlacement::single(nranks),
         NetParams::default(),
         rig,
-        None,
-    )
-}
-
-/// [`run_workload`] with an explicit worker-pool width — the audit entry
-/// point for the pooled executor's byte-identity contract: any two
-/// worker counts (including the serial `Some(1)`) must produce identical
-/// [`RunReport`]s, because rank state only ever interacts at the serial
-/// communication resolver. `None` restores the automatic choice (serial
-/// at ≤ 8 ranks, the host pool above).
-pub fn run_workload_pooled(
-    workload: &dyn Workload,
-    machine: &MachineConfig,
-    cache: &CacheModel,
-    nranks: usize,
-    policy: &Policy,
-    workers: Option<usize>,
-) -> RunReport {
-    let topo = ClusterTopology::homogeneous(machine, nranks);
-    let lease = CapacitySchedule::constant(machine.dram_capacity);
-    let service = DramService::new(nranks, machine.ranks_per_node, lease.peak());
-    let leases = vec![lease; nranks];
-    run_topology_rig(
-        workload,
-        &topo,
-        cache,
-        policy,
-        leases,
-        service,
-        RankPlacement::single(nranks),
-        NetParams::default(),
-        None,
-        workers,
+        rank_workers(nranks),
     )
 }
 
@@ -459,15 +426,36 @@ pub fn run_workload_clustered(
         ..NetParams::default()
     };
     run_topology_rig(
-        workload, topo, cache, policy, leases, service, placement, link, None, None,
+        workload,
+        topo,
+        cache,
+        policy,
+        leases,
+        service,
+        placement,
+        link,
+        None,
+        rank_workers(topo.nranks()),
     )
+}
+
+/// Rank-pool width for an `nranks`-rank run: small jobs take the pool's
+/// serial fast path, larger ones at most the host's parallelism. The
+/// width never changes a report byte.
+fn rank_workers(nranks: usize) -> usize {
+    if nranks <= 8 {
+        1
+    } else {
+        default_workers().min(nranks)
+    }
 }
 
 /// The shared executor: build one [`RankTask`] per rank, then run
 /// bulk-synchronous rounds — every task advances to its next
-/// communication point on the worker pool, the serial resolver computes
-/// the synchronized clocks (charging inter-node traffic on the link
-/// channels), and the tasks resume.
+/// communication point on a `workers`-wide pool, the serial resolver
+/// computes the synchronized clocks (charging inter-node traffic on the
+/// link channels), and the tasks resume. Rank state only ever interacts
+/// at the resolver, so any two widths produce identical reports.
 #[allow(clippy::too_many_arguments)]
 fn run_topology_rig(
     workload: &dyn Workload,
@@ -479,7 +467,7 @@ fn run_topology_rig(
     placement: RankPlacement,
     link: NetParams,
     rig: Option<&JournalRig>,
-    force_workers: Option<usize>,
+    workers: usize,
 ) -> RunReport {
     let nranks = topo.nranks();
     let built = policy.build();
@@ -526,15 +514,6 @@ fn run_topology_rig(
     };
 
     let net = NetParams::default();
-    // Small jobs take the pool's serial fast path; large topologies get a
-    // bounded pool instead of one OS thread per rank.
-    let workers = force_workers.unwrap_or_else(|| {
-        if nranks <= 8 {
-            1
-        } else {
-            default_workers().min(nranks)
-        }
-    });
 
     // Build every rank's task (registration, partitioning, initial
     // placement) on the pool — construction never communicates, and the
@@ -655,11 +634,10 @@ enum CommRequest {
 
 /// One rank's complete execution state, movable across pool workers.
 ///
-/// [`RankTask::advance`] replays the script — statement for statement the
-/// order the historical thread-per-rank driver executed — until it needs
-/// another rank (a communication step), then parks and reports the step.
-/// The serial resolver sets the clock and the task resumes on whichever
-/// worker picks it up next.
+/// [`RankTask::advance`] replays the script in program order until it
+/// needs another rank (a communication step), then parks and reports the
+/// step. The serial resolver sets the clock and the task resumes on
+/// whichever worker picks it up next.
 struct RankTask<'a> {
     rank: usize,
     nranks: usize,
@@ -1153,7 +1131,7 @@ fn ground_truth(
 /// paused on `reqs[rank]`. This is the rendezvous — the only place rank
 /// clocks interact — and it runs serially: the synchronized clocks are a
 /// pure function of the entry clocks and the ledger's fenced history, so
-/// pooled execution stays byte-identical to thread-per-rank.
+/// pooled execution stays byte-identical to serial.
 fn resolve_comm(
     tasks: &mut [RankTask],
     reqs: Vec<CommRequest>,
@@ -1256,8 +1234,8 @@ fn resolve_halo(
     // Send pass. Each isend costs the sender one overhead (accumulated
     // additively — never overhead × count, which would round differently)
     // and puts the payload on the wire at `c + wire`; the paired irecv is
-    // free. Like the historical mailbox, messages on one (sender,
-    // receiver) pair match in FIFO order.
+    // free. Messages on one (sender, receiver) pair match in FIFO
+    // order.
     let mut avail: HashMap<(usize, usize), VecDeque<VTime>> = HashMap::new();
     let mut after_sends: Vec<VTime> = Vec::with_capacity(n);
     let mut link_posts: Vec<(usize, usize, VTime, VTime)> = Vec::new();
@@ -1493,6 +1471,62 @@ mod tests {
         // Hardware management charges the software nothing.
         assert_eq!(hw.job.pure_runtime_cost(), 0.0);
         assert_eq!(hw.job.migrations.count, 0);
+    }
+
+    /// [`Synth`] plus a ring halo, so a run crosses both resolver paths.
+    struct WithHalo(Synth);
+
+    impl Workload for WithHalo {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec> {
+            self.0.objects(rank, nranks)
+        }
+
+        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
+            let mut steps = self.0.script(rank, nranks, iter);
+            steps.push(StepSpec::Halo {
+                neighbors: vec![(rank + nranks - 1) % nranks, (rank + 1) % nranks],
+                bytes: Bytes::kib(64),
+            });
+            steps
+        }
+
+        fn iterations(&self) -> usize {
+            self.0.iterations()
+        }
+    }
+
+    #[test]
+    fn pooled_rank_execution_is_byte_identical_across_worker_counts() {
+        let w = WithHalo(Synth { iters: 4 });
+        let m = machine().with_ranks_per_node(4);
+        let c = CacheModel::platform_a();
+        let nranks = 16;
+        let run = |workers| {
+            let lease = CapacitySchedule::constant(m.dram_capacity);
+            run_topology_rig(
+                &w,
+                &ClusterTopology::homogeneous(&m, nranks),
+                &c,
+                &Policy::unimem(),
+                vec![lease.clone(); nranks],
+                DramService::new(nranks, m.ranks_per_node, lease.peak()),
+                RankPlacement::single(nranks),
+                NetParams::default(),
+                None,
+                workers,
+            )
+            .to_json()
+            .to_pretty()
+        };
+        assert_eq!(
+            run(1),
+            run(4),
+            "worker count leaked into the simulated timeline"
+        );
     }
 
     #[test]

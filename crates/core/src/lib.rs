@@ -61,8 +61,8 @@ pub mod tenancy;
 
 pub use api::Unimem;
 pub use exec::{
-    run_workload, run_workload_clustered, run_workload_leased, run_workload_pooled,
-    CapacitySchedule, Policy, RunReport, StepSpec, UnimemConfig, Workload,
+    run_workload, run_workload_clustered, run_workload_leased, CapacitySchedule, Policy, RunReport,
+    StepSpec, UnimemConfig, Workload,
 };
 pub use model::{ModelParams, Sensitivity};
 pub use policy::{PlacementPolicy, PolicyId};

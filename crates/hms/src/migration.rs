@@ -25,7 +25,7 @@ use crate::journal::{JournalHandle, Record};
 use crate::object::UnitId;
 use crate::tier::TierKind;
 use std::collections::HashMap;
-use unimem_sim::{Bandwidth, Bytes, EventKind, TraceLog, VDur, VTime};
+use unimem_sim::{Bandwidth, Bytes, VDur, VTime};
 
 /// One migration's lifecycle record.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +112,6 @@ pub struct MigrationEngine {
     /// Redo journal: every intent is appended *before* its copy is
     /// posted, so a crash mid-copy still knows what was moving where.
     journal: Option<JournalHandle>,
-    pub log: TraceLog,
 }
 
 impl MigrationEngine {
@@ -125,7 +124,6 @@ impl MigrationEngine {
             records: Vec::new(),
             latest: HashMap::new(),
             journal: None,
-            log: TraceLog::new(false),
         }
     }
 
@@ -133,11 +131,6 @@ impl MigrationEngine {
     /// to any ledger (unit tests and detached tools).
     pub fn with_copy_bw(copy_bw: Bandwidth) -> MigrationEngine {
         MigrationEngine::new(HelperLink::Fixed(copy_bw))
-    }
-
-    pub fn with_trace(mut self) -> MigrationEngine {
-        self.log = TraceLog::new(true);
-        self
     }
 
     /// Attach the rank's redo journal (when crash consistency is on):
@@ -186,21 +179,6 @@ impl MigrationEngine {
             );
         }
         self.link.post_copy(to, start, done, bytes);
-        self.log.push(
-            now,
-            EventKind::MigrationEnqueued,
-            format!("{unit}->{}", to.name()),
-        );
-        self.log.push(
-            start,
-            EventKind::MigrationStarted,
-            format!("{unit}->{}", to.name()),
-        );
-        self.log.push(
-            done,
-            EventKind::MigrationCompleted,
-            format!("{unit}->{}", to.name()),
-        );
         let idx = self.records.len();
         self.records.push(MigRecord {
             unit,
@@ -243,13 +221,6 @@ impl MigrationEngine {
                     stall: stall.secs(),
                 },
                 now,
-            );
-        }
-        if !stall.is_zero() {
-            self.log.push(
-                now,
-                EventKind::MigrationStall,
-                format!("{unit} stall {stall}"),
             );
         }
         stall
@@ -397,14 +368,6 @@ mod tests {
         e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
         assert!(!e.idle_at(VTime(0.0005)));
         assert!(e.idle_at(VTime(0.002)));
-    }
-
-    #[test]
-    fn trace_records_lifecycle() {
-        let mut e = engine().with_trace();
-        e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
-        assert!(e.log.find(&EventKind::MigrationEnqueued, "obj0").is_some());
-        assert!(e.log.find(&EventKind::MigrationCompleted, "obj0").is_some());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::tier::TierKind;
 use std::collections::HashMap;
 use std::fmt;
-use unimem_sim::{Bytes, StrArena};
+use unimem_sim::Bytes;
 
 /// Identifier of a registered data object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,10 +47,8 @@ impl fmt::Display for UnitId {
 
 /// One registered target data object.
 ///
-/// The object's name is not stored here: names are interned in the
-/// owning [`ObjectRegistry`]'s string arena (one allocation for the
-/// whole registry instead of one `String` per object), so ask the
-/// registry via [`ObjectRegistry::name_of`].
+/// The object's name is not stored here: the owning [`ObjectRegistry`]
+/// keeps it, so ask the registry via [`ObjectRegistry::name_of`].
 #[derive(Debug, Clone)]
 pub struct DataObject {
     pub id: ObjId,
@@ -131,17 +129,12 @@ impl ObjectSpec {
 
 /// Registry of all target data objects of one rank.
 ///
-/// Object names live in a single [`StrArena`] rather than one `String`
-/// per object plus a `HashMap` keying clones of those strings: a rank
-/// registers a handful of objects once per run, so the arena's linear
-/// name scan is cheaper than hashing and the whole registry's name
-/// storage is one allocation. Arena span `i` is the name of `ObjId(i)`
-/// by construction (names are interned exactly when an object is
-/// admitted, and duplicates are rejected first).
+/// `names[i]` is the name of `ObjId(i)`. A rank registers about ten
+/// objects once per run, so name lookup is a linear scan.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectRegistry {
     objects: Vec<DataObject>,
-    names: StrArena,
+    names: Vec<String>,
 }
 
 impl ObjectRegistry {
@@ -161,7 +154,7 @@ impl ObjectRegistry {
     /// harness output) and non-finite `est_refs` (a NaN estimate would
     /// poison every placement comparison downstream).
     pub fn try_register(&mut self, spec: ObjectSpec) -> Result<ObjId, String> {
-        if self.names.find(&spec.name).is_some() {
+        if self.lookup(&spec.name).is_some() {
             return Err(format!("duplicate data object name: {}", spec.name));
         }
         if !spec.est_refs.is_finite() {
@@ -171,8 +164,7 @@ impl ObjectRegistry {
             ));
         }
         let id = ObjId(self.objects.len() as u32);
-        let span = self.names.intern(&spec.name);
-        debug_assert_eq!(span.index(), id.0 as usize, "arena span aligns with id");
+        self.names.push(spec.name);
         self.objects.push(DataObject {
             id,
             size: spec.size,
@@ -190,11 +182,14 @@ impl ObjectRegistry {
 
     /// The name `id` was registered under.
     pub fn name_of(&self, id: ObjId) -> &str {
-        self.names.get_at(id.0 as usize)
+        &self.names[id.0 as usize]
     }
 
     pub fn lookup(&self, name: &str) -> Option<ObjId> {
-        self.names.find(name).map(|r| ObjId(r.index() as u32))
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .map(|i| ObjId(i as u32))
     }
 
     pub fn len(&self) -> usize {

@@ -1,17 +1,21 @@
-//! Mini message-passing runtime with virtual clocks.
+//! Virtual-clock communication timing and PMPI phase tracking.
 //!
-//! The paper targets MPI programs on a small cluster. This crate provides
-//! the substrate the reproduction runs on: every rank is an OS thread with
-//! its own **virtual clock**; point-to-point messages and collectives carry
-//! and synchronize those clocks so the simulated timeline is exactly what a
-//! bulk-synchronous MPI job would see, independent of host scheduling:
+//! The paper targets MPI programs on a small cluster. Unimem sees such a
+//! job only through the phases its PMPI wrapper delimits, so this crate
+//! models communication by *time*, never by values: every rank owns a
+//! [`RankClock`], and the executor resolves each communication point
+//! centrally from the ranks' entry clocks:
 //!
-//! * `send`/`recv` — receiver time is
-//!   `max(local, sender_departure + wire_time)`;
-//! * collectives — everyone leaves at `max(entry clocks) + collective cost`
-//!   (log-tree latency plus a size-dependent term);
-//! * reductions are performed in rank order after all contributions arrive,
-//!   so floating-point results are bit-deterministic.
+//! * collectives — everyone leaves at `max(entry clocks) + collective
+//!   cost` (log-tree latency plus a size-dependent term, [`net`]),
+//!   priced over two levels when ranks span nodes ([`topo`]);
+//! * point-to-point — a message lands `alpha + bytes/beta` after its
+//!   send, and the receiver leaves at
+//!   `max(local + overhead, arrival)`.
+//!
+//! Collectives carry byte counts, never values, so the timeline is a
+//! pure function of the entry clocks and independent of host
+//! scheduling.
 //!
 //! [`pmpi`] implements the paper's transparent phase identification: a
 //! wrapper counts MPI operations per iteration (the "global counter" of
@@ -20,14 +24,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ctx;
+pub mod clock;
 pub mod net;
 pub mod pmpi;
 pub mod topo;
-pub mod world;
 
-pub use ctx::{RankClock, RankCtx, Request};
+pub use clock::RankClock;
 pub use net::{CollectiveKind, NetParams};
 pub use pmpi::{PhaseId, PhaseKind, PhaseTracker};
-pub use topo::{collective_timing, hier_reduce, HierTiming, RankPlacement};
-pub use world::{reduce, CommWorld, ReduceOp};
+pub use topo::{collective_timing, HierTiming, RankPlacement};

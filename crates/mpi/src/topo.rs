@@ -1,24 +1,19 @@
 //! Rank→node placement and two-level collective timing.
 //!
-//! The communicator historically modeled one flat node: every collective
-//! cost `collective_time(kind, nranks, bytes)` over the whole world. A
+//! A flat node prices every collective as
+//! `collective_time(kind, nranks, bytes)` over the whole world. A
 //! [`RankPlacement`] makes the node boundary explicit, and
 //! [`collective_timing`] prices the two-level schedule the paper's
 //! cluster runs would use — an intra-node phase per node (leader
 //! election is implicit: the lowest rank on each node is its leader),
 //! then an inter-node phase among leaders over the cluster link.
 //!
-//! The **data** path is unchanged by placement: reductions still fold
-//! every contribution in global rank order at the root (see
-//! [`crate::world::reduce`]), so hierarchical results are bitwise-equal
-//! to the flat implementation for every `ReduceOp` — only *timing*
-//! differs, and a single-node placement collapses exactly to the flat
-//! formula. The execution driver charges the inter-node phase against
-//! the per-node `LinkUp`/`LinkDown` ledger channels so link contention
-//! composes with tier contention.
+//! Placement moves only *timing*, and a single-node placement collapses
+//! exactly to the flat formula. The executor charges the inter-node
+//! phase against the per-node `LinkUp`/`LinkDown` ledger channels so
+//! link contention composes with tier contention.
 
 use crate::net::{CollectiveKind, NetParams};
-use crate::world::{reduce, ReduceOp};
 use unimem_sim::{Bytes, VDur, VTime};
 
 /// Which node each rank lives on. Node ids are dense (`0..n_nodes`) and
@@ -173,32 +168,6 @@ pub fn collective_timing(
     }
 }
 
-/// Reduce per-rank contributions over the two-level schedule: each node's
-/// leader gathers its node's contributions **losslessly** (no partial
-/// fold), the root concatenates the leaders' batches back into global
-/// rank order, and only then folds once via [`crate::world::reduce`].
-///
-/// Folding per node first would reassociate the floating-point sum
-/// (`(a+b)+(c+d)` instead of `((a+b)+c)+d`) and break bitwise equality
-/// with the flat reduction; gathering defers every arithmetic operation
-/// to the root, which is how reproducible MPI reductions are actually
-/// built. The return is therefore bitwise-identical to
-/// `reduce(contrib, op, placement.nranks())` for every [`ReduceOp`].
-pub fn hier_reduce(contrib: &[Vec<f64>], op: ReduceOp, placement: &RankPlacement) -> Vec<Vec<f64>> {
-    assert_eq!(contrib.len(), placement.nranks());
-    // Intra-node gather: leaders collect (rank, contribution) pairs.
-    let mut gathered: Vec<Vec<(usize, &Vec<f64>)>> = vec![Vec::new(); placement.n_nodes()];
-    for (rank, c) in contrib.iter().enumerate() {
-        gathered[placement.node_of(rank)].push((rank, c));
-    }
-    // Inter-node gather at the root, reassembled into global rank order.
-    let mut ordered: Vec<(usize, &Vec<f64>)> = gathered.into_iter().flatten().collect();
-    ordered.sort_by_key(|&(rank, _)| rank);
-    let full: Vec<Vec<f64>> = ordered.into_iter().map(|(_, c)| c.clone()).collect();
-    // One fold, in rank order — the same arithmetic the flat path runs.
-    reduce(&full, op, placement.nranks())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,48 +264,5 @@ mod tests {
             ht.inter,
             net.collective_time(CollectiveKind::Allreduce, 2, Bytes(64))
         );
-    }
-
-    #[test]
-    fn hier_reduce_is_bitwise_equal_to_flat_for_every_op() {
-        // Values chosen so reassociation WOULD change the sum: 1.0 + 1e-16
-        // rounds back to 1.0, but (1e-16 + 1e-16) + 1.0 does not.
-        let contrib = vec![
-            vec![1.0, 0.25],
-            vec![1e-16, 2.0],
-            vec![1e-16, -0.5],
-            vec![3.0, 1e-16],
-            vec![-1.0, 4.0],
-            vec![0.125, 1e-16],
-        ];
-        let ops = [
-            ReduceOp::Sum,
-            ReduceOp::Max,
-            ReduceOp::TakeRoot(2),
-            ReduceOp::AllToAll,
-        ];
-        // Every grouping of 6 ranks the blocks layout can produce.
-        for slots in 1..=6 {
-            let p = RankPlacement::blocks(6, slots);
-            for op in ops {
-                let flat = reduce(&contrib, op, 6);
-                let hier = hier_reduce(&contrib, op, &p);
-                for (f, h) in flat.iter().zip(&hier) {
-                    let fb: Vec<u64> = f.iter().map(|x| x.to_bits()).collect();
-                    let hb: Vec<u64> = h.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(fb, hb, "op {op:?} diverges at {slots} slots per node");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hier_reduce_gathers_across_uneven_nodes() {
-        // 3 ranks over 2 nodes (2 + 1): the lone-rank node contributes
-        // directly to the root batch, in rank order.
-        let contrib = vec![vec![1.0], vec![2.0], vec![4.0]];
-        let p = RankPlacement::blocks(3, 2);
-        let r = hier_reduce(&contrib, ReduceOp::Sum, &p);
-        assert_eq!(r, vec![vec![7.0]; 3]);
     }
 }

@@ -11,8 +11,6 @@
 //!   distributions the PEBS-style profiler needs (binomial thinning).
 //! * [`stats`] — streaming statistics (Welford) used by the runtime's
 //!   phase-variation detector and by the benchmark harnesses.
-//! * [`events`] — a lightweight trace log used by tests to assert on
-//!   migration/overlap timing.
 //! * [`ledger`] — the deterministic per-channel bandwidth ledger behind the
 //!   node-level shared-bandwidth model: helper-thread copies are posted as
 //!   flows, and consumers ask how much of a channel is already spoken for
@@ -36,9 +34,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod crash;
-pub mod events;
 pub mod hash;
 pub mod json;
 pub mod ledger;
@@ -48,9 +44,7 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use arena::{StrArena, StrRef};
 pub use crash::{sample_kill_points, CrashSpec};
-pub use events::{Event, EventKind, TraceLog};
 pub use hash::{json_digest_hex, Fnv128, Fnv64};
 pub use json::Json;
 pub use ledger::{BwLedger, Channel, ChannelMap, LoadSplit};

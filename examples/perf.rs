@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release --example perf                        # measure + write
 //! cargo run --release --example perf -- --jobs 4 --samples 7
-//! cargo run --release --example perf -- \
+//! cargo run --release --example perf -- --jobs 1 \
 //!     --against BENCH_perf.json --tolerance 0.20            # CI budget gate
 //! cargo run --release --example perf -- --cold              # skip warm arm
 //! cargo run --release --example perf -- --warm --cache DIR  # skip cold arm
@@ -15,9 +15,9 @@
 //! this harness measures the one thing that is not — how long the
 //! simulator itself takes to chew through the reduced matrix. Two arms:
 //!
-//! * **cold** — `run_sweep_jobs(SweepConfig::reduced(), jobs)`, no cell
-//!   cache: the pure compute cost. This is the number the CI perf budget
-//!   gates on.
+//! * **cold** — `run_sweep_cached(&SweepConfig::reduced(), jobs, None)`,
+//!   no cell cache: the pure compute cost. This is the number the CI
+//!   perf budget gates on.
 //! * **warm** — `run_sweep_cached` against a fully-primed cell cache
 //!   (one unmeasured priming run fills it): the incremental-reuse cost,
 //!   i.e. what a rerun of an already-swept matrix pays. The measured
@@ -49,10 +49,15 @@
 //!
 //! `--against PATH` compares this run's **cold** median against the
 //! `wall_s.median` of a previously written report (`v1` or `v2` —
-//! `wall_s` meant cold in both) and exits non-zero when the current
-//! median exceeds it by more than `--tolerance` (default 0.20, i.e. a
-//! +20% wall-time regression budget). Improvements never fail the gate;
+//! `wall_s` meant cold in both) and exits 1 when the current median
+//! exceeds it by more than `--tolerance` (default 0.20, i.e. a +20%
+//! wall-time regression budget). Improvements never fail the gate;
 //! warm medians never gate (they measure the cache, not the engine).
+//! Medians measured at different worker counts or on different matrices
+//! are not comparable, so the gate reads the baseline's `jobs` and
+//! `matrix` before measuring and exits 2 when either differs from this
+//! run (`--jobs` defaults to the host's parallelism; a `jobs: 1`
+//! baseline needs `--jobs 1`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -71,15 +76,35 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Pull the cold `wall_s.median` out of a previously written report.
-/// Parses properly (the sim crate grew a JSON parser for the sweep
-/// cache) and accepts both the `v1` and `v2` schemas — `wall_s` meant
-/// the cold (cacheless) arm in both.
-fn baseline_median_s(text: &str) -> Result<f64, String> {
+/// The matrix this harness measures (the `matrix` member of its report).
+const MATRIX: &str = "reduced";
+
+/// Pull the cold `wall_s.median` out of a previously written report,
+/// refusing one measured at another worker count or on another matrix:
+/// those medians are not comparable with this run's. Accepts both the
+/// `v1` and `v2` schemas — `wall_s` meant the cold (cacheless) arm in
+/// both.
+fn baseline_median_s(text: &str, jobs: usize) -> Result<f64, String> {
     let doc = Json::parse(text).map_err(|e| format!("unparsable baseline: {e}"))?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if !matches!(schema, "unimem-bench-perf/v1" | "unimem-bench-perf/v2") {
         return Err(format!("unsupported baseline schema {schema:?}"));
+    }
+    let base_jobs = doc
+        .get("jobs")
+        .and_then(Json::as_u64)
+        .ok_or("baseline has no integer jobs")?;
+    if base_jobs != jobs as u64 {
+        return Err(format!(
+            "measured at jobs {base_jobs} but this run uses jobs {jobs}; \
+             rerun with --jobs {base_jobs} or regenerate the baseline"
+        ));
+    }
+    let matrix = doc.get("matrix").and_then(Json::as_str).unwrap_or("");
+    if matrix != MATRIX {
+        return Err(format!(
+            "measured the {matrix:?} matrix but this run measures {MATRIX:?}"
+        ));
     }
     doc.get("wall_s")
         .and_then(|w| w.get("median"))
@@ -155,7 +180,7 @@ fn main() -> ExitCode {
     let baseline = match &against {
         None => None,
         Some(path) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-            Ok(text) => match baseline_median_s(&text) {
+            Ok(text) => match baseline_median_s(&text, jobs) {
                 Ok(m) => Some(m),
                 Err(e) => {
                     eprintln!("bad baseline {}: {e}", path.display());
@@ -297,7 +322,7 @@ fn main() -> ExitCode {
     };
     let mut doc = Json::obj();
     doc.push("schema", "unimem-bench-perf/v2")
-        .push("matrix", "reduced")
+        .push("matrix", MATRIX)
         .push("jobs", jobs)
         .push("warmup", warmup)
         .push("samples", samples)

@@ -18,14 +18,17 @@
 
 use std::sync::OnceLock;
 use unimem_repro::bench::sweep::{
-    check_determinism, check_report, run_sweep, NvmProfile, PolicyKind, SweepConfig, SweepReport,
-    Tolerances,
+    check_determinism, check_report, default_workers, run_sweep_cached, NvmProfile, PolicyKind,
+    SweepConfig, SweepReport, Tolerances,
 };
 use unimem_repro::sim::Json;
 
 fn reduced() -> &'static SweepReport {
     static REPORT: OnceLock<SweepReport> = OnceLock::new();
-    REPORT.get_or_init(|| run_sweep(&SweepConfig::reduced()).expect("reduced matrix runs"))
+    REPORT.get_or_init(|| {
+        run_sweep_cached(&SweepConfig::reduced(), default_workers(), None)
+            .expect("reduced matrix runs")
+    })
 }
 
 #[test]

@@ -10,9 +10,7 @@
 //! the baseline of the enum-dispatch implementation the
 //! `PlacementPolicy` trait replaced.
 
-use unimem_repro::bench::sweep::{
-    run_sweep_cached, run_sweep_jobs, PolicyKind, SweepCache, SweepConfig,
-};
+use unimem_repro::bench::sweep::{run_sweep_cached, PolicyKind, SweepCache, SweepConfig};
 use unimem_repro::sim::Json;
 
 const GOLDEN: &str = include_str!("../BENCH_sweep.json");
@@ -43,7 +41,7 @@ fn assert_same_bytes(what: &str, got: &str, want: &str) {
 }
 
 fn reduced_report(cfg: &SweepConfig, jobs: usize) -> String {
-    run_sweep_jobs(cfg, jobs)
+    run_sweep_cached(cfg, jobs, None)
         .expect("reduced sweep runs")
         .to_json()
         .to_pretty()

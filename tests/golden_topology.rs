@@ -2,7 +2,8 @@
 //! code paths must be invisible where they are not asked for, and do
 //! exactly what the scheduler contract promises where they are.
 //!
-//! Four claims pinned here:
+//! Two claims pinned here (the pooled ≡ serial worker-count identity
+//! lives in `exec`'s unit tests, next to the crate-private executor):
 //!
 //! 1. **Flat ≡ single room** — `run_workload` (the legacy flat entry
 //!    point) and `run_workload_clustered` on a one-node
@@ -10,28 +11,19 @@
 //!    `RunReport` JSON. The clustered driver is a strict
 //!    generalization, not a parallel implementation that happens to
 //!    agree.
-//! 2. **Pooled ≡ serial** — scheduling ranks on the `sim::pool` worker
-//!    pool is byte-invisible regardless of worker count.
-//! 3. **Hierarchical ≡ flat collectives** — `hier_reduce` through any
-//!    rank→node placement is bitwise-equal to the flat `reduce` for
-//!    every `ReduceOp` (property-tested); only *timing* may differ
-//!    across topologies, never values.
-//! 4. **Scheduler contract** — `ClusterTopology::scheduled` places the
+//! 2. **Scheduler contract** — `ClusterTopology::scheduled` places the
 //!    bandwidth-hungry tenant on the fastest-NVM node of a mixed room
 //!    regardless of caller order, and the 64-rank weak-scaling probe
 //!    (paper Fig. 12 shape) passes under the default tolerances.
 
-use proptest::prelude::*;
 use unimem_repro::bench::sweep::NvmProfile;
 use unimem_repro::cache::CacheModel;
 use unimem_repro::hms::topology::{ClusterSpec, ClusterTopology, PlacementIntent, TenantDemand};
-use unimem_repro::runtime::exec::{
-    run_workload, run_workload_clustered, run_workload_pooled, Policy,
-};
+use unimem_repro::runtime::exec::{run_workload, run_workload_clustered, Policy};
 use unimem_repro::workloads::{select, Class};
 
-/// The one (workload, machine, cache) tuple the identity tests share:
-/// CG touches every collective kind and Class S keeps each run cheap.
+/// The (workload, machine, cache) tuple the identity test uses: CG
+/// touches every collective kind and Class S keeps each run cheap.
 fn rig() -> (
     Box<dyn unimem_repro::runtime::Workload>,
     unimem_repro::hms::MachineConfig,
@@ -57,19 +49,6 @@ fn flat_run_is_byte_identical_to_a_single_room_clustered_run() {
             "single-room clustered run diverged from the flat driver ({policy:?})"
         );
     }
-}
-
-#[test]
-fn pooled_rank_execution_is_byte_identical_across_worker_counts() {
-    let (w, machine, cache) = rig();
-    let policy = Policy::unimem();
-    let serial = run_workload_pooled(w.as_ref(), &machine, &cache, 16, &policy, Some(1));
-    let pooled = run_workload_pooled(w.as_ref(), &machine, &cache, 16, &policy, Some(4));
-    assert_eq!(
-        serial.to_json().to_pretty(),
-        pooled.to_json().to_pretty(),
-        "worker count leaked into the simulated timeline"
-    );
 }
 
 #[test]
@@ -131,56 +110,4 @@ fn weak_scaling_probe_passes_at_64_ranks_under_default_tolerances() {
         violations.is_empty(),
         "Fig. 12 weak-scaling shape violated: {violations:?}"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// `hier_reduce` must be a *timing* refactor only: for every
-    /// reduction op and every rank→node placement, the values it hands
-    /// each rank are bitwise-equal to the flat single-switch `reduce`.
-    #[test]
-    fn hier_reduce_is_bitwise_equal_to_flat_reduce(
-        contrib in prop::collection::vec(
-            prop::collection::vec(-1e6f64..1e6, 0..5),
-            1..9,
-        ),
-        node_seed in prop::collection::vec(0usize..4, 9..10),
-        op_pick in 0usize..4,
-        root_seed in 0usize..8,
-    ) {
-        use unimem_repro::mpi::{hier_reduce, reduce, RankPlacement, ReduceOp};
-
-        let nranks = contrib.len();
-        let op = match op_pick {
-            0 => ReduceOp::Sum,
-            1 => ReduceOp::Max,
-            2 => ReduceOp::TakeRoot(root_seed % nranks),
-            _ => ReduceOp::AllToAll,
-        };
-        // Arbitrary placement with no gaps: remap the seed's node ids
-        // onto a dense 0..n range in first-seen order.
-        let mut dense: Vec<usize> = Vec::new();
-        let node_of: Vec<usize> = node_seed[..nranks]
-            .iter()
-            .map(|&n| {
-                if let Some(i) = dense.iter().position(|&d| d == n) {
-                    i
-                } else {
-                    dense.push(n);
-                    dense.len() - 1
-                }
-            })
-            .collect();
-        let placement = RankPlacement::from_node_of(node_of);
-
-        let flat = reduce(&contrib, op, nranks);
-        let hier = hier_reduce(&contrib, op, &placement);
-        prop_assert_eq!(flat.len(), hier.len());
-        for (rank, (f, h)) in flat.iter().zip(&hier).enumerate() {
-            let fb: Vec<u64> = f.iter().map(|x| x.to_bits()).collect();
-            let hb: Vec<u64> = h.iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(&fb, &hb, "rank {} values drifted", rank);
-        }
-    }
 }

@@ -2,18 +2,19 @@
 //! perturb a report byte, and a failing worker must surface as an error
 //! rather than a hang.
 //!
-//! `run_sweep_jobs(cfg, 1)` runs every cell in order on the calling
-//! thread (the pre-pool serial path); `run_sweep_jobs(cfg, 8)` fans the
-//! same cells out over 8 workers. The reduced matrix — the exact matrix
-//! CI's conformance job runs — must serialize byte-identically from both.
+//! `run_sweep_cached(cfg, 1, None)` runs every cell in order on the
+//! calling thread (the pre-pool serial path);
+//! `run_sweep_cached(cfg, 8, None)` fans the same cells out over 8
+//! workers. The reduced matrix — the exact matrix CI's conformance job
+//! runs — must serialize byte-identically from both.
 
-use unimem_repro::bench::sweep::{run_pool, run_sweep_jobs, SweepConfig};
+use unimem_repro::bench::sweep::{run_pool, run_sweep_cached, SweepConfig};
 
 #[test]
 fn reduced_matrix_json_is_byte_identical_for_jobs_1_and_8() {
     let cfg = SweepConfig::reduced();
-    let serial = run_sweep_jobs(&cfg, 1).expect("serial sweep runs");
-    let parallel = run_sweep_jobs(&cfg, 8).expect("parallel sweep runs");
+    let serial = run_sweep_cached(&cfg, 1, None).expect("serial sweep runs");
+    let parallel = run_sweep_cached(&cfg, 8, None).expect("parallel sweep runs");
     // The reduced matrix carries co-run cells; their bytes (arbiter
     // lease schedules included) ride the same identity check.
     assert!(

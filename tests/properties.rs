@@ -702,8 +702,7 @@ proptest! {
 mod sweep_cache_props {
     use super::*;
     use unimem_repro::bench::sweep::{
-        run_sweep_cached, run_sweep_jobs, NvmProfile, PolicyKind, SweepCache, SweepConfig,
-        TopologySpec,
+        run_sweep_cached, NvmProfile, PolicyKind, SweepCache, SweepConfig, TopologySpec,
     };
     use unimem_repro::workloads::Class;
 
@@ -770,7 +769,7 @@ mod sweep_cache_props {
             let dir = tmp("coldwarm");
             let store = SweepCache::open(&dir).expect("cache opens");
 
-            let plain = run_sweep_jobs(&cfg, workers).expect("cacheless run");
+            let plain = run_sweep_cached(&cfg, workers, None).expect("cacheless run");
             let cold = run_sweep_cached(&cfg, workers, Some(&store)).expect("cold run");
             let warm = run_sweep_cached(&cfg, workers, Some(&store)).expect("warm run");
 
