@@ -5,7 +5,6 @@
 //! runtime bridge the gap for each concrete technology?
 
 use unimem::exec::Policy;
-use unimem_bench::harness::timed;
 use unimem_bench::{basic_setup, normalized, print_table, unimem_policy, Cell, Row};
 use unimem_hms::profiles::{table1_pcram, table1_reram, table1_stt_ram};
 use unimem_hms::MachineConfig;
@@ -20,26 +19,23 @@ fn main() {
     ];
     for (name, nvm) in techs {
         let m = MachineConfig::technology(nvm, name);
-        let rows = timed(&format!("ext_technologies/{name}"), || {
-            let mut rows = Vec::new();
-            for w in all_npb(class) {
-                let cells = vec![
-                    Cell {
-                        label: "NVM-only".into(),
-                        value: normalized(w.as_ref(), &m, nranks, &Policy::NvmOnly),
-                    },
-                    Cell {
-                        label: "Unimem".into(),
-                        value: normalized(w.as_ref(), &m, nranks, &unimem_policy()),
-                    },
-                ];
-                rows.push(Row {
-                    name: w.name(),
-                    cells,
-                });
-            }
-            rows
-        });
+        let mut rows = Vec::new();
+        for w in all_npb(class) {
+            let cells = vec![
+                Cell {
+                    label: "NVM-only".into(),
+                    value: normalized(w.as_ref(), &m, nranks, &Policy::NvmOnly),
+                },
+                Cell {
+                    label: "Unimem".into(),
+                    value: normalized(w.as_ref(), &m, nranks, &unimem_policy()),
+                },
+            ];
+            rows.push(Row {
+                name: w.name(),
+                cells,
+            });
+        }
         print_table(
             &format!("Extension — Table-1 technology: {name} (normalized to DRAM-only)"),
             "Table 1 characteristics with the simulation DRAM baseline; write asymmetry included",

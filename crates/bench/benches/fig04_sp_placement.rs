@@ -4,7 +4,6 @@
 //! 4 nodes, 1 rank each.
 
 use unimem::exec::Policy;
-use unimem_bench::harness::timed;
 use unimem_bench::{normalized, print_table, Cell, Row};
 use unimem_hms::MachineConfig;
 use unimem_sim::Bytes;
@@ -25,32 +24,29 @@ fn main() {
         ("rhs", vec!["rhs"]),
     ];
     for class in [Class::C, Class::D] {
-        let rows = timed(&format!("fig04_sp_placement/{}", class.name()), || {
-            let sp = Sp::new(class);
-            let mut rows = Vec::new();
-            for (mlabel, m) in &configs {
-                let m = m.clone().with_dram_capacity(Bytes::gib(2));
-                let mut cells = vec![Cell {
-                    label: "NVM-only".into(),
-                    value: normalized(&sp, &m, nranks, &Policy::NvmOnly),
-                }];
-                for (plabel, names) in &pins {
-                    let policy = Policy::Static {
-                        in_dram: names.iter().map(|s| s.to_string()).collect(),
-                        label: format!("pin {plabel}"),
-                    };
-                    cells.push(Cell {
-                        label: plabel.to_string(),
-                        value: normalized(&sp, &m, nranks, &policy),
-                    });
-                }
-                rows.push(Row {
-                    name: format!("SP.{} {}", class.name(), mlabel),
-                    cells,
+        let sp = Sp::new(class);
+        let mut rows = Vec::new();
+        for (mlabel, m) in &configs {
+            let m = m.clone().with_dram_capacity(Bytes::gib(2));
+            let mut cells = vec![Cell {
+                label: "NVM-only".into(),
+                value: normalized(&sp, &m, nranks, &Policy::NvmOnly),
+            }];
+            for (plabel, names) in &pins {
+                let policy = Policy::Static {
+                    in_dram: names.iter().map(|s| s.to_string()).collect(),
+                    label: format!("pin {plabel}"),
+                };
+                cells.push(Cell {
+                    label: plabel.to_string(),
+                    value: normalized(&sp, &m, nranks, &policy),
                 });
             }
-            rows
-        });
+            rows.push(Row {
+                name: format!("SP.{} {}", class.name(), mlabel),
+                cells,
+            });
+        }
         print_table(
             &format!(
                 "Figure 4 — SP.{} single-object placement (normalized to DRAM-only; lower is better)",

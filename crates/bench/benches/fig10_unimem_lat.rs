@@ -2,7 +2,6 @@
 //! DRAM latency. CLASS C, 4 nodes, 1 rank/node, DRAM 256 MB, NVM 16 GB.
 
 use unimem::exec::Policy;
-use unimem_bench::harness::timed;
 use unimem_bench::{basic_setup, cache, normalized, print_table, unimem_policy, Cell, Row};
 use unimem_hms::MachineConfig;
 use unimem_workloads::npb_and_nek;
@@ -11,35 +10,32 @@ use unimem_xmem::xmem_policy;
 fn main() {
     let (class, nranks) = basic_setup();
     let m = MachineConfig::nvm_lat_multiple(4.0);
-    let (rows, uni_gaps) = timed("fig10_unimem_lat", || {
-        let mut rows = Vec::new();
-        let mut uni_gaps = Vec::new();
-        for w in npb_and_nek(class) {
-            let xmem = xmem_policy(w.as_ref(), &m, &cache(), nranks);
-            let nvm = normalized(w.as_ref(), &m, nranks, &Policy::NvmOnly);
-            let xm = normalized(w.as_ref(), &m, nranks, &xmem);
-            let uni = normalized(w.as_ref(), &m, nranks, &unimem_policy());
-            uni_gaps.push(uni - 1.0);
-            rows.push(Row {
-                name: w.name(),
-                cells: vec![
-                    Cell {
-                        label: "NVM-only".into(),
-                        value: nvm,
-                    },
-                    Cell {
-                        label: "X-Mem".into(),
-                        value: xm,
-                    },
-                    Cell {
-                        label: "Unimem".into(),
-                        value: uni,
-                    },
-                ],
-            });
-        }
-        (rows, uni_gaps)
-    });
+    let mut rows = Vec::new();
+    let mut uni_gaps = Vec::new();
+    for w in npb_and_nek(class) {
+        let xmem = xmem_policy(w.as_ref(), &m, &cache(), nranks);
+        let nvm = normalized(w.as_ref(), &m, nranks, &Policy::NvmOnly);
+        let xm = normalized(w.as_ref(), &m, nranks, &xmem);
+        let uni = normalized(w.as_ref(), &m, nranks, &unimem_policy());
+        uni_gaps.push(uni - 1.0);
+        rows.push(Row {
+            name: w.name(),
+            cells: vec![
+                Cell {
+                    label: "NVM-only".into(),
+                    value: nvm,
+                },
+                Cell {
+                    label: "X-Mem".into(),
+                    value: xm,
+                },
+                Cell {
+                    label: "Unimem".into(),
+                    value: uni,
+                },
+            ],
+        });
+    }
     print_table(
         "Figure 10 — placement policies, NVM = 4x DRAM latency (normalized to DRAM-only)",
         "paper: NVM-only gap 47% avg; Unimem within 7% avg, <=10% worst",

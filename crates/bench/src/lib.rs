@@ -14,7 +14,6 @@ use unimem_cache::CacheModel;
 use unimem_hms::MachineConfig;
 use unimem_workloads::Class;
 
-pub mod harness;
 pub mod sweep;
 
 /// Canonical cache for all experiments (Platform A's Xeon E5-2630 LLC).

@@ -794,6 +794,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A frame whose magic, length and checksum all verify around a
+    /// payload nested 200,000 levels deep: the parser's depth limit makes
+    /// it a corrupt entry (warned about and discarded) instead of a stack
+    /// overflow, and the sweep recomputes the cell.
+    #[test]
+    fn forged_deep_payload_is_discarded_and_recomputed() {
+        let dir = tmp_dir();
+        let store = SweepCache::open(&dir).expect("open");
+        let cfg = sample_config();
+        let cold = crate::sweep::run_sweep_cached(&cfg, 1, Some(&store)).expect("cold run");
+        let key = store.cell_key(
+            &cfg,
+            "CG",
+            PolicyKind::Unimem,
+            NvmProfile::BwHalf,
+            4,
+            1,
+            &TopologySpec::Flat,
+        );
+        let path = key.path_in(store.dir());
+        assert!(path.exists(), "the cold run stored the cell");
+
+        // Built from raw bytes: `write_entry` serializes recursively and
+        // cannot produce this payload.
+        let payload = "[".repeat(200_000).into_bytes();
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc64(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        std::fs::write(&path, &frame).expect("forge");
+        match read_entry(&path, &key.canon) {
+            Err(ReadError::Corrupt(why)) => assert!(why.contains("unparsable payload"), "{why}"),
+            _ => panic!("a forged deep payload must read as a corrupt entry"),
+        }
+
+        let warm = crate::sweep::run_sweep_cached(&cfg, 1, Some(&store)).expect("warm run");
+        assert_eq!(
+            warm.cache_hits + 1,
+            warm.cache_lookups,
+            "only the forged entry misses"
+        );
+        assert_eq!(warm.to_json().to_compact(), cold.to_json().to_compact());
+        assert!(
+            store.load_cell(&key).is_some(),
+            "the recompute stores the entry again"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A payload that frames and checksums correctly but decodes to the
     /// wrong shape is still a miss (exercises the decode error path).
     #[test]

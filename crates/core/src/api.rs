@@ -8,14 +8,14 @@
 //! | `unimem_malloc` | identify and allocate target data objects |
 //! | `unimem_free` | free target data objects |
 //!
-//! This is the *real-memory* embodiment used by the runnable examples and
-//! wall-clock benches: objects live in the two accounted pools of
-//! `unimem-hms`, migration goes through the real helper thread and its
-//! FIFO queue, and pointer fix-up is the handle swap under the object's
-//! lock. Hardware miss sampling is not available to a plain user-space
-//! process, so this mode counts accesses in software (the workload reports
-//! touches); the full sampling→model→knapsack pipeline is exercised by the
-//! simulation driver in [`crate::exec`].
+//! This is the *real-memory* embodiment the `quickstart` example runs:
+//! objects live in the two accounted pools of `unimem-hms`, migration
+//! goes through the real helper thread and its FIFO queue, and pointer
+//! fix-up is the handle swap under the object's lock. Hardware miss
+//! sampling is not available to a plain user-space process, so this mode
+//! counts accesses in software (the workload reports touches); the full
+//! sampling→model→knapsack pipeline is exercised by the simulation driver
+//! in [`crate::exec`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};

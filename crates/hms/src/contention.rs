@@ -94,7 +94,7 @@ struct Inner {
 }
 
 /// The job-wide shared-bandwidth state: one ledger per node, shared by
-/// the node's rank threads (clone-cheap handle, like
+/// the node's rank tasks (clone-cheap handle, like
 /// [`DramService`](crate::DramService)).
 #[derive(Debug, Clone)]
 pub struct SharedBandwidth {

@@ -13,17 +13,19 @@
 //! ranks on a big-memory node get bigger shares than ranks on a small
 //! one.
 //!
-//! Why not one first-fit pool per node? Determinism. Rank threads run
-//! concurrently in host time; a shared free list would make allocation
-//! success depend on which thread the OS ran first — fragmentation from
-//! one rank's alloc/free interleaving can fail a neighbor's reservation
-//! on one run and admit it on the next, leaking host scheduling into the
-//! virtual clock (observed as per-run migration-count jitter the moment
-//! multi-rank nodes were exercised). The static split keeps every rank's
-//! allocation history a pure function of its own program order. Region
-//! offsets are rebased per (node, slot) with node bases laid out by
-//! prefix sums of node capacities, so regions across the whole job
-//! remain pairwise disjoint addresses.
+//! Why not one first-fit pool per node? Determinism. Within a round, rank
+//! tasks advance concurrently on the rank pool's workers, and one node's
+//! ranks may sit on different workers; a shared free list would make
+//! allocation success depend on which worker the OS ran first —
+//! fragmentation from one rank's alloc/free interleaving can fail a
+//! neighbor's reservation on one run and admit it on the next, leaking
+//! host scheduling into the virtual clock (observed as per-run
+//! migration-count jitter the moment multi-rank nodes were exercised).
+//! The static split keeps every rank's allocation history a pure
+//! function of its own program order. Region offsets are rebased per
+//! (node, slot) with node bases laid out by prefix sums of node
+//! capacities, so regions across the whole job remain pairwise disjoint
+//! addresses.
 
 use crate::alloc::{Region, SpaceAllocator};
 use crate::topology::ClusterTopology;
@@ -143,11 +145,6 @@ impl DramService {
         self.slot(rank).available()
     }
 
-    /// Largest single allocatable run in `rank`'s share.
-    pub fn largest_run(&self, rank: usize) -> Bytes {
-        self.slot(rank).largest_free_run()
-    }
-
     /// `rank`'s static share of its node's allowance (the knapsack's
     /// capacity input; per-rank, since nodes may differ).
     pub fn share_of(&self, rank: usize) -> Bytes {
@@ -164,11 +161,6 @@ impl DramService {
     /// homogeneous room (every legacy call site).
     pub fn capacity(&self) -> Bytes {
         self.node_caps[0]
-    }
-
-    /// Node `n`'s DRAM allowance.
-    pub fn node_capacity(&self, n: usize) -> Bytes {
-        self.node_caps[n]
     }
 }
 

@@ -5,8 +5,9 @@
 //! two accounted memory pools, objects whose storage can be swapped between
 //! them while application pointers stay valid, and a helper thread consuming
 //! a FIFO queue of migration requests — with real memory and real threads.
-//! Wall-clock benches and the runnable examples use this path, so the
-//! concurrency machinery is continuously exercised, not just simulated.
+//! The `quickstart` example and this module's tests use this path, so the
+//! concurrency machinery is exercised with real threads, not just
+//! simulated.
 //!
 //! Pointer fix-up: the paper updates the application's pointer after a move.
 //! In Rust the equivalent is a handle ([`RealObject`]) holding the storage

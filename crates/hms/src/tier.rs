@@ -50,7 +50,6 @@ pub struct AccessMix {
 
 impl AccessMix {
     pub const READ_ONLY: AccessMix = AccessMix { read_frac: 1.0 };
-    pub const WRITE_ONLY: AccessMix = AccessMix { read_frac: 0.0 };
 
     pub fn new(read_frac: f64) -> AccessMix {
         AccessMix {

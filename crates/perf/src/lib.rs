@@ -18,14 +18,11 @@
 //! * [`mod@calibrate`] — the offline step: run STREAM (bandwidth-bound) and
 //!   pointer-chasing (latency-bound) through the same machinery to obtain
 //!   `CF_bw`, `CF_lat` and the sampled `BW_peak` of NVM.
-//! * [`kernels`] — *real* STREAM-triad and pointer-chase kernels used by
-//!   wall-clock benches and the quickstart example.
 
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
 pub mod eq1;
-pub mod kernels;
 pub mod sampler;
 
 pub use calibrate::{calibrate, Calibration};

@@ -23,8 +23,17 @@
 //! counters above 2^53 survive, and fractional/exponent literals parse
 //! through Rust's correctly-rounded `str::parse::<f64>`, whose result
 //! re-renders to the same shortest form.
+//!
+//! The parser also reads untrusted bytes (a cache entry's checksum is not
+//! cryptographic), so bad input is an `Err`, never a panic: nesting is
+//! capped at 128 levels so a hostile document cannot overflow the stack
+//! of the recursive descent.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; committed reports nest 6 levels deep.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order (no hashing) so the
 /// serialized form is a pure function of construction order.
@@ -210,6 +219,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -227,6 +237,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open around `at`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,6 +263,16 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(&format!("expected {:?}", b as char)))
         }
+    }
+
+    /// Open one array or object level: the depth check runs once per
+    /// container, not once per value, so scalars pay nothing for it.
+    fn descend(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -278,53 +300,51 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, String> {
         self.eat(b'[')?;
+        self.descend()?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.at += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.err("expected ',' or ']' in array")),
                 }
-                _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
+        self.at += 1;
+        self.depth -= 1;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self) -> Result<Json, String> {
         self.eat(b'{')?;
+        self.descend()?;
         let mut members = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(members));
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                self.skip_ws();
+                let value = self.value()?;
+                members.push((key, value));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.at += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.err("expected ',' or '}' in object")),
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+        self.at += 1;
+        self.depth -= 1;
+        Ok(Json::Obj(members))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -391,15 +411,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
+    /// take a leading `+`, reading `\u+041` as `A`).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.at + 4;
         let digits = self
             .bytes
-            .get(self.at..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
+            .get(self.at..self.at + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let code = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.at = end;
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code * 16 + v;
+        }
+        self.at += 4;
         Ok(code)
     }
 
@@ -423,12 +449,16 @@ impl<'a> Parser<'a> {
         if integral {
             // Integer literal: keep full 64-bit precision (a u64 counter
             // above 2^53 must not round through f64).
-            if let Some(digits) = text.strip_prefix('-') {
-                if let Ok(i) = text.parse::<i64>() {
-                    return Ok(Json::Int(i));
+            if text.starts_with('-') {
+                match text.parse::<i64>() {
+                    // Only a negative-zero float renders as "-0" (integers
+                    // print zero unsigned): keep the sign so the text
+                    // round-trips.
+                    Ok(0) => return Ok(Json::Num(-0.0)),
+                    Ok(i) => return Ok(Json::Int(i)),
+                    // Magnitude beyond i64: fall through to f64 like serde_json.
+                    Err(_) => {}
                 }
-                // Magnitude beyond i64: fall through to f64 like serde_json.
-                let _ = digits;
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
             }
@@ -614,6 +644,13 @@ mod tests {
             Json::parse(&Json::Num(42.0).to_compact()).unwrap(),
             Json::UInt(42)
         );
+        // A negative-zero float renders as "-0" and keeps its sign.
+        let neg_zero = Json::parse(&Json::Num(-0.0).to_compact()).unwrap();
+        assert_eq!(
+            neg_zero.as_f64().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(neg_zero.to_compact(), "-0");
     }
 
     #[test]
@@ -662,6 +699,7 @@ mod tests {
             "{\"a\":1}garbage",
             "\"\\u12\"",
             "\"\\ud800\"",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
@@ -673,5 +711,24 @@ mod tests {
         let v = Json::parse(text).unwrap();
         assert_eq!(v.to_compact(), text);
         assert!(v.get("d").and_then(|d| d.get("e")).is_some());
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_depth_limit() {
+        // Without the limit, either document overflows the stack and
+        // aborts the process.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = Json::parse(&arrays(MAX_DEPTH)).expect("MAX_DEPTH levels parse");
+        assert_eq!(deepest.to_compact(), arrays(MAX_DEPTH));
+        assert!(Json::parse(&arrays(MAX_DEPTH + 1)).is_err());
+        let objects = |n: usize| format!("{}null{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // The limit is on depth, not on the number of containers.
+        let siblings = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&siblings).is_ok());
     }
 }

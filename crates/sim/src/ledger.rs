@@ -10,26 +10,29 @@
 //! proportionally — see `unimem_hms::contention` for the split formula;
 //! this module only does the deterministic bookkeeping.
 //!
-//! # Determinism under concurrent rank threads
+//! # Determinism under pooled rank tasks
 //!
-//! Rank threads run concurrently in *host* time with independent virtual
-//! clocks, so a naive shared structure would answer queries differently
-//! depending on which thread the OS ran first. The ledger therefore keeps
-//! two kinds of accounting:
+//! Within a bulk-synchronous round, rank tasks advance concurrently on
+//! the rank pool's workers ([`crate::run_pool_mut`]) in *host* time,
+//! each on its own virtual clock, and one node's ranks may sit on
+//! different workers. A naive shared structure would therefore answer
+//! queries differently depending on which worker the OS ran first. The
+//! ledger keeps two kinds of accounting:
 //!
 //! * **Own flows** are visible to their owner immediately and charged by
 //!   exact interval overlap — a rank's own helper traffic is in its own
 //!   program order, so this is trivially deterministic.
 //! * **Neighbor flows** become visible only at **fences**. A fence is a
 //!   globally synchronizing point (in this repo: every MPI collective,
-//!   which rendezvouses *all* ranks before any rank leaves). A flow
-//!   posted by owner `o` between its `k`-th and `k+1`-th fences is
-//!   tagged `visible_from = k+1`; a reader that has passed `g` fences
-//!   sees exactly the flows tagged `≤ g`. Because no rank can pass its
-//!   `g`-th fence before every other rank has *entered* it, every such
-//!   flow is guaranteed posted before any reader can observe generation
-//!   `g` — the visible set is a pure function of virtual program order,
-//!   never of host scheduling.
+//!   which ends a round: every rank task pauses on it, the serial
+//!   resolver sets the departure clocks, and each rank fences as it
+//!   resumes in the next round). A flow posted by owner `o` between its
+//!   `k`-th and `k+1`-th fences is tagged `visible_from = k+1`; a reader
+//!   that has passed `g` fences sees exactly the flows tagged `≤ g`.
+//!   Because no rank can pass its `g`-th fence before every other rank
+//!   has *entered* it, every such flow is guaranteed posted before any
+//!   reader can observe generation `g` — the visible set is a pure
+//!   function of virtual program order, never of host scheduling.
 //!
 //! Neighbor traffic is charged as a **rate** over the reader's last
 //! completed fence epoch rather than by interval overlap: by the time a
@@ -50,7 +53,7 @@
 //! generation counter. So each shard keeps
 //!
 //! * **owner-private state** (own flows, generation, last two fences)
-//!   behind a per-owner mutex that only the owning rank thread ever
+//!   behind a per-owner mutex that only the owning rank's task ever
 //!   takes — posts, fences, and own-overlap queries from different
 //!   owners touch different mutexes and never contend; and
 //! * a **fixed 4-deep epoch ring** of per-channel atomic byte counters
@@ -60,11 +63,12 @@
 //!   into slot `G+1`, readers touch slots `G-1 ..= G+1`, and the fence
 //!   clears slot `G-2` — four distinct residues mod 4.
 //!
-//! Each ring slot is written by exactly one thread (its owner: posts
+//! Each ring slot is written by exactly one rank task (its owner: posts
 //! accumulate, the fence clears), so a plain load/store pair is enough;
-//! stores are `Release` and reads `Acquire`, and the MPI-collective
-//! rendezvous that advances generations provides the happens-before
-//! edge that makes the values a reader observes a pure function of
+//! stores are `Release` and reads `Acquire`, and the round boundary that
+//! advances generations (the pool's scoped join, then the next round's
+//! spawn) provides the happens-before edge that makes the values a
+//! reader observes a pure function of
 //! virtual program order — byte-identical for any worker count, exactly
 //! as the old whole-owner-mutex design behaved, minus the cross-owner
 //! lock convoy in `load()`.
@@ -211,9 +215,10 @@ struct OwnerState {
 /// plus the lock-free epoch ring neighbors read.
 #[derive(Debug)]
 struct Shard {
-    /// Owner-private state. Only the owning rank thread locks this, so
-    /// in steady state the lock is never contended — it exists to keep
-    /// the API `&self` and the single-threaded tests sound.
+    /// Owner-private state. Only the owning rank's task locks this, and
+    /// a task runs on one pool worker at a time, so the lock is never
+    /// contended — it exists to keep the API `&self` and the
+    /// single-threaded tests sound.
     own: Mutex<OwnerState>,
     /// Bytes posted per (visibility generation, channel), as a ring:
     /// slot `(g % GEN_RING) * channels + c` sums the flows tagged
@@ -263,7 +268,7 @@ impl LoadSplit {
 ///
 /// All methods take `&self`; internal state is sharded per owner (see
 /// the module docs): owner-private state behind a per-owner mutex that
-/// only the owning thread takes, neighbor-visible epoch totals in
+/// only the owning rank's task takes, neighbor-visible epoch totals in
 /// lock-free atomic rings. Readers iterate owners in index order, so
 /// float accumulation order is deterministic.
 #[derive(Debug)]
@@ -306,10 +311,6 @@ impl BwLedger {
         neighbor_rate_cap: f64,
     ) -> LoadSplit {
         self.load(owner, ch.index(), w0, w1, neighbor_rate_cap)
-    }
-
-    pub fn n_owners(&self) -> usize {
-        self.shards.len()
     }
 
     pub fn n_channels(&self) -> usize {

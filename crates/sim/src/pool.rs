@@ -19,7 +19,7 @@
 //! slice, so a bulk-synchronous round loop does not move its tasks every
 //! round, and the borrow checker proves the pieces disjoint. The ranks
 //! of one round do similar work, so the static split stays balanced, and
-//! neighbouring ranks (one node's ranks) stay on one thread.
+//! neighbouring ranks (usually one node's ranks) share a thread.
 //!
 //! A job that returns `Err` or panics surfaces as the pool's `Err`
 //! (first failing job index wins, deterministically) instead of

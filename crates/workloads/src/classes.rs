@@ -52,11 +52,6 @@ pub fn scaled_bytes(class_c_total: u64, class: Class, nranks: usize) -> u64 {
     ((class_c_total as f64 * class.scale()) / nranks as f64).max(1.0) as u64
 }
 
-/// Scale a CLASS C access count likewise.
-pub fn scaled_accesses(class_c_total: u64, class: Class, nranks: usize) -> u64 {
-    scaled_bytes(class_c_total, class, nranks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -814,3 +814,48 @@ mod sweep_cache_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// JSON decoding of damaged text (the sweep cache parses on-disk entries
+// behind a non-cryptographic checksum).
+
+/// A small report-shaped document with every value kind the writer
+/// emits: nesting, escapes, signed and above-2^53 integers, floats, null,
+/// booleans and empty containers.
+const REPORT: &str = r#"{"schema":"unimem-bench-sweep/v5","cells":[{"workload":"CG.C","policy":"unimem \"tuned\"\n\\ \u0001","nranks":4,"time_s":1.3706293706293706,"tiny":2e-7,"offset":-42,"bytes":18446744073709551612,"overlap_pct":null,"ok":true,"tags":[],"plan":{}}],"checks":[false,0.5]}"#;
+
+/// Bytes that make damage structurally interesting.
+const JSON_BYTES: &[u8] = b"[]{}\",:\\-+.eE0123456789nulltruefalse \t\n";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Overwritten and truncated report text never panics the parser,
+    /// and whatever parses is a fixed point of emit → parse → emit.
+    /// Bytes are compared, not trees: `42.0` emits as `42`, which parses
+    /// back as an unsigned integer.
+    #[test]
+    fn json_parse_survives_damaged_reports(
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        cut in any::<usize>(),
+        pretty in any::<bool>(),
+    ) {
+        use unimem_repro::sim::Json;
+        let doc = Json::parse(REPORT).expect("the sample parses");
+        let mut bytes = if pretty { doc.to_pretty() } else { doc.to_compact() }.into_bytes();
+        for (at, value) in edits {
+            // ASCII only, so the text stays UTF-8; half the time a byte
+            // with a meaning in JSON.
+            let (at, pick) = (at % bytes.len(), usize::from(value) % JSON_BYTES.len());
+            bytes[at] = if value < 0x80 { value } else { JSON_BYTES[pick] };
+        }
+        // Half the cuts fall past the end and leave the text whole.
+        bytes.truncate(cut % (2 * bytes.len()));
+        let damaged = String::from_utf8(bytes).expect("ASCII edits keep UTF-8");
+        if let Ok(parsed) = Json::parse(&damaged) {
+            let once = parsed.to_compact();
+            let again = Json::parse(&once).expect("emitted text parses").to_compact();
+            prop_assert_eq!(once, again, "from {:?}", damaged);
+        }
+    }
+}
