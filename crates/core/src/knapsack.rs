@@ -5,11 +5,42 @@
 //! size constraint. This is a 0-1 knapsack problem \[solved\] by dynamic
 //! programming in pseudo-polynomial time." (§3.1.3)
 //!
-//! Sizes are bytes (up to hundreds of MiB), so the DP quantizes capacity
-//! into a bounded number of granules — items' sizes round **up** (never
-//! overcommit DRAM) and optimality holds at granule resolution, which is
-//! orders of magnitude finer than object sizes. Items with non-positive
-//! weight are never selected (leaving an object in NVM costs nothing).
+//! Sizes are bytes (up to hundreds of MiB), so the solver quantizes
+//! capacity into at most [`MAX_GRANULES`] granules — items' sizes round
+//! **up** (never overcommit DRAM), capacity rounds down, and optimality
+//! holds at granule resolution, which is orders of magnitude finer than
+//! object sizes. An item is *viable* when its weight is positive (leaving
+//! an object in NVM costs nothing, and NaN never qualifies), its size is
+//! non-zero and at most the capacity, and its rounded size fits the
+//! rounded capacity. Nothing else is ever chosen.
+//!
+//! ## Two exact paths
+//!
+//! [`solve`] runs one of two solvers over the viable items:
+//!
+//! * **Up to 12 items: subset sums.** Every subset's weight and rounded
+//!   size, built by adding the subset's highest-index item last — the
+//!   order in which the DP adds weights, so each sum has the DP's bits.
+//! * **More items: the DP, branch-free.** The same table update over two
+//!   buffers, with each row's decision bits packed 64 to a word.
+//!
+//! Both share the DP's rounding and tie-break, so both return its indices
+//! and weight bits. `best(items < k, c)` is the largest weight sum, from
+//! `0.0` in index order, of a subset of the first `k` items within rounded
+//! size `c`. Float addition is monotone, so that is exactly the DP's table
+//! entry; it never decreases in `c`, so the table's last maximum, where
+//! the DP's reconstruction starts, is the full rounded capacity. From
+//! there the items are walked from the top down, taking item `k` iff
+//! `best(items < k, c − s_k) + w_k > best(items < k, c)`. The `>` is
+//! strict: on a tie the set without the higher-index item wins. The
+//! achieved weight is the chosen set's sum.
+//!
+//! ## Oracles
+//!
+//! [`solve_reference`] is the scalar DP `solve` replaced; it stays
+//! unchanged as the oracle both paths must match in indices and weight
+//! bits. [`solve_exhaustive`] enumerates subsets in bytes and checks the
+//! DP's optimality. `tests/oracles.rs` holds the property tests.
 
 use unimem_sim::Bytes;
 
@@ -24,6 +55,10 @@ pub struct Item {
 /// Maximum number of capacity granules the DP table uses.
 pub const MAX_GRANULES: usize = 4096;
 
+/// Most viable items the subset-sum path takes: its 2^12 sums cost about
+/// one DP row.
+const SMALL_N: usize = 12;
+
 /// The granule [`solve`] quantizes at for a given capacity: item sizes
 /// round up to multiples of this, capacity rounds down. Exposed so tests
 /// can state the DP's optimality contract at granule resolution without
@@ -32,10 +67,113 @@ pub fn granule_for(capacity: Bytes) -> u64 {
     capacity.get().div_ceil(MAX_GRANULES as u64).max(1)
 }
 
+/// A viable item: its index in the caller's slice, weight and rounded size.
+#[derive(Clone, Copy)]
+struct Viable {
+    index: usize,
+    weight: f64,
+    size_g: usize,
+}
+
 /// Solve the 0-1 knapsack: choose a subset of `items` with total size ≤
 /// `capacity` maximizing total weight. Returns the chosen indices (sorted)
 /// and the achieved weight. Items with `weight <= 0` are never chosen.
 pub fn solve(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
+    let granule = granule_for(capacity);
+    let cap_g = (capacity.get() / granule) as usize;
+    let viable: Vec<Viable> = items
+        .iter()
+        .enumerate()
+        .filter(|(_, it)| it.weight > 0.0 && !it.size.is_zero() && it.size <= capacity)
+        .map(|(index, it)| Viable {
+            index,
+            weight: it.weight,
+            size_g: it.size.get().div_ceil(granule) as usize,
+        })
+        .filter(|v| v.size_g <= cap_g)
+        .collect();
+    let (mut chosen, achieved) = match viable.len() {
+        0 => return (Vec::new(), 0.0),
+        n if n <= SMALL_N => solve_subsets(&viable, cap_g),
+        _ => solve_dense(&viable, cap_g),
+    };
+    // Both paths reconstruct from the top index down.
+    chosen.reverse();
+    (chosen, achieved)
+}
+
+/// The subset-sum path for at most [`SMALL_N`] items.
+fn solve_subsets(viable: &[Viable], cap_g: usize) -> (Vec<usize>, f64) {
+    // Entry m is the (weight sum, rounded size) of the subset whose bit k
+    // marks item k. Doubling the list per item adds each subset's top item
+    // last, as the DP does.
+    let mut subsets: Vec<(f64, usize)> = Vec::with_capacity(1 << viable.len());
+    subsets.push((0.0, 0));
+    for v in viable {
+        for m in 0..subsets.len() {
+            let (w, s) = subsets[m];
+            subsets.push((w + v.weight, s + v.size_g));
+        }
+    }
+    // best(items < k, c): the first 2^k entries are those subsets.
+    let best = |k: usize, c: usize| {
+        subsets[..1 << k]
+            .iter()
+            .filter(|&&(_, s)| s <= c)
+            .fold(0.0f64, |b, &(w, _)| b.max(w))
+    };
+    let (mut c, mut mask) = (cap_g, 0usize);
+    let mut chosen = Vec::new();
+    for (k, v) in viable.iter().enumerate().rev() {
+        if v.size_g <= c && best(k, c - v.size_g) + v.weight > best(k, c) {
+            chosen.push(v.index);
+            c -= v.size_g;
+            mask |= 1 << k;
+        }
+    }
+    (chosen, subsets[mask].0)
+}
+
+/// The DP over capacity `0..=cap_g` for more than [`SMALL_N`] items.
+fn solve_dense(viable: &[Viable], cap_g: usize) -> (Vec<usize>, f64) {
+    let len = cap_g + 1;
+    let words = len.div_ceil(64);
+    let mut best = vec![0.0f64; len];
+    let mut next = vec![0.0f64; len];
+    // Bit c of row k: item k's pass improved capacity c, i.e. the optimum
+    // over items 0..=k there includes item k.
+    let mut took = vec![0u64; viable.len() * words];
+    for (v, row) in viable.iter().zip(took.chunks_exact_mut(words)) {
+        let (w, s) = (v.weight, v.size_g);
+        next[..s].copy_from_slice(&best[..s]);
+        for (j, bits) in row.iter_mut().enumerate().skip(s / 64) {
+            let (lo, hi) = ((64 * j).max(s), (64 * j + 64).min(len));
+            let mut word = 0u64;
+            for c in lo..hi {
+                let cand = best[c - s] + w;
+                let take = cand > best[c];
+                next[c] = if take { cand } else { best[c] };
+                word |= u64::from(take) << (c % 64);
+            }
+            *bits = word;
+        }
+        std::mem::swap(&mut best, &mut next);
+    }
+    let mut c = cap_g;
+    let mut chosen = Vec::new();
+    for (v, row) in viable.iter().zip(took.chunks_exact(words)).rev() {
+        if row[c / 64] >> (c % 64) & 1 == 1 {
+            chosen.push(v.index);
+            c -= v.size_g;
+        }
+    }
+    (chosen, best[cap_g])
+}
+
+/// The scalar DP [`solve`] replaced on the hot path, kept unchanged as
+/// the test oracle both of its paths must match in chosen indices and
+/// weight bits. Nothing in the runtime calls it.
+pub fn solve_reference(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
     let viable: Vec<usize> = items
         .iter()
         .enumerate()
@@ -222,6 +360,19 @@ mod tests {
         let (chosen, w) = solve(&items, Bytes(100));
         assert_eq!(chosen, vec![1]);
         assert!((w - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ties_leave_out_the_higher_indices_on_both_paths() {
+        // Ten of n identical items fit; the strict tie-break keeps the
+        // first ten. n = 12 takes the subset path, n = 13 the dense DP.
+        for n in [SMALL_N, SMALL_N + 1] {
+            let items = vec![it(1.0, 10); n];
+            let (chosen, w) = solve(&items, Bytes(100));
+            assert_eq!(chosen, (0..10).collect::<Vec<_>>(), "n = {n}");
+            assert_eq!(w, 10.0);
+            assert_eq!(solve_reference(&items, Bytes(100)), (chosen, w));
+        }
     }
 
     #[test]

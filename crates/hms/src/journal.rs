@@ -207,6 +207,9 @@ const TAG_OBSERVE: u8 = 5;
 const TAG_COMM: u8 = 6;
 const TAG_EPOCH_COMMIT: u8 = 7;
 
+/// Encoded size of one [`ObsUnit`]: obj, chunk, misses, miss bytes, time.
+const OBS_UNIT_BYTES: usize = 4 + 2 + 8 + 8 + 8;
+
 impl Record {
     /// Serialize the payload (tag byte + fields, little-endian).
     pub fn encode(&self) -> Vec<u8> {
@@ -339,7 +342,9 @@ impl Record {
                 let cont_total = r.f64()?;
                 let cont_neighbors = r.f64()?;
                 let n = r.u32()?;
-                let mut units = Vec::with_capacity(n as usize);
+                // The count is untrusted: reserve no more units than the
+                // rest of the payload can hold.
+                let mut units = Vec::with_capacity((n as usize).min(r.b.len() / OBS_UNIT_BYTES));
                 for _ in 0..n {
                     units.push(ObsUnit {
                         obj: r.u32()?,
@@ -443,7 +448,8 @@ pub fn durable_prefix(bytes: &[u8], mode: DurabilityMode, crash: CrashSpec) -> V
         let durable = match mode {
             DurabilityMode::Strict => true,
             // Buffered flushes whole epochs at the commit record.
-            DurabilityMode::Buffered => bytes[off + FRAME_HEADER] == TAG_EPOCH_COMMIT,
+            // A zero-length payload has no tag byte to read.
+            DurabilityMode::Buffered => bytes.get(off + FRAME_HEADER) == Some(&TAG_EPOCH_COMMIT),
             DurabilityMode::InMemory => unreachable!(),
         };
         if durable {
@@ -919,6 +925,48 @@ mod tests {
         enc.push(0);
         assert!(Record::decode(&enc).is_none());
         assert!(Record::decode(&[99]).is_none(), "unknown tag");
+    }
+
+    /// An `Observe` payload with every field zero and a forged unit count
+    /// of `u32::MAX`: 37 bytes of fields and the 4-byte count.
+    fn forged_observe_payload() -> Vec<u8> {
+        let mut p = vec![TAG_OBSERVE];
+        p.extend_from_slice(&[0; 8 + 4 + 3 * 8]);
+        put_u32(&mut p, u32::MAX);
+        p
+    }
+
+    #[test]
+    fn decode_bounds_an_untrusted_unit_count() {
+        // Reserving u32::MAX units up front would be a 137 GB request,
+        // which aborts the process instead of returning None.
+        assert!(Record::decode(&forged_observe_payload()).is_none());
+    }
+
+    #[test]
+    fn forged_unit_count_behind_a_valid_checksum_is_a_torn_tail() {
+        let payload = forged_observe_payload();
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_f64(&mut bytes, 0.0);
+        put_u64(&mut bytes, crc64(0.0, &payload));
+        bytes.extend_from_slice(&payload);
+        let (recs, torn) = read_journal(&bytes);
+        assert!(recs.is_empty());
+        assert_eq!(torn, bytes.len());
+        assert_eq!(
+            ReplayedState::replay(&bytes).torn_bytes_discarded,
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn durable_prefix_survives_a_zero_length_final_frame() {
+        // len 0, at 0.0, crc 0: a frame header with no payload (no tag).
+        let bytes = [0u8; FRAME_HEADER];
+        let crash = CrashSpec::at(VTime(1.0));
+        assert!(durable_prefix(&bytes, DurabilityMode::Buffered, crash).is_empty());
+        assert_eq!(durable_prefix(&bytes, DurabilityMode::Strict, crash), bytes);
     }
 
     #[test]

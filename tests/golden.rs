@@ -9,9 +9,14 @@
 //! their own, must reproduce the committed report projected onto them:
 //! the baseline of the enum-dispatch implementation the
 //! `PlacementPolicy` trait replaced.
+//!
+//! The full matrix is pinned too, by digest, at five DRAM capacities.
+//! That test is `#[ignore]`d because a debug build runs it too slowly;
+//! run it on a release build:
+//! `cargo test --release -q --test golden -- --ignored`.
 
 use unimem_repro::bench::sweep::{run_sweep_cached, PolicyKind, SweepCache, SweepConfig};
-use unimem_repro::sim::Json;
+use unimem_repro::sim::{json_digest_hex, Bytes, Json};
 
 const GOLDEN: &str = include_str!("../BENCH_sweep.json");
 
@@ -135,4 +140,35 @@ fn legacy_policies_reproduce_the_projected_sweep_bytes() {
         &reduced_report(&cfg, 4),
         &golden_projected_onto(&LEGACY).to_pretty(),
     );
+}
+
+/// `json_digest_hex` of the full-matrix report at each per-node DRAM
+/// capacity (MiB) the repository benchmark draws from.
+const FULL_MATRIX_DIGESTS: [(u64, &str); 5] = [
+    (192, "a3fdd096a77c3a0e05febf6cdd1851e0"),
+    (224, "56ddc12f127b04170da0ffb92bc50044"),
+    (256, "bca31c1833aa8b978bcaf2bb988e0b44"),
+    (288, "5c6d89bc9afa2c07ecd2b41fb92e4678"),
+    (320, "e63525f66a8f8345c008f9c50e094a8a"),
+];
+
+/// The committed file pins only the reduced matrix. The full matrix
+/// reaches knapsack inputs the reduced one never builds (8 ranks, four
+/// ranks per node, the Table-1 profiles, co-runs), and the capacities
+/// move which items fit; these digests pin every one of those reports.
+#[test]
+#[ignore = "slow without optimizations; run with --release -- --ignored"]
+fn full_matrix_digests_are_pinned() {
+    for (mib, want) in FULL_MATRIX_DIGESTS {
+        let cfg = SweepConfig {
+            dram_capacity: Some(Bytes(mib << 20)),
+            ..SweepConfig::full()
+        };
+        let report = run_sweep_cached(&cfg, 2, None).expect("full sweep runs");
+        assert_eq!(
+            json_digest_hex(&report.to_json()),
+            want,
+            "full matrix at {mib} MiB"
+        );
+    }
 }

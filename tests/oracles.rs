@@ -1,0 +1,211 @@
+//! Fast paths against their slow oracles.
+//!
+//! `knapsack::solve` takes a subset-sum path for up to 12 viable items
+//! and a branch-free DP above that. Both must return exactly what the
+//! scalar DP, `solve_reference`, returns: the same chosen indices and the
+//! same achieved-weight bits, so no placement and no report byte can
+//! move. The scalar DP in turn must be optimal at granule resolution,
+//! which `solve_exhaustive` checks by enumeration.
+
+use proptest::prelude::*;
+use unimem_repro::runtime::knapsack::{
+    granule_for, solve, solve_exhaustive, solve_reference, Item,
+};
+use unimem_repro::sim::Bytes;
+
+/// One generated item: a roll that makes it hostile, its kind, a weight
+/// magnitude, its size as a fraction of half the capacity, and a roll
+/// that makes it a copy of the item before it.
+type Draw = (f64, u8, f64, f64, f64);
+
+fn draw() -> impl Strategy<Value = Draw> {
+    (
+        0.0f64..1.0,
+        any::<u8>(),
+        0.01f64..10.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+    )
+}
+
+/// 0..=16 items, half the cases on each side of the subset path's limit
+/// of 12; hostile items then push some of the larger ones back under it.
+fn counts() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..13, 13..17]
+}
+
+/// Capacities with a granule of 1, and with a granule above 1 at KiB to
+/// hundreds-of-MiB scale.
+fn capacities() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..4097, 4097u64..1_048_576, 1_048_576u64..(1 << 30)]
+}
+
+/// Hostile kinds: zero, negative and NaN weight; a size above the
+/// capacity; a size that fits in bytes but rounds past the rounded
+/// capacity; and, when `zero_sizes`, a zero size.
+fn build(draws: &[Draw], hostile_share: f64, cap: u64, zero_sizes: bool) -> Vec<Item> {
+    let granule = granule_for(Bytes(cap));
+    let cap_g = cap / granule;
+    let mut items: Vec<Item> = Vec::with_capacity(draws.len());
+    for &(hostile, kind, magnitude, frac, copy) in draws {
+        // Copies are the duplicated (weight, size) items of symmetric
+        // ranks: the tie-break decides which of them is chosen.
+        if let (true, Some(&last)) = (copy < 0.25, items.last()) {
+            items.push(last);
+            continue;
+        }
+        // k·granule − 1, k·granule or k·granule + 1.
+        let k = 1 + (frac * cap_g as f64 / 2.0) as u64;
+        let mut size = (k * granule + u64::from(kind % 3) - 1).max(1);
+        // Small integers add exactly, so distinct subsets tie.
+        let mut weight = if kind / 3 % 2 == 0 {
+            (magnitude as u64 % 4 + 1) as f64
+        } else {
+            magnitude
+        };
+        if hostile < hostile_share {
+            match kind / 6 % (5 + u8::from(zero_sizes)) {
+                0 => weight = 0.0,
+                1 => weight = -weight,
+                2 => weight = f64::NAN,
+                3 => size = cap + k,
+                // Only possible when the capacity is no granule multiple.
+                4 if cap % granule != 0 => size = cap_g * granule + 1 + k % (cap % granule),
+                4 => size = cap,
+                _ => size = 0,
+            }
+        }
+        items.push(Item {
+            weight,
+            size: Bytes(size),
+        });
+    }
+    items
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Both fast paths return the scalar DP's indices and weight bits on
+    /// 0..=16 items.
+    #[test]
+    fn solve_matches_the_reference_dp_bit_for_bit(
+        draws in prop::collection::vec(draw(), 16..17),
+        n in counts(),
+        hostile_share in 0.0f64..0.5,
+        cap in capacities(),
+    ) {
+        let items = build(&draws[..n], hostile_share, cap, true);
+        let (chosen, weight) = solve(&items, Bytes(cap));
+        let (want, want_weight) = solve_reference(&items, Bytes(cap));
+        prop_assert_eq!(&chosen, &want, "items {:?} cap {}", items, cap);
+        prop_assert_eq!(weight.to_bits(), want_weight.to_bits(), "items {:?} cap {}", items, cap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scalar DP is optimal at granule resolution on 13..=16 items,
+    /// the counts `solve` hands to its dense path when all are viable.
+    /// Zero sizes are left out: the DP never takes them, enumeration
+    /// would.
+    #[test]
+    fn reference_dp_matches_exhaustive_on_13_to_16_items(
+        draws in prop::collection::vec(draw(), 13..17),
+        hostile_share in 0.0f64..0.5,
+        cap in capacities(),
+    ) {
+        let items = build(&draws, hostile_share, cap, false);
+        let granule = granule_for(Bytes(cap));
+        let rounded: Vec<Item> = items
+            .iter()
+            .map(|i| Item { weight: i.weight, size: Bytes(i.size.get().div_ceil(granule)) })
+            .collect();
+        let (_, w_dp) = solve_reference(&items, Bytes(cap));
+        let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap / granule));
+        prop_assert!(
+            (w_dp - w_gr).abs() < 1e-9,
+            "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `solve` matches exhaustive search on every small instance.
+    #[test]
+    fn knapsack_matches_exhaustive(
+        weights in prop::collection::vec(-5.0f64..10.0, 1..10),
+        sizes in prop::collection::vec(1u64..200, 1..10),
+        cap in 1u64..600,
+    ) {
+        let n = weights.len().min(sizes.len());
+        let items: Vec<Item> = (0..n)
+            .map(|i| Item { weight: weights[i], size: Bytes(sizes[i]) })
+            .collect();
+        let (chosen, w_dp) = solve(&items, Bytes(cap));
+        let (_, w_ex) = solve_exhaustive(&items, Bytes(cap));
+        prop_assert!((w_dp - w_ex).abs() < 1e-9, "dp {w_dp} vs exhaustive {w_ex}");
+        // Chosen set must fit and produce the reported weight.
+        let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
+        prop_assert!(total <= cap);
+        let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
+        prop_assert!((sum - w_dp).abs() < 1e-9);
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `solve` agrees with brute-force enumeration on every instance of
+    /// up to 12 items, with sizes spanning byte, KiB and MiB
+    /// magnitudes in one instance (the `prop_oneof!` union) so granule
+    /// rounding, zero-weight filtering and the empty instance all get
+    /// exercised. Complements `knapsack_matches_exhaustive` above, which
+    /// stays within one narrow size magnitude.
+    #[test]
+    fn knapsack_dp_matches_bruteforce_upto_12_items(
+        spec in prop::collection::vec(
+            (
+                -4.0f64..8.0,
+                prop_oneof![1u64..64, 1024u64..65_536, 1_048_576u64..16_777_216],
+            ),
+            0..13,
+        ),
+        cap_sel in prop_oneof![1u64..256, 4096u64..262_144, 1_048_576u64..67_108_864],
+    ) {
+        let items: Vec<Item> = spec
+            .iter()
+            .map(|&(weight, size)| Item { weight, size: Bytes(size) })
+            .collect();
+        let cap = Bytes(cap_sel);
+        let (chosen, w_dp) = solve(&items, cap);
+        // The DP quantizes capacity into granules, rounding item sizes
+        // *up* (never overcommitting): it solves the instance whose sizes
+        // are ceil(size/granule) against capacity floor(cap/granule), and
+        // must be exactly optimal there. For granule == 1 this is the
+        // original instance.
+        let granule = granule_for(cap);
+        let rounded: Vec<Item> = items
+            .iter()
+            .map(|i| Item { weight: i.weight, size: Bytes(i.size.get().div_ceil(granule)) })
+            .collect();
+        let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap.get() / granule));
+        prop_assert!(
+            (w_dp - w_gr).abs() < 1e-9,
+            "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
+        );
+        // And it never beats the unquantized optimum.
+        let (_, w_ex) = solve_exhaustive(&items, cap);
+        prop_assert!(w_dp <= w_ex + 1e-9, "dp {w_dp} beats exhaustive {w_ex}?");
+        // Whatever the DP chose must genuinely fit and add up.
+        let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
+        prop_assert!(total <= cap.get(), "overcommitted {total} > {}", cap.get());
+        let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
+        prop_assert!((sum - w_dp).abs() < 1e-9);
+        prop_assert!(chosen.iter().all(|&i| items[i].weight > 0.0));
+    }
+}

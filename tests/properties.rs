@@ -5,32 +5,10 @@ use unimem_repro::hms::alloc::SpaceAllocator;
 use unimem_repro::hms::migration::MigrationEngine;
 use unimem_repro::hms::object::{ObjId, UnitId};
 use unimem_repro::hms::tier::TierKind;
-use unimem_repro::runtime::knapsack::{granule_for, solve, solve_exhaustive, Item};
 use unimem_repro::sim::{Bandwidth, Bytes, DetRng, VDur, VTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The DP knapsack matches exhaustive search on every small instance.
-    #[test]
-    fn knapsack_matches_exhaustive(
-        weights in prop::collection::vec(-5.0f64..10.0, 1..10),
-        sizes in prop::collection::vec(1u64..200, 1..10),
-        cap in 1u64..600,
-    ) {
-        let n = weights.len().min(sizes.len());
-        let items: Vec<Item> = (0..n)
-            .map(|i| Item { weight: weights[i], size: Bytes(sizes[i]) })
-            .collect();
-        let (chosen, w_dp) = solve(&items, Bytes(cap));
-        let (_, w_ex) = solve_exhaustive(&items, Bytes(cap));
-        prop_assert!((w_dp - w_ex).abs() < 1e-9, "dp {w_dp} vs exhaustive {w_ex}");
-        // Chosen set must fit and produce the reported weight.
-        let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
-        prop_assert!(total <= cap);
-        let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
-        prop_assert!((sum - w_dp).abs() < 1e-9);
-    }
 
     /// The allocator never overcommits, never hands out overlapping
     /// regions, and free+coalesce restores a fully usable arena.
@@ -177,59 +155,6 @@ proptest! {
         prop_assert!(m_small.misses <= accesses);
         prop_assert!(m_big.misses <= m_small.misses,
             "bigger cache produced more misses: {} vs {}", m_big.misses, m_small.misses);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The DP knapsack agrees with brute-force enumeration on every
-    /// instance of up to 12 items, with sizes spanning byte, KiB and MiB
-    /// magnitudes in one instance (the `prop_oneof!` union) so granule
-    /// rounding, zero-weight filtering and the empty instance all get
-    /// exercised. Complements `knapsack_matches_exhaustive` above, which
-    /// stays within one narrow size magnitude.
-    #[test]
-    fn knapsack_dp_matches_bruteforce_upto_12_items(
-        spec in prop::collection::vec(
-            (
-                -4.0f64..8.0,
-                prop_oneof![1u64..64, 1024u64..65_536, 1_048_576u64..16_777_216],
-            ),
-            0..13,
-        ),
-        cap_sel in prop_oneof![1u64..256, 4096u64..262_144, 1_048_576u64..67_108_864],
-    ) {
-        let items: Vec<Item> = spec
-            .iter()
-            .map(|&(weight, size)| Item { weight, size: Bytes(size) })
-            .collect();
-        let cap = Bytes(cap_sel);
-        let (chosen, w_dp) = solve(&items, cap);
-        // The DP quantizes capacity into granules, rounding item sizes
-        // *up* (never overcommitting): it solves the instance whose sizes
-        // are ceil(size/granule) against capacity floor(cap/granule), and
-        // must be exactly optimal there. For granule == 1 this is the
-        // original instance.
-        let granule = granule_for(cap);
-        let rounded: Vec<Item> = items
-            .iter()
-            .map(|i| Item { weight: i.weight, size: Bytes(i.size.get().div_ceil(granule)) })
-            .collect();
-        let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap.get() / granule));
-        prop_assert!(
-            (w_dp - w_gr).abs() < 1e-9,
-            "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
-        );
-        // And it never beats the unquantized optimum.
-        let (_, w_ex) = solve_exhaustive(&items, cap);
-        prop_assert!(w_dp <= w_ex + 1e-9, "dp {w_dp} beats exhaustive {w_ex}?");
-        // Whatever the DP chose must genuinely fit and add up.
-        let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
-        prop_assert!(total <= cap.get(), "overcommitted {total} > {}", cap.get());
-        let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
-        prop_assert!((sum - w_dp).abs() < 1e-9);
-        prop_assert!(chosen.iter().all(|&i| items[i].weight > 0.0));
     }
 }
 
@@ -637,6 +562,74 @@ proptest! {
                 twice.apply(&rec, at);
             }
             prop_assert_eq!(&once, &twice, "second replay changed the state");
+        }
+    }
+}
+
+/// Rank 0's journal from one clean `Buffered` CG run, built once.
+fn clean_journal() -> &'static [u8] {
+    use unimem_repro::hms::journal::DurabilityMode;
+    static JOURNAL: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        journaled_run("CG", DurabilityMode::Buffered)
+            .journals
+            .swap_remove(0)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The journal decoders never panic on hostile bytes: arbitrary
+    /// bytes, a checksummed frame around an arbitrary payload (FNV-64 is
+    /// no defence against forgery), and a real journal with overwrites
+    /// and a cut tail. Each goes through `read_journal`, `replay` and
+    /// `durable_prefix` in every mode, torn or not.
+    #[test]
+    fn journal_decoders_survive_hostile_bytes(
+        tag in 0u8..9,
+        noise in prop::collection::vec(any::<u8>(), 0..48),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..8),
+        cut in any::<usize>(),
+        crash_frac in 0.0f64..1.1,
+        torn in any::<bool>(),
+    ) {
+        use unimem_repro::hms::journal::{durable_prefix, read_journal, DurabilityMode, ReplayedState};
+        use unimem_repro::sim::{CrashSpec, Fnv64};
+
+        // A frame at time 0 whose checksum holds, around a payload of a
+        // record tag (0..=7; 8 leaves it off, so the payload can be
+        // empty) and the noise.
+        let payload: Vec<u8> = (tag < 8).then_some(tag).into_iter().chain(noise.iter().copied()).collect();
+        let mut forged = Vec::new();
+        forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        forged.extend_from_slice(&0.0f64.to_le_bytes());
+        let crc = Fnv64::new().update(&0.0f64.to_le_bytes()).update(&payload).finish();
+        forged.extend_from_slice(&crc.to_le_bytes());
+        forged.extend_from_slice(&payload);
+
+        let clean = clean_journal();
+        let mut damaged = clean.to_vec();
+        for &(at, value) in &edits {
+            let at = at % damaged.len();
+            damaged[at] = value;
+        }
+        damaged.truncate(cut % (damaged.len() + 1));
+
+        let (records, _) = read_journal(clean);
+        let last = records.last().map_or(1.0, |(_, at)| at.secs());
+        let crash = CrashSpec { at: VTime(last * crash_frac), torn };
+        for bytes in [&noise, &forged, &damaged] {
+            let (records, torn_bytes) = read_journal(bytes);
+            prop_assert!(torn_bytes <= bytes.len());
+            let state = ReplayedState::replay(bytes);
+            prop_assert_eq!(state.torn_bytes_discarded, torn_bytes);
+            prop_assert!(state.records() <= records.len());
+            for mode in DurabilityMode::ALL {
+                let prefix = durable_prefix(bytes, mode, crash);
+                prop_assert!(bytes.starts_with(&prefix));
+                ReplayedState::replay(&prefix);
+            }
         }
     }
 }
