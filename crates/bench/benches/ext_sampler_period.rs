@@ -1,6 +1,6 @@
 //! Extension: sensitivity of Unimem to the sampling configuration — the
-//! design choice DESIGN.md calls out ("sampling is not sparse to lose
-//! modeling accuracy", paper §4). Sweeps the event-capture period and
+//! paper's design choice that "sampling is not sparse to lose modeling
+//! accuracy" (§4). Sweeps the event-capture period and
 //! reports end-to-end Unimem performance plus the profiling overhead.
 
 use unimem::exec::{Policy, UnimemConfig};

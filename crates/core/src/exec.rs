@@ -18,9 +18,10 @@
 //! worker pool ([`unimem_sim::run_pool`]), and a serial resolver computes
 //! the synchronized departure clocks — so a 256-rank topology costs a
 //! handful of OS threads, not 256. The output is byte-identical at any
-//! pool width: the bandwidth ledger's fence-visibility rule makes every
-//! cross-rank read a pure function of virtual program order, and
-//! collective departure times depend only on the entry clocks.
+//! pool width: the resolver also fences the bandwidth ledger at every
+//! collective, so a rank reads its neighbours' traffic only as rates
+//! published while no task runs, and collective departure times depend
+//! only on the entry clocks.
 //!
 //! Runs either target one flat machine config ([`run_workload`], the
 //! legacy single-node path every paper experiment uses) or an explicit
@@ -549,7 +550,7 @@ fn run_topology_rig(
             .into_iter()
             .map(|r| r.expect("every rank must reach the same communication steps"))
             .collect();
-        resolve_comm(&mut tasks, reqs, &placement, &net, &link);
+        resolve_comm(&mut tasks, reqs, &placement, &net, &link, &bw);
     }
 
     let mut job = RunStats::default();
@@ -594,9 +595,9 @@ macro_rules! env {
             stats: &mut $t.stats,
             registry: &$t.registry,
             service: $t.service,
-            machine: $t.machine,
             lease: $t.lease,
             iterations: $t.iterations,
+            rank: $t.rank,
         }
     };
 }
@@ -654,9 +655,6 @@ struct RankTask<'a> {
     pos: Pos,
     plan_kind: Option<SearchKind>,
     workload: &'a dyn Workload,
-    /// This rank's *node* machine model (per-node under a heterogeneous
-    /// topology).
-    machine: &'a MachineConfig,
     cache: &'a CacheModel,
     service: &'a DramService,
     lease: &'a CapacitySchedule,
@@ -776,7 +774,6 @@ impl<'a> RankTask<'a> {
             pos: Pos::IterBegin { it: 0 },
             plan_kind: None,
             workload,
-            machine,
             cache,
             service,
             lease,
@@ -908,6 +905,12 @@ impl<'a> RankTask<'a> {
                     if let Some(o) = self.oracle.as_mut() {
                         o.check_comm(dt);
                     }
+                    // The resolver fenced the ledger at this collective's
+                    // departure (halos never fence), and the fence is the
+                    // journal's commit point: every record ahead of it
+                    // becomes durable under Buffered mode, stamped with
+                    // the ledger epoch.
+                    let fenced = !matches!(self.steps[idx], StepSpec::Halo { .. });
                     if let Some(j) = &self.journal {
                         let mut jm = j.lock().expect("journal poisoned");
                         let seq = jm.next_seq();
@@ -919,24 +922,11 @@ impl<'a> RankTask<'a> {
                             },
                             self.clock.now(),
                         );
-                    }
-                    // Global collectives rendezvous every rank before any
-                    // leaves, and their departure time is synchronized —
-                    // exactly the deterministic visibility fence the
-                    // shared-bandwidth ledger needs to publish neighbor
-                    // helper traffic. Only pairwise exchanges (Halo) are
-                    // excluded: a future collective step kind should
-                    // fence by default, not silently go dark.
-                    if !matches!(self.steps[idx], StepSpec::Halo { .. }) {
-                        let epoch = self.client.fence(self.clock.now());
-                        // The fence is the journal's commit point: every
-                        // record ahead of it becomes durable under
-                        // Buffered mode, stamped with the ledger epoch.
-                        if let Some(j) = &self.journal {
-                            j.lock()
-                                .expect("journal poisoned")
-                                .commit(epoch, self.clock.now());
+                        if fenced {
+                            jm.commit(self.client.gen(), self.clock.now());
                         }
+                    }
+                    if fenced {
                         drain_journal(&self.journal, &mut self.clock);
                     }
                     self.state.observe_comm(phase, dt, &mut env!(self));
@@ -1131,13 +1121,16 @@ fn ground_truth(
 /// paused on `reqs[rank]`. This is the rendezvous — the only place rank
 /// clocks interact — and it runs serially: the synchronized clocks are a
 /// pure function of the entry clocks and the ledger's fenced history, so
-/// pooled execution stays byte-identical to serial.
+/// pooled execution stays byte-identical to serial. A collective also
+/// fences `bw` at its departure, publishing each rank's traffic of the
+/// closing epoch to its node's other ranks while no task runs.
 fn resolve_comm(
     tasks: &mut [RankTask],
     reqs: Vec<CommRequest>,
     placement: &RankPlacement,
     net: &NetParams,
     link: &NetParams,
+    bw: &SharedBandwidth,
 ) {
     match &reqs[0] {
         CommRequest::Collective { kind, bytes } => {
@@ -1174,8 +1167,8 @@ fn resolve_comm(
                 }
                 let leave = timing.t_meet + timing.inter * slow;
                 // Every leader moves `bytes` both ways (reduce up,
-                // result down), visible to later phases after the next
-                // fence — and a collective fences on departure.
+                // result down), visible to neighbors from the fence
+                // below.
                 for node in 0..placement.n_nodes() {
                     tasks[placement.leader(node)].client.post_link(
                         timing.t_meet,
@@ -1189,6 +1182,7 @@ fn resolve_comm(
             for t in tasks.iter_mut() {
                 t.clock.set(leave);
             }
+            bw.fence(leave);
         }
         CommRequest::Halo { .. } => resolve_halo(tasks, reqs, placement, net, link),
     }
@@ -1499,34 +1493,104 @@ mod tests {
         }
     }
 
+    /// [`Synth`] whose cold object is mostly written, so NVM-write
+    /// traffic (journal flushes included) slows its phases.
+    struct WriteCold(Synth);
+
+    impl Workload for WriteCold {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec> {
+            self.0.objects(rank, nranks)
+        }
+
+        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
+            let mut steps = self.0.script(rank, nranks, iter);
+            if let StepSpec::Compute(spec) = &mut steps[0] {
+                spec.accesses[1] = spec.accesses[1].with_mix(AccessMix::new(0.2));
+            }
+            steps
+        }
+
+        fn iterations(&self) -> usize {
+            self.0.iterations()
+        }
+    }
+
+    /// `w` under Unimem on a homogeneous room of `nranks` ranks at pool
+    /// width `workers`, journaled through `rig` when given: the report
+    /// JSON.
+    fn run_room(
+        w: &dyn Workload,
+        m: &MachineConfig,
+        nranks: usize,
+        rig: Option<&JournalRig>,
+        workers: usize,
+    ) -> String {
+        let lease = CapacitySchedule::constant(m.dram_capacity);
+        run_topology_rig(
+            w,
+            &ClusterTopology::homogeneous(m, nranks),
+            &CacheModel::platform_a(),
+            &Policy::unimem(),
+            vec![lease.clone(); nranks],
+            DramService::new(nranks, m.ranks_per_node, lease.peak()),
+            RankPlacement::single(nranks),
+            NetParams::default(),
+            rig,
+            workers,
+        )
+        .to_json()
+        .to_pretty()
+    }
+
     #[test]
     fn pooled_rank_execution_is_byte_identical_across_worker_counts() {
         let w = WithHalo(Synth { iters: 4 });
         let m = machine().with_ranks_per_node(4);
-        let c = CacheModel::platform_a();
-        let nranks = 16;
-        let run = |workers| {
-            let lease = CapacitySchedule::constant(m.dram_capacity);
-            run_topology_rig(
-                &w,
-                &ClusterTopology::homogeneous(&m, nranks),
-                &c,
-                &Policy::unimem(),
-                vec![lease.clone(); nranks],
-                DramService::new(nranks, m.ranks_per_node, lease.peak()),
-                RankPlacement::single(nranks),
-                NetParams::default(),
-                None,
-                workers,
-            )
-            .to_json()
-            .to_pretty()
-        };
         assert_eq!(
-            run(1),
-            run(4),
+            run_room(&w, &m, 16, None, 1),
+            run_room(&w, &m, 16, None, 4),
             "worker count leaked into the simulated timeline"
         );
+    }
+
+    /// 12 ranks at 4 per node: at widths 2 and 4 a node's ranks run on
+    /// different pool pieces, and in Strict mode every journal append
+    /// posts a flush those ranks' neighbours read as NVM-write traffic.
+    #[test]
+    fn journaled_runs_are_byte_identical_across_worker_counts() {
+        let w = WriteCold(Synth { iters: 4 });
+        let m = machine().with_ranks_per_node(4);
+        let nranks = 12;
+        for mode in DurabilityMode::ALL {
+            let run = |workers| {
+                let rig = JournalRig::new(mode, nranks);
+                let report = run_room(&w, &m, nranks, Some(&rig), workers);
+                let journals: Vec<Vec<u8>> = rig
+                    .outs
+                    .into_inner()
+                    .expect("journal out lock")
+                    .into_iter()
+                    .map(|out| out.expect("every rank journals").bytes)
+                    .collect();
+                (report, journals)
+            };
+            let serial = run(1);
+            for workers in [2, 4] {
+                let (report, journals) = run(workers);
+                assert!(
+                    report == serial.0,
+                    "{mode:?}: report differs at {workers} workers"
+                );
+                assert!(
+                    journals == serial.1,
+                    "{mode:?}: journals differ at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl PlacementPolicy for HwCache {
 
     fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
         let assoc = f64::from(self.0.assoc.max(1));
-        let cap_eff = init.per_rank(init.lease.at(0)).as_f64() * (1.0 - 1.0 / (2.0 * assoc));
+        let cap_eff = init.service.per_rank(init.rank, init.lease.at(0)).as_f64()
+            * (1.0 - 1.0 / (2.0 * assoc));
         Box::new(HwCacheRank {
             cap_eff,
             frac: 0.0,

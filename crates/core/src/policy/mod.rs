@@ -52,7 +52,7 @@ use unimem_hms::{DramService, MachineConfig};
 use unimem_mpi::{PhaseId, RankClock};
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Calibration, SamplerConfig};
-use unimem_sim::{Bytes, VDur};
+use unimem_sim::VDur;
 
 pub use hwcache::{HwCache, HwCacheConfig};
 pub use online::{OnlineConfig, OnlineGuidance};
@@ -228,13 +228,6 @@ pub struct RankInit<'a> {
     pub rank: usize,
 }
 
-impl RankInit<'_> {
-    /// One rank's slice of a node-level byte budget.
-    pub fn per_rank(&self, node_budget: Bytes) -> Bytes {
-        Bytes(node_budget.get() / self.machine.ranks_per_node as u64)
-    }
-}
-
 /// The driver-owned context a [`RankState`] hook runs against.
 pub struct StepEnv<'a> {
     /// The rank's virtual clock. Hooks advance it to charge their own
@@ -247,19 +240,12 @@ pub struct StepEnv<'a> {
     pub registry: &'a ObjectRegistry,
     /// The node-level DRAM grant service.
     pub service: &'a DramService,
-    /// The (whole-node) machine model.
-    pub machine: &'a MachineConfig,
     /// The per-iteration node DRAM lease.
     pub lease: &'a CapacitySchedule,
     /// Total main-loop iterations of the run.
     pub iterations: usize,
-}
-
-impl StepEnv<'_> {
-    /// One rank's slice of a node-level byte budget.
-    pub fn per_rank(&self, node_budget: Bytes) -> Bytes {
-        Bytes(node_budget.get() / self.machine.ranks_per_node as u64)
-    }
+    /// This rank's id.
+    pub rank: usize,
 }
 
 /// Tier residency as the ground-truth timing model sees it for one

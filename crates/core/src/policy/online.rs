@@ -90,7 +90,7 @@ impl PlacementPolicy for OnlineGuidance {
             engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
                 .with_journal(init.journal.clone()),
             refs: None,
-            cap_per_rank: init.per_rank(init.lease.at(0)),
+            cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
             rank: init.rank,
             decided: false,
             cfg: self.0.clone(),
@@ -200,7 +200,7 @@ impl RankState for OnlineRank {
         // Lease boundary: re-run the interval decision at the new
         // budget so revoked DRAM is evicted immediately (granted budget
         // is also picked up here rather than an interval late).
-        let cap_now = env.per_rank(env.lease.at(it));
+        let cap_now = env.service.per_rank(env.rank, env.lease.at(it));
         if cap_now != self.cap_per_rank {
             self.cap_per_rank = cap_now;
             if self.decided {

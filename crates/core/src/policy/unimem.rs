@@ -110,7 +110,7 @@ impl PlacementPolicy for UnimemPolicy {
             // while the lease is lower.
             partition_large_objects(
                 init.registry,
-                init.per_rank(init.lease.peak()),
+                init.service.per_rank(init.rank, init.lease.peak()),
                 cfg.partition_policy,
             );
         }
@@ -147,7 +147,10 @@ impl PlacementPolicy for UnimemPolicy {
         let mut committed = BTreeSet::new();
         let mut grants = HashMap::new();
         if cfg.initial_placement {
-            for u in initial_placement(init.registry, init.per_rank(init.lease.at(0))) {
+            for u in initial_placement(
+                init.registry,
+                init.service.per_rank(init.rank, init.lease.at(0)),
+            ) {
                 if let Some(g) = init.service.reserve(init.rank, init.registry.unit_size(u)) {
                     committed.insert(u);
                     grants.insert(u, g);
@@ -168,7 +171,7 @@ impl PlacementPolicy for UnimemPolicy {
             committed,
             grants,
             profiling: true,
-            cap_per_rank: init.per_rank(init.lease.at(0)),
+            cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
             model,
             cfg: cfg.clone(),
             rank: init.rank,
@@ -266,7 +269,7 @@ impl RankState for UnimemRank {
         // placement re-runs immediately, evicting revoked budget
         // (the new plan fits the new capacity) or putting granted
         // budget to use.
-        let cap_now = env.per_rank(env.lease.at(it));
+        let cap_now = env.service.per_rank(env.rank, env.lease.at(it));
         if cap_now != self.cap_per_rank {
             self.cap_per_rank = cap_now;
             if !self.profiling && self.profile.len() == steps.len() {

@@ -385,17 +385,31 @@ mod tests {
     #[test]
     fn journaled_run_matches_plain_run_in_memory_mode() {
         let w = Synth { iters: 4 };
-        let m = MachineConfig::nvm_bw_fraction(0.5);
         let c = CacheModel::platform_a();
-        let p = Policy::unimem();
-        let plain = run_workload(&w, &m, &c, 2, &p);
-        let journaled = setup(&w, &m, &c, &p).run_journaled(DurabilityMode::InMemory);
-        assert_eq!(
-            plain.to_json().to_pretty(),
-            journaled.report.to_json().to_pretty(),
-            "InMemory journaling must not perturb timing"
-        );
-        assert!(journaled.journals.iter().all(|j| !j.is_empty()));
+        for p in [
+            Policy::unimem(),
+            Policy::online_guidance(),
+            Policy::hw_cache(),
+        ] {
+            // One rank per node, a shared node, and a room that runs on
+            // the rank pool (more than 8 ranks).
+            for (nranks, per_node) in [(2, 1), (4, 2), (12, 4)] {
+                let m = MachineConfig::nvm_bw_fraction(0.5).with_ranks_per_node(per_node);
+                let plain = run_workload(&w, &m, &c, nranks, &p);
+                let journaled = RecoverySetup {
+                    nranks,
+                    ..setup(&w, &m, &c, &p)
+                }
+                .run_journaled(DurabilityMode::InMemory);
+                assert_eq!(
+                    plain.to_json().to_pretty(),
+                    journaled.report.to_json().to_pretty(),
+                    "InMemory journaling perturbed {} at {nranks} ranks, {per_node} per node",
+                    p.label()
+                );
+                assert!(journaled.journals.iter().all(|j| !j.is_empty()));
+            }
+        }
     }
 
     #[test]

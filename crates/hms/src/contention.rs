@@ -34,10 +34,13 @@
 //!    keeps all legacy timing untouched.
 //!
 //! Determinism: flow visibility follows the ledger's fence protocol (see
-//! `unimem_sim::ledger`) — own flows are interval-exact, neighbor flows
-//! are charged at their last fence-epoch rate, and fences ride the MPI
-//! collectives, so everything is a pure function of virtual program
-//! order. `MachineConfig::helper_contention` gates step 2 only: with it
+//! `unimem_sim::ledger`) — own flows are interval-exact, and neighbor
+//! flows are charged at the rate the last fence published. The
+//! executor's serial resolver calls [`SharedBandwidth::fence`] once per
+//! MPI collective, closing the epoch on every node at once while every
+//! rank task is paused, so everything is a pure function of virtual
+//! program order. Each neighbor's rate is capped at the node's per-helper
+//! copy rate. `MachineConfig::helper_contention` gates step 2 only: with it
 //! off, copy/journal flows are neither posted nor charged, which is the
 //! A/B the `migration-contention` conformance check uses to prove that
 //! runs without helper traffic (DRAM-only in particular) are
@@ -122,12 +125,14 @@ impl SharedBandwidth {
             .map(|n| {
                 let machine = &topo.node(n).machine;
                 let occupancy = topo.occupancy(n);
+                let copy_rate = machine.copy_bw.scaled(1.0 / occupancy.max(1) as f64);
                 Node {
                     // An unoccupied node keeps an inert 1-owner ledger
                     // rather than a 0-owner one; no client ever reaches it.
-                    ledger: BwLedger::with_channels(occupancy.max(1), map),
+                    // A neighbor helper cannot copy faster than its path.
+                    ledger: BwLedger::with_channels(occupancy.max(1), map, copy_rate.bytes_per_s()),
                     occupancy,
-                    copy_rate: machine.copy_bw.scaled(1.0 / occupancy.max(1) as f64),
+                    copy_rate,
                     dram: machine.dram,
                     nvm: machine.nvm,
                     link_bw: topo.spec().link_bw,
@@ -148,6 +153,16 @@ impl SharedBandwidth {
                 node_of,
                 owner_of,
             }),
+        }
+    }
+
+    /// Record passage of a globally synchronizing MPI collective at the
+    /// synchronized instant `now`: close the epoch on every node, making
+    /// the traffic posted since the last fence visible to neighbors.
+    /// Call it only while no rank task runs (the executor's resolver).
+    pub fn fence(&self, now: VTime) {
+        for node in &self.inner.nodes {
+            node.ledger.fence(now);
         }
     }
 
@@ -213,13 +228,10 @@ impl BwClient {
         self.node().link_bw
     }
 
-    /// Record passage of a globally synchronizing MPI collective at the
-    /// synchronized instant `now` (makes earlier neighbor flows visible).
-    /// Returns this rank's new visibility generation — the epoch the
-    /// placement journal stamps on the commit record it appends at the
-    /// same fence.
-    pub fn fence(&self, now: VTime) -> u64 {
-        self.node().ledger.fence(self.owner, now)
+    /// Fences passed so far — the epoch the placement journal stamps on
+    /// the commit record it appends after each collective.
+    pub fn gen(&self) -> u64 {
+        self.node().ledger.gen()
     }
 
     /// Post one helper copy: `bytes` moved to `to` over `[start, end]`,
@@ -284,9 +296,7 @@ impl BwClient {
         let node = self.node();
         let bw = node.link_bw.bytes_per_s();
         let load = if scope != FlowScope::None {
-            let split =
-                node.ledger
-                    .load_named(self.owner, dir, w0, w1, node.copy_rate.bytes_per_s());
+            let split = node.ledger.load_named(self.owner, dir, w0, w1);
             match scope {
                 FlowScope::Own => split.own,
                 FlowScope::All => split.total(),
@@ -308,13 +318,7 @@ impl BwClient {
         let occ = node.occupancy as f64;
         let avail = |channel: Channel, bw: Bandwidth| -> Bandwidth {
             let load = if node.helper_contention && scope != FlowScope::None {
-                let split = node.ledger.load_named(
-                    self.owner,
-                    channel,
-                    w0,
-                    w1,
-                    node.copy_rate.bytes_per_s(),
-                );
+                let split = node.ledger.load_named(self.owner, channel, w0, w1);
                 match scope {
                     FlowScope::Own => split.own,
                     FlowScope::All => split.total(),
@@ -467,8 +471,8 @@ mod tests {
         let before = a.effective(TierKind::Nvm, VTime::ZERO, VTime(1.0), FlowScope::All);
         let own_only = a.effective(TierKind::Nvm, VTime::ZERO, VTime(1.0), FlowScope::Own);
         assert_eq!(before, own_only, "unfenced neighbor traffic leaked");
-        a.fence(VTime(1.0));
-        b.fence(VTime(1.0));
+        s.fence(VTime(1.0));
+        assert_eq!(a.gen(), 1);
         let after = a.effective(TierKind::Nvm, VTime(1.0), VTime(2.0), FlowScope::All);
         assert!(
             after.read_bw.bytes_per_s() < own_only.read_bw.bytes_per_s(),

@@ -43,8 +43,8 @@ pub struct DramService {
     bases: Vec<u64>,
     /// Rank → its static share of its node's allowance.
     shares: Vec<Bytes>,
-    /// Node → its DRAM allowance.
-    node_caps: Vec<Bytes>,
+    /// Node → (DRAM allowance, rank slots).
+    nodes: Vec<(Bytes, usize)>,
 }
 
 impl DramService {
@@ -108,7 +108,7 @@ impl DramService {
             node_of,
             bases,
             shares,
-            node_caps: caps.into_iter().map(|(cap, _)| cap).collect(),
+            nodes: caps,
         }
     }
 
@@ -123,7 +123,7 @@ impl DramService {
     }
 
     pub fn node_count(&self) -> usize {
-        self.node_caps.len()
+        self.nodes.len()
     }
 
     /// Try to reserve `size` bytes of DRAM for `rank` from its static
@@ -151,6 +151,13 @@ impl DramService {
         self.shares[rank]
     }
 
+    /// `rank`'s slice of a node-level byte budget (a DRAM lease): the
+    /// budget split among the rank's node slots, as the allowance is.
+    /// The planner's knapsack capacity, so planner and service agree.
+    pub fn per_rank(&self, rank: usize, node_budget: Bytes) -> Bytes {
+        Bytes(node_budget.get() / self.nodes[self.node_of[rank]].1 as u64)
+    }
+
     /// Rank 0's static share — the single job-wide share on a
     /// homogeneous room (every legacy call site).
     pub fn per_rank_share(&self) -> Bytes {
@@ -160,7 +167,7 @@ impl DramService {
     /// Node 0's DRAM allowance — the single per-node allowance on a
     /// homogeneous room (every legacy call site).
     pub fn capacity(&self) -> Bytes {
-        self.node_caps[0]
+        self.nodes[0].0
     }
 }
 
@@ -191,6 +198,9 @@ mod tests {
     fn node_allowance_splits_statically_per_rank() {
         let s = DramService::new(2, 2, Bytes(100));
         assert_eq!(s.per_rank_share(), Bytes(50));
+        // A lease is sliced by the same slot count the allowance is.
+        assert_eq!(s.per_rank(1, Bytes(100)), s.share_of(1));
+        assert_eq!(s.per_rank(1, Bytes(60)), Bytes(30));
         // A rank cannot exceed its share even while the neighbor is idle:
         // the planner's capacity input is the share, and borrowing would
         // make admission depend on host scheduling.

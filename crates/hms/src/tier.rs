@@ -3,7 +3,7 @@
 //! A tier is described by read/write latency and read/write bandwidth. The
 //! simulation's ground truth for the memory time a phase spends on one data
 //! object is a roofline-style maximum of a bandwidth term and a latency
-//! term (see `DESIGN.md` §3):
+//! term (ARCHITECTURE.md, "Dataflow", shows where it sits):
 //!
 //! ```text
 //! T_mem(obj) = max( miss_bytes / bw(tier),  misses · lat(tier) / mlp )

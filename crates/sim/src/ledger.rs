@@ -15,67 +15,40 @@
 //! Within a bulk-synchronous round, rank tasks advance concurrently on
 //! the rank pool's workers ([`crate::run_pool_mut`]) in *host* time,
 //! each on its own virtual clock, and one node's ranks may sit on
-//! different workers. A naive shared structure would therefore answer
-//! queries differently depending on which worker the OS ran first. The
-//! ledger keeps two kinds of accounting:
+//! different workers. A shared structure that one owner writes while
+//! another reads would answer differently depending on which worker the
+//! OS ran first. So during a round every owner touches only its own
+//! state, behind its own mutex:
 //!
 //! * **Own flows** are visible to their owner immediately and charged by
 //!   exact interval overlap — a rank's own helper traffic is in its own
 //!   program order, so this is trivially deterministic.
 //! * **Neighbor flows** become visible only at **fences**. A fence is a
-//!   globally synchronizing point (in this repo: every MPI collective,
-//!   which ends a round: every rank task pauses on it, the serial
-//!   resolver sets the departure clocks, and each rank fences as it
-//!   resumes in the next round). A flow posted by owner `o` between its
-//!   `k`-th and `k+1`-th fences is tagged `visible_from = k+1`; a reader
-//!   that has passed `g` fences sees exactly the flows tagged `≤ g`.
-//!   Because no rank can pass its `g`-th fence before every other rank
-//!   has *entered* it, every such flow is guaranteed posted before any
-//!   reader can observe generation `g` — the visible set is a pure
-//!   function of virtual program order, never of host scheduling.
+//!   globally synchronizing point: in this repo, every MPI collective.
+//!   The executor's serial resolver calls [`BwLedger::fence`] once per
+//!   collective, after it has set the departure clocks and while every
+//!   rank task is paused. The fence closes the epoch since the previous
+//!   fence and turns the bytes each owner posted in it into the
+//!   neighbor rate every *other* owner reads until the next fence. A
+//!   flow posted in epoch `k` is therefore seen by neighbors throughout
+//!   epoch `k + 1`, and never before.
 //!
-//! Neighbor traffic is charged as a **rate** over the reader's last
-//! completed fence epoch rather than by interval overlap: by the time a
-//! fence makes neighbor flows visible, the fence has also synchronized
-//! clocks past their intervals, so exact overlap would systematically
-//! read zero. The epoch rate models the steady cyclic traffic the
-//! enforcer actually generates (the same copies re-fire every
-//! iteration). Readers use their *own* fence timestamps for epoch
-//! lengths — fences are globally synchronized, so every rank records the
-//! identical instants.
+//! The fence is the only code that reads one owner's state and writes
+//! another's, and it runs between rounds, after the pool has joined, so
+//! every answer is a pure function of virtual program order —
+//! byte-identical for any worker count.
 //!
-//! # Sharding (PR 9)
-//!
-//! The ledger is sharded per owner, and the cross-owner read path is
-//! lock-free. The observation that makes this work: a neighbor query
-//! only ever reads another owner's *epoch byte totals at the reader's
-//! own generation* — never its flow list, fence timestamps, or even its
-//! generation counter. So each shard keeps
-//!
-//! * **owner-private state** (own flows, generation, last two fences)
-//!   behind a per-owner mutex that only the owning rank's task ever
-//!   takes — posts, fences, and own-overlap queries from different
-//!   owners touch different mutexes and never contend; and
-//! * a **fixed 4-deep epoch ring** of per-channel atomic byte counters
-//!   (`f64` bits in `AtomicU64`) that neighbors read directly. Four
-//!   slots suffice because the visibility lag is at most one
-//!   generation: with the owner at generation `G`, posts accumulate
-//!   into slot `G+1`, readers touch slots `G-1 ..= G+1`, and the fence
-//!   clears slot `G-2` — four distinct residues mod 4.
-//!
-//! Each ring slot is written by exactly one rank task (its owner: posts
-//! accumulate, the fence clears), so a plain load/store pair is enough;
-//! stores are `Release` and reads `Acquire`, and the round boundary that
-//! advances generations (the pool's scoped join, then the next round's
-//! spawn) provides the happens-before edge that makes the values a
-//! reader observes a pure function of
-//! virtual program order — byte-identical for any worker count, exactly
-//! as the old whole-owner-mutex design behaved, minus the cross-owner
-//! lock convoy in `load()`.
+//! Neighbor traffic is charged as a **rate** over the last completed
+//! epoch rather than by interval overlap: by the time a fence makes
+//! neighbor flows visible, the fence has also synchronized clocks past
+//! their intervals, so exact overlap would systematically read zero. The
+//! epoch rate models the steady cyclic traffic the enforcer actually
+//! generates (the same copies re-fire every iteration). Each neighbor's
+//! rate is capped at the ledger's `neighbor_rate_cap`: a helper thread
+//! cannot physically copy faster than its copy path.
 
-use crate::time::{VDur, VTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use crate::time::VTime;
+use std::sync::{Mutex, MutexGuard};
 
 /// Named ledger channels: the four intra-node tier × direction lanes
 /// plus the two inter-node link directions the cluster topology adds.
@@ -188,61 +161,31 @@ struct Flow {
     start: VTime,
     end: VTime,
     bytes: f64,
-    visible_from: u64,
 }
 
-/// Depth of the per-shard epoch ring. Visibility lag is at most one
-/// generation, so the live slots at owner generation `G` are `G+1`
-/// (accumulating), `G-1 ..= G+1` (readable) and `G-2` (being cleared)
-/// — four distinct residues.
-const GEN_RING: usize = 4;
-
-#[derive(Debug, Default)]
+/// One owner's state. During a round only the owner's task locks it;
+/// the fence, between rounds, reads and rewrites every owner's.
+#[derive(Debug)]
 struct OwnerState {
-    /// Fences passed so far (the owner's visibility generation).
-    gen: u64,
-    /// Timestamps of the last two fences (`[previous, latest]`) — all
-    /// the fence history the epoch-rate math ever needs.
-    last_fences: [VTime; 2],
     /// Flows posted by this owner, in program order. Pruned at fences:
     /// own queries only ever look at windows starting at the rank's
     /// current clock, which is past the fence instant from then on, so
     /// flows ending before the fence can never be read again.
     flows: Vec<Flow>,
+    /// Bytes posted per channel since the last fence.
+    posted: Vec<f64>,
+    /// Per channel, the summed rate of every other owner's traffic over
+    /// the last completed epoch, as the last fence published it.
+    neighbors: Vec<f64>,
 }
 
-/// One owner's shard: private state behind its own (uncontended) mutex,
-/// plus the lock-free epoch ring neighbors read.
-#[derive(Debug)]
-struct Shard {
-    /// Owner-private state. Only the owning rank's task locks this, and
-    /// a task runs on one pool worker at a time, so the lock is never
-    /// contended — it exists to keep the API `&self` and the
-    /// single-threaded tests sound.
-    own: Mutex<OwnerState>,
-    /// Bytes posted per (visibility generation, channel), as a ring:
-    /// slot `(g % GEN_RING) * channels + c` sums the flows tagged
-    /// `visible_from == g`, stored as `f64` bits. Written only by the
-    /// owner (posts accumulate, fences clear the slot aging out of the
-    /// visibility window); read lock-free by every neighbor. A cleared
-    /// (or never-posted) slot reads as zero.
-    epoch_bytes: Vec<AtomicU64>,
-}
-
-impl Shard {
-    fn new(channels: usize) -> Shard {
-        Shard {
-            own: Mutex::new(OwnerState::default()),
-            epoch_bytes: (0..GEN_RING * channels)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// The ring slot for generation `gen`, channel `channel`.
-    fn slot(&self, gen: u64, channel: usize, channels: usize) -> &AtomicU64 {
-        &self.epoch_bytes[(gen % GEN_RING as u64) as usize * channels + channel]
-    }
+/// The fence history the epoch-rate math needs.
+#[derive(Debug, Default)]
+struct Epoch {
+    /// Fences passed so far (the visibility generation).
+    gen: u64,
+    /// Instant of the last fence (simulation start before the first).
+    start: VTime,
 }
 
 /// How much of a channel's bandwidth existing flows consume over a
@@ -266,32 +209,46 @@ impl LoadSplit {
 
 /// The shared ledger: `owners` posting flows against `channels`.
 ///
-/// All methods take `&self`; internal state is sharded per owner (see
-/// the module docs): owner-private state behind a per-owner mutex that
-/// only the owning rank's task takes, neighbor-visible epoch totals in
-/// lock-free atomic rings. Readers iterate owners in index order, so
-/// float accumulation order is deterministic.
+/// All methods take `&self`. Posts and loads touch only the calling
+/// owner's state, behind a per-owner mutex no other task takes during a
+/// round; [`BwLedger::fence`] publishes the cross-owner view between
+/// rounds (see the module docs).
 #[derive(Debug)]
 pub struct BwLedger {
     channels: usize,
-    shards: Vec<Shard>,
+    /// Per-neighbor rate cap, bytes/s: a helper cannot copy faster than
+    /// its copy path.
+    neighbor_rate_cap: f64,
+    owners: Vec<Mutex<OwnerState>>,
+    epoch: Mutex<Epoch>,
 }
 
 impl BwLedger {
-    /// A ledger for `owners` concurrent posters over `channels` channels.
-    pub fn new(owners: usize, channels: usize) -> BwLedger {
+    /// A ledger for `owners` concurrent posters over `channels` channels,
+    /// charging each neighbor at most `neighbor_rate_cap` bytes/s.
+    pub fn new(owners: usize, channels: usize, neighbor_rate_cap: f64) -> BwLedger {
         assert!(owners >= 1 && channels >= 1);
         BwLedger {
             channels,
-            shards: (0..owners).map(|_| Shard::new(channels)).collect(),
+            neighbor_rate_cap,
+            owners: (0..owners)
+                .map(|_| {
+                    Mutex::new(OwnerState {
+                        flows: Vec::new(),
+                        posted: vec![0.0; channels],
+                        neighbors: vec![0.0; channels],
+                    })
+                })
+                .collect(),
+            epoch: Mutex::new(Epoch::default()),
         }
     }
 
     /// A ledger whose channels are the named lanes of `map` — the typed
     /// constructor the topology layer uses so [`BwLedger::post_named`]
     /// call sites cannot name a lane that does not exist.
-    pub fn with_channels(owners: usize, map: ChannelMap) -> BwLedger {
-        BwLedger::new(owners, map.len())
+    pub fn with_channels(owners: usize, map: ChannelMap, neighbor_rate_cap: f64) -> BwLedger {
+        BwLedger::new(owners, map.len(), neighbor_rate_cap)
     }
 
     /// Typed [`BwLedger::post`]: the channel index comes from the named
@@ -302,161 +259,99 @@ impl BwLedger {
     }
 
     /// Typed [`BwLedger::load`].
-    pub fn load_named(
-        &self,
-        owner: usize,
-        ch: Channel,
-        w0: VTime,
-        w1: VTime,
-        neighbor_rate_cap: f64,
-    ) -> LoadSplit {
-        self.load(owner, ch.index(), w0, w1, neighbor_rate_cap)
+    pub fn load_named(&self, owner: usize, ch: Channel, w0: VTime, w1: VTime) -> LoadSplit {
+        self.load(owner, ch.index(), w0, w1)
     }
 
     pub fn n_channels(&self) -> usize {
         self.channels
     }
 
-    fn state(&self, owner: usize) -> std::sync::MutexGuard<'_, OwnerState> {
-        self.shards[owner]
-            .own
-            .lock()
-            .expect("ledger mutex poisoned")
+    fn state(&self, owner: usize) -> MutexGuard<'_, OwnerState> {
+        self.owners[owner].lock().expect("ledger mutex poisoned")
     }
 
     /// Post a flow: `owner` moves `bytes` on `channel` over `[start, end]`.
-    /// Visible to the owner immediately, to neighbors after their next
-    /// fence beyond the owner's current generation.
+    /// Visible to the owner immediately, to neighbors from the next fence
+    /// until the one after.
     pub fn post(&self, owner: usize, channel: usize, start: VTime, end: VTime, bytes: f64) {
         assert!(channel < self.channels, "channel {channel} out of range");
-        let shard = &self.shards[owner];
-        let mut st = shard.own.lock().expect("ledger mutex poisoned");
-        let visible_from = st.gen + 1;
-        // Single-writer accumulate: only the owner posts to its ring, so
-        // a load/store pair is race-free; Release pairs with readers'
-        // Acquire (the collective rendezvous orders the generations).
-        let slot = shard.slot(visible_from, channel, self.channels);
-        let sum = f64::from_bits(slot.load(Ordering::Relaxed)) + bytes;
-        slot.store(sum.to_bits(), Ordering::Release);
+        let mut st = self.state(owner);
+        st.posted[channel] += bytes;
         st.flows.push(Flow {
             channel,
             start,
             end,
             bytes,
-            visible_from,
         });
     }
 
-    /// Record that `owner` passed a globally synchronizing point at the
-    /// synchronized instant `now`. Every owner must fence at the same
-    /// points with the same timestamps (the caller's collectives
-    /// guarantee this); the fence count is the owner's visibility
-    /// generation. Fences also retire accounting that can no longer be
-    /// read — flows already finished (own queries only look forward from
-    /// the rank's clock) and epoch entries beyond the one-generation
-    /// visibility lag — keeping per-query cost bounded by the traffic of
-    /// the current epoch instead of the whole run. Returns the owner's
-    /// new visibility generation — the epoch identity the placement
-    /// journal stamps on its commit records.
-    pub fn fence(&self, owner: usize, now: VTime) -> u64 {
-        let shard = &self.shards[owner];
-        let mut st = shard.own.lock().expect("ledger mutex poisoned");
-        st.gen += 1;
-        st.last_fences = [st.last_fences[1], now];
-        st.flows.retain(|f| f.end >= now);
-        // Clear the ring slot aging out of the visibility window (no
-        // reader can be more than one generation behind, so generation
-        // `gen - 2` is dead); its slot is next written for generation
-        // `gen + 2`, two fences from now.
-        if let Some(stale) = st.gen.checked_sub(2) {
+    /// Close the epoch at the synchronized instant `now`: publish each
+    /// owner's bytes posted since the last fence as a rate over the
+    /// epoch, summed in owner order into every other owner's neighbor
+    /// rate, and retire flows that ended before `now` (own queries only
+    /// look forward from the rank's clock). Call it between rounds,
+    /// while no owner posts or loads. Returns the new generation — the
+    /// epoch identity the placement journal stamps on its commit records.
+    pub fn fence(&self, now: VTime) -> u64 {
+        let mut epoch = self.epoch.lock().expect("ledger epoch poisoned");
+        let len = now.since(epoch.start);
+        let cap = self.neighbor_rate_cap;
+        let rate = |bytes: f64| {
+            if bytes <= 0.0 {
+                0.0
+            } else if len.is_zero() {
+                cap
+            } else {
+                (bytes / len.secs()).min(cap)
+            }
+        };
+        let mut owners: Vec<_> = (0..self.owners.len()).map(|o| self.state(o)).collect();
+        for reader in 0..owners.len() {
             for ch in 0..self.channels {
-                shard
-                    .slot(stale, ch, self.channels)
-                    .store(0, Ordering::Release);
+                // A silent neighbor's 0.0 leaves a non-negative sum's
+                // bits unchanged, so summing every neighbor is exact.
+                let mut sum = 0.0;
+                for (o, st) in owners.iter().enumerate() {
+                    if o != reader {
+                        sum += rate(st.posted[ch]);
+                    }
+                }
+                owners[reader].neighbors[ch] = sum;
             }
         }
-        st.gen
+        for st in &mut owners {
+            st.posted.fill(0.0);
+            st.flows.retain(|f| f.end >= now);
+        }
+        epoch.gen += 1;
+        epoch.start = now;
+        epoch.gen
     }
 
-    /// The number of fences `owner` has passed.
-    pub fn gen(&self, owner: usize) -> u64 {
-        self.state(owner).gen
+    /// The number of fences passed.
+    pub fn gen(&self) -> u64 {
+        self.epoch.lock().expect("ledger epoch poisoned").gen
     }
 
     /// Bandwidth already consumed on `channel` over `[w0, w1]` as seen by
-    /// `owner`: own flows by exact interval overlap, neighbor flows by
-    /// their last-completed-epoch average rate (each neighbor capped at
-    /// `neighbor_rate_cap` bytes/s — a helper thread cannot physically
-    /// copy faster than its copy path).
-    pub fn load(
-        &self,
-        owner: usize,
-        channel: usize,
-        w0: VTime,
-        w1: VTime,
-        neighbor_rate_cap: f64,
-    ) -> LoadSplit {
+    /// `owner`: own flows by exact interval overlap, neighbor flows at
+    /// the rate the last fence published.
+    pub fn load(&self, owner: usize, channel: usize, w0: VTime, w1: VTime) -> LoadSplit {
         assert!(channel < self.channels, "channel {channel} out of range");
         let window = w1.since(w0);
         if window.is_zero() {
             return LoadSplit::default();
         }
-
-        // One visit to the reader's own (uncontended) shard covers the
-        // generation, the epoch length, and the own-flow overlap.
-        let (gen, epoch_len, own_bytes) = {
-            let st = self.state(owner);
-            let mut own = 0.0;
-            for f in st.flows.iter().filter(|f| f.channel == channel) {
-                own += overlap_bytes(f, w0, w1);
-            }
-            (st.gen, epoch_len(st.gen, st.last_fences), own)
-        };
-
-        // Neighbors: bytes they posted during the reader's last completed
-        // epoch, turned into a rate over that epoch's length. Lock-free:
-        // each neighbor's epoch total is one Acquire load from its ring —
-        // no neighbor mutex is ever taken, so concurrent rank queries
-        // and posts do not convoy through each other's shards.
-        let mut neighbors = 0.0;
-        if gen >= 1 {
-            for (o, shard) in self.shards.iter().enumerate() {
-                if o == owner {
-                    continue;
-                }
-                // Fence-cleared (or never-posted) slots read as zero.
-                let bytes = f64::from_bits(
-                    shard
-                        .slot(gen, channel, self.channels)
-                        .load(Ordering::Acquire),
-                );
-                if bytes <= 0.0 {
-                    continue;
-                }
-                let rate = if epoch_len.is_zero() {
-                    neighbor_rate_cap
-                } else {
-                    (bytes / epoch_len.secs()).min(neighbor_rate_cap)
-                };
-                neighbors += rate;
-            }
+        let st = self.state(owner);
+        let mut own = 0.0;
+        for f in st.flows.iter().filter(|f| f.channel == channel) {
+            own += overlap_bytes(f, w0, w1);
         }
-
         LoadSplit {
-            own: own_bytes / window.secs(),
-            neighbors,
+            own: own / window.secs(),
+            neighbors: st.neighbors[channel],
         }
-    }
-}
-
-/// Length of the reader's last completed fence epoch `[T_{g-1}, T_g]`
-/// (`T_0` = simulation start; `last_fences` holds `[T_{g-1}, T_g]`,
-/// zero-padded below two fences).
-fn epoch_len(gen: u64, last_fences: [VTime; 2]) -> VDur {
-    match gen {
-        0 => VDur::ZERO,
-        1 => last_fences[1].since(VTime::ZERO),
-        _ => last_fences[1].since(last_fences[0]),
     }
 }
 
@@ -489,140 +384,132 @@ mod tests {
 
     #[test]
     fn empty_ledger_has_no_load() {
-        let l = BwLedger::new(2, 4);
-        let split = l.load(0, 1, t(0.0), t(1.0), 1e9);
+        let l = BwLedger::new(2, 4, 1e12);
+        let split = l.load(0, 1, t(0.0), t(1.0));
         assert_eq!(split, LoadSplit::default());
         assert_eq!(split.total(), 0.0);
     }
 
     #[test]
     fn own_flow_charges_exact_overlap() {
-        let l = BwLedger::new(1, 1);
+        let l = BwLedger::new(1, 1, 1e12);
         // 1e9 bytes over [0, 1]: rate 1 GB/s.
         l.post(0, 0, t(0.0), t(1.0), 1e9);
         // Full containment.
-        let s = l.load(0, 0, t(0.0), t(1.0), 1e12);
+        let s = l.load(0, 0, t(0.0), t(1.0));
         assert!((s.own - 1e9).abs() < 1.0);
         // Half overlap: window [0.5, 1.5] catches half the bytes over a
         // 1 s window -> 0.5 GB/s.
-        let s = l.load(0, 0, t(0.5), t(1.5), 1e12);
+        let s = l.load(0, 0, t(0.5), t(1.5));
         assert!((s.own - 0.5e9).abs() < 1.0);
         // Disjoint window.
-        let s = l.load(0, 0, t(2.0), t(3.0), 1e12);
+        let s = l.load(0, 0, t(2.0), t(3.0));
         assert_eq!(s.own, 0.0);
     }
 
     #[test]
     fn zero_duration_flow_deposits_at_start() {
-        let l = BwLedger::new(1, 1);
+        let l = BwLedger::new(1, 1, 1e12);
         l.post(0, 0, t(0.5), t(0.5), 100.0);
-        let s = l.load(0, 0, t(0.0), t(1.0), 1e12);
+        let s = l.load(0, 0, t(0.0), t(1.0));
         assert!((s.own - 100.0).abs() < 1e-9);
-        let s = l.load(0, 0, t(0.6), t(1.0), 1e12);
+        let s = l.load(0, 0, t(0.6), t(1.0));
         assert_eq!(s.own, 0.0);
     }
 
     #[test]
     fn neighbor_flow_invisible_before_fence() {
-        let l = BwLedger::new(2, 1);
+        let l = BwLedger::new(2, 1, 1e12);
         l.post(1, 0, t(0.0), t(1.0), 1e9);
-        let s = l.load(0, 0, t(0.0), t(1.0), 1e12);
+        let s = l.load(0, 0, t(0.0), t(1.0));
         assert_eq!(s.neighbors, 0.0, "unfenced neighbor traffic leaked");
     }
 
     #[test]
     fn neighbor_flow_charged_as_epoch_rate_after_fence() {
-        let l = BwLedger::new(2, 1);
+        let l = BwLedger::new(2, 1, 1e12);
         // Both owners live through epoch [0, 2]; owner 1 copies 1e9 bytes.
         l.post(1, 0, t(0.0), t(1.0), 1e9);
-        l.fence(0, t(2.0));
-        l.fence(1, t(2.0));
+        l.fence(t(2.0));
         // Epoch length 2 s -> neighbor rate 0.5 GB/s, over any window.
-        let s = l.load(0, 0, t(2.0), t(3.0), 1e12);
+        let s = l.load(0, 0, t(2.0), t(3.0));
         assert!((s.neighbors - 0.5e9).abs() < 1.0, "{s:?}");
         // The owner's own view of the same flow is interval-exact: no
         // overlap with [2, 3].
-        let s1 = l.load(1, 0, t(2.0), t(3.0), 1e12);
+        let s1 = l.load(1, 0, t(2.0), t(3.0));
         assert_eq!(s1.own, 0.0);
         assert_eq!(s1.neighbors, 0.0);
     }
 
     #[test]
     fn neighbor_rate_is_capped() {
-        let l = BwLedger::new(2, 1);
+        let l = BwLedger::new(2, 1, 3e9);
         l.post(1, 0, t(0.0), t(0.001), 1e9); // 1 TB/s burst
-        l.fence(0, t(0.001));
-        l.fence(1, t(0.001));
-        let s = l.load(0, 0, t(0.001), t(0.002), 3e9);
+        l.fence(t(0.001));
+        let s = l.load(0, 0, t(0.001), t(0.002));
         assert!((s.neighbors - 3e9).abs() < 1.0, "cap not applied: {s:?}");
     }
 
     #[test]
     fn old_epochs_age_out() {
-        let l = BwLedger::new(2, 1);
+        let l = BwLedger::new(2, 1, 1e12);
         l.post(1, 0, t(0.0), t(1.0), 1e9);
-        l.fence(0, t(1.0));
-        l.fence(1, t(1.0));
+        l.fence(t(1.0));
         // A second, idle epoch: the old traffic no longer counts.
-        l.fence(0, t(2.0));
-        l.fence(1, t(2.0));
-        let s = l.load(0, 0, t(2.0), t(3.0), 1e12);
+        l.fence(t(2.0));
+        let s = l.load(0, 0, t(2.0), t(3.0));
         assert_eq!(s.neighbors, 0.0, "stale epoch traffic still charged");
     }
 
     #[test]
     fn channels_are_independent() {
-        let l = BwLedger::new(1, 2);
+        let l = BwLedger::new(1, 2, 1e12);
         l.post(0, 0, t(0.0), t(1.0), 1e9);
-        assert!(l.load(0, 0, t(0.0), t(1.0), 1e12).own > 0.0);
-        assert_eq!(l.load(0, 1, t(0.0), t(1.0), 1e12).own, 0.0);
+        assert!(l.load(0, 0, t(0.0), t(1.0)).own > 0.0);
+        assert_eq!(l.load(0, 1, t(0.0), t(1.0)).own, 0.0);
     }
 
     #[test]
     fn empty_window_is_zero_load() {
-        let l = BwLedger::new(1, 1);
+        let l = BwLedger::new(1, 1, 1e12);
         l.post(0, 0, t(0.0), t(1.0), 1e9);
-        assert_eq!(l.load(0, 0, t(0.5), t(0.5), 1e12), LoadSplit::default());
+        assert_eq!(l.load(0, 0, t(0.5), t(0.5)), LoadSplit::default());
     }
 
     #[test]
     fn fences_retire_dead_flows_but_keep_in_flight_ones() {
-        let l = BwLedger::new(1, 1);
+        let l = BwLedger::new(1, 1, 1e12);
         l.post(0, 0, t(0.0), t(1.0), 1e9); // done before the fence
         l.post(0, 0, t(0.0), t(10.0), 1e10); // spans the fence
-        l.fence(0, t(5.0));
+        l.fence(t(5.0));
         // The spanning flow is still charged at its 1 GB/s rate over
         // [5, 6]; the finished one contributes nothing (and is gone).
-        let s = l.load(0, 0, t(5.0), t(6.0), 1e12);
+        let s = l.load(0, 0, t(5.0), t(6.0));
         assert!((s.own - 1e9).abs() < 1.0, "{s:?}");
         assert_eq!(l.state(0).flows.len(), 1, "dead flow not pruned");
     }
 
     #[test]
-    fn fences_clear_epochs_beyond_the_visibility_lag() {
-        let l = BwLedger::new(2, 1);
-        for g in 0..5 {
-            l.post(1, 0, t(g as f64), t(g as f64 + 0.5), 1e6);
-            l.fence(0, t(g as f64 + 1.0));
-            l.fence(1, t(g as f64 + 1.0));
-        }
-        // Readers can be at most one generation away: only the ring
-        // slots inside the visibility window may still hold bytes.
-        let live = l.shards[1]
-            .epoch_bytes
-            .iter()
-            .filter(|s| f64::from_bits(s.load(Ordering::Relaxed)) != 0.0)
-            .count();
-        assert!(live <= 3, "{live} live epoch slots retained");
+    fn each_owner_sees_every_neighbor_but_itself() {
+        let l = BwLedger::new(3, 1, 1e12);
+        l.post(1, 0, t(0.0), t(1.0), 1e9);
+        l.post(2, 0, t(0.0), t(1.0), 3e9);
+        l.fence(t(1.0));
+        let rates: Vec<f64> = (0..3)
+            .map(|o| l.load(o, 0, t(1.0), t(2.0)).neighbors)
+            .collect();
+        assert_eq!(rates, vec![4e9, 3e9, 1e9]);
+        // Posts after the fence stay invisible until the next one.
+        l.post(2, 0, t(1.0), t(2.0), 5e9);
+        assert_eq!(l.load(0, 0, t(1.0), t(2.0)).neighbors, 4e9);
     }
 
     #[test]
     fn gen_counts_fences() {
-        let l = BwLedger::new(2, 1);
-        assert_eq!(l.gen(0), 0);
-        l.fence(0, t(1.0));
-        assert_eq!(l.gen(0), 1);
-        assert_eq!(l.gen(1), 0);
+        let l = BwLedger::new(2, 1, 1e12);
+        assert_eq!(l.gen(), 0);
+        assert_eq!(l.fence(t(1.0)), 1);
+        assert_eq!(l.gen(), 1);
     }
 
     #[test]
@@ -657,16 +544,13 @@ mod tests {
 
     #[test]
     fn typed_post_and_load_hit_the_same_lane_as_untyped() {
-        let l = BwLedger::with_channels(1, ChannelMap::cluster());
+        let l = BwLedger::with_channels(1, ChannelMap::cluster(), 1e12);
         assert_eq!(l.n_channels(), 6);
         l.post_named(0, Channel::LinkUp, t(0.0), t(1.0), 1e9);
-        let typed = l.load_named(0, Channel::LinkUp, t(0.0), t(1.0), 1e12);
-        let untyped = l.load(0, 4, t(0.0), t(1.0), 1e12);
+        let typed = l.load_named(0, Channel::LinkUp, t(0.0), t(1.0));
+        let untyped = l.load(0, 4, t(0.0), t(1.0));
         assert_eq!(typed, untyped);
         assert!(typed.own > 0.0);
-        assert_eq!(
-            l.load_named(0, Channel::LinkDown, t(0.0), t(1.0), 1e12).own,
-            0.0
-        );
+        assert_eq!(l.load_named(0, Channel::LinkDown, t(0.0), t(1.0)).own, 0.0);
     }
 }

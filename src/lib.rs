@@ -2,7 +2,8 @@
 //!
 //! Re-exports every crate under a single roof so examples and integration
 //! tests can `use unimem_repro::...`. See the README for a tour and
-//! DESIGN.md for the system inventory.
+//! ARCHITECTURE.md ("Paper section → module map") for the system
+//! inventory.
 
 #![forbid(unsafe_code)]
 

@@ -15,6 +15,9 @@
 //!    bandwidth-hungry tenant on the fastest-NVM node of a mixed room
 //!    regardless of caller order, and the 64-rank weak-scaling probe
 //!    (paper Fig. 12 shape) passes under the default tolerances.
+//! 3. **Slots, not `ranks_per_node`** — a room's node slot counts set
+//!    each rank's DRAM share for the planner and the service alike, so
+//!    the machine config's own `ranks_per_node` changes no byte.
 
 use unimem_repro::bench::sweep::NvmProfile;
 use unimem_repro::cache::CacheModel;
@@ -110,4 +113,32 @@ fn weak_scaling_probe_passes_at_64_ranks_under_default_tolerances() {
         violations.is_empty(),
         "Fig. 12 weak-scaling shape violated: {violations:?}"
     );
+}
+
+#[test]
+fn room_reports_ignore_the_machine_ranks_per_node() {
+    let cache = CacheModel::platform_a();
+    let room = |rpn: usize| {
+        let machine = NvmProfile::BwHalf.machine().with_ranks_per_node(rpn);
+        ClusterTopology::contiguous(ClusterSpec::homogeneous(machine, 2, 4), 8)
+    };
+    let (one, four) = (room(1), room(4));
+    for (name, w) in select(&["CG", "Nek5000", "FT", "SP"], Class::C).expect("known workloads") {
+        for policy in [
+            Policy::unimem(),
+            Policy::online_guidance(),
+            Policy::hw_cache(),
+        ] {
+            assert_eq!(
+                run_workload_clustered(w.as_ref(), &one, &cache, &policy)
+                    .to_json()
+                    .to_pretty(),
+                run_workload_clustered(w.as_ref(), &four, &cache, &policy)
+                    .to_json()
+                    .to_pretty(),
+                "{name} under {} read the machine's ranks_per_node",
+                policy.label()
+            );
+        }
+    }
 }
