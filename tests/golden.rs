@@ -10,12 +10,16 @@
 //! the baseline of the enum-dispatch implementation the
 //! `PlacementPolicy` trait replaced.
 //!
-//! The full matrix is pinned too, by digest, at five DRAM capacities.
-//! That test is `#[ignore]`d because a debug build runs it too slowly;
-//! run it on a release build:
+//! Multi-node reports are pinned by digest: the reduced matrix over the
+//! topology axis CI's `topology-sweep` leg runs. The full matrix is
+//! pinned too, at five DRAM capacities, and so is the repository
+//! benchmark's `rooms` matrix. Those two tests are `#[ignore]`d because
+//! a debug build runs them too slowly; run them on a release build:
 //! `cargo test --release -q --test golden -- --ignored`.
 
-use unimem_repro::bench::sweep::{run_sweep_cached, PolicyKind, SweepCache, SweepConfig};
+use unimem_repro::bench::sweep::{
+    run_sweep_cached, NvmProfile, PolicyKind, SweepCache, SweepConfig, TopologySpec,
+};
 use unimem_repro::sim::{json_digest_hex, Bytes, Json};
 
 const GOLDEN: &str = include_str!("../BENCH_sweep.json");
@@ -142,6 +146,24 @@ fn legacy_policies_reproduce_the_projected_sweep_bytes() {
     );
 }
 
+/// The reduced matrix beside a two-node room per profile and a mixed
+/// bw-half+pcram room: two-level collectives, link metering, per-room
+/// DRAM-only baselines and per-node-class calibration, by digest.
+#[test]
+fn topology_axis_digest_is_pinned() {
+    let cfg = SweepConfig {
+        topologies: ["flat", "nodes2", "mixed:bw-half+pcram"]
+            .map(|t| TopologySpec::parse(t).expect("topology parses"))
+            .to_vec(),
+        ..SweepConfig::reduced()
+    };
+    let report = run_sweep_cached(&cfg, 2, None).expect("topology sweep runs");
+    assert_eq!(
+        json_digest_hex(&report.to_json()),
+        "c424d80bb889cd524c4c672d9449cb33"
+    );
+}
+
 /// `json_digest_hex` of the full-matrix report at each per-node DRAM
 /// capacity (MiB) the repository benchmark draws from.
 const FULL_MATRIX_DIGESTS: [(u64, &str); 5] = [
@@ -171,4 +193,26 @@ fn full_matrix_digests_are_pinned() {
             "full matrix at {mib} MiB"
         );
     }
+}
+
+/// The repository benchmark's `rooms` matrix at 224 MiB: 256 ranks, one
+/// per node, in a 64-node bw-half room, on the rank pool.
+#[test]
+#[ignore = "slow without optimizations; run with --release -- --ignored"]
+fn rooms_matrix_digest_is_pinned() {
+    let cfg = SweepConfig {
+        profiles: vec![NvmProfile::BwHalf],
+        ranks: vec![256],
+        ranks_per_node: vec![1],
+        topologies: vec![TopologySpec::Nodes { count: 64 }],
+        dram_capacity: Some(Bytes(224 << 20)),
+        coruns: vec![],
+        arbiters: vec![],
+        ..SweepConfig::reduced()
+    };
+    let report = run_sweep_cached(&cfg, 1, None).expect("rooms sweep runs");
+    assert_eq!(
+        json_digest_hex(&report.to_json()),
+        "1d7960830cf8ed9668ab13c27bcc7d0c"
+    );
 }
