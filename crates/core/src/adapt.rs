@@ -5,7 +5,7 @@
 //! runtime will activate phase profiling again and adjust the data
 //! placement decision."
 
-use unimem_mpi::PhaseId;
+use crate::comm::PhaseId;
 use unimem_sim::{OnlineStats, VDur};
 
 /// Per-phase running statistics with a relative-deviation trigger.

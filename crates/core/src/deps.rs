@@ -11,9 +11,9 @@
 //! cyclic — iteration `n`'s phase 0 follows iteration `n−1`'s last phase —
 //! and the trigger search walks backwards across the iteration boundary.
 
+use crate::comm::PhaseId;
 use std::collections::BTreeSet;
 use unimem_hms::object::UnitId;
-use unimem_mpi::PhaseId;
 use unimem_sim::VDur;
 
 /// Which units each phase of the iteration references.

@@ -14,6 +14,7 @@
 //! The enforcement schedule is precomputed from the plan's cyclic phase
 //! transitions, so steady-state iterations touch only cheap lookups.
 
+use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::search::PlacementPlan;
 use std::collections::{BTreeSet, HashMap};
@@ -21,7 +22,6 @@ use unimem_hms::alloc::Region;
 use unimem_hms::object::{ObjectRegistry, UnitId};
 use unimem_hms::tier::TierKind;
 use unimem_hms::{DramService, MigrationEngine};
-use unimem_mpi::PhaseId;
 use unimem_sim::{VDur, VTime};
 
 /// One scheduled movement.

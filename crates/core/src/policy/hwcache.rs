@@ -26,11 +26,11 @@
 //! tracks the footprint, not the benefit.
 
 use super::{PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
+use crate::comm::PhaseId;
 use std::collections::BTreeSet;
 use unimem_hms::contention::BwClient;
 use unimem_hms::object::UnitId;
 use unimem_hms::tier::TierKind;
-use unimem_mpi::PhaseId;
 use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, VDur, VTime};
 

@@ -41,6 +41,7 @@ pub mod hwcache;
 pub mod online;
 pub mod unimem;
 
+use crate::comm::{PhaseId, RankClock};
 use crate::deps::PhaseRefTable;
 use crate::exec::{CapacitySchedule, StepSpec};
 use crate::search::SearchKind;
@@ -49,7 +50,6 @@ use std::collections::{BTreeSet, HashMap};
 use unimem_hms::contention::BwClient;
 use unimem_hms::object::{ObjectRegistry, UnitId};
 use unimem_hms::{DramService, MachineConfig};
-use unimem_mpi::{PhaseId, RankClock};
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Calibration, SamplerConfig};
 use unimem_sim::VDur;

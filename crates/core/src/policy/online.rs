@@ -15,6 +15,7 @@
 //! runs replay byte-identically at any worker count.
 
 use super::{build_refs, PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
+use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::exec::StepSpec;
 use crate::search::SearchKind;
@@ -24,7 +25,6 @@ use unimem_hms::contention::HelperLink;
 use unimem_hms::object::UnitId;
 use unimem_hms::tier::TierKind;
 use unimem_hms::MigrationEngine;
-use unimem_mpi::PhaseId;
 use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, DetRng, VDur};
 

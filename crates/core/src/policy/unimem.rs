@@ -5,6 +5,7 @@
 
 use super::{build_refs, PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
 use crate::adapt::VariationMonitor;
+use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::enforce::Enforcer;
 use crate::exec::StepSpec;
@@ -19,7 +20,6 @@ use unimem_hms::contention::HelperLink;
 use unimem_hms::object::UnitId;
 use unimem_hms::tier::TierKind;
 use unimem_hms::MigrationEngine;
-use unimem_mpi::PhaseId;
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Sampler, SamplerConfig};
 use unimem_sim::{Bytes, VDur};

@@ -5,9 +5,9 @@
 //! per-unit access counts, the sampling-window bookkeeping, and the phase
 //! execution time. This is everything the models of step 2 consume.
 
+use crate::comm::PhaseId;
 use std::collections::BTreeMap;
 use unimem_hms::object::UnitId;
-use unimem_mpi::PhaseId;
 use unimem_perf::PhaseProfile;
 use unimem_sim::VDur;
 

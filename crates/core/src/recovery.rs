@@ -21,7 +21,9 @@
 //! the recovered run's full [`RunReport`] JSON and its regenerated
 //! per-rank journals must be byte-identical to the uninterrupted run's.
 
-use crate::exec::{run_workload_rig, CapacitySchedule, JournalRig, Policy, RunReport, Workload};
+use crate::exec::{
+    run, CapacitySchedule, Policy, RankJournalOut, RankOracle, RunReport, RunSpec, Workload,
+};
 use unimem_cache::CacheModel;
 use unimem_hms::journal::{durable_prefix, DurabilityMode, JournalStats, ReplayedState};
 use unimem_hms::object::{ObjId, UnitId};
@@ -159,7 +161,7 @@ impl CrashOutcome {
 /// Turn a replayed per-rank state into the oracle the execution driver
 /// consumes: compute observations in journal-sequence order, comm
 /// durations likewise.
-fn oracle_from(st: &ReplayedState) -> crate::exec::RankOracle {
+fn oracle_from(st: &ReplayedState) -> RankOracle {
     let observes = st
         .observes
         .values()
@@ -183,37 +185,29 @@ fn oracle_from(st: &ReplayedState) -> crate::exec::RankOracle {
         })
         .collect();
     let comms = st.comms.values().map(|&(_, dt)| dt).collect();
-    crate::exec::RankOracle::new(observes, comms)
+    RankOracle::new(observes, comms)
 }
 
 impl RecoverySetup<'_> {
-    fn lease(&self) -> CapacitySchedule {
-        CapacitySchedule::constant(self.machine.dram_capacity)
-    }
-
-    fn run_with(&self, rig: &JournalRig) -> RunReport {
-        run_workload_rig(
-            self.workload,
-            self.machine,
-            self.cache,
-            self.nranks,
-            self.policy,
-            &self.lease(),
-            Some(rig),
-        )
+    /// Run the job journaled in `mode`, replaying `oracles` (one per
+    /// rank, or none): the report and every rank's journal.
+    fn run_with(
+        &self,
+        mode: DurabilityMode,
+        oracles: Vec<RankOracle>,
+    ) -> (RunReport, Vec<RankJournalOut>) {
+        let lease = CapacitySchedule::constant(self.machine.dram_capacity);
+        let spec = RunSpec {
+            journal: Some(mode),
+            ..RunSpec::flat(self.machine, self.nranks, &lease)
+        };
+        run(&spec, self.workload, self.cache, self.policy, oracles)
     }
 
     /// Run the job uninterrupted with journaling enabled.
     pub fn run_journaled(&self, mode: DurabilityMode) -> JournaledRun {
-        let rig = JournalRig::new(mode, self.nranks);
-        let report = self.run_with(&rig);
-        let mut journals = Vec::with_capacity(self.nranks);
-        let mut stats = Vec::with_capacity(self.nranks);
-        for out in rig.outs.lock().expect("journal outs").iter_mut() {
-            let out = out.take().expect("every rank journals");
-            journals.push(out.bytes);
-            stats.push(out.stats);
-        }
+        let (report, outs) = self.run_with(mode, Vec::new());
+        let (journals, stats) = outs.into_iter().map(|o| (o.bytes, o.stats)).unzip();
         JournaledRun {
             report,
             journals,
@@ -226,24 +220,10 @@ impl RecoverySetup<'_> {
     pub fn recover(&self, mode: DurabilityMode, durable: &[Vec<u8>]) -> RecoveredRun {
         assert_eq!(durable.len(), self.nranks, "one durable journal per rank");
         let states: Vec<ReplayedState> = durable.iter().map(|b| ReplayedState::replay(b)).collect();
-        let rig = JournalRig::new(mode, self.nranks);
-        {
-            let mut oracles = rig.oracles.lock().expect("oracle slots");
-            for (slot, st) in oracles.iter_mut().zip(&states) {
-                *slot = Some(oracle_from(st));
-            }
-        }
-        let report = self.run_with(&rig);
+        let (report, outs) = self.run_with(mode, states.iter().map(oracle_from).collect());
         let mut journals = Vec::with_capacity(self.nranks);
         let mut summaries = Vec::with_capacity(self.nranks);
-        for (out, (st, bytes)) in rig
-            .outs
-            .lock()
-            .expect("journal outs")
-            .iter_mut()
-            .zip(states.iter().zip(durable))
-        {
-            let out = out.take().expect("every rank journals");
+        for (out, (st, bytes)) in outs.into_iter().zip(states.iter().zip(durable)) {
             summaries.push(ReplaySummary {
                 durable_bytes: bytes.len() as u64,
                 records: st.records() as u64,

@@ -14,13 +14,13 @@
 //! Both searches produce a cyclic per-phase placement plan; the predicted
 //! iteration time under each plan decides the winner.
 
+use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::knapsack::{self, Item};
 use crate::model::ModelParams;
 use crate::profile::{IterationProfile, PhaseRecord};
 use std::collections::BTreeSet;
 use unimem_hms::object::{ObjectRegistry, UnitId};
-use unimem_mpi::PhaseId;
 use unimem_sim::{Bytes, VDur};
 
 /// Which search produced a plan.

@@ -8,10 +8,10 @@
 #![forbid(unsafe_code)]
 
 pub use unimem as runtime;
+pub use unimem::comm as mpi;
 pub use unimem_bench as bench;
 pub use unimem_cache as cache;
 pub use unimem_hms as hms;
-pub use unimem_mpi as mpi;
 pub use unimem_perf as perf;
 pub use unimem_sim as sim;
 pub use unimem_workloads as workloads;

@@ -29,18 +29,20 @@ fn facade_reexports_resolve() {
     assert!(model.misses(&acc, acc.touched).misses <= 1_000);
 
     // mpi — per-rank virtual clocks meet at a collective's departure.
-    let mut clock = mpi::RankClock::new(1, 2);
-    clock.advance(sim::VDur::from_millis(1.0));
+    let mut idle = mpi::RankClock::default();
+    let mut busy = mpi::RankClock::default();
+    busy.advance(sim::VDur::from_millis(1.0));
     let timing = mpi::collective_timing(
-        &[sim::VTime::ZERO, clock.now()],
+        &[idle.now(), busy.now()],
         mpi::CollectiveKind::Barrier,
         sim::Bytes::ZERO,
         &mpi::NetParams::default(),
-        &mpi::RankPlacement::single(2),
-        &mpi::NetParams::default(),
+        None,
     );
-    clock.set(timing.leave);
-    assert!(clock.now() > sim::VTime::ZERO + sim::VDur::from_millis(1.0));
+    idle.set(timing.leave);
+    busy.set(timing.leave);
+    assert_eq!(idle, busy);
+    assert!(busy.now() > sim::VTime::ZERO + sim::VDur::from_millis(1.0));
 
     // perf — Eq. 1 bandwidth estimate is finite and non-negative.
     let bw = perf::eq1_bandwidth(1_000, 50, 100, sim::VDur::from_millis(1.0));
