@@ -34,8 +34,7 @@
 //! * [`topology`] — the explicit machine room: per-node NVM profiles and
 //!   rank slots ([`topology::NodeSpec`]), the inter-node link
 //!   ([`topology::ClusterSpec`]), and deterministic rank→node placement
-//!   including the tenant-aware scheduler
-//!   ([`topology::ClusterTopology::scheduled`]).
+//!   ([`topology::ClusterTopology`]).
 
 #![forbid(unsafe_code)]
 
@@ -60,4 +59,4 @@ pub use migration::{MigrationEngine, MigrationStats};
 pub use object::{DataObject, ObjId, ObjectRegistry, Placement};
 pub use profiles::MachineConfig;
 pub use tier::{AccessMix, TierKind, TierParams};
-pub use topology::{ClusterSpec, ClusterTopology, NodeSpec, PlacementIntent, TenantDemand};
+pub use topology::{ClusterSpec, ClusterTopology, NodeSpec};

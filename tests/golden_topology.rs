@@ -1,9 +1,9 @@
 //! Refactor guards for the cluster-topology tentpole: the machine-room
-//! code paths must be invisible where they are not asked for, and do
-//! exactly what the scheduler contract promises where they are.
+//! code paths must be invisible where they are not asked for.
 //!
-//! Two claims pinned here (the pooled ≡ serial worker-count identity
-//! lives in `exec`'s unit tests, next to the crate-private executor):
+//! Three claims pinned here (the pooled ≡ serial worker-count identity
+//! lives in `exec`'s unit tests, next to the crate-private executor,
+//! and `tests/golden.rs` pins multi-node report bytes):
 //!
 //! 1. **Flat ≡ single room** — `run_workload` (the legacy flat entry
 //!    point) and `run_workload_clustered` on a one-node
@@ -11,17 +11,15 @@
 //!    `RunReport` JSON. The clustered driver is a strict
 //!    generalization, not a parallel implementation that happens to
 //!    agree.
-//! 2. **Scheduler contract** — `ClusterTopology::scheduled` places the
-//!    bandwidth-hungry tenant on the fastest-NVM node of a mixed room
-//!    regardless of caller order, and the 64-rank weak-scaling probe
-//!    (paper Fig. 12 shape) passes under the default tolerances.
+//! 2. **Weak scaling** — the 64-rank weak-scaling probe (paper Fig. 12
+//!    shape) passes under the default tolerances.
 //! 3. **Slots, not `ranks_per_node`** — a room's node slot counts set
 //!    each rank's DRAM share for the planner and the service alike, so
 //!    the machine config's own `ranks_per_node` changes no byte.
 
 use unimem_repro::bench::sweep::NvmProfile;
 use unimem_repro::cache::CacheModel;
-use unimem_repro::hms::topology::{ClusterSpec, ClusterTopology, PlacementIntent, TenantDemand};
+use unimem_repro::hms::topology::{ClusterSpec, ClusterTopology};
 use unimem_repro::runtime::exec::{run_workload, run_workload_clustered, Policy};
 use unimem_repro::workloads::{select, Class};
 
@@ -50,51 +48,6 @@ fn flat_run_is_byte_identical_to_a_single_room_clustered_run() {
             flat.to_json().to_pretty(),
             clustered.to_json().to_pretty(),
             "single-room clustered run diverged from the flat driver ({policy:?})"
-        );
-    }
-}
-
-#[test]
-fn scheduler_places_the_bandwidth_hungry_tenant_on_the_fastest_nvm_node() {
-    use unimem_repro::hms::MachineConfig;
-
-    // A two-node mixed room: Table-1 PCRAM (slow NVM reads) next to the
-    // bw-half anchor (NVM at ½ DRAM bandwidth — much faster).
-    let machines: Vec<MachineConfig> =
-        vec![NvmProfile::Pcram.machine(), NvmProfile::BwHalf.machine()];
-    let spec = ClusterSpec::mixed(machines, 4);
-
-    // The hungry tenant comes *second* in caller order: the scheduler
-    // must still serve it first. Rank ids stay in caller order, so the
-    // background tenant owns ranks 0..4 and the stream tenant 4..8.
-    let tenants = [
-        TenantDemand {
-            label: "background".into(),
-            ranks: 4,
-            bw_hungry: false,
-        },
-        TenantDemand {
-            label: "stream".into(),
-            ranks: 4,
-            bw_hungry: true,
-        },
-    ];
-    let topo = ClusterTopology::scheduled(spec, &tenants, PlacementIntent::Pack);
-
-    let fastest = topo.fastest_nvm_node();
-    assert_eq!(fastest, 1, "bw-half NVM must outrun Table-1 PCRAM");
-    for rank in 4..8 {
-        assert_eq!(
-            topo.node_of(rank),
-            fastest,
-            "bandwidth-hungry rank {rank} was not packed onto the fastest-NVM node"
-        );
-    }
-    for rank in 0..4 {
-        assert_ne!(
-            topo.node_of(rank),
-            fastest,
-            "background rank {rank} displaced the hungry tenant"
         );
     }
 }
