@@ -46,7 +46,7 @@
 use crate::contention::BwClient;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-use unimem_sim::{Bandwidth, Bytes, CrashSpec, VDur, VTime};
+use unimem_sim::{Bandwidth, Bytes, CrashSpec, Fnv64, VDur, VTime};
 
 /// Frame header: payload length, append vtime, payload checksum.
 const FRAME_HEADER: usize = 4 + 8 + 8;
@@ -378,12 +378,10 @@ impl Record {
     }
 }
 
-/// FNV-1a 64 over the frame's vtime bytes and payload. The hand-rolled
-/// loop this used to be moved to the vendored `fnv` crate when the sweep
-/// cache needed the same digest family; the constants are identical, so
-/// journals written before the change verify unchanged.
+/// FNV-1a 64 over the frame's vtime bytes and payload
+/// ([`unimem_sim::Fnv64`], the sweep cache's digest family).
 fn crc64(at: f64, payload: &[u8]) -> u64 {
-    fnv::Fnv64::new()
+    Fnv64::new()
         .update(&at.to_le_bytes())
         .update(payload)
         .finish()

@@ -20,8 +20,9 @@
 //!   for the machine-readable run/sweep reports and the sweep's on-disk
 //!   cell cache, hand-rolled so the workspace needs no serialization
 //!   crate.
-//! * [`hash`] — deterministic FNV-1a content hashing (vendored `fnv`):
-//!   the digest convention behind the content-addressed sweep cache.
+//! * [`hash`] — deterministic FNV-1a hashing: the journal's frame
+//!   checksum and the digest convention behind the content-addressed
+//!   sweep cache.
 //! * [`crash`] — seeded virtual-time kill points for the crash-injection
 //!   harness: determinism makes a "crash at `T`" a pure function of the
 //!   clean run, so no threads are ever actually torn down.
