@@ -17,6 +17,7 @@
 //! sampling→model→knapsack pipeline is exercised by the simulation driver
 //! in [`crate::exec`].
 
+use crate::knapsack::{self, Item};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use unimem_hms::pools::{HelperThread, RealHms, RealObject, Ticket};
@@ -98,42 +99,39 @@ impl Unimem {
     }
 
     /// End of one loop iteration: after the first iteration, decide the
-    /// placement — hottest objects per byte into DRAM, greedily within
+    /// placement with the runtime's 0-1 knapsack ([`knapsack::solve`]) —
+    /// touches as weights, object lengths as sizes, the free DRAM as
     /// capacity — and enqueue the moves on the helper thread (proactive,
-    /// overlapping the next iteration's work).
+    /// overlapping the next iteration's work). Objects already in DRAM
+    /// stay, and so does anything under one touch per byte, where the
+    /// movement cannot pay off.
     pub fn end_iteration(&self) {
         let objects = self.objects();
         let touches = self.touches();
-        let mut ranked: Vec<(&String, f64)> = touches
+        // Name order, so equal weights break ties the same way every run.
+        let mut candidates: Vec<(&String, &Arc<RealObject>, u64)> = touches
             .iter()
             .filter_map(|(n, &t)| {
-                objects
-                    .get(n)
-                    .map(|o| (n, t as f64 / o.len().max(1) as f64))
+                let obj = objects.get(n)?;
+                let dense = t as f64 >= obj.len().max(1) as f64;
+                (dense && obj.tier() != TierKind::Dram).then_some((n, obj, t))
             })
             .collect();
-        // total_cmp instead of partial_cmp().expect(): a NaN density is
-        // impossible today (counts are integers, sizes clamped ≥ 1), and
-        // if one ever appeared it must not panic the runtime. Note
-        // total_cmp orders +NaN above +inf, so such a value would rank
-        // *first* (hottest) — harmless, since migrating it is merely
-        // wasteful, but don't rely on it being ignored.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        candidates.sort_unstable_by_key(|&(n, _, _)| n);
+        let items: Vec<Item> = candidates
+            .iter()
+            .map(|&(_, obj, t)| Item {
+                weight: t as f64,
+                size: Bytes(obj.len() as u64),
+            })
+            .collect();
+        let accounts = self.hms.accounts();
+        let free = accounts.dram_capacity() - accounts.dram_used();
+        let (chosen, _) = knapsack::solve(&items, free);
 
-        let cap = self.hms.accounts().dram_capacity().get();
-        let mut planned = self.hms.accounts().dram_used().get();
         let mut pending = self.pending.lock().expect("pending tickets poisoned");
-        for (name, density) in ranked {
-            // Below one touch per byte the movement cannot pay off.
-            if density < 1.0 {
-                break;
-            }
-            let obj = &objects[name];
-            let len = obj.len() as u64;
-            if obj.tier() == TierKind::Dram || planned + len > cap {
-                continue;
-            }
-            planned += len;
+        for i in chosen {
+            let obj = candidates[i].1;
             pending.push(self.helper.migrate(Arc::clone(obj), TierKind::Dram));
             *self.migrations.lock().expect("migration count poisoned") += 1;
         }
