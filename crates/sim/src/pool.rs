@@ -21,6 +21,13 @@
 //! of one round do similar work, so the static split stays balanced, and
 //! neighbouring ranks (usually one node's ranks) share a thread.
 //!
+//! In both, the calling thread is the first worker: it runs its share
+//! instead of sleeping in the join, so a call starts `workers - 1`
+//! threads. The rank executor calls [`run_pool_mut`] once per
+//! communication round, tens of times per run, so at width 2 a round
+//! starts one thread, not two, and waits on one fewer wake-up from the
+//! host's scheduler.
+//!
 //! A job that returns `Err` or panics surfaces as the pool's `Err`
 //! (first failing job index wins, deterministically) instead of
 //! deadlocking the caller.
@@ -33,6 +40,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// * `workers <= 1` (or a single job) runs everything in order on the
 ///   calling thread — bit-for-bit the serial path, no threads spawned.
+/// * Wider pools start `workers - 1` threads, and the calling thread
+///   claims jobs beside them.
 /// * A job returning `Err` or panicking does not deadlock the pool, and
 ///   the error of the **lowest-indexed** failing job is returned with a
 ///   `job {idx}:` prefix — identical from the serial and threaded paths,
@@ -59,24 +68,20 @@ where
     // before the scope spawned the workers, and the results travel back
     // through the joins.
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(idx) else { break };
+            local.push((idx, run_caught(|| f(job))));
+        }
+        local
+    };
     let buffers: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else { break };
-                        local.push((idx, run_caught(|| f(job))));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panics are caught per job"))
-            .collect()
+        let handles: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(work)).collect();
+        let mut buffers = vec![work()];
+        buffers.extend(handles.into_iter().map(join));
+        buffers
     });
 
     let mut slots: Vec<Option<Result<R, String>>> =
@@ -101,10 +106,10 @@ where
 /// across calls: a bulk-synchronous driver keeps its per-rank tasks in
 /// one `Vec` and advances them round after round without moving them
 /// into per-round wrappers. Each worker takes one contiguous piece of
-/// `items`; error semantics are identical to [`run_pool`] — lowest
-/// failing index wins, panics become `Err`, and a failing round leaves
-/// `items` in whatever mixed state the round reached (callers treat a
-/// round error as fatal).
+/// `items`, the calling thread the first; error semantics are identical
+/// to [`run_pool`] — lowest failing index wins, panics become `Err`,
+/// and a failing round leaves `items` in whatever mixed state the round
+/// reached (callers treat a round error as fatal).
 pub fn run_pool_mut<T, R, F>(items: &mut [T], workers: usize, f: F) -> Result<Vec<R>, String>
 where
     T: Send,
@@ -117,25 +122,33 @@ where
     }
 
     let piece = n.div_ceil(workers.min(n));
+    let (first, rest) = items.split_at_mut(piece);
     let pieces: Vec<Result<Vec<R>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
+        let handles: Vec<_> = rest
             .chunks_mut(piece)
             .enumerate()
             .map(|(i, chunk)| {
                 let f = &f;
-                scope.spawn(move || run_piece(f, i * piece, chunk))
+                scope.spawn(move || run_piece(f, (i + 1) * piece, chunk))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panics are caught per job"))
-            .collect()
+        let mut pieces = vec![run_piece(&f, 0, first)];
+        pieces.extend(handles.into_iter().map(join));
+        pieces
     });
     let mut out = Vec::with_capacity(n);
     for outs in pieces {
         out.extend(outs?);
     }
     Ok(out)
+}
+
+/// Join one spawned worker. Jobs run under [`run_caught`], so a worker
+/// never unwinds.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .expect("pool worker panics are caught per job")
 }
 
 /// Advance one contiguous piece, whose first item has index `base`, in
@@ -308,6 +321,20 @@ mod tests {
                 err, "job 5: panicked: item five exploded",
                 "workers={workers}"
             );
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_advances_the_first_piece() {
+        let caller = std::thread::current().id();
+        for workers in [2, 4] {
+            let mut items = vec![0u8; 16];
+            let mut ids =
+                run_pool_mut(&mut items, workers, |_, _| Ok(std::thread::current().id())).unwrap();
+            assert_eq!(ids[0], caller, "workers={workers}");
+            // One thread per contiguous piece.
+            ids.dedup();
+            assert_eq!(ids.len(), workers, "workers={workers}");
         }
     }
 
