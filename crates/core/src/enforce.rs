@@ -381,6 +381,8 @@ mod tests {
     use super::*;
     use crate::search::SearchKind;
     use unimem_hms::object::{ObjId, ObjectSpec};
+    use unimem_hms::topology::ClusterTopology;
+    use unimem_hms::MachineConfig;
     use unimem_sim::{Bandwidth, Bytes};
 
     fn unit(n: u32) -> UnitId {
@@ -397,6 +399,12 @@ mod tests {
 
     fn engine() -> MigrationEngine {
         MigrationEngine::with_copy_bw(Bandwidth::gb_per_s(4.0))
+    }
+
+    /// The DRAM service of one rank alone on a node of `dram`.
+    fn service(dram: Bytes) -> DramService {
+        let m = MachineConfig::nvm_bw_fraction(0.5).with_dram_capacity(dram);
+        DramService::from_nodes(&ClusterTopology::homogeneous(&m, 1))
     }
 
     /// Plan: phase 0 wants {a}, phase 1 wants {b}; refs: a in 0, b in 1.
@@ -459,7 +467,7 @@ mod tests {
     fn enter_plan_admits_phase0_set() {
         let (plan, refs) = alternating();
         let reg = registry();
-        let service = DramService::new(1, 1, Bytes::mib(64));
+        let service = service(Bytes::mib(64));
         let mut eng = engine();
         let mut enf = Enforcer::new(
             plan,
@@ -482,7 +490,7 @@ mod tests {
     fn boundary_stalls_until_copy_done() {
         let (plan, refs) = alternating();
         let reg = registry();
-        let service = DramService::new(1, 1, Bytes::mib(64));
+        let service = service(Bytes::mib(64));
         let mut eng = engine();
         let mut enf = Enforcer::new(
             plan,
@@ -519,7 +527,7 @@ mod tests {
     fn alternating_enforcement_swaps_units() {
         let (plan, refs) = alternating();
         let reg = registry();
-        let service = DramService::new(1, 1, Bytes::mib(64));
+        let service = service(Bytes::mib(64));
         let mut eng = engine();
         let mut enf = Enforcer::new(
             plan.clone(),
@@ -560,7 +568,7 @@ mod tests {
         let (plan, refs) = alternating();
         let reg = registry();
         // No DRAM at all: every admission is refused.
-        let service = DramService::new(1, 1, Bytes(0));
+        let service = service(Bytes(0));
         let mut eng = engine();
         let mut enf = Enforcer::new(
             plan,

@@ -43,23 +43,11 @@ pub struct DramService {
     bases: Vec<u64>,
     /// Rank → its static share of its node's allowance.
     shares: Vec<Bytes>,
-    /// Node → (DRAM allowance, rank slots).
-    nodes: Vec<(Bytes, usize)>,
+    /// Node → its rank slots.
+    node_slots: Vec<usize>,
 }
 
 impl DramService {
-    /// One allocator per rank; `ranks` total MPI ranks with `ranks_per_node`
-    /// packed per node (the last node may be partially filled). Each rank
-    /// owns an equal static share of its node's `dram_per_node` — the
-    /// legacy homogeneous layout.
-    pub fn new(ranks: usize, ranks_per_node: usize, dram_per_node: Bytes) -> DramService {
-        assert!(ranks >= 1 && ranks_per_node >= 1);
-        let n_nodes = ranks.div_ceil(ranks_per_node);
-        let caps = vec![(dram_per_node, ranks_per_node); n_nodes];
-        let node_of = (0..ranks).map(|r| r / ranks_per_node).collect();
-        DramService::build(caps, node_of)
-    }
-
     /// One allocator per rank over an explicit (possibly heterogeneous)
     /// machine room: node `n`'s allowance is its spec's `dram_capacity`,
     /// split statically among its `slots` rank slots.
@@ -108,7 +96,7 @@ impl DramService {
             node_of,
             bases,
             shares,
-            nodes: caps,
+            node_slots: caps.iter().map(|&(_, slots)| slots).collect(),
         }
     }
 
@@ -120,10 +108,6 @@ impl DramService {
 
     pub fn node_of(&self, rank: usize) -> usize {
         self.node_of[rank]
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Try to reserve `size` bytes of DRAM for `rank` from its static
@@ -155,19 +139,7 @@ impl DramService {
     /// budget split among the rank's node slots, as the allowance is.
     /// The planner's knapsack capacity, so planner and service agree.
     pub fn per_rank(&self, rank: usize, node_budget: Bytes) -> Bytes {
-        Bytes(node_budget.get() / self.nodes[self.node_of[rank]].1 as u64)
-    }
-
-    /// Rank 0's static share — the single job-wide share on a
-    /// homogeneous room (every legacy call site).
-    pub fn per_rank_share(&self) -> Bytes {
-        self.shares[0]
-    }
-
-    /// Node 0's DRAM allowance — the single per-node allowance on a
-    /// homogeneous room (every legacy call site).
-    pub fn capacity(&self) -> Bytes {
-        self.nodes[0].0
+        Bytes(node_budget.get() / self.node_slots[self.node_of[rank]] as u64)
     }
 }
 
@@ -177,10 +149,18 @@ mod tests {
     use crate::profiles::{table1_pcram, table1_stt_ram, MachineConfig};
     use crate::topology::ClusterSpec;
 
+    /// The service of `ranks` ranks packed `ranks_per_node` per node of
+    /// `dram_per_node` each (the last node may be partially filled).
+    fn service(ranks: usize, ranks_per_node: usize, dram_per_node: Bytes) -> DramService {
+        let m = MachineConfig::nvm_bw_fraction(0.5)
+            .with_ranks_per_node(ranks_per_node)
+            .with_dram_capacity(dram_per_node);
+        DramService::from_nodes(&ClusterTopology::homogeneous(&m, ranks))
+    }
+
     #[test]
     fn ranks_map_to_nodes() {
-        let s = DramService::new(8, 4, Bytes::mib(256));
-        assert_eq!(s.node_count(), 2);
+        let s = service(8, 4, Bytes::mib(256));
         assert_eq!(s.node_of(0), 0);
         assert_eq!(s.node_of(3), 0);
         assert_eq!(s.node_of(4), 1);
@@ -189,15 +169,17 @@ mod tests {
 
     #[test]
     fn uneven_last_node() {
-        let s = DramService::new(5, 4, Bytes::mib(1));
-        assert_eq!(s.node_count(), 2);
+        let s = service(5, 4, Bytes::mib(1));
+        assert_eq!(s.node_of(3), 0);
         assert_eq!(s.node_of(4), 1);
+        // The straggler keeps a slot-sized share, not the whole node.
+        assert_eq!(s.share_of(4), s.share_of(0));
     }
 
     #[test]
     fn node_allowance_splits_statically_per_rank() {
-        let s = DramService::new(2, 2, Bytes(100));
-        assert_eq!(s.per_rank_share(), Bytes(50));
+        let s = service(2, 2, Bytes(100));
+        assert_eq!(s.share_of(0), Bytes(50));
         // A lease is sliced by the same slot count the allowance is.
         assert_eq!(s.per_rank(1, Bytes(100)), s.share_of(1));
         assert_eq!(s.per_rank(1, Bytes(60)), Bytes(30));
@@ -215,7 +197,7 @@ mod tests {
 
     #[test]
     fn colocated_regions_never_alias() {
-        let s = DramService::new(4, 2, Bytes(100));
+        let s = service(4, 2, Bytes(100));
         // Ranks 0/1 share node 0, ranks 2/3 node 1; same-shaped
         // reservations must land on pairwise disjoint addresses.
         let regions: Vec<Region> = (0..4).map(|r| s.reserve(r, Bytes(30)).unwrap()).collect();
@@ -236,7 +218,7 @@ mod tests {
 
     #[test]
     fn ranks_on_different_nodes_are_independent() {
-        let s = DramService::new(2, 1, Bytes(100));
+        let s = service(2, 1, Bytes(100));
         let _ = s.reserve(0, Bytes(100)).unwrap();
         assert!(s.reserve(1, Bytes(100)).is_some());
     }
@@ -245,8 +227,8 @@ mod tests {
     fn reservations_are_order_independent_across_ranks() {
         // The allocation outcome for one rank is a pure function of its
         // own request history — co-located activity cannot change it.
-        let solo = DramService::new(2, 2, Bytes(1000));
-        let busy = DramService::new(2, 2, Bytes(1000));
+        let solo = service(2, 2, Bytes(1000));
+        let busy = service(2, 2, Bytes(1000));
         for _ in 0..30 {
             let _ = busy.reserve(1, Bytes(17));
         }
@@ -260,7 +242,7 @@ mod tests {
 
     #[test]
     fn concurrent_reservations_never_overcommit() {
-        let s = DramService::new(4, 4, Bytes(1000));
+        let s = service(4, 4, Bytes(1000));
         let grants: Vec<_> = std::thread::scope(|scope| {
             (0..4)
                 .map(|rank| {
@@ -305,22 +287,6 @@ mod tests {
                     "overlap: {a:?} vs {b:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn from_nodes_homogeneous_matches_legacy_addresses() {
-        let m = MachineConfig::nvm_bw_fraction(0.5)
-            .with_ranks_per_node(2)
-            .with_dram_capacity(Bytes(100));
-        let legacy = DramService::new(4, 2, Bytes(100));
-        let topo = ClusterTopology::homogeneous(&m, 4);
-        let explicit = DramService::from_nodes(&topo);
-        for r in 0..4 {
-            assert_eq!(legacy.share_of(r), explicit.share_of(r));
-            let a = legacy.reserve(r, Bytes(30)).unwrap();
-            let b = explicit.reserve(r, Bytes(30)).unwrap();
-            assert_eq!(a.offset, b.offset, "rank {r} base moved");
         }
     }
 }

@@ -133,8 +133,9 @@ impl ClusterTopology {
 
     /// The legacy single-profile layout: `machine.ranks_per_node` ranks
     /// per node, `nranks.div_ceil(ranks_per_node)` identical nodes —
-    /// exactly the node structure `SharedBandwidth::new` has always
-    /// derived from a flat `MachineConfig`, as an explicit topology.
+    /// the node structure a flat `MachineConfig` has always implied, as
+    /// an explicit topology. Every flat run's DRAM service and bandwidth
+    /// ledgers are built over this room.
     pub fn homogeneous(machine: &MachineConfig, nranks: usize) -> ClusterTopology {
         assert!(nranks >= 1);
         let rpn = machine.ranks_per_node;
