@@ -353,6 +353,27 @@ impl BwLedger {
             neighbors: st.neighbors[channel],
         }
     }
+
+    /// [`BwLedger::load`] on each of the first `N` channels, in one
+    /// locked read and one pass over the owner's flows. Each channel's
+    /// own bytes are summed in post order, as `load` sums them, so entry
+    /// `ch` is bit for bit `load(owner, ch, w0, w1)`.
+    pub fn loads<const N: usize>(&self, owner: usize, w0: VTime, w1: VTime) -> [LoadSplit; N] {
+        assert!(N <= self.channels, "{N} channels out of range");
+        let window = w1.since(w0);
+        if window.is_zero() {
+            return [LoadSplit::default(); N];
+        }
+        let st = self.state(owner);
+        let mut own = [0.0; N];
+        for f in st.flows.iter().filter(|f| f.channel < N) {
+            own[f.channel] += overlap_bytes(f, w0, w1);
+        }
+        std::array::from_fn(|ch| LoadSplit {
+            own: own[ch] / window.secs(),
+            neighbors: st.neighbors[ch],
+        })
+    }
 }
 
 /// Bytes of `f` that land inside `[w0, w1]`, assuming a constant rate
@@ -540,6 +561,146 @@ mod tests {
         assert_eq!(ChannelMap::for_nodes(1), intra);
         assert_eq!(ChannelMap::for_nodes(2), cluster);
         assert_eq!(ChannelMap::for_nodes(128), cluster);
+    }
+
+    /// What every post and fence so far says a load must read, integrated
+    /// naively from the whole history rather than the ledger's pruned,
+    /// pre-summed state.
+    #[derive(Default)]
+    struct History {
+        /// Every post, in program order: (owner, channel, start, end, bytes).
+        posts: Vec<(usize, usize, f64, f64, f64)>,
+        /// Instants of every fence so far, and how many posts preceded each.
+        fences: Vec<(f64, usize)>,
+    }
+
+    impl History {
+        /// Own load: the exact overlap of the owner's flows with the window,
+        /// summed in post order, ÷ the window. Neighbour load: each other
+        /// owner's bytes posted in the last closed epoch ÷ the epoch's
+        /// length, capped (the cap for a zero-length epoch), summed in
+        /// owner order. A zero-length window reads nothing.
+        fn load(
+            &self,
+            owners: usize,
+            cap: f64,
+            owner: usize,
+            ch: usize,
+            w0: f64,
+            w1: f64,
+        ) -> LoadSplit {
+            if w1 <= w0 {
+                return LoadSplit::default();
+            }
+            let mut own = 0.0;
+            for &(o, c, start, end, bytes) in &self.posts {
+                if o != owner || c != ch {
+                    continue;
+                }
+                own += if end == start {
+                    if w0 <= start && start <= w1 {
+                        bytes
+                    } else {
+                        0.0
+                    }
+                } else {
+                    let ov = (end.min(w1) - start.max(w0)).max(0.0);
+                    bytes * (ov / (end - start))
+                };
+            }
+            let mut neighbors = 0.0;
+            if let Some(&(at, upto)) = self.fences.last() {
+                let (from, since) = match self.fences.len() {
+                    1 => (0.0, 0),
+                    n => self.fences[n - 2],
+                };
+                let len = (at - from).max(0.0);
+                for o in (0..owners).filter(|&o| o != owner) {
+                    let mut bytes = 0.0;
+                    for &(p, c, _, _, b) in &self.posts[since..upto] {
+                        if p == o && c == ch {
+                            bytes += b;
+                        }
+                    }
+                    neighbors += if bytes <= 0.0 {
+                        0.0
+                    } else if len == 0.0 {
+                        cap
+                    } else {
+                        (bytes / len).min(cap)
+                    };
+                }
+            }
+            LoadSplit {
+                own: own / (w1 - w0),
+                neighbors,
+            }
+        }
+    }
+
+    fn split_bits(s: &LoadSplit) -> (u64, u64) {
+        (s.own.to_bits(), s.neighbors.to_bits())
+    }
+
+    /// The multi-channel read equals one `load` per channel bit for bit,
+    /// and both equal the naive integration of every post and fence, over
+    /// 1–4 owners, posts on all six channels (zero-length flows and flows
+    /// that straddle a fence included), fences two at one instant, and
+    /// windows that start at or after the last fence, zero-length ones
+    /// included (the contract the fence's pruning relies on).
+    #[test]
+    fn multi_channel_read_matches_single_loads_and_naive_integration() {
+        for seed in 0..300 {
+            let mut rng = crate::DetRng::seed(seed);
+            let owners = 1 + rng.index(4);
+            let cap = [1e9, 5e9, 1e12][rng.index(3)];
+            let l = BwLedger::with_channels(owners, ChannelMap::cluster(), cap);
+            let mut h = History::default();
+            let mut fenced = 0.0;
+            for _ in 0..40 {
+                match rng.index(8) {
+                    0 => {
+                        // Two fences at one instant now and then.
+                        if rng.index(3) > 0 {
+                            fenced += rng.range_f64(0.0, 2.0);
+                        }
+                        l.fence(t(fenced));
+                        h.fences.push((fenced, h.posts.len()));
+                    }
+                    1..=4 => {
+                        let owner = rng.index(owners);
+                        let ch = rng.index(6);
+                        let start = fenced + rng.range_f64(-1.0, 2.0);
+                        let end = if rng.index(4) == 0 {
+                            start
+                        } else {
+                            start + rng.range_f64(0.0, 3.0)
+                        };
+                        let bytes = rng.range_f64(1.0, 1e10);
+                        l.post(owner, ch, t(start), t(end), bytes);
+                        h.posts.push((owner, ch, start, end, bytes));
+                    }
+                    _ => {
+                        let owner = rng.index(owners);
+                        let w0 = fenced + [0.0, rng.range_f64(0.0, 3.0)][rng.index(2)];
+                        let w1 = w0 + [0.0, rng.range_f64(0.0, 3.0)][rng.index(2)];
+                        let four: [LoadSplit; 4] = l.loads(owner, t(w0), t(w1));
+                        let six: [LoadSplit; 6] = l.loads(owner, t(w0), t(w1));
+                        for ch in 0..6 {
+                            let single = l.load(owner, ch, t(w0), t(w1));
+                            let naive = h.load(owners, cap, owner, ch, w0, w1);
+                            let ctx =
+                                format!("seed {seed}, owner {owner}, channel {ch}, [{w0}, {w1}]");
+                            assert_eq!(split_bits(&six[ch]), split_bits(&single), "{ctx}");
+                            if ch < 4 {
+                                assert_eq!(split_bits(&four[ch]), split_bits(&single), "{ctx}");
+                            }
+                            assert_eq!(split_bits(&single), split_bits(&naive), "{ctx}: naive");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
