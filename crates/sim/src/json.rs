@@ -731,4 +731,108 @@ mod tests {
         let siblings = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
         assert!(Json::parse(&siblings).is_ok());
     }
+
+    /// A seeded string drawn from the characters an emitter must escape
+    /// or pass through: quotes, backslashes, control characters (named
+    /// and `\u` escapes), DEL, a line separator and non-BMP characters.
+    fn hostile_string(rng: &mut crate::DetRng) -> String {
+        const CHARS: [char; 16] = [
+            'a',
+            'Z',
+            ' ',
+            '/',
+            '"',
+            '\\',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '\u{2028}',
+            '\u{1F600}',
+            '\u{10FFFF}',
+        ];
+        (0..rng.index(8))
+            .map(|_| CHARS[rng.index(CHARS.len())])
+            .collect()
+    }
+
+    fn arbitrary_scalar(rng: &mut crate::DetRng) -> Json {
+        match rng.index(6) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.index(2) == 0),
+            2 => Json::UInt([0, 1, 1 << 53, (1 << 53) + 1, u64::MAX, rng.u64()][rng.index(6)]),
+            3 => {
+                Json::Int([i64::MIN, i64::MIN + 1, -1, 0, i64::MAX, rng.u64() as i64][rng.index(6)])
+            }
+            4 => Json::Num(
+                [
+                    -0.0,
+                    0.0,
+                    f64::from_bits(1), // smallest subnormal
+                    f64::MIN_POSITIVE / 3.0,
+                    1e300,
+                    -1e300,
+                    f64::MAX,
+                    0.1,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::from_bits(rng.u64()),
+                ][rng.index(12)],
+            ),
+            _ => Json::Str(hostile_string(rng)),
+        }
+    }
+
+    /// A tree whose deepest path nests exactly `levels` arrays and
+    /// objects (a scalar at 0); the other children stay shallow.
+    fn arbitrary_tree(rng: &mut crate::DetRng, levels: usize) -> Json {
+        if levels == 0 {
+            return arbitrary_scalar(rng);
+        }
+        let n = 1 + rng.index(4);
+        let deep = rng.index(n);
+        let kids: Vec<Json> = (0..n)
+            .map(|i| match i {
+                _ if i == deep => arbitrary_tree(rng, levels - 1),
+                _ if levels >= 2 && rng.index(5) == 0 => Json::Arr(Vec::new()),
+                _ => {
+                    let shallow = rng.index(levels.min(3));
+                    arbitrary_tree(rng, shallow)
+                }
+            })
+            .collect();
+        if rng.index(2) == 0 {
+            Json::Arr(kids)
+        } else {
+            Json::Obj(kids.into_iter().map(|k| (hostile_string(rng), k)).collect())
+        }
+    }
+
+    /// Emit → parse → emit is the identity on text for arbitrary trees
+    /// of every variant up to the parser's depth limit, in both forms,
+    /// and a tree one level deeper is an error rather than a panic.
+    #[test]
+    fn arbitrary_trees_round_trip_through_both_forms() {
+        for seed in 0..64 {
+            let mut rng = crate::DetRng::seed(seed);
+            let levels = match seed % 4 {
+                0 => MAX_DEPTH,
+                _ => rng.index(MAX_DEPTH + 1),
+            };
+            let tree = arbitrary_tree(&mut rng, levels);
+            let compact = tree.to_compact();
+            let parsed = Json::parse(&compact).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(parsed.to_compact(), compact, "seed {seed}");
+            let pretty = tree.to_pretty();
+            let parsed = Json::parse(&pretty).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(parsed.to_pretty(), pretty, "seed {seed}");
+        }
+        let too_deep = arbitrary_tree(&mut crate::DetRng::seed(1), MAX_DEPTH + 1);
+        assert!(Json::parse(&too_deep.to_compact()).is_err());
+        assert!(Json::parse(&too_deep.to_pretty()).is_err());
+    }
 }
