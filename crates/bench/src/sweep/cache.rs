@@ -553,6 +553,7 @@ fn vdur(v: &Json, k: &str) -> Result<VDur, String> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use unimem_sim::DetRng;
     use unimem_workloads::Class;
 
     fn tmp_dir() -> PathBuf {
@@ -655,15 +656,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn corun_group_roundtrip_is_exact() {
-        let dir = tmp_dir();
-        let cache = SweepCache::open(&dir).expect("open");
-        let mut cfg = sample_config();
-        cfg.arbiters = vec![ArbiterPolicy::FairShare, ArbiterPolicy::Priority];
-        let mix = CorunMix::parse("CG+FT").expect("mix parses");
-        let key = cache.corun_key(&cfg, &mix, NvmProfile::Pcram, 8);
-        let group = vec![
+    fn sample_group() -> Vec<CorunCell> {
+        vec![
             CorunCell {
                 mix: "CG+FT".into(),
                 workload: "CG".into(),
@@ -694,7 +688,22 @@ mod tests {
                 lease_max: Bytes(1 << 26),
                 report: sample_cell().report,
             },
-        ];
+        ]
+    }
+
+    fn corun_key_for(cache: &SweepCache) -> CacheKey {
+        let mut cfg = sample_config();
+        cfg.arbiters = vec![ArbiterPolicy::FairShare, ArbiterPolicy::Priority];
+        let mix = CorunMix::parse("CG+FT").expect("mix parses");
+        cache.corun_key(&cfg, &mix, NvmProfile::Pcram, 8)
+    }
+
+    #[test]
+    fn corun_group_roundtrip_is_exact() {
+        let dir = tmp_dir();
+        let cache = SweepCache::open(&dir).expect("open");
+        let key = corun_key_for(&cache);
+        let group = sample_group();
         assert!(cache.load_corun(&key).is_none());
         cache.store_corun(&key, &group);
         let loaded = cache.load_corun(&key).expect("hit after store");
@@ -855,6 +864,178 @@ mod tests {
             .push("cell", "not an object");
         write_entry(&key.path_in(cache.dir()), &doc).expect("write");
         assert!(cache.load_cell(&key).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Apply `f` to every node of `v`, parents before children.
+    fn visit(v: &mut Json, f: &mut dyn FnMut(&mut Json)) {
+        f(v);
+        match v {
+            Json::Arr(xs) => xs.iter_mut().for_each(|x| visit(x, f)),
+            Json::Obj(ms) => ms.iter_mut().for_each(|(_, x)| visit(x, f)),
+            _ => {}
+        }
+    }
+
+    /// Members that name a policy, profile, arbiter, topology or plan kind.
+    const NAMED: [&str; 5] = ["policy", "profile", "arbiter", "topology", "plan_kind"];
+
+    /// Names that match none of them.
+    const UNKNOWN_NAMES: [&str; 8] = [
+        "",
+        "quartz",
+        "nodes0",
+        "nodes18446744073709551616",
+        "mixed:",
+        "mixed:bw-half+",
+        "fair share",
+        "globall",
+    ];
+
+    /// Whether edit `kind` of [`mutate`] applies to `v`.
+    fn applies(kind: usize, v: &Json) -> bool {
+        match (kind, v) {
+            (0, Json::Obj(ms)) => !ms.is_empty(),
+            (1, _) | (2 | 3, Json::UInt(_)) => true,
+            (4, v) => v.get("per_rank").is_some(),
+            (5, Json::Obj(ms)) => ms.iter().any(|(k, _)| NAMED.contains(&k.as_str())),
+            _ => false,
+        }
+    }
+
+    /// One of six hostile edits of a decoded payload, made at about two
+    /// of the nodes it applies to.
+    fn mutate(payload: &mut Json, kind: usize, rng: &mut DetRng) {
+        let mut eligible = 0;
+        visit(payload, &mut |v| eligible += usize::from(applies(kind, v)));
+        let odds = 2.0 / eligible.max(1) as f64;
+        let variants = [
+            Json::Null,
+            Json::Bool(true),
+            Json::UInt(3),
+            Json::Int(-3),
+            Json::Num(0.5),
+            Json::from("x"),
+            Json::Arr(Vec::new()),
+            Json::obj(),
+        ];
+        visit(payload, &mut |v| {
+            if !applies(kind, v) || rng.f64() >= odds {
+                return;
+            }
+            match (kind, v) {
+                // A member dropped.
+                (0, Json::Obj(ms)) => {
+                    ms.remove(rng.index(ms.len()));
+                }
+                // A value of another variant.
+                (1, v) => {
+                    let d = std::mem::discriminant(&*v);
+                    let others: Vec<&Json> = variants
+                        .iter()
+                        .filter(|w| std::mem::discriminant(*w) != d)
+                        .collect();
+                    *v = others[rng.index(others.len())].clone();
+                }
+                // An integer at 0 or u64::MAX.
+                (2, Json::UInt(u)) => *u = [0, u64::MAX][rng.index(2)],
+                // A fractional or negative number where an integer belongs.
+                (3, v) => {
+                    *v = [Json::Num(2.5), Json::Num(-1.0), Json::Int(-1)][rng.index(3)].clone()
+                }
+                // per_rank emptied or doubled.
+                (4, Json::Obj(ms)) => {
+                    for (k, x) in ms.iter_mut() {
+                        if let ("per_rank", Json::Arr(xs)) = (k.as_str(), x) {
+                            if rng.index(2) == 0 {
+                                xs.clear();
+                            } else {
+                                xs.extend(xs.clone());
+                            }
+                        }
+                    }
+                }
+                // Names that match nothing.
+                (_, Json::Obj(ms)) => {
+                    for (k, x) in ms.iter_mut() {
+                        if NAMED.contains(&k.as_str()) && rng.index(2) == 0 {
+                            *x = Json::from(UNKNOWN_NAMES[rng.index(UNKNOWN_NAMES.len())]);
+                        }
+                    }
+                }
+                _ => unreachable!("`applies` admits no other node"),
+            }
+        });
+    }
+
+    /// Arbitrary bytes under a cell's and a co-run group's entry names, and
+    /// mutated copies of real entries re-framed with correct magic,
+    /// length, checksum and key: every load is a hit or a miss, never a
+    /// panic, and the untouched entries still load afterwards.
+    #[test]
+    fn hostile_entries_load_or_miss_without_panicking() {
+        let dir = tmp_dir();
+        let cache = SweepCache::open(&dir).expect("open");
+        let (cell_key, corun_key) = (key_for(&cache), corun_key_for(&cache));
+        cache.store_cell(&cell_key, &sample_cell());
+        cache.store_corun(&corun_key, &sample_group());
+        let loads = |key: &CacheKey| match key.kind {
+            "cell" => cache.load_cell(key).is_some(),
+            _ => cache.load_corun(key).is_some(),
+        };
+        let mut rng = DetRng::seed(0xbad_b17e5);
+        let json_bytes = b"{}[]\":,.-+eE0123456789 truefalsnul\\";
+        for (key, member) in [(&cell_key, "cell"), (&corun_key, "cells")] {
+            let path = key.path_in(cache.dir());
+            let whole = std::fs::read(&path).expect("stored");
+            let text = std::str::from_utf8(&whole[HEADER_LEN..]).expect("UTF-8");
+            let doc = Json::parse(text).expect("parses");
+            for case in 0..300 {
+                let len = rng.index(160);
+                let payload: Vec<u8> = match case % 2 {
+                    0 => (0..len).map(|_| rng.u64() as u8).collect(),
+                    _ => (0..len)
+                        .map(|_| json_bytes[rng.index(json_bytes.len())])
+                        .collect(),
+                };
+                // Raw bytes; a valid frame around them; a valid magic and
+                // checksum around a forged length.
+                let bytes = match case % 3 {
+                    0 => payload,
+                    kind => {
+                        let framed = match kind {
+                            1 => len as u32,
+                            _ => [
+                                len as u32 + 1,
+                                len.saturating_sub(1) as u32,
+                                rng.u64() as u32,
+                            ][rng.index(3)],
+                        };
+                        let mut frame = MAGIC.to_vec();
+                        frame.extend_from_slice(&framed.to_le_bytes());
+                        frame.extend_from_slice(&crc64(&payload).to_le_bytes());
+                        frame.extend_from_slice(&payload);
+                        frame
+                    }
+                };
+                std::fs::write(&path, &bytes).expect("write");
+                loads(key);
+            }
+            for case in 0..600 {
+                let mut mutated = doc.clone();
+                if let Json::Obj(ms) = &mut mutated {
+                    for (k, x) in ms.iter_mut() {
+                        if k == member {
+                            mutate(x, case % 6, &mut rng);
+                        }
+                    }
+                }
+                write_entry(&path, &mutated).expect("write");
+                loads(key);
+            }
+            std::fs::write(&path, &whole).expect("restore");
+            assert!(loads(&cell_key) && loads(&corun_key));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

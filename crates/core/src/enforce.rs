@@ -16,7 +16,7 @@
 
 use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
-use crate::search::PlacementPlan;
+use crate::search::{is_static, PlacementPlan};
 use std::collections::{BTreeSet, HashMap};
 use unimem_hms::alloc::Region;
 use unimem_hms::object::{ObjectRegistry, UnitId};
@@ -78,7 +78,7 @@ impl Enforcer {
         rank: usize,
         sync_cost: VDur,
     ) -> Enforcer {
-        let schedule = build_schedule(&plan, refs, registry, capacity);
+        let schedule = build_schedule(&plan.per_phase, refs, registry, capacity);
         Enforcer {
             plan,
             schedule,
@@ -261,26 +261,27 @@ impl Enforcer {
     }
 }
 
-/// Predict the steady-state per-iteration stall a plan will incur under
-/// enforcement: build the real schedule, then walk two cycles of a serial
-/// helper-thread timeline (FIFO copies at `copy_bw`, admissions at their
-/// triggers, stalls when a phase needs a unit whose copy is unfinished)
-/// and report the second cycle's stall. This keeps the local/global
-/// chooser honest about movement costs the analytic overlap window cannot see
-/// (queueing on the single helper thread, deferred triggers).
+/// Predict the steady-state per-iteration stall a plan's per-phase DRAM
+/// sets will incur under enforcement: build the real schedule, then walk
+/// two cycles of a serial helper-thread timeline (FIFO copies at
+/// `copy_bw`, admissions at their triggers, stalls when a phase needs a
+/// unit whose copy is unfinished) and report the second cycle's stall.
+/// This keeps the local/global chooser honest about movement costs the
+/// analytic overlap window cannot see (queueing on the single helper
+/// thread, deferred triggers).
 pub fn estimate_cycle_stall(
-    plan: &PlacementPlan,
+    per_phase: &[BTreeSet<UnitId>],
     refs: &PhaseRefTable,
     registry: &ObjectRegistry,
     capacity: unimem_sim::Bytes,
     copy_bw: unimem_sim::Bandwidth,
     phase_times: &[VDur],
 ) -> VDur {
-    let n = plan.per_phase.len();
-    if n == 0 || plan.is_static() {
+    let n = per_phase.len();
+    if n == 0 || is_static(per_phase) {
         return VDur::ZERO;
     }
-    let schedule = build_schedule(plan, refs, registry, capacity);
+    let schedule = build_schedule(per_phase, refs, registry, capacity);
     let mut now = VTime::ZERO;
     let mut helper_free = VTime::ZERO;
     let mut ready: HashMap<UnitId, VTime> = HashMap::new();
@@ -302,7 +303,7 @@ pub fn estimate_cycle_stall(
                 }
             }
             for unit in refs.units_of(PhaseId(p as u32)) {
-                if plan.per_phase[p].contains(&unit) {
+                if per_phase[p].contains(&unit) {
                     if let Some(&t) = ready.get(&unit) {
                         if t > now {
                             stall += t - now;
@@ -327,24 +328,23 @@ pub fn estimate_cycle_stall(
 /// availability of DRAM space", Fig. 6). Within a boundary, evictions are
 /// ordered before admissions so the FIFO helper frees space first.
 fn build_schedule(
-    plan: &PlacementPlan,
+    per_phase: &[BTreeSet<UnitId>],
     refs: &PhaseRefTable,
     registry: &ObjectRegistry,
     capacity: unimem_sim::Bytes,
 ) -> Vec<Vec<Action>> {
-    let n = plan.per_phase.len();
+    let n = per_phase.len();
     let mut schedule: Vec<Vec<Action>> = vec![Vec::new(); n];
-    if n == 0 || plan.is_static() {
+    if n == 0 || is_static(per_phase) {
         return schedule;
     }
-    let phase_bytes: Vec<u64> = plan
-        .per_phase
+    let phase_bytes: Vec<u64> = per_phase
         .iter()
         .map(|s| s.iter().map(|&u| registry.unit_size(u).get()).sum())
         .collect();
     for p in 0..n {
-        let prev = &plan.per_phase[(p + n - 1) % n];
-        let cur = &plan.per_phase[p];
+        let prev = &per_phase[(p + n - 1) % n];
+        let cur = &per_phase[p];
         let use_phase = PhaseId(p as u32);
         // Evictions leaving at this transition: safe once unreferenced
         // before the phase that drops them.
@@ -428,7 +428,7 @@ mod tests {
             predicted: VDur::ZERO,
         };
         let refs = PhaseRefTable::new(2);
-        let s = build_schedule(&plan, &refs, &registry(), Bytes::mib(64));
+        let s = build_schedule(&plan.per_phase, &refs, &registry(), Bytes::mib(64));
         assert!(s.iter().all(|v| v.is_empty()));
     }
 
@@ -438,7 +438,7 @@ mod tests {
         // Capacity holds exactly one unit: admissions cannot arrive early,
         // so each boundary pairs the outgoing eviction with the incoming
         // admission (eviction first).
-        let s = build_schedule(&plan, &refs, &registry(), Bytes::mib(64));
+        let s = build_schedule(&plan.per_phase, &refs, &registry(), Bytes::mib(64));
         let all: Vec<_> = s.iter().flatten().collect();
         assert_eq!(all.len(), 4, "{s:?}");
         assert!(s[1]
@@ -457,7 +457,7 @@ mod tests {
         let (plan, refs) = alternating();
         // Capacity holds both units: b (used at phase 1, referenced nowhere
         // else) may arrive as early as phase 0.
-        let s = build_schedule(&plan, &refs, &registry(), Bytes::mib(256));
+        let s = build_schedule(&plan.per_phase, &refs, &registry(), Bytes::mib(256));
         assert!(s[0]
             .iter()
             .any(|a| matches!(a, Action::In { unit: u, .. } if *u == unit(1))));

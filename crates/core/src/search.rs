@@ -72,11 +72,12 @@ impl PlacementPlan {
     pub fn dram_set(&self, phase: PhaseId) -> &BTreeSet<UnitId> {
         &self.per_phase[phase.0 as usize]
     }
+}
 
-    /// True when every phase wants the same DRAM contents (static plan).
-    pub fn is_static(&self) -> bool {
-        self.per_phase.windows(2).all(|w| w[0] == w[1])
-    }
+/// True when every phase of `per_phase` wants the same DRAM contents (a
+/// static plan).
+pub fn is_static(per_phase: &[BTreeSet<UnitId>]) -> bool {
+    per_phase.windows(2).all(|w| w[0] == w[1])
 }
 
 /// Everything the searches need.
@@ -340,14 +341,9 @@ pub fn predict_iteration_time(input: &SearchInput<'_>, per_phase: &[BTreeSet<Uni
     }
     // Recurring movement stalls, estimated with the real enforcement
     // schedule and a serial helper-thread timeline.
-    let plan_probe = PlacementPlan {
-        kind: SearchKind::Local,
-        per_phase: per_phase.to_vec(),
-        predicted: VDur::ZERO,
-    };
     total
         + crate::enforce::estimate_cycle_stall(
-            &plan_probe,
+            per_phase,
             input.refs,
             input.registry,
             input.capacity,
@@ -453,7 +449,7 @@ mod tests {
         let profiled = BTreeSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = global_search(&input);
-        assert!(plan.is_static());
+        assert!(is_static(&plan.per_phase));
         assert!(plan.per_phase[0].contains(&unit(0)));
         assert!(!plan.per_phase[0].contains(&unit(1)), "only one fits");
     }

@@ -1,11 +1,15 @@
 //! Fast paths against their slow oracles.
 //!
-//! `knapsack::solve` takes a subset-sum path for up to 12 viable items
-//! and a branch-free DP above that. Both must return exactly what the
-//! scalar DP, `solve_reference`, returns: the same chosen indices and the
-//! same achieved-weight bits, so no placement and no report byte can
-//! move. The scalar DP in turn must be optimal at granule resolution,
-//! which `solve_exhaustive` checks by enumeration.
+//! `knapsack::solve` builds each prefix's Pareto front of (rounded size,
+//! weight) and reconstructs from the fronts. It must return exactly what
+//! the scalar DP, `solve_reference`, returns: the same chosen indices and
+//! the same achieved-weight bits, so no placement and no report byte can
+//! move. The cases reach 64 items, and a family of pairwise-distinct
+//! sizes at granule 1 whose weights rise with size drives fronts to full
+//! width. An ignored case runs thousands more instances of up to 128
+//! items in release (`cargo test --release --test oracles -- --ignored`).
+//! The scalar DP in turn must be optimal at granule resolution, which
+//! `solve_exhaustive` checks by enumeration.
 
 use proptest::prelude::*;
 use unimem_repro::runtime::knapsack::{
@@ -28,10 +32,10 @@ fn draw() -> impl Strategy<Value = Draw> {
     )
 }
 
-/// 0..=16 items, half the cases on each side of the subset path's limit
+/// 0..=64 items, half the cases on each side of the old subset-sum limit
 /// of 12; hostile items then push some of the larger ones back under it.
 fn counts() -> impl Strategy<Value = usize> {
-    prop_oneof![0usize..13, 13..17]
+    prop_oneof![0usize..13, 13..65]
 }
 
 /// Capacities with a granule of 1, and with a granule above 1 at KiB to
@@ -40,10 +44,28 @@ fn capacities() -> impl Strategy<Value = u64> {
     prop_oneof![1u64..4097, 4097u64..1_048_576, 1_048_576u64..(1 << 30)]
 }
 
+/// How `build` shapes the items that are neither copies nor hostile.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Sizes at or a byte either side of granule multiples, with
+    /// small-integer weights (distinct subsets tie) or free ones.
+    Mixed,
+    /// Pairwise-distinct sizes while the capacity has room for them, and
+    /// weight ∝ size: at granule 1 every reachable size is on the front,
+    /// so fronts reach full width.
+    Wide,
+}
+
 /// Hostile kinds: zero, negative and NaN weight; a size above the
 /// capacity; a size that fits in bytes but rounds past the rounded
 /// capacity; and, when `zero_sizes`, a zero size.
-fn build(draws: &[Draw], hostile_share: f64, cap: u64, zero_sizes: bool) -> Vec<Item> {
+fn build(
+    draws: &[Draw],
+    shape: Shape,
+    hostile_share: f64,
+    cap: u64,
+    zero_sizes: bool,
+) -> Vec<Item> {
     let granule = granule_for(Bytes(cap));
     let cap_g = cap / granule;
     let mut items: Vec<Item> = Vec::with_capacity(draws.len());
@@ -54,14 +76,26 @@ fn build(draws: &[Draw], hostile_share: f64, cap: u64, zero_sizes: bool) -> Vec<
             items.push(last);
             continue;
         }
-        // k·granule − 1, k·granule or k·granule + 1.
         let k = 1 + (frac * cap_g as f64 / 2.0) as u64;
-        let mut size = (k * granule + u64::from(kind % 3) - 1).max(1);
-        // Small integers add exactly, so distinct subsets tie.
-        let mut weight = if kind / 3 % 2 == 0 {
-            (magnitude as u64 % 4 + 1) as f64
-        } else {
-            magnitude
+        let (mut size, mut weight) = match shape {
+            // k·granule − 1, k·granule or k·granule + 1. Small integers
+            // add exactly, so distinct subsets tie.
+            Shape::Mixed => (
+                (k * granule + u64::from(kind % 3) - 1).max(1),
+                if kind / 3 % 2 == 0 {
+                    (magnitude as u64 % 4 + 1) as f64
+                } else {
+                    magnitude
+                },
+            ),
+            // Log-uniform, so small sizes fill the gaps between sums.
+            Shape::Wide => {
+                let mut size = (cap_g as f64 / 2.0).powf(frac).max(1.0) as u64 * granule;
+                while size < cap && items.iter().any(|i| i.size.get() == size) {
+                    size += 1;
+                }
+                (size, size as f64 * magnitude)
+            }
         };
         if hostile < hostile_share {
             match kind / 6 % (5 + u8::from(zero_sizes)) {
@@ -83,23 +117,65 @@ fn build(draws: &[Draw], hostile_share: f64, cap: u64, zero_sizes: bool) -> Vec<
     items
 }
 
+/// `solve` returns the scalar DP's chosen indices and weight bits.
+fn assert_matches_reference(items: &[Item], cap: u64) {
+    let (chosen, weight) = solve(items, Bytes(cap));
+    let (want, want_weight) = solve_reference(items, Bytes(cap));
+    assert_eq!(chosen, want, "items {items:?} cap {cap}");
+    assert_eq!(
+        weight.to_bits(),
+        want_weight.to_bits(),
+        "items {items:?} cap {cap}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Both fast paths return the scalar DP's indices and weight bits on
-    /// 0..=16 items.
+    /// `solve` returns the scalar DP's indices and weight bits on 0..=64
+    /// items.
     #[test]
     fn solve_matches_the_reference_dp_bit_for_bit(
-        draws in prop::collection::vec(draw(), 16..17),
+        draws in prop::collection::vec(draw(), 64..65),
         n in counts(),
         hostile_share in 0.0f64..0.5,
         cap in capacities(),
     ) {
-        let items = build(&draws[..n], hostile_share, cap, true);
-        let (chosen, weight) = solve(&items, Bytes(cap));
-        let (want, want_weight) = solve_reference(&items, Bytes(cap));
-        prop_assert_eq!(&chosen, &want, "items {:?} cap {}", items, cap);
-        prop_assert_eq!(weight.to_bits(), want_weight.to_bits(), "items {:?} cap {}", items, cap);
+        assert_matches_reference(&build(&draws[..n], Shape::Mixed, hostile_share, cap, true), cap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same on full-width fronts: granule 1, 1..=64 items.
+    #[test]
+    fn solve_matches_the_reference_dp_on_full_width_fronts(
+        draws in prop::collection::vec(draw(), 64..65),
+        n in 1usize..65,
+        hostile_share in 0.0f64..0.25,
+        cap in 1u64..4097,
+    ) {
+        assert_matches_reference(&build(&draws[..n], Shape::Wide, hostile_share, cap, true), cap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Release-only (`--ignored`): both shapes on 0..=128 items, wide
+    /// ones at granule 1.
+    #[test]
+    #[ignore = "thousands of solves of up to 128 items; run in release"]
+    fn solve_matches_the_reference_dp_deep(
+        draws in prop::collection::vec(draw(), 128..129),
+        n in 0usize..129,
+        wide in any::<bool>(),
+        hostile_share in 0.0f64..0.5,
+        cap in capacities(),
+    ) {
+        let (shape, cap) = if wide { (Shape::Wide, 1 + cap % 4096) } else { (Shape::Mixed, cap) };
+        assert_matches_reference(&build(&draws[..n], shape, hostile_share, cap, true), cap);
     }
 }
 
@@ -107,16 +183,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The scalar DP is optimal at granule resolution on 13..=16 items,
-    /// the counts `solve` hands to its dense path when all are viable.
-    /// Zero sizes are left out: the DP never takes them, enumeration
-    /// would.
+    /// past the 12 that the brute-force case below covers. Zero sizes are
+    /// left out: the DP never takes them, enumeration would.
     #[test]
     fn reference_dp_matches_exhaustive_on_13_to_16_items(
         draws in prop::collection::vec(draw(), 13..17),
         hostile_share in 0.0f64..0.5,
         cap in capacities(),
     ) {
-        let items = build(&draws, hostile_share, cap, false);
+        let items = build(&draws, Shape::Mixed, hostile_share, cap, false);
         let granule = granule_for(Bytes(cap));
         let rounded: Vec<Item> = items
             .iter()
