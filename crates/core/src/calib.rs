@@ -93,6 +93,9 @@ pub fn memo_stats() -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unimem_hms::profiles;
+    use unimem_hms::tier::{TierKind, TierParams};
+    use unimem_sim::{Bytes, DetRng, VDur};
 
     /// A machine no other test calibrates: unique last-ulp offsets keep
     /// this test's keys disjoint from the rest of the (parallel) suite,
@@ -147,5 +150,154 @@ mod tests {
             "0.0 and -0.0 print alike but are different bit patterns"
         );
         assert_eq!(key(&a, &cache, cfg, 1), key(&a.clone(), &cache, cfg, 1));
+    }
+
+    fn bits(c: Calibration) -> [u64; 3] {
+        [
+            c.cf_bw.to_bits(),
+            c.cf_lat.to_bits(),
+            c.bw_peak_sampled.to_bits(),
+        ]
+    }
+
+    /// The memo returns exactly what a direct calibration computes, on
+    /// its first lookup and on a repeat, for the five sweep profiles'
+    /// rank shares at occupancies 1–4 (the machines `exec::run`
+    /// calibrates), under the default sampler and two drawn ones, at
+    /// three drawn seeds each.
+    #[test]
+    fn memoized_calibration_matches_direct_by_bits() {
+        let mut rng = DetRng::seed(0xca11);
+        let cache = CacheModel::platform_a();
+        let mut cfgs = vec![SamplerConfig::default()];
+        for _ in 0..2 {
+            cfgs.push(SamplerConfig {
+                window_cycles: 250 + rng.index(4_000) as u64,
+                cpu_hz: rng.range_f64(1.5e9, 3.5e9),
+                event_period: 100 + rng.index(2_000) as u64,
+                per_window_cost: VDur::from_nanos(rng.range_f64(0.1, 2.0)),
+            });
+        }
+        let profiles = [
+            MachineConfig::nvm_bw_fraction(profiles::ANCHOR_BW_FRACTION),
+            MachineConfig::nvm_lat_multiple(profiles::ANCHOR_LAT_MULTIPLE),
+            MachineConfig::technology(profiles::table1_stt_ram(), "Table-1 STT-RAM"),
+            MachineConfig::technology(profiles::table1_pcram(), "Table-1 PCRAM"),
+            MachineConfig::technology(profiles::table1_reram(), "Table-1 ReRAM"),
+        ];
+        for machine in &profiles {
+            for occ in 1..=4 {
+                let mut share = machine.clone();
+                share.dram = machine.rank_share(TierKind::Dram, occ);
+                share.nvm = machine.rank_share(TierKind::Nvm, occ);
+                for &cfg in &cfgs {
+                    for _ in 0..3 {
+                        let seed = rng.u64();
+                        let direct = bits(calibrate(&share, &cache, cfg, seed));
+                        for call in ["first", "repeat"] {
+                            assert_eq!(
+                                bits(calibrate_memoized(&share, &cache, cfg, seed)),
+                                direct,
+                                "{}, occupancy {occ}, {cfg:?}, seed {seed}: {call} lookup",
+                                machine.label
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calibration's inputs: the machine share, the cache, the sampler
+    /// and the seed.
+    type Inputs = (MachineConfig, CacheModel, SamplerConfig, u64);
+
+    /// A move of one input field.
+    type Nudge = fn(&mut Inputs);
+
+    fn up(x: &mut f64) {
+        *x = x.next_up();
+    }
+
+    /// Every input field, moved by one ulp or one unit, either changes
+    /// the key or leaves `calibrate`'s result bit-identical, so no two
+    /// inputs share a memo entry they would calibrate differently. The
+    /// fields calibration never reads must move neither. The input types
+    /// are destructured without `..`: a new field fails to compile here
+    /// until it has a case.
+    #[test]
+    fn key_covers_every_field_calibration_reads() {
+        let base: Inputs = (
+            MachineConfig::nvm_bw_fraction(0.5),
+            CacheModel::platform_a(),
+            SamplerConfig::default(),
+            42,
+        );
+        let MachineConfig {
+            dram,
+            nvm,
+            dram_capacity: _,
+            nvm_capacity: _,
+            copy_bw: _,
+            ranks_per_node: _,
+            helper_contention: _,
+            label: _,
+        } = &base.0;
+        for TierParams {
+            read_lat: _,
+            write_lat: _,
+            read_bw: _,
+            write_bw: _,
+        } in [dram, nvm]
+        {}
+        let CacheModel { size: _, line: _ } = base.1;
+        let SamplerConfig {
+            window_cycles: _,
+            cpu_hz: _,
+            event_period: _,
+            per_window_cost: _,
+        } = base.2;
+        // (field, whether the key must move, the move)
+        let cases: [(&str, bool, Nudge); 21] = [
+            ("dram.read_lat", true, |i| up(&mut i.0.dram.read_lat.0)),
+            ("dram.write_lat", true, |i| up(&mut i.0.dram.write_lat.0)),
+            ("dram.read_bw", true, |i| up(&mut i.0.dram.read_bw.0)),
+            ("dram.write_bw", true, |i| up(&mut i.0.dram.write_bw.0)),
+            ("nvm.read_lat", true, |i| up(&mut i.0.nvm.read_lat.0)),
+            ("nvm.write_lat", true, |i| up(&mut i.0.nvm.write_lat.0)),
+            ("nvm.read_bw", true, |i| up(&mut i.0.nvm.read_bw.0)),
+            ("nvm.write_bw", true, |i| up(&mut i.0.nvm.write_bw.0)),
+            ("dram_capacity", false, |i| i.0.dram_capacity += Bytes(1)),
+            ("nvm_capacity", false, |i| i.0.nvm_capacity += Bytes(1)),
+            ("copy_bw", false, |i| up(&mut i.0.copy_bw.0)),
+            ("ranks_per_node", false, |i| i.0.ranks_per_node += 1),
+            ("helper_contention", false, |i| {
+                i.0.helper_contention ^= true
+            }),
+            ("label", false, |i| i.0.label.push('.')),
+            ("cache.size", true, |i| i.1.size += Bytes(1)),
+            ("cache.line", true, |i| i.1.line += Bytes(1)),
+            ("window_cycles", true, |i| i.2.window_cycles += 1),
+            ("cpu_hz", true, |i| up(&mut i.2.cpu_hz)),
+            ("event_period", true, |i| i.2.event_period += 1),
+            ("per_window_cost", true, |i| up(&mut i.2.per_window_cost.0)),
+            ("seed", true, |i| i.3 += 1),
+        ];
+        let (m, c, s, sd) = &base;
+        let (base_key, base_cal) = (key(m, c, *s, *sd), bits(calibrate(m, c, *s, *sd)));
+        for (field, keyed, nudge) in cases {
+            let mut moved = base.clone();
+            nudge(&mut moved);
+            let (m, c, s, sd) = &moved;
+            let key_moved = key(m, c, *s, *sd) != base_key;
+            assert_eq!(key_moved, keyed, "{field}: the key moved: {key_moved}");
+            if !key_moved {
+                assert_eq!(
+                    bits(calibrate(m, c, *s, *sd)),
+                    base_cal,
+                    "{field} moves the calibration but not the key"
+                );
+            }
+        }
     }
 }

@@ -25,13 +25,18 @@
 //!
 //! Execution is segmented and bulk-synchronous: each rank is a movable
 //! `RankTask` that runs to its next communication step on a bounded
-//! worker pool ([`unimem_sim::run_pool`]), and a serial resolver computes
-//! the synchronized departure clocks — so a 256-rank topology costs a
-//! handful of OS threads, not 256. The output is byte-identical at any
-//! pool width: the resolver also fences the bandwidth ledger at every
-//! collective, so a rank reads its neighbours' traffic only as rates
-//! published while no task runs, and collective departure times depend
-//! only on the entry clocks.
+//! worker pool ([`unimem_sim::run_pool`]) and reports only that it
+//! paused. A serial resolver then reads every task's paused step from
+//! its script and computes the synchronized departure clocks — so a
+//! 256-rank topology costs a handful of OS threads, not 256. A halo round
+//! is one pass over the neighbour lists, matched by list position: every
+//! send's arrival sits in one flat array at its sender's offset plus its
+//! list position, and the k-th wait of rank r on rank s takes the k-th
+//! send of s to r. The output is byte-identical at any pool width: the
+//! resolver also fences the bandwidth ledger at every collective, so a
+//! rank reads its neighbours' traffic only as rates published while no
+//! task runs, and collective departure times depend only on the entry
+//! clocks.
 //!
 //! Every run goes through one executor over a machine room. The room is
 //! either the flat world of one machine config ([`run_workload`], the
@@ -539,20 +544,19 @@ pub(crate) fn run(
 
     // Bulk-synchronous rounds until every rank's script is exhausted.
     // Tasks stay resident in one `Vec` for the whole run: each worker
-    // advances one contiguous piece of it in place (requests come back
-    // in rank order) — no per-round `Mutex<Option<_>>` wrappers, no
-    // moving task state between rounds.
+    // advances one contiguous piece of it in place — no per-round
+    // `Mutex<Option<_>>` wrappers, no moving task state between rounds.
     loop {
-        let reqs = run_pool_mut(&mut tasks, spec.workers, |_, t| Ok(t.advance()))
+        let paused = run_pool_mut(&mut tasks, spec.workers, |_, t| Ok(t.advance()))
             .unwrap_or_else(|e| panic!("rank execution failed: {e}"));
-        if reqs.iter().all(Option::is_none) {
+        if !paused.contains(&true) {
             break;
         }
-        let reqs: Vec<CommRequest> = reqs
-            .into_iter()
-            .map(|r| r.expect("every rank must reach the same communication steps"))
-            .collect();
-        resolve_comm(&mut tasks, reqs, &run);
+        assert!(
+            !paused.contains(&false),
+            "every rank must reach the same communication steps"
+        );
+        resolve_comm(&mut tasks, &run);
     }
 
     let mut job = RunStats::default();
@@ -626,24 +630,29 @@ enum Pos {
     Done,
 }
 
-/// The communication step one rank paused on, handed to the serial
-/// resolver. Scripts are bulk-synchronous: every rank must pause on the
-/// same kind of step (ranks may run different numbers of compute steps
-/// in between).
-enum CommRequest {
-    /// A globally synchronizing collective.
-    Collective { kind: CollectiveKind, bytes: Bytes },
-    /// Pairwise neighbour exchange: eager sends, then waits in
-    /// neighbour-list order.
-    Halo { neighbors: Vec<usize>, bytes: Bytes },
+impl StepSpec {
+    /// The collective this step performs and its per-rank payload, or
+    /// `None` for compute and halo steps.
+    fn collective(&self) -> Option<(CollectiveKind, Bytes)> {
+        match *self {
+            StepSpec::Barrier => Some((CollectiveKind::Barrier, Bytes::ZERO)),
+            StepSpec::AllreduceSum { bytes } => Some((CollectiveKind::Allreduce, bytes)),
+            StepSpec::Bcast { bytes } => Some((CollectiveKind::Bcast, bytes)),
+            StepSpec::Alltoall { bytes } => Some((CollectiveKind::Alltoall, bytes)),
+            StepSpec::Compute(_) | StepSpec::Halo { .. } => None,
+        }
+    }
 }
 
 /// One rank's complete execution state, movable across pool workers.
 ///
 /// [`RankTask::advance`] replays the script in program order until it
-/// needs another rank (a communication step), then parks and reports the
-/// step. The serial resolver sets the clock and the task resumes on
-/// whichever worker picks it up next.
+/// needs another rank (a communication step), then parks on it. The
+/// serial resolver reads the step ([`RankTask::paused_step`]), sets the
+/// clock, and the task resumes on whichever worker picks it up next.
+/// Scripts are bulk-synchronous: every rank must pause on the same kind
+/// of step (ranks may run different numbers of compute steps in
+/// between).
 struct RankTask<'a> {
     rank: usize,
     clock: RankClock,
@@ -763,15 +772,16 @@ impl<'a> RankTask<'a> {
         }
     }
 
-    /// Run to the next communication point. Returns the pending request,
-    /// or `None` once the script is exhausted (outcome recorded).
-    fn advance(&mut self) -> Option<CommRequest> {
+    /// Run to the next communication point. Returns whether the task
+    /// paused there; `false` once the script is exhausted (outcome
+    /// recorded).
+    fn advance(&mut self) -> bool {
         loop {
             match self.pos {
-                Pos::Done => return None,
+                Pos::Done => return false,
                 Pos::IterBegin { it } if it == self.iterations => {
                     self.finalize();
-                    return None;
+                    return false;
                 }
                 Pos::IterBegin { it } => {
                     self.tracker.begin_iteration();
@@ -849,33 +859,10 @@ impl<'a> RankTask<'a> {
                                 .observe_compute(phase, phase_time, &truths, &mut env!(self));
                             self.pos = Pos::Step { it, idx: idx + 1 };
                         }
-                        comm => {
+                        _ => {
                             let t0 = self.clock.now();
-                            let req = match comm {
-                                StepSpec::Barrier => CommRequest::Collective {
-                                    kind: CollectiveKind::Barrier,
-                                    bytes: Bytes::ZERO,
-                                },
-                                StepSpec::AllreduceSum { bytes } => CommRequest::Collective {
-                                    kind: CollectiveKind::Allreduce,
-                                    bytes: *bytes,
-                                },
-                                StepSpec::Bcast { bytes } => CommRequest::Collective {
-                                    kind: CollectiveKind::Bcast,
-                                    bytes: *bytes,
-                                },
-                                StepSpec::Alltoall { bytes } => CommRequest::Collective {
-                                    kind: CollectiveKind::Alltoall,
-                                    bytes: *bytes,
-                                },
-                                StepSpec::Halo { neighbors, bytes } => CommRequest::Halo {
-                                    neighbors: neighbors.clone(),
-                                    bytes: *bytes,
-                                },
-                                StepSpec::Compute(_) => unreachable!("compute handled above"),
-                            };
                             self.pos = Pos::AfterComm { it, idx, phase, t0 };
-                            return Some(req);
+                            return true;
                         }
                     }
                 }
@@ -917,6 +904,14 @@ impl<'a> RankTask<'a> {
                     self.pos = Pos::Step { it, idx: idx + 1 };
                 }
             }
+        }
+    }
+
+    /// The communication step the task is paused on.
+    fn paused_step(&self) -> &StepSpec {
+        match self.pos {
+            Pos::AfterComm { idx, .. } => &self.steps[idx],
+            _ => unreachable!("the resolver reads only paused tasks"),
         }
     }
 
@@ -1391,151 +1386,146 @@ fn ground_truth_reference(
 }
 
 /// Resolve one bulk-synchronous communication round: every rank has
-/// paused on `reqs[rank]`. This is the rendezvous — the only place rank
-/// clocks interact — and it runs serially: the synchronized clocks are a
-/// pure function of the entry clocks and the ledger's fenced history, so
-/// pooled execution stays byte-identical to serial. A collective also
-/// fences the run's ledger at its departure, publishing each rank's
-/// traffic of the closing epoch to its node's other ranks while no task
-/// runs. A flat-comm run prices every step as if its ranks shared one
-/// node.
-fn resolve_comm(tasks: &mut [RankTask], reqs: Vec<CommRequest>, run: &Run) {
+/// paused on a communication step ([`RankTask::paused_step`]). This is
+/// the rendezvous — the only place rank clocks interact — and it runs
+/// serially: the synchronized clocks are a pure function of the entry
+/// clocks and the ledger's fenced history, so pooled execution stays
+/// byte-identical to serial. A collective also fences the run's ledger
+/// at its departure, publishing each rank's traffic of the closing epoch
+/// to its node's other ranks while no task runs. A flat-comm run prices
+/// every step as if its ranks shared one node.
+fn resolve_comm(tasks: &mut [RankTask], run: &Run) {
     let room = (!run.spec.flat_comm).then_some(&run.spec.room);
-    match &reqs[0] {
-        CommRequest::Collective { kind, bytes } => {
-            let (kind, bytes) = (*kind, *bytes);
-            assert!(
-                reqs.iter().all(|r| matches!(
-                    r,
-                    CommRequest::Collective { kind: k, bytes: b } if *k == kind && *b == bytes
-                )),
-                "collective steps must agree across ranks"
-            );
-            let clocks: Vec<VTime> = tasks.iter().map(|t| t.clock.now()).collect();
-            let timing = collective_timing(&clocks, kind, bytes, &NetParams::default(), room);
-            let leave = if timing.inter.is_zero() {
-                // Flat (or a zero-cost inter phase): the legacy
-                // single-level rendezvous, bit for bit.
-                timing.leave
-            } else {
-                // The inter-node phase shares each node's link with
-                // whatever migration traffic the ledger has published
-                // over the uncontended window; the slowest leader paces
-                // the tree. At zero load the ratio is exactly 1.
-                let mut slow = 1.0f64;
-                for &leader in &timing.leaders {
-                    let client = &tasks[leader].client;
-                    for dir in [Channel::LinkUp, Channel::LinkDown] {
-                        let eff =
-                            client.effective_link(dir, timing.t_meet, timing.leave, FlowScope::All);
-                        let ratio = client.link_bw().bytes_per_s() / eff.bytes_per_s();
-                        if ratio > slow {
-                            slow = ratio;
-                        }
-                    }
+    let Some((kind, bytes)) = tasks[0].paused_step().collective() else {
+        return resolve_halo(tasks, room);
+    };
+    assert!(
+        tasks
+            .iter()
+            .all(|t| t.paused_step().collective() == Some((kind, bytes))),
+        "collective steps must agree across ranks"
+    );
+    let clocks: Vec<VTime> = tasks.iter().map(|t| t.clock.now()).collect();
+    let timing = collective_timing(&clocks, kind, bytes, &NetParams::default(), room);
+    let leave = if timing.inter.is_zero() {
+        // Flat (or a zero-cost inter phase): the legacy single-level
+        // rendezvous, bit for bit.
+        timing.leave
+    } else {
+        // The inter-node phase shares each node's link with whatever
+        // migration traffic the ledger has published over the
+        // uncontended window; the slowest leader paces the tree. At zero
+        // load the ratio is exactly 1.
+        let mut slow = 1.0f64;
+        for &leader in &timing.leaders {
+            let client = &tasks[leader].client;
+            for dir in [Channel::LinkUp, Channel::LinkDown] {
+                let eff = client.effective_link(dir, timing.t_meet, timing.leave, FlowScope::All);
+                let ratio = client.link_bw().bytes_per_s() / eff.bytes_per_s();
+                if ratio > slow {
+                    slow = ratio;
                 }
-                let leave = timing.t_meet + timing.inter * slow;
-                // Every leader moves `bytes` both ways (reduce up,
-                // result down), visible to neighbors from the fence
-                // below.
-                for &leader in &timing.leaders {
-                    tasks[leader]
-                        .client
-                        .post_link(timing.t_meet, leave, bytes, bytes);
-                }
-                leave
-            };
-            for t in tasks.iter_mut() {
-                t.clock.set(leave);
             }
-            run.bw.fence(leave);
         }
-        CommRequest::Halo { .. } => resolve_halo(tasks, reqs, room),
+        let leave = timing.t_meet + timing.inter * slow;
+        // Every leader moves `bytes` both ways (reduce up, result down),
+        // visible to neighbors from the fence below.
+        for &leader in &timing.leaders {
+            tasks[leader]
+                .client
+                .post_link(timing.t_meet, leave, bytes, bytes);
+        }
+        leave
+    };
+    for t in tasks.iter_mut() {
+        t.clock.set(leave);
+    }
+    run.bw.fence(leave);
+}
+
+/// Resolve a pairwise halo exchange: time it from every rank's paused
+/// step ([`halo_timing`]: the k-th wait of r on s takes the k-th send of
+/// s to r), post its cross-node flows on the link channels and set every
+/// departure. Halos never fence, so the link traffic surfaces to
+/// neighbours at the next collective — the same rule as helper copies.
+fn resolve_halo(tasks: &mut [RankTask], room: Option<&ClusterTopology>) {
+    let halos: Vec<(VTime, &[usize], Bytes)> = tasks
+        .iter()
+        .map(|t| match t.paused_step() {
+            StepSpec::Halo { neighbors, bytes } => (t.clock.now(), neighbors.as_slice(), *bytes),
+            _ => panic!("communication steps must agree across ranks"),
+        })
+        .collect();
+    let (leave, flows) = halo_timing(&halos, room);
+    for (rank, start, end, up, down) in flows {
+        tasks[rank].client.post_link(start, end, up, down);
+    }
+    for (t, c) in tasks.iter_mut().zip(leave) {
+        t.clock.set(c);
     }
 }
 
-/// Resolve a pairwise halo exchange: eager isends (one overhead each,
-/// additively), then waits in neighbour-list order. Cross-node messages
-/// ride the inter-node link and are charged on both endpoints' link
-/// channels; intra-node messages keep the legacy flat wire time.
-fn resolve_halo(tasks: &mut [RankTask], reqs: Vec<CommRequest>, room: Option<&ClusterTopology>) {
-    let halos: Vec<(Vec<usize>, Bytes)> = reqs
-        .into_iter()
-        .map(|r| match r {
-            CommRequest::Halo { neighbors, bytes } => (neighbors, bytes),
-            CommRequest::Collective { .. } => {
-                panic!("communication steps must agree across ranks")
-            }
-        })
-        .collect();
-    let n = tasks.len();
+/// One link flow of a halo exchange, `(rank, start, end, up, down)`: the
+/// rank's link carries `up` bytes out and `down` bytes in over the window.
+type LinkFlow = (usize, VTime, VTime, Bytes, Bytes);
+
+/// The timing of one halo exchange, a pure function of its inputs: rank
+/// `r` enters at `halos[r].0` and sends `halos[r].2` bytes to each rank
+/// of `halos[r].1`. Returns every departure and the link flows of the
+/// cross-node messages in posting order: by sender and list position,
+/// the sender's upstream flow before the receiver's downstream one.
+///
+/// Each rank sends eagerly in list order, one overhead per isend (added
+/// one by one: overhead × count would round differently), then waits in
+/// list order, one overhead per wait, until the message has landed. The
+/// k-th wait of r on s takes the k-th send of s to r (FIFO per pair).
+/// Ring lists of small worlds repeat a peer, or name the rank itself, so
+/// the lists must be multiset-symmetric: exactly then every wait finds
+/// its send. Cross-node messages take the room's link time.
+fn halo_timing(
+    halos: &[(VTime, &[usize], Bytes)],
+    room: Option<&ClusterTopology>,
+) -> (Vec<VTime>, Vec<LinkFlow>) {
+    let n = halos.len();
     let net = NetParams::default();
     let link = room.map_or(net, NetParams::link);
-    // Neighbour lists are rings, so small worlds produce duplicates (a
-    // 2-rank ring's left and right coincide) and even self-messages (a
-    // 1-rank ring). Symmetry is therefore multiset symmetry: r sends to
-    // nb exactly as many times as nb sends to r.
-    for (r, (nbrs, _)) in halos.iter().enumerate() {
-        for &nb in nbrs {
-            assert!(nb < n, "halo neighbor {nb} out of range for rank {r}");
-            let to = nbrs.iter().filter(|&&x| x == nb).count();
-            let from = halos[nb].0.iter().filter(|&&x| x == r).count();
-            assert!(
-                to == from,
-                "halo lists must be symmetric ({r} sends {to} to {nb}, receives {from})"
-            );
-        }
-    }
-
-    // Send pass. Each isend costs the sender one overhead (accumulated
-    // additively — never overhead × count, which would round differently)
-    // and puts the payload on the wire at `c + wire`; the paired irecv is
-    // free. Messages on one (sender, receiver) pair match in FIFO
-    // order.
-    let mut avail: HashMap<(usize, usize), VecDeque<VTime>> = HashMap::new();
-    let mut after_sends: Vec<VTime> = Vec::with_capacity(n);
-    let mut link_posts: Vec<(usize, usize, VTime, VTime)> = Vec::new();
-    for (s, (nbrs, bytes)) in halos.iter().enumerate() {
-        let mut c = tasks[s].clock.now();
+    // Send pass: each send's arrival lands at its sender's offset plus
+    // its list position; `leave` holds each rank's clock after its sends.
+    let mut leave = Vec::with_capacity(n);
+    let mut offset = Vec::with_capacity(n);
+    let mut arrival = Vec::with_capacity(halos.iter().map(|h| h.1.len()).sum());
+    let mut flows = Vec::new();
+    for (s, &(mut c, nbrs, bytes)) in halos.iter().enumerate() {
+        offset.push(arrival.len());
         for &dst in nbrs {
+            assert!(dst < n, "halo neighbor {dst} out of range for rank {s}");
             c += net.overhead;
             let cross = room.is_some_and(|room| room.node_of(s) != room.node_of(dst));
-            let wire = if cross {
-                link.p2p_time(*bytes)
-            } else {
-                net.p2p_time(*bytes)
-            };
-            avail.entry((s, dst)).or_default().push_back(c + wire);
+            let wire = if cross { link } else { net }.p2p_time(bytes);
+            arrival.push(c + wire);
             if cross {
-                link_posts.push((s, dst, c, c + wire));
+                flows.push((s, c, c + wire, bytes, Bytes::ZERO));
+                flows.push((dst, c, c + wire, Bytes::ZERO, bytes));
             }
         }
-        after_sends.push(c);
+        leave.push(c);
     }
-
-    // A cross-node message occupies both endpoints' links for its wire
-    // window: upstream at the sender's node, downstream at the
-    // receiver's. Halos never fence, so this traffic surfaces to
-    // neighbours at the next collective — same rule as helper copies.
-    for &(s, dst, start, end) in &link_posts {
-        let bytes = halos[s].1;
-        tasks[s].client.post_link(start, end, bytes, Bytes::ZERO);
-        tasks[dst].client.post_link(start, end, Bytes::ZERO, bytes);
-    }
-
-    // Wait pass, in neighbour-list order: each wait pays one overhead
-    // then blocks until the matching payload has landed.
-    for (r, (nbrs, _)) in halos.iter().enumerate() {
-        let mut c = after_sends[r];
-        for &src in nbrs {
-            let at = avail
-                .get_mut(&(src, r))
-                .and_then(VecDeque::pop_front)
-                .expect("symmetric halo lists guarantee a matching send");
-            c = (c + net.overhead).max(at);
+    // Wait pass, in list order.
+    for (r, &(_, nbrs, _)) in halos.iter().enumerate() {
+        let mut c = leave[r];
+        for (i, &src) in nbrs.iter().enumerate() {
+            let k = nbrs[..i].iter().filter(|&&x| x == src).count();
+            let sent = halos[src].1;
+            let Some(j) = (0..sent.len()).filter(|&j| sent[j] == r).nth(k) else {
+                let to = nbrs.iter().filter(|&&x| x == src).count();
+                let from = sent.iter().filter(|&&x| x == r).count();
+                panic!("halo lists must be symmetric ({r} sends {to} to {src}, receives {from})");
+            };
+            c = (c + net.overhead).max(arrival[offset[src] + j]);
         }
-        tasks[r].clock.set(c);
+        leave[r] = c;
     }
+    (leave, flows)
 }
 
 #[cfg(test)]
@@ -1544,7 +1534,7 @@ mod tests {
     use std::collections::BTreeSet;
     use unimem_cache::AccessPattern;
     use unimem_hms::object::ObjId;
-    use unimem_hms::topology::ClusterSpec;
+    use unimem_hms::topology::{ClusterSpec, NodeSpec};
     use unimem_sim::DetRng;
 
     /// Two-object synthetic workload: a streaming-hot `hot` and a cold
@@ -1814,15 +1804,297 @@ mod tests {
         RunSpec::flat(m, nranks, &CapacitySchedule::constant(m.dram_capacity))
     }
 
+    /// 16 ranks at 4 per node, in the flat world and in a 4-node room
+    /// with two-level comm, where every fourth ring message crosses a
+    /// node and posts link flows the next collective reads.
     #[test]
     fn pooled_rank_execution_is_byte_identical_across_worker_counts() {
         let w = WithHalo(Synth { iters: 4 });
         let m = machine().with_ranks_per_node(4);
-        assert_eq!(
-            run_room(&w, flat_room(&m, 16), None, 1),
-            run_room(&w, flat_room(&m, 16), None, 4),
-            "worker count leaked into the simulated timeline"
-        );
+        let room = |clustered: bool| {
+            if clustered {
+                let spec = ClusterSpec::homogeneous(m.clone(), 4, 4);
+                RunSpec::clustered(ClusterTopology::contiguous(spec, 16))
+            } else {
+                flat_room(&m, 16)
+            }
+        };
+        for clustered in [false, true] {
+            let serial = run_room(&w, room(clustered), None, 1);
+            for workers in [2, 4] {
+                assert!(
+                    run_room(&w, room(clustered), None, workers) == serial,
+                    "clustered={clustered}: worker count {workers} leaked into the timeline"
+                );
+            }
+        }
+    }
+
+    /// [`Synth`]'s objects and compute step, then the communication steps
+    /// `comm(rank, nranks)` lists, in each of two iterations.
+    struct Scripted<F>(F);
+
+    impl<F: Fn(usize, usize) -> Vec<StepSpec> + Sync> Workload for Scripted<F> {
+        fn name(&self) -> String {
+            "scripted".into()
+        }
+
+        fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec> {
+            Synth { iters: 2 }.objects(rank, nranks)
+        }
+
+        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
+            let mut steps = Synth { iters: 2 }.script(rank, nranks, iter);
+            steps.truncate(1);
+            steps.extend((self.0)(rank, nranks));
+            steps
+        }
+
+        fn iterations(&self) -> usize {
+            2
+        }
+    }
+
+    /// Run `comm` on three ranks of the flat world.
+    fn run_comm(comm: impl Fn(usize, usize) -> Vec<StepSpec> + Sync) {
+        run_room(&Scripted(comm), flat_room(&machine(), 3), None, 1);
+    }
+
+    fn halo(neighbors: Vec<usize>) -> Vec<StepSpec> {
+        vec![StepSpec::Halo {
+            neighbors,
+            bytes: Bytes::kib(4),
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "halo lists must be symmetric")]
+    fn one_way_halo_ring_is_rejected() {
+        run_comm(|r, n| halo(vec![(r + 1) % n]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn halo_neighbor_past_the_last_rank_is_rejected() {
+        run_comm(|r, n| halo(vec![(r + 1) % n, (r + n - 1) % n, n]));
+    }
+
+    #[test]
+    #[should_panic(expected = "collective steps must agree across ranks")]
+    fn collectives_of_different_sizes_are_rejected() {
+        run_comm(|r, _| {
+            vec![StepSpec::AllreduceSum {
+                bytes: Bytes(64 << r),
+            }]
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "communication steps must agree across ranks")]
+    fn halo_against_a_barrier_is_rejected() {
+        run_comm(|r, _| match r {
+            0 => halo(vec![0]),
+            _ => vec![StepSpec::Barrier],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "every rank must reach the same communication steps")]
+    fn a_rank_finishing_while_others_pause_is_rejected() {
+        run_comm(|r, _| match r {
+            0 => vec![StepSpec::Barrier],
+            _ => Vec::new(),
+        });
+    }
+
+    /// [`halo_timing`] with one FIFO queue of arrivals per (sender,
+    /// receiver) pair in a hash map: the matching rule stated directly,
+    /// the oracle the list-position matcher is checked against.
+    fn halo_timing_reference(
+        halos: &[(VTime, &[usize], Bytes)],
+        room: Option<&ClusterTopology>,
+    ) -> (Vec<VTime>, Vec<LinkFlow>) {
+        let net = NetParams::default();
+        let link = room.map_or(net, NetParams::link);
+        let mut avail: HashMap<(usize, usize), VecDeque<VTime>> = HashMap::new();
+        let mut after_sends = Vec::new();
+        let mut link_posts = Vec::new();
+        for (s, &(mut c, nbrs, bytes)) in halos.iter().enumerate() {
+            for &dst in nbrs {
+                c += net.overhead;
+                let cross = room.is_some_and(|room| room.node_of(s) != room.node_of(dst));
+                let wire = if cross {
+                    link.p2p_time(bytes)
+                } else {
+                    net.p2p_time(bytes)
+                };
+                avail.entry((s, dst)).or_default().push_back(c + wire);
+                if cross {
+                    link_posts.push((s, dst, c, c + wire));
+                }
+            }
+            after_sends.push(c);
+        }
+        let mut flows = Vec::new();
+        for (s, dst, start, end) in link_posts {
+            let bytes = halos[s].2;
+            flows.push((s, start, end, bytes, Bytes::ZERO));
+            flows.push((dst, start, end, Bytes::ZERO, bytes));
+        }
+        let mut leave = Vec::new();
+        for (r, &(_, nbrs, _)) in halos.iter().enumerate() {
+            let mut c = after_sends[r];
+            for &src in nbrs {
+                let at = avail
+                    .get_mut(&(src, r))
+                    .and_then(VecDeque::pop_front)
+                    .expect("symmetric halo lists guarantee a matching send");
+                c = (c + net.overhead).max(at);
+            }
+            leave.push(c);
+        }
+        (leave, flows)
+    }
+
+    /// A random halo exchange over `n` ranks: multiset-symmetric lists of
+    /// up to 8 neighbours in random order — self-messages and repeated,
+    /// often non-adjacent neighbours included — with per-rank payloads
+    /// from 0 B to 1 MiB and entry clocks spread over 200 µs.
+    fn random_exchange(rng: &mut DetRng, n: usize) -> Vec<(VTime, Vec<usize>, Bytes)> {
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for a in 0..n {
+            for _ in 0..rng.index(9) {
+                let b = match rng.index(6) {
+                    0 => a,
+                    1 if !lists[a].is_empty() => lists[a][rng.index(lists[a].len())],
+                    _ => rng.index(n),
+                };
+                if a == b && lists[a].len() < 8 {
+                    lists[a].push(a);
+                } else if a != b && lists[a].len() < 8 && lists[b].len() < 8 {
+                    lists[a].push(b);
+                    lists[b].push(a);
+                }
+            }
+        }
+        for l in &mut lists {
+            rng.shuffle(l);
+        }
+        lists
+            .into_iter()
+            .map(|l| {
+                let clock = VTime(rng.range_f64(0.0, 200e-6));
+                match rng.index(22) {
+                    21 => (clock, l, Bytes::ZERO),
+                    e => (clock, l, Bytes(1 << e)),
+                }
+            })
+            .collect()
+    }
+
+    /// A room of nodes with 1–8 rank slots each, enough for `n` ranks.
+    fn uneven_room(rng: &mut DetRng, n: usize) -> ClusterTopology {
+        let mut nodes: Vec<NodeSpec> = Vec::new();
+        while nodes.iter().map(|node| node.slots).sum::<usize>() < n {
+            nodes.push(NodeSpec {
+                machine: machine(),
+                slots: 1 + rng.index(8),
+            });
+        }
+        let spec = ClusterSpec {
+            nodes,
+            ..ClusterSpec::homogeneous(machine(), 1, 1)
+        };
+        ClusterTopology::contiguous(spec, n)
+    }
+
+    /// Departures by bits and link flows field by field.
+    #[allow(clippy::type_complexity)]
+    fn timing_bits(
+        t: &(Vec<VTime>, Vec<LinkFlow>),
+    ) -> (Vec<u64>, Vec<(usize, u64, u64, u64, u64)>) {
+        (
+            t.0.iter().map(|c| c.secs().to_bits()).collect(),
+            t.1.iter()
+                .map(|&(rank, start, end, up, down)| {
+                    (
+                        rank,
+                        start.secs().to_bits(),
+                        end.secs().to_bits(),
+                        up.get(),
+                        down.get(),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Random exchanges of 1 to `max_ranks` ranks, one per seed, each
+    /// timed flat and in an uneven room by [`halo_timing`] and by the
+    /// reference: departures must agree by bits and the flows exactly.
+    fn check_halo_matcher(seeds: std::ops::Range<u64>, max_ranks: usize) {
+        let cases = seeds.end - seeds.start;
+        let (mut wide, mut repeated, mut selfs, mut crossing) = (0, 0, 0, 0);
+        for seed in seeds {
+            let mut rng = DetRng::seed(seed);
+            let n = 1 + rng.index(max_ranks);
+            let halos = random_exchange(&mut rng, n);
+            let room = uneven_room(&mut rng, n);
+            let halos: Vec<(VTime, &[usize], Bytes)> = halos
+                .iter()
+                .map(|(c, l, b)| (*c, l.as_slice(), *b))
+                .collect();
+            for room in [None, Some(&room)] {
+                let got = halo_timing(&halos, room);
+                let want = halo_timing_reference(&halos, room);
+                assert!(
+                    timing_bits(&got) == timing_bits(&want),
+                    "seed {seed}, {n} ranks, in a room: {}",
+                    room.is_some()
+                );
+                crossing += u64::from(!got.1.is_empty());
+            }
+            wide += u64::from(
+                halos
+                    .iter()
+                    .any(|(_, l, _)| l.iter().collect::<BTreeSet<_>>().len() >= 3),
+            );
+            repeated += u64::from(halos.iter().any(|(_, l, _)| {
+                (0..l.len()).any(|i| l[i + 1..].iter().skip(1).any(|&x| x == l[i]))
+            }));
+            selfs += u64::from(
+                halos
+                    .iter()
+                    .enumerate()
+                    .any(|(r, (_, l, _))| l.contains(&r)),
+            );
+        }
+        for (what, count) in [
+            ("three or more distinct neighbours", wide),
+            ("a non-adjacent repeated neighbour", repeated),
+            ("a self-message", selfs),
+            ("cross-node flows", crossing),
+        ] {
+            assert!(
+                count * 4 >= cases,
+                "only {count} of {cases} cases had {what}"
+            );
+        }
+    }
+
+    /// The list-position matcher equals the per-pair FIFO reference by
+    /// bits on exchanges of up to 24 ranks.
+    #[test]
+    fn halo_matcher_matches_the_reference() {
+        check_halo_matcher(0..300, 24);
+    }
+
+    /// [`halo_matcher_matches_the_reference`] at scale: thousands of
+    /// exchanges of up to 1,024 ranks.
+    #[test]
+    #[ignore = "thousands of exchanges of up to 1,024 ranks; run in release"]
+    fn deep_halo_matcher_matches_the_reference() {
+        check_halo_matcher(1 << 32..(1 << 32) + 2_048, 1_024);
     }
 
     /// 12 ranks at 4 per node, in the flat world and in a 3-node room
