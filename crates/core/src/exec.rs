@@ -23,20 +23,22 @@
 //! (the tests check it against the direct pricing bit for bit) and lives
 //! as long as the rank's run.
 //!
-//! Execution is segmented and bulk-synchronous: each rank is a movable
-//! `RankTask` that runs to its next communication step on a bounded
-//! worker pool ([`unimem_sim::run_pool`]) and reports only that it
-//! paused. A serial resolver then reads every task's paused step from
-//! its script and computes the synchronized departure clocks — so a
-//! 256-rank topology costs a handful of OS threads, not 256. A halo round
-//! is one pass over the neighbour lists, matched by list position: every
-//! send's arrival sits in one flat array at its sender's offset plus its
-//! list position, and the k-th wait of rank r on rank s takes the k-th
-//! send of s to r. The output is byte-identical at any pool width: the
-//! resolver also fences the bandwidth ledger at every collective, so a
-//! rank reads its neighbours' traffic only as rates published while no
-//! task runs, and collective departure times depend only on the entry
-//! clocks.
+//! Execution is segmented and bulk-synchronous, and one thread runs a
+//! whole run: each rank is a `RankTask` that runs to its next
+//! communication step and reports only that it paused, the ranks one
+//! after another in rank order. The resolver then reads every task's
+//! paused step from its script and computes the synchronized departure
+//! clocks — so a 256-rank topology costs 256 resumable tasks, not 256 OS
+//! threads. The ranks' concurrency is virtual: they interact only at the
+//! resolver, as the paper's processes coordinate only at the
+//! communication phases its PMPI wrapper delimits. A halo round is one
+//! pass over the neighbour lists, matched by list position: every send's
+//! arrival sits in one flat array at its sender's offset plus its list
+//! position, and the k-th wait of rank r on rank s takes the k-th send of
+//! s to r. The resolver also fences the bandwidth ledger at every
+//! collective, so a rank reads its neighbours' traffic only as rates
+//! published while no task runs, and collective departure times depend
+//! only on the entry clocks.
 //!
 //! Every run goes through one executor over a machine room. The room is
 //! either the flat world of one machine config ([`run_workload`], the
@@ -63,7 +65,7 @@ use unimem_hms::topology::ClusterTopology;
 use unimem_hms::{DramService, MachineConfig};
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::Calibration;
-use unimem_sim::{default_workers, run_pool, run_pool_mut, Bytes, Channel, VDur, VTime};
+use unimem_sim::{Bytes, Channel, VDur, VTime};
 
 pub use crate::policy::{Policy, UnimemConfig};
 
@@ -338,28 +340,19 @@ pub(crate) struct RunSpec {
     pub(crate) leases: Vec<CapacitySchedule>,
     /// Journal every rank in this durability mode.
     pub(crate) journal: Option<DurabilityMode>,
-    /// Rank-pool width: serial up to 8 ranks, at most the host's
-    /// parallelism above. The width never changes a report byte.
-    pub(crate) workers: usize,
 }
 
 impl RunSpec {
     /// The run of [`run_workload_clustered`]: two-level comm across
     /// `room`, each rank leasing its own node's whole DRAM.
     fn clustered(room: ClusterTopology) -> RunSpec {
-        let nranks = room.nranks();
         RunSpec {
-            leases: (0..nranks)
+            leases: (0..room.nranks())
                 .map(|r| CapacitySchedule::constant(room.machine_of(r).dram_capacity))
                 .collect(),
             room,
             flat_comm: false,
             journal: None,
-            workers: if nranks <= 8 {
-                1
-            } else {
-                default_workers().min(nranks)
-            },
         }
     }
 
@@ -471,10 +464,9 @@ struct Run<'a> {
 
 /// The executor: build one [`RankTask`] per rank, then run
 /// bulk-synchronous rounds — every task advances to its next
-/// communication point on the rank pool, the serial resolver computes
-/// the synchronized clocks (charging inter-node traffic on the link
-/// channels), and the tasks resume. Rank state only ever interacts at
-/// the resolver, so any two widths produce identical reports.
+/// communication point, the resolver computes the synchronized clocks
+/// (charging inter-node traffic on the link channels), and the tasks
+/// resume. Rank state only ever interacts at the resolver.
 ///
 /// `oracles`, one per rank or none, replay a recovered journal (see
 /// [`RankOracle`]). Returns the report and, when the spec journals,
@@ -532,28 +524,26 @@ pub(crate) fn run(
     };
 
     // Build every rank's task (registration, partitioning, initial
-    // placement) on the pool — construction never communicates, and the
-    // DRAM service's per-rank slots make it order-independent.
-    let mut tasks: Vec<RankTask> = run_pool((0..room.nranks()).collect(), spec.workers, |&rank| {
-        Ok(RankTask::new(rank, &run))
-    })
-    .unwrap_or_else(|e| panic!("rank setup failed: {e}"));
+    // placement): construction never communicates.
+    let mut tasks: Vec<RankTask> = (0..room.nranks())
+        .map(|rank| RankTask::new(rank, &run))
+        .collect();
     for (task, oracle) in tasks.iter_mut().zip(oracles) {
         task.oracle = Some(oracle);
     }
 
     // Bulk-synchronous rounds until every rank's script is exhausted.
-    // Tasks stay resident in one `Vec` for the whole run: each worker
-    // advances one contiguous piece of it in place — no per-round
-    // `Mutex<Option<_>>` wrappers, no moving task state between rounds.
     loop {
-        let paused = run_pool_mut(&mut tasks, spec.workers, |_, t| Ok(t.advance()))
-            .unwrap_or_else(|e| panic!("rank execution failed: {e}"));
-        if !paused.contains(&true) {
+        let paused = tasks
+            .iter_mut()
+            .map(RankTask::advance)
+            .filter(|&p| p)
+            .count();
+        if paused == 0 {
             break;
         }
         assert!(
-            !paused.contains(&false),
+            paused == tasks.len(),
             "every rank must reach the same communication steps"
         );
         resolve_comm(&mut tasks, &run);
@@ -587,7 +577,7 @@ pub(crate) fn run(
 /// non-journaled path never pays a nanosecond.
 fn drain_journal(journal: &Option<JournalHandle>, clock: &mut RankClock) {
     if let Some(j) = journal {
-        let cost = j.lock().expect("journal poisoned").take_cost();
+        let cost = j.borrow_mut().take_cost();
         if !cost.is_zero() {
             clock.advance(cost);
         }
@@ -644,12 +634,12 @@ impl StepSpec {
     }
 }
 
-/// One rank's complete execution state, movable across pool workers.
+/// One rank's complete execution state.
 ///
 /// [`RankTask::advance`] replays the script in program order until it
 /// needs another rank (a communication step), then parks on it. The
-/// serial resolver reads the step ([`RankTask::paused_step`]), sets the
-/// clock, and the task resumes on whichever worker picks it up next.
+/// resolver reads the step ([`RankTask::paused_step`]), sets the clock,
+/// and the task resumes in the next round.
 /// Scripts are bulk-synchronous: every rank must pause on the same kind
 /// of step (ranks may run different numbers of compute steps in
 /// between).
@@ -715,7 +705,7 @@ impl<'a> RankTask<'a> {
         // machine from the log alone.
         if let Some(j) = &journal {
             let t0 = clock.now();
-            let mut jm = j.lock().expect("journal poisoned");
+            let mut jm = j.borrow_mut();
             jm.append(
                 &Record::RunHeader {
                     rank: rank as u32,
@@ -827,7 +817,7 @@ impl<'a> RankTask<'a> {
                                     }
                                 };
                             if let Some(j) = &self.journal {
-                                let mut jm = j.lock().expect("journal poisoned");
+                                let mut jm = j.borrow_mut();
                                 let seq = jm.next_seq();
                                 jm.append(
                                     &Record::Observe {
@@ -883,7 +873,7 @@ impl<'a> RankTask<'a> {
                     // the ledger epoch.
                     let fenced = !matches!(self.steps[idx], StepSpec::Halo { .. });
                     if let Some(j) = &self.journal {
-                        let mut jm = j.lock().expect("journal poisoned");
+                        let mut jm = j.borrow_mut();
                         let seq = jm.next_seq();
                         jm.append(
                             &Record::Comm {
@@ -932,7 +922,7 @@ impl<'a> RankTask<'a> {
             "task consumed before completion"
         );
         let journal = self.journal.map(|j| {
-            let jm = j.lock().expect("journal poisoned");
+            let jm = j.borrow();
             let oracle = self.oracle.as_ref();
             RankJournalOut {
                 bytes: jm.bytes().to_vec(),
@@ -1387,13 +1377,13 @@ fn ground_truth_reference(
 
 /// Resolve one bulk-synchronous communication round: every rank has
 /// paused on a communication step ([`RankTask::paused_step`]). This is
-/// the rendezvous — the only place rank clocks interact — and it runs
-/// serially: the synchronized clocks are a pure function of the entry
-/// clocks and the ledger's fenced history, so pooled execution stays
-/// byte-identical to serial. A collective also fences the run's ledger
-/// at its departure, publishing each rank's traffic of the closing epoch
-/// to its node's other ranks while no task runs. A flat-comm run prices
-/// every step as if its ranks shared one node.
+/// the rendezvous — the only place rank clocks interact: the
+/// synchronized clocks are a pure function of the entry clocks and the
+/// ledger's fenced history, whatever order the round advanced its tasks
+/// in. A collective also fences the run's ledger at its departure,
+/// publishing each rank's traffic of the closing epoch to its node's
+/// other ranks while no task runs. A flat-comm run prices every step as
+/// if its ranks shared one node.
 fn resolve_comm(tasks: &mut [RankTask], run: &Run) {
     let room = (!run.spec.flat_comm).then_some(&run.spec.room);
     let Some((kind, bytes)) = tasks[0].paused_step().collective() else {
@@ -1722,32 +1712,6 @@ mod tests {
         assert_eq!(hw.job.migrations.count, 0);
     }
 
-    /// [`Synth`] plus a ring halo, so a run crosses both resolver paths.
-    struct WithHalo(Synth);
-
-    impl Workload for WithHalo {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-
-        fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec> {
-            self.0.objects(rank, nranks)
-        }
-
-        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
-            let mut steps = self.0.script(rank, nranks, iter);
-            steps.push(StepSpec::Halo {
-                neighbors: vec![(rank + nranks - 1) % nranks, (rank + 1) % nranks],
-                bytes: Bytes::kib(64),
-            });
-            steps
-        }
-
-        fn iterations(&self) -> usize {
-            self.0.iterations()
-        }
-    }
-
     /// [`Synth`] whose cold object is mostly written, so NVM-write
     /// traffic (journal flushes included) slows its phases.
     struct WriteCold(Synth);
@@ -1774,20 +1738,14 @@ mod tests {
         }
     }
 
-    /// `w` under Unimem in `room` at pool width `workers`, journaled in
-    /// `journal`'s mode when given: the report JSON and every rank's
-    /// journal.
+    /// `w` under Unimem in `room`, journaled in `journal`'s mode when
+    /// given: the report JSON and every rank's journal.
     fn run_room(
         w: &dyn Workload,
         room: RunSpec,
         journal: Option<DurabilityMode>,
-        workers: usize,
     ) -> (String, Vec<Vec<u8>>) {
-        let spec = RunSpec {
-            journal,
-            workers,
-            ..room
-        };
+        let spec = RunSpec { journal, ..room };
         let (report, journals) = run(
             &spec,
             w,
@@ -1802,32 +1760,6 @@ mod tests {
     /// `nranks` ranks of `m` in the flat world.
     fn flat_room(m: &MachineConfig, nranks: usize) -> RunSpec {
         RunSpec::flat(m, nranks, &CapacitySchedule::constant(m.dram_capacity))
-    }
-
-    /// 16 ranks at 4 per node, in the flat world and in a 4-node room
-    /// with two-level comm, where every fourth ring message crosses a
-    /// node and posts link flows the next collective reads.
-    #[test]
-    fn pooled_rank_execution_is_byte_identical_across_worker_counts() {
-        let w = WithHalo(Synth { iters: 4 });
-        let m = machine().with_ranks_per_node(4);
-        let room = |clustered: bool| {
-            if clustered {
-                let spec = ClusterSpec::homogeneous(m.clone(), 4, 4);
-                RunSpec::clustered(ClusterTopology::contiguous(spec, 16))
-            } else {
-                flat_room(&m, 16)
-            }
-        };
-        for clustered in [false, true] {
-            let serial = run_room(&w, room(clustered), None, 1);
-            for workers in [2, 4] {
-                assert!(
-                    run_room(&w, room(clustered), None, workers) == serial,
-                    "clustered={clustered}: worker count {workers} leaked into the timeline"
-                );
-            }
-        }
     }
 
     /// [`Synth`]'s objects and compute step, then the communication steps
@@ -1857,7 +1789,7 @@ mod tests {
 
     /// Run `comm` on three ranks of the flat world.
     fn run_comm(comm: impl Fn(usize, usize) -> Vec<StepSpec> + Sync) {
-        run_room(&Scripted(comm), flat_room(&machine(), 3), None, 1);
+        run_room(&Scripted(comm), flat_room(&machine(), 3), None);
     }
 
     fn halo(neighbors: Vec<usize>) -> Vec<StepSpec> {
@@ -2098,13 +2030,12 @@ mod tests {
     }
 
     /// 12 ranks at 4 per node, in the flat world and in a 3-node room
-    /// with two-level comm: at widths 2 and 4 a node's ranks run on
-    /// different pool pieces, and in Strict mode every journal append
-    /// posts a flush those ranks' neighbours read as NVM-write traffic.
-    /// In the room, an InMemory journal also leaves the report as the
-    /// plain run's.
+    /// with two-level comm: in Strict mode every journal append posts a
+    /// flush the rank's neighbours read as NVM-write traffic. Two runs of
+    /// each mode give the same report and journal bytes, and in the room
+    /// an InMemory journal leaves the report as the plain run's.
     #[test]
-    fn journaled_runs_are_byte_identical_across_worker_counts() {
+    fn journaled_runs_repeat_byte_for_byte() {
         let w = WriteCold(Synth { iters: 4 });
         let m = machine().with_ranks_per_node(4);
         let nranks = 12;
@@ -2118,23 +2049,21 @@ mod tests {
         };
         for clustered in [false, true] {
             for mode in DurabilityMode::ALL {
-                let serial = run_room(&w, room(clustered), Some(mode), 1);
-                assert_eq!(serial.1.len(), nranks, "every rank journals");
-                for workers in [2, 4] {
-                    let (report, journals) = run_room(&w, room(clustered), Some(mode), workers);
-                    assert!(
-                        report == serial.0,
-                        "clustered={clustered}, {mode:?}: report differs at {workers} workers"
-                    );
-                    assert!(
-                        journals == serial.1,
-                        "clustered={clustered}, {mode:?}: journals differ at {workers} workers"
-                    );
-                }
+                let first = run_room(&w, room(clustered), Some(mode));
+                assert_eq!(first.1.len(), nranks, "every rank journals");
+                let (report, journals) = run_room(&w, room(clustered), Some(mode));
+                assert!(
+                    report == first.0,
+                    "clustered={clustered}, {mode:?}: report differs between runs"
+                );
+                assert!(
+                    journals == first.1,
+                    "clustered={clustered}, {mode:?}: journals differ between runs"
+                );
             }
         }
-        let (plain, _) = run_room(&w, room(true), None, 1);
-        let (in_memory, _) = run_room(&w, room(true), Some(DurabilityMode::InMemory), 1);
+        let (plain, _) = run_room(&w, room(true), None);
+        let (in_memory, _) = run_room(&w, room(true), Some(DurabilityMode::InMemory));
         assert!(
             plain == in_memory,
             "InMemory journaling perturbed the room's report"

@@ -269,10 +269,10 @@ pub enum TierView<'a> {
 /// A placement policy: a per-run factory for per-rank placement state.
 ///
 /// Implementations must be deterministic — two runs with identical
-/// inputs must produce byte-identical reports regardless of worker
-/// count, which in practice means no wall-clock, no global state, and
-/// randomness only through `unimem_sim::DetRng`.
-pub trait PlacementPolicy: Sync {
+/// inputs must produce byte-identical reports, which in practice means
+/// no wall-clock, no global state, and randomness only through
+/// `unimem_sim::DetRng`.
+pub trait PlacementPolicy {
     /// This policy's registry entry.
     fn id(&self) -> PolicyId;
 
@@ -299,11 +299,7 @@ pub trait PlacementPolicy: Sync {
 /// Per-rank placement state: the lifecycle hooks the driver calls while
 /// replaying the phase script. Every hook may advance virtual time
 /// (charging its own overhead) and update [`RunStats`] counters.
-///
-/// `Send` because the pooled executor migrates rank state across worker
-/// threads between communication steps; state is still only ever touched
-/// by one thread at a time.
-pub trait RankState: Send {
+pub trait RankState {
     /// Iteration boundary: build dependency tables on the first pass,
     /// react to capacity-lease changes.
     fn iteration_begin(&mut self, _it: usize, _steps: &[StepSpec], _env: &mut StepEnv<'_>) {}

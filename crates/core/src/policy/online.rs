@@ -12,7 +12,7 @@
 //! and cannot overlap migrations with the phases that do not touch the
 //! moving unit. Its sampling is deterministic: hotness counts are
 //! binomial-thinned through `unimem_sim::DetRng`, seeded per rank, so
-//! runs replay byte-identically at any worker count.
+//! runs replay byte-identically.
 
 use super::{build_refs, PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
 use crate::comm::PhaseId;

@@ -371,8 +371,7 @@ mod tests {
             Policy::online_guidance(),
             Policy::hw_cache(),
         ] {
-            // One rank per node, a shared node, and a room that runs on
-            // the rank pool (more than 8 ranks).
+            // One rank per node, a shared node, and three full nodes.
             for (nranks, per_node) in [(2, 1), (4, 2), (12, 4)] {
                 let m = MachineConfig::nvm_bw_fraction(0.5).with_ranks_per_node(per_node);
                 let plain = run_workload(&w, &m, &c, nranks, &p);

@@ -36,7 +36,7 @@
 //! Determinism: flow visibility follows the ledger's fence protocol (see
 //! `unimem_sim::ledger`) — own flows are interval-exact, and neighbor
 //! flows are charged at the rate the last fence published. The
-//! executor's serial resolver calls [`SharedBandwidth::fence`] once per
+//! executor's resolver calls [`SharedBandwidth::fence`] once per
 //! MPI collective, closing the epoch on every node at once while every
 //! rank task is paused, so everything is a pure function of virtual
 //! program order. Each neighbor's rate is capped at the node's per-helper
@@ -48,7 +48,7 @@
 
 use crate::tier::{TierKind, TierParams};
 use crate::topology::ClusterTopology;
-use std::sync::Arc;
+use std::rc::Rc;
 use unimem_sim::{Bandwidth, BwLedger, Bytes, Channel, ChannelMap, LoadSplit, VDur, VTime};
 
 fn channels_of(tier: TierKind) -> (Channel, Channel) {
@@ -109,11 +109,11 @@ struct Inner {
 }
 
 /// The job-wide shared-bandwidth state: one ledger per node, shared by
-/// the node's rank tasks (clone-cheap handle, like
-/// [`DramService`](crate::DramService)).
+/// the node's rank tasks through clone-cheap handles. Like the ledgers
+/// it holds, it stays on the thread that runs the run.
 #[derive(Debug, Clone)]
 pub struct SharedBandwidth {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl SharedBandwidth {
@@ -151,7 +151,7 @@ impl SharedBandwidth {
             owner_of.push(owner);
         }
         SharedBandwidth {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 nodes,
                 node_of,
                 owner_of,
@@ -320,7 +320,7 @@ impl BwClient {
     }
 
     /// The helper load on the four tier channels over `[w0, w1]`, in one
-    /// locked ledger read: what [`BwClient::effective`] charges, for both
+    /// ledger read: what [`BwClient::effective`] charges, for both
     /// tiers and every scope at once. All zero when helper contention is
     /// off, since such a node charges no helper flow.
     pub fn tier_loads(&self, w0: VTime, w1: VTime) -> TierLoads {

@@ -13,30 +13,27 @@
 //! ranks on a big-memory node get bigger shares than ranks on a small
 //! one.
 //!
-//! Why not one first-fit pool per node? Determinism. Within a round, rank
-//! tasks advance concurrently on the rank pool's workers, and one node's
-//! ranks may sit on different workers; a shared free list would make
-//! allocation success depend on which worker the OS ran first —
-//! fragmentation from one rank's alloc/free interleaving can fail a
-//! neighbor's reservation on one run and admit it on the next, leaking
-//! host scheduling into the virtual clock (observed as per-run
-//! migration-count jitter the moment multi-rank nodes were exercised).
-//! The static split keeps every rank's allocation history a pure
-//! function of its own program order. Region offsets are rebased per
+//! Why not one first-fit pool per node? The planner. Each rank's
+//! knapsack plans against its per-rank share, so the service serves
+//! exactly that share: a rank never borrows an idle neighbour's space,
+//! and its admissions are a pure function of its own program order, not
+//! of how its node's ranks interleave (one node's ranks alternate within
+//! every round the executor advances). Region offsets are rebased per
 //! (node, slot) with node bases laid out by prefix sums of node
 //! capacities, so regions across the whole job remain pairwise disjoint
 //! addresses.
 
 use crate::alloc::{Region, SpaceAllocator};
 use crate::topology::ClusterTopology;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
 use unimem_sim::Bytes;
 
-/// Shared handle to the DRAM services of every node in the job.
-#[derive(Debug, Clone)]
+/// The DRAM services of every node in the job, shared by reference
+/// among the run's rank tasks.
+#[derive(Debug)]
 pub struct DramService {
     /// One allocator per rank (its slot's share of its node's allowance).
-    slots: Arc<Vec<Mutex<SpaceAllocator>>>,
+    slots: Vec<RefCell<SpaceAllocator>>,
     /// Rank → node.
     node_of: Vec<usize>,
     /// Rank → base address of its slot in the job address space.
@@ -87,12 +84,10 @@ impl DramService {
             shares.push(share);
         }
         DramService {
-            slots: Arc::new(
-                shares
-                    .iter()
-                    .map(|&s| Mutex::new(SpaceAllocator::new(s)))
-                    .collect(),
-            ),
+            slots: shares
+                .iter()
+                .map(|&s| RefCell::new(SpaceAllocator::new(s)))
+                .collect(),
             node_of,
             bases,
             shares,
@@ -100,10 +95,9 @@ impl DramService {
         }
     }
 
-    /// `rank`'s allocator. Never contended: only that rank's program
-    /// order takes it.
-    fn slot(&self, rank: usize) -> MutexGuard<'_, SpaceAllocator> {
-        self.slots[rank].lock().expect("DRAM slot poisoned")
+    /// `rank`'s allocator: only that rank's program order takes it.
+    fn slot(&self, rank: usize) -> RefMut<'_, SpaceAllocator> {
+        self.slots[rank].borrow_mut()
     }
 
     pub fn node_of(&self, rank: usize) -> usize {
@@ -242,22 +236,16 @@ mod tests {
 
     #[test]
     fn concurrent_reservations_never_overcommit() {
+        // Four co-located ranks reserve in turn, 50 times each: their
+        // concurrency is virtual, interleaved as the executor advances
+        // one node's ranks within a round.
         let s = service(4, 4, Bytes(1000));
-        let grants: Vec<_> = std::thread::scope(|scope| {
-            (0..4)
-                .map(|rank| {
-                    let s = s.clone();
-                    scope.spawn(move || {
-                        (0..50)
-                            .filter_map(|_| s.reserve(rank, Bytes(7)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
+        let mut grants: Vec<Vec<Region>> = vec![Vec::new(); 4];
+        for _ in 0..50 {
+            for (rank, mine) in grants.iter_mut().enumerate() {
+                mine.extend(s.reserve(rank, Bytes(7)));
+            }
+        }
         let total: u64 = grants.iter().flatten().map(|r| r.len).sum();
         assert!(total <= 1000, "overcommitted: {total}");
         // Regions must be pairwise disjoint.

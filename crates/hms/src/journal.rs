@@ -44,8 +44,9 @@
 //! a prefix, which is what [`durable_prefix`] computes per mode.
 
 use crate::contention::BwClient;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use unimem_sim::{Bandwidth, Bytes, CrashSpec, Fnv64, VDur, VTime};
 
 /// Frame header: payload length, append vtime, payload checksum.
@@ -485,11 +486,8 @@ pub struct JournalStats {
     pub write_cost: VDur,
 }
 
-/// Per-rank redo journal writer. Logically single-threaded — each rank
-/// owns one and only that rank's program order touches it — but the
-/// pooled executor may run successive segments of a rank on different
-/// worker threads, so the handle is an uncontended `Arc<Mutex<_>>`
-/// rather than `Rc<RefCell<_>>`.
+/// Per-rank redo journal writer. Each rank owns one, and only that
+/// rank's program order touches it.
 #[derive(Debug)]
 pub struct Journal {
     mode: DurabilityMode,
@@ -510,9 +508,9 @@ pub struct Journal {
 }
 
 /// Shared per-rank handle: the execution driver and the migration
-/// engine append to the same per-rank journal. Never contended — the
-/// lock exists so rank state can migrate across pool workers.
-pub type JournalHandle = Arc<Mutex<Journal>>;
+/// engine append to the same per-rank journal, on the one thread that
+/// runs the run.
+pub type JournalHandle = Rc<RefCell<Journal>>;
 
 impl Journal {
     pub fn new(mode: DurabilityMode) -> Journal {
@@ -545,7 +543,7 @@ impl Journal {
 
     /// Wrap into the shared per-rank handle.
     pub fn into_handle(self) -> JournalHandle {
-        Arc::new(Mutex::new(self))
+        Rc::new(RefCell::new(self))
     }
 
     pub fn mode(&self) -> DurabilityMode {

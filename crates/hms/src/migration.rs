@@ -164,7 +164,7 @@ impl MigrationEngine {
         // Redo rule: the intent reaches the journal before the copy is
         // scheduled, so no copy can be in flight unjournaled.
         if let Some(j) = &self.journal {
-            j.lock().expect("journal poisoned").append(
+            j.borrow_mut().append(
                 &Record::MigIntent {
                     seq: self.records.len() as u64,
                     obj: unit.obj.0,
@@ -214,7 +214,7 @@ impl MigrationEngine {
         }
         let stall = rec.done.since(now);
         if let Some(j) = &self.journal {
-            j.lock().expect("journal poisoned").append(
+            j.borrow_mut().append(
                 &Record::MigRequire {
                     seq: idx as u64,
                     at: now.secs(),
@@ -430,7 +430,7 @@ mod tests {
         let mut e = engine().with_journal(Some(j.clone()));
         e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
         let _ = e.require(unit(0), VTime(0.0005));
-        let st = ReplayedState::replay(j.lock().expect("journal poisoned").bytes());
+        let st = ReplayedState::replay(j.borrow().bytes());
         assert_eq!(st.migrations.len(), 1);
         let m = &st.migrations[&0];
         assert!(m.to_dram);

@@ -10,22 +10,21 @@
 //! proportionally — see `unimem_hms::contention` for the split formula;
 //! this module only does the deterministic bookkeeping.
 //!
-//! # Determinism under pooled rank tasks
+//! # Determinism: neighbours are seen only through fences
 //!
-//! Within a bulk-synchronous round, rank tasks advance concurrently on
-//! the rank pool's workers ([`crate::run_pool_mut`]) in *host* time,
-//! each on its own virtual clock, and one node's ranks may sit on
-//! different workers. A shared structure that one owner writes while
-//! another reads would answer differently depending on which worker the
-//! OS ran first. So during a round every owner touches only its own
-//! state, behind its own mutex:
+//! One thread runs a whole run: within a bulk-synchronous round the
+//! executor advances its rank tasks one after another, each on its own
+//! virtual clock. A rank that read a co-located rank's flows as they were
+//! posted would see more or less of them depending on which task the
+//! round advanced first, so during a round every owner reads only its own
+//! state:
 //!
 //! * **Own flows** are visible to their owner immediately and charged by
 //!   exact interval overlap — a rank's own helper traffic is in its own
 //!   program order, so this is trivially deterministic.
 //! * **Neighbor flows** become visible only at **fences**. A fence is a
 //!   globally synchronizing point: in this repo, every MPI collective.
-//!   The executor's serial resolver calls [`BwLedger::fence`] once per
+//!   The executor's resolver calls [`BwLedger::fence`] once per
 //!   collective, after it has set the departure clocks and while every
 //!   rank task is paused. The fence closes the epoch since the previous
 //!   fence and turns the bytes each owner posted in it into the
@@ -34,9 +33,10 @@
 //!   epoch `k + 1`, and never before.
 //!
 //! The fence is the only code that reads one owner's state and writes
-//! another's, and it runs between rounds, after the pool has joined, so
-//! every answer is a pure function of virtual program order —
-//! byte-identical for any worker count.
+//! another's, and it runs between rounds, so every answer is a pure
+//! function of virtual program order, whatever order a round advances its
+//! tasks in. The ledger's state sits in `RefCell`s: it is not `Sync`, so
+//! the compiler rules out sharing one ledger between threads.
 //!
 //! Neighbor traffic is charged as a **rate** over the last completed
 //! epoch rather than by interval overlap: by the time a fence makes
@@ -48,7 +48,7 @@
 //! cannot physically copy faster than its copy path.
 
 use crate::time::VTime;
-use std::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
 
 /// Named ledger channels: the four intra-node tier × direction lanes
 /// plus the two inter-node link directions the cluster topology adds.
@@ -163,7 +163,7 @@ struct Flow {
     bytes: f64,
 }
 
-/// One owner's state. During a round only the owner's task locks it;
+/// One owner's state. During a round only the owner's task touches it;
 /// the fence, between rounds, reads and rewrites every owner's.
 #[derive(Debug)]
 struct OwnerState {
@@ -210,17 +210,16 @@ impl LoadSplit {
 /// The shared ledger: `owners` posting flows against `channels`.
 ///
 /// All methods take `&self`. Posts and loads touch only the calling
-/// owner's state, behind a per-owner mutex no other task takes during a
-/// round; [`BwLedger::fence`] publishes the cross-owner view between
-/// rounds (see the module docs).
+/// owner's state; [`BwLedger::fence`] publishes the cross-owner view
+/// between rounds (see the module docs).
 #[derive(Debug)]
 pub struct BwLedger {
     channels: usize,
     /// Per-neighbor rate cap, bytes/s: a helper cannot copy faster than
     /// its copy path.
     neighbor_rate_cap: f64,
-    owners: Vec<Mutex<OwnerState>>,
-    epoch: Mutex<Epoch>,
+    owners: Vec<RefCell<OwnerState>>,
+    epoch: RefCell<Epoch>,
 }
 
 impl BwLedger {
@@ -233,14 +232,14 @@ impl BwLedger {
             neighbor_rate_cap,
             owners: (0..owners)
                 .map(|_| {
-                    Mutex::new(OwnerState {
+                    RefCell::new(OwnerState {
                         flows: Vec::new(),
                         posted: vec![0.0; channels],
                         neighbors: vec![0.0; channels],
                     })
                 })
                 .collect(),
-            epoch: Mutex::new(Epoch::default()),
+            epoch: RefCell::default(),
         }
     }
 
@@ -267,16 +266,12 @@ impl BwLedger {
         self.channels
     }
 
-    fn state(&self, owner: usize) -> MutexGuard<'_, OwnerState> {
-        self.owners[owner].lock().expect("ledger mutex poisoned")
-    }
-
     /// Post a flow: `owner` moves `bytes` on `channel` over `[start, end]`.
     /// Visible to the owner immediately, to neighbors from the next fence
     /// until the one after.
     pub fn post(&self, owner: usize, channel: usize, start: VTime, end: VTime, bytes: f64) {
         assert!(channel < self.channels, "channel {channel} out of range");
-        let mut st = self.state(owner);
+        let mut st = self.owners[owner].borrow_mut();
         st.posted[channel] += bytes;
         st.flows.push(Flow {
             channel,
@@ -294,7 +289,7 @@ impl BwLedger {
     /// while no owner posts or loads. Returns the new generation — the
     /// epoch identity the placement journal stamps on its commit records.
     pub fn fence(&self, now: VTime) -> u64 {
-        let mut epoch = self.epoch.lock().expect("ledger epoch poisoned");
+        let mut epoch = self.epoch.borrow_mut();
         let len = now.since(epoch.start);
         let cap = self.neighbor_rate_cap;
         let rate = |bytes: f64| {
@@ -306,23 +301,27 @@ impl BwLedger {
                 (bytes / len.secs()).min(cap)
             }
         };
-        let mut owners: Vec<_> = (0..self.owners.len()).map(|o| self.state(o)).collect();
-        for reader in 0..owners.len() {
-            for ch in 0..self.channels {
-                // A silent neighbor's 0.0 leaves a non-negative sum's
-                // bits unchanged, so summing every neighbor is exact.
-                let mut sum = 0.0;
-                for (o, st) in owners.iter().enumerate() {
-                    if o != reader {
-                        sum += rate(st.posted[ch]);
-                    }
-                }
-                owners[reader].neighbors[ch] = sum;
-            }
-        }
-        for st in &mut owners {
+        // Each owner's rate, once per channel, before its posts reset.
+        let mut rates = Vec::with_capacity(self.owners.len() * self.channels);
+        for owner in &self.owners {
+            let mut st = owner.borrow_mut();
+            rates.extend(st.posted.iter().map(|&bytes| rate(bytes)));
             st.posted.fill(0.0);
             st.flows.retain(|f| f.end >= now);
+        }
+        // Each channel sums the other owners' rates in owner order. A
+        // silent neighbor's 0.0 leaves a non-negative sum's bits
+        // unchanged, so summing every neighbor is exact.
+        for (reader, owner) in self.owners.iter().enumerate() {
+            let mut st = owner.borrow_mut();
+            st.neighbors.fill(0.0);
+            for (o, neighbor) in rates.chunks_exact(self.channels).enumerate() {
+                if o != reader {
+                    for (sum, r) in st.neighbors.iter_mut().zip(neighbor) {
+                        *sum += r;
+                    }
+                }
+            }
         }
         epoch.gen += 1;
         epoch.start = now;
@@ -331,7 +330,7 @@ impl BwLedger {
 
     /// The number of fences passed.
     pub fn gen(&self) -> u64 {
-        self.epoch.lock().expect("ledger epoch poisoned").gen
+        self.epoch.borrow().gen
     }
 
     /// Bandwidth already consumed on `channel` over `[w0, w1]` as seen by
@@ -343,7 +342,7 @@ impl BwLedger {
         if window.is_zero() {
             return LoadSplit::default();
         }
-        let st = self.state(owner);
+        let st = self.owners[owner].borrow();
         let mut own = 0.0;
         for f in st.flows.iter().filter(|f| f.channel == channel) {
             own += overlap_bytes(f, w0, w1);
@@ -355,7 +354,7 @@ impl BwLedger {
     }
 
     /// [`BwLedger::load`] on each of the first `N` channels, in one
-    /// locked read and one pass over the owner's flows. Each channel's
+    /// pass over the owner's flows. Each channel's
     /// own bytes are summed in post order, as `load` sums them, so entry
     /// `ch` is bit for bit `load(owner, ch, w0, w1)`.
     pub fn loads<const N: usize>(&self, owner: usize, w0: VTime, w1: VTime) -> [LoadSplit; N] {
@@ -364,7 +363,7 @@ impl BwLedger {
         if window.is_zero() {
             return [LoadSplit::default(); N];
         }
-        let st = self.state(owner);
+        let st = self.owners[owner].borrow();
         let mut own = [0.0; N];
         for f in st.flows.iter().filter(|f| f.channel < N) {
             own[f.channel] += overlap_bytes(f, w0, w1);
@@ -507,7 +506,7 @@ mod tests {
         // [5, 6]; the finished one contributes nothing (and is gone).
         let s = l.load(0, 0, t(5.0), t(6.0));
         assert!((s.own - 1e9).abs() < 1.0, "{s:?}");
-        assert_eq!(l.state(0).flows.len(), 1, "dead flow not pruned");
+        assert_eq!(l.owners[0].borrow().flows.len(), 1, "dead flow not pruned");
     }
 
     #[test]
@@ -644,7 +643,7 @@ mod tests {
 
     /// The multi-channel read equals one `load` per channel bit for bit,
     /// and both equal the naive integration of every post and fence, over
-    /// 1–4 owners, posts on all six channels (zero-length flows and flows
+    /// 1–8 owners, posts on all six channels (zero-length flows and flows
     /// that straddle a fence included), fences two at one instant, and
     /// windows that start at or after the last fence, zero-length ones
     /// included (the contract the fence's pruning relies on).
@@ -652,7 +651,7 @@ mod tests {
     fn multi_channel_read_matches_single_loads_and_naive_integration() {
         for seed in 0..300 {
             let mut rng = crate::DetRng::seed(seed);
-            let owners = 1 + rng.index(4);
+            let owners = 1 + rng.index(8);
             let cap = [1e9, 5e9, 1e12][rng.index(3)];
             let l = BwLedger::with_channels(owners, ChannelMap::cluster(), cap);
             let mut h = History::default();

@@ -26,9 +26,9 @@
 //! * [`crash`] — seeded virtual-time kill points for the crash-injection
 //!   harness: determinism makes a "crash at `T`" a pure function of the
 //!   clean run, so no threads are ever actually torn down.
-//! * [`pool`] — the deterministic worker pool (jobs reassembled by
-//!   index, byte-identical at any worker count) shared by the bench
-//!   sweep executor and the rank scheduler.
+//! * [`pool`] — the deterministic worker pool the bench sweep runs its
+//!   cells on (jobs reassembled by index, byte-identical at any worker
+//!   count).
 //!
 //! Everything is deterministic: identical inputs yield bit-identical outputs
 //! regardless of host scheduling, which the integration tests assert.
@@ -49,7 +49,7 @@ pub use crash::{sample_kill_points, CrashSpec};
 pub use hash::{json_digest_hex, Fnv128, Fnv64};
 pub use json::Json;
 pub use ledger::{BwLedger, Channel, ChannelMap, LoadSplit};
-pub use pool::{default_workers, run_pool, run_pool_mut, with_label};
+pub use pool::{default_workers, run_pool, with_label};
 pub use rng::DetRng;
 pub use stats::{OnlineStats, Summary};
 pub use time::{VDur, VTime};

@@ -195,8 +195,8 @@ fn full_matrix_digests_are_pinned() {
     }
 }
 
-/// The repository benchmark's `rooms` matrix at 224 MiB: 256 ranks, one
-/// per node, in a 64-node bw-half room, on the rank pool.
+/// The repository benchmark's `rooms` matrix at 224 MiB: 256 ranks, four
+/// per node, in a 64-node bw-half room.
 #[test]
 #[ignore = "slow without optimizations; run with --release -- --ignored"]
 fn rooms_matrix_digest_is_pinned() {

@@ -1,9 +1,8 @@
 //! Refactor guards for the cluster-topology tentpole: the machine-room
 //! code paths must be invisible where they are not asked for.
 //!
-//! Three claims pinned here (the pooled ≡ serial worker-count identity
-//! lives in `exec`'s unit tests, next to the crate-private executor,
-//! and `tests/golden.rs` pins multi-node report bytes):
+//! Three claims pinned here (`tests/golden.rs` pins multi-node report
+//! bytes):
 //!
 //! 1. **Flat ≡ single room** — `run_workload` (the legacy flat entry
 //!    point) and `run_workload_clustered` on a one-node

@@ -635,40 +635,26 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool identity (the atomic-cursor pool behind the sweep executor
-// and the chunked in-place pool behind the rank scheduler; see also
-// tests/concurrency_stress.rs).
+// Worker-pool identity (the atomic-cursor pool behind the sweep executor).
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary job sets through the pool reassemble byte-identically
-    /// at every width, on both the read-only path (the sweep) and the
-    /// in-place path (the rank scheduler). The workers race over a
-    /// shared cursor, so the *completion* order is arbitrary; reassembly
-    /// by job index must erase it completely.
+    /// at every width. The workers race over a shared cursor, so the
+    /// *completion* order is arbitrary; reassembly by job index must
+    /// erase it completely.
     #[test]
     fn pool_reassembles_byte_identically(
         items in prop::collection::vec(any::<u64>(), 0..48),
         width in 1usize..12,
     ) {
-        use unimem_repro::sim::{run_pool, run_pool_mut};
+        use unimem_repro::sim::run_pool;
         let f = |&x: &u64| -> Result<String, String> {
             Ok(format!("{:x}", x.wrapping_mul(2654435761).rotate_left((x % 63) as u32)))
         };
         let serial: Vec<String> = items.iter().map(|x| f(x).unwrap()).collect();
         prop_assert_eq!(run_pool(items.clone(), width, f).unwrap(), serial);
-
-        let mut par = items.clone();
-        let mut ser = items.clone();
-        let g = |i: usize, x: &mut u64| {
-            *x = x.rotate_left((i % 64) as u32) ^ i as u64;
-            Ok(*x)
-        };
-        let got = run_pool_mut(&mut par, width, g).unwrap();
-        let want = run_pool_mut(&mut ser, 1, g).unwrap();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(par, ser, "in-place mutations diverged across widths");
     }
 
     /// Failures surface deterministically: the lowest failing job index
