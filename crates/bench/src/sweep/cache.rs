@@ -26,13 +26,21 @@
 //!   changing strands old entries harmlessly (content-addressing means
 //!   they are simply never looked up again). FNV-1a is not
 //!   cryptographic, so the full canonical key text is stored inside the
-//!   entry and compared on load; a digest collision degrades to a miss,
-//!   never to wrong data.
+//!   entry and compared on load as text, byte for byte, without decoding
+//!   it; a digest collision degrades to a miss, never to wrong data.
 //! * **Corruption is a miss.** Entries are framed with the redo
 //!   journal's discipline — magic, length, FNV-1a-64 checksum — and any
 //!   verification failure (truncation, bit flip, bad magic, unparsable
 //!   payload, key mismatch) logs a warning and falls back to
 //!   recomputation. A corrupt cache can cost time, never correctness.
+//!
+//! A load decodes the payload in one pass with a [`Reader`], straight
+//! into the cell, reading members in the order the writer puts them. A
+//! member reordered, missing or added is a miss, and so is a key document
+//! re-spaced or re-escaped, since the key is compared as text. The reader
+//! and the writer must therefore stay in step: `entry_format_is_pinned`
+//! pins the bytes, and the tests check every verdict against a tree
+//! decoder.
 //!
 //! Entries are written atomically (temp file + rename) so a crashed
 //! sweep leaves either a complete entry or none.
@@ -47,7 +55,8 @@ use unimem::search::SearchKind;
 use unimem::stats::RunStats;
 use unimem_hms::arbiter::ArbiterPolicy;
 use unimem_hms::migration::MigrationStats;
-use unimem_sim::{json_digest_hex, Bytes, Fnv64, Json, VDur};
+use unimem_sim::json::Reader;
+use unimem_sim::{Bytes, Fnv128, Fnv64, Json, VDur};
 use unimem_workloads::corun::CorunMix;
 
 /// Cache entry schema tag; part of every key document. Bump when the
@@ -164,56 +173,39 @@ impl SweepCache {
     /// exist, with a stderr warning when it exists but fails
     /// verification (the caller recomputes either way).
     pub(crate) fn load_cell(&self, key: &CacheKey) -> Option<SweepCell> {
-        self.load(key, "cell", cell_from_json)
+        self.load(key, "cell", read_cell)
     }
 
     /// Persist a finished cell under its key. Write failures warn and
     /// drop the entry: a read-only or full cache directory degrades the
     /// cache to a no-op, it does not fail the sweep.
     pub(crate) fn store_cell(&self, key: &CacheKey, cell: &SweepCell) {
-        self.store(key, "cell", cell_to_json(cell));
+        self.store(key, "cell", &cell_to_json(cell));
     }
 
     /// Look a co-run group up (all arbiters × tenants of one
     /// `(profile, mix)` pair, in canonical order).
     pub(crate) fn load_corun(&self, key: &CacheKey) -> Option<Vec<CorunCell>> {
-        self.load(key, "cells", |v| {
-            let items = v.as_arr().ok_or("\"cells\" is not an array")?;
-            items.iter().map(corun_cell_from_json).collect()
-        })
+        self.load(key, "cells", |r| array_of(r, read_corun_cell))
     }
 
     /// Persist a finished co-run group under its key.
     pub(crate) fn store_corun(&self, key: &CacheKey, cells: &[CorunCell]) {
         let items: Vec<Json> = cells.iter().map(corun_cell_to_json).collect();
-        self.store(key, "cells", Json::from(items));
+        self.store(key, "cells", &Json::from(items));
     }
 
     fn load<T>(
         &self,
         key: &CacheKey,
         member: &str,
-        decode: impl FnOnce(&Json) -> Result<T, String>,
+        decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
     ) -> Option<T> {
         let path = key.path_in(&self.dir);
-        let doc = match read_entry(&path, &key.canon) {
-            Ok(doc) => doc,
-            Err(ReadError::Missing) => return None,
-            Err(ReadError::Corrupt(why)) => {
-                eprintln!(
-                    "sweep cache: discarding corrupt entry {}: {why}",
-                    path.display()
-                );
-                return None;
-            }
-        };
-        match doc
-            .get(member)
-            .ok_or_else(|| format!("entry has no {member:?} member"))
-            .and_then(decode)
-        {
+        match read_entry(&path, &key.canon, member, decode) {
             Ok(value) => Some(value),
-            Err(why) => {
+            Err(ReadError::Missing) => None,
+            Err(ReadError::Corrupt(why)) => {
                 eprintln!(
                     "sweep cache: discarding corrupt entry {}: {why}",
                     path.display()
@@ -223,11 +215,16 @@ impl SweepCache {
         }
     }
 
-    fn store(&self, key: &CacheKey, member: &str, value: Json) {
-        let mut doc = Json::obj();
-        doc.push("key", key.doc.clone()).push(member, value);
+    /// Write `{"key":<key doc>,"<member>":<value>}` in compact form, with
+    /// the key document as its canonical text.
+    fn store(&self, key: &CacheKey, member: &str, value: &Json) {
+        let payload = format!(
+            "{{\"key\":{},\"{member}\":{}}}",
+            key.canon,
+            value.to_compact()
+        );
         let path = key.path_in(&self.dir);
-        if let Err(e) = write_entry(&path, &doc) {
+        if let Err(e) = write_entry(&path, payload.as_bytes()) {
             eprintln!("sweep cache: failed to write {}: {e}", path.display());
         }
     }
@@ -254,27 +251,23 @@ fn key_preamble(entry: &str, salt: &str, cfg: &SweepConfig) -> Json {
     doc
 }
 
-/// A derived cache key: the canonical key document, its compact text
+/// A derived cache key: the compact text of the canonical key document
 /// (stored in the entry and compared on load — the collision guard), and
-/// the digest that names the entry file.
+/// the digest of that text that names the entry file.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheKey {
-    doc: Json,
     canon: String,
     hex: String,
     kind: &'static str,
 }
 
 impl CacheKey {
+    /// The text is hashed as `json_digest_hex` would hash the document,
+    /// without serializing it a second time.
     fn of(doc: Json, kind: &'static str) -> CacheKey {
         let canon = doc.to_compact();
-        let hex = json_digest_hex(&doc);
-        CacheKey {
-            doc,
-            canon,
-            hex,
-            kind,
-        }
+        let hex = Fnv128::new().update(canon.as_bytes()).finish_hex();
+        CacheKey { canon, hex, kind }
     }
 
     fn path_in(&self, dir: &Path) -> PathBuf {
@@ -290,18 +283,18 @@ fn crc64(payload: &[u8]) -> u64 {
 
 /// Write one framed entry atomically: temp file in the same directory,
 /// then rename over the final name.
-fn write_entry(path: &Path, doc: &Json) -> io::Result<()> {
-    let payload = doc.to_compact().into_bytes();
+fn write_entry(path: &Path, payload: &[u8]) -> io::Result<()> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc64(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(&crc64(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, &buf)?;
     std::fs::rename(&tmp, path)
 }
 
+#[derive(Debug)]
 enum ReadError {
     /// No entry on disk — the silent miss.
     Missing,
@@ -309,11 +302,23 @@ enum ReadError {
     Corrupt(String),
 }
 
-/// Read and verify one framed entry: magic, exact length, checksum,
-/// UTF-8, JSON, and key equality against `expected_canon`.
-fn read_entry(path: &Path, expected_canon: &str) -> Result<Json, ReadError> {
+/// Read, verify and decode one entry: [`read_frame`], then
+/// [`decode_entry`].
+fn read_entry<T>(
+    path: &Path,
+    expected_canon: &str,
+    member: &str,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<T, ReadError> {
+    let text = read_frame(path)?;
+    decode_entry(&text, expected_canon, member, decode).map_err(ReadError::Corrupt)
+}
+
+/// Read one framed entry and verify its magic, exact length, checksum and
+/// UTF-8; the payload text.
+fn read_frame(path: &Path) -> Result<String, ReadError> {
     use ReadError::Corrupt;
-    let buf = match std::fs::read(path) {
+    let mut buf = match std::fs::read(path) {
         Ok(buf) => buf,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(ReadError::Missing),
         Err(e) => return Err(Corrupt(format!("read failed: {e}"))),
@@ -336,17 +341,31 @@ fn read_entry(path: &Path, expected_canon: &str) -> Result<Json, ReadError> {
     if crc64(payload) != crc {
         return Err(Corrupt("checksum mismatch".into()));
     }
-    let text = std::str::from_utf8(payload).map_err(|e| Corrupt(format!("not UTF-8: {e}")))?;
-    let doc = Json::parse(text).map_err(|e| Corrupt(format!("unparsable payload: {e}")))?;
-    let key = doc
-        .get("key")
-        .ok_or_else(|| Corrupt("entry has no \"key\" member".into()))?;
-    if key.to_compact() != expected_canon {
-        return Err(Corrupt(
-            "key mismatch (digest collision or misnamed file)".into(),
-        ));
+    buf.drain(..HEADER_LEN);
+    String::from_utf8(buf).map_err(|e| Corrupt(format!("not UTF-8: {}", e.utf8_error())))
+}
+
+/// Decode a verified payload, `{"key":<key doc>,"<member>":<value>}`: the
+/// key compared with `expected_canon` byte for byte, then the value read
+/// by `decode`, then nothing else.
+fn decode_entry<T>(
+    text: &str,
+    expected_canon: &str,
+    member: &str,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut r = Reader::new(text);
+    r.begin_object()
+        .and_then(|()| r.member("key"))
+        .map_err(|e| format!("unparsable payload: {e}"))?;
+    if !r.verbatim(expected_canon) {
+        return Err("key mismatch (digest collision or misnamed file)".into());
     }
-    Ok(doc)
+    r.member(member)?;
+    let value = decode(&mut r)?;
+    r.end_object()?;
+    r.finish()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------
@@ -381,68 +400,15 @@ fn stats_to_json(s: &RunStats) -> Json {
     o
 }
 
-fn stats_from_json(v: &Json) -> Result<RunStats, String> {
-    Ok(RunStats {
-        total_time: vdur(v, "total_time_s")?,
-        app_time: vdur(v, "app_time_s")?,
-        profiling_overhead: vdur(v, "profiling_overhead_s")?,
-        modeling_overhead: vdur(v, "modeling_overhead_s")?,
-        sync_overhead: vdur(v, "sync_overhead_s")?,
-        migration_stall: vdur(v, "migration_stall_s")?,
-        contention_time: vdur(v, "contention_time_s")?,
-        neighbor_contention_time: vdur(v, "neighbor_contention_time_s")?,
-        migrations: MigrationStats {
-            count: uint(v, "mig_count")?,
-            bytes: Bytes(uint(v, "mig_bytes")?),
-            to_dram_count: uint(v, "mig_to_dram")?,
-            to_nvm_count: uint(v, "mig_to_nvm")?,
-            overlapped: vdur(v, "mig_overlapped_s")?,
-            exposed: vdur(v, "mig_exposed_s")?,
-        },
-        reprofiles: uint(v, "reprofiles")?,
-        lease_replans: uint(v, "lease_replans")?,
-        iterations: uint(v, "iterations")?,
-    })
-}
-
 fn report_to_json(r: &RunReport) -> Json {
     let per_rank: Vec<Json> = r.per_rank.iter().map(stats_to_json).collect();
     let mut o = Json::obj();
     o.push("workload", r.workload.as_str())
         .push("policy", r.policy.as_str())
-        .push(
-            "plan_kind",
-            match r.plan_kind {
-                Some(k) => Json::from(k.name()),
-                None => Json::Null,
-            },
-        )
+        .push("plan_kind", r.plan_kind_json())
         .push("job", stats_to_json(&r.job))
         .push("per_rank", per_rank);
     o
-}
-
-fn report_from_json(v: &Json) -> Result<RunReport, String> {
-    let plan_kind = match field(v, "plan_kind")? {
-        Json::Null => None,
-        Json::Str(s) => {
-            Some(SearchKind::from_name(s).ok_or_else(|| format!("unknown plan kind {s:?}"))?)
-        }
-        other => return Err(format!("plan_kind is neither null nor a string: {other:?}")),
-    };
-    let per_rank = field(v, "per_rank")?
-        .as_arr()
-        .ok_or("per_rank is not an array")?
-        .iter()
-        .map(stats_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(RunReport {
-        workload: string(v, "workload")?,
-        policy: string(v, "policy")?,
-        per_rank,
-        job: stats_from_json(field(v, "job")?)?,
-        plan_kind,
-    })
 }
 
 fn cell_to_json(c: &SweepCell) -> Json {
@@ -457,26 +423,6 @@ fn cell_to_json(c: &SweepCell) -> Json {
         .push("normalized_to_dram", c.normalized_to_dram)
         .push("report", report_to_json(&c.report));
     o
-}
-
-fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
-    let policy = string(v, "policy")?;
-    let profile = string(v, "profile")?;
-    let topology = string(v, "topology")?;
-    Ok(SweepCell {
-        workload: string(v, "workload")?,
-        full_name: string(v, "full_name")?,
-        policy: PolicyKind::from_name(&policy)
-            .ok_or_else(|| format!("unknown policy {policy:?}"))?,
-        profile: NvmProfile::parse(&profile)
-            .ok_or_else(|| format!("unknown profile {profile:?}"))?,
-        nranks: uint(v, "nranks")? as usize,
-        ranks_per_node: uint(v, "ranks_per_node")? as usize,
-        topology: TopologySpec::parse(&topology)
-            .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-        normalized_to_dram: float(v, "normalized_to_dram")?,
-        report: report_from_json(field(v, "report")?)?,
-    })
 }
 
 fn corun_cell_to_json(c: &CorunCell) -> Json {
@@ -497,56 +443,163 @@ fn corun_cell_to_json(c: &CorunCell) -> Json {
     o
 }
 
-fn corun_cell_from_json(v: &Json) -> Result<CorunCell, String> {
-    let arbiter = string(v, "arbiter")?;
-    let profile = string(v, "profile")?;
-    Ok(CorunCell {
-        mix: string(v, "mix")?,
-        workload: string(v, "workload")?,
-        tenant: string(v, "tenant")?,
-        weight: u32::try_from(uint(v, "weight")?).map_err(|_| "weight exceeds u32")?,
-        start_epoch: uint(v, "start_epoch")? as usize,
-        arbiter: ArbiterPolicy::parse(&arbiter)
-            .ok_or_else(|| format!("unknown arbiter {arbiter:?}"))?,
-        profile: NvmProfile::parse(&profile)
-            .ok_or_else(|| format!("unknown profile {profile:?}"))?,
-        nranks: uint(v, "nranks")? as usize,
-        solo_time_s: float(v, "solo_time_s")?,
-        slowdown: float(v, "slowdown")?,
-        lease_min: Bytes(uint(v, "lease_min")?),
-        lease_max: Bytes(uint(v, "lease_max")?),
-        report: report_from_json(field(v, "report")?)?,
+// ---------------------------------------------------------------------
+// Typed decoding: one pass over the payload, straight into the cell.
+// Each reader takes the members in the order the serializer above writes
+// them; any other shape is an error, which surfaces verbatim in the
+// corrupt-entry warning.
+// ---------------------------------------------------------------------
+
+fn read_stats(r: &mut Reader<'_>) -> Result<RunStats, String> {
+    r.begin_object()?;
+    let stats = RunStats {
+        total_time: secs_member(r, "total_time_s")?,
+        app_time: secs_member(r, "app_time_s")?,
+        profiling_overhead: secs_member(r, "profiling_overhead_s")?,
+        modeling_overhead: secs_member(r, "modeling_overhead_s")?,
+        sync_overhead: secs_member(r, "sync_overhead_s")?,
+        migration_stall: secs_member(r, "migration_stall_s")?,
+        contention_time: secs_member(r, "contention_time_s")?,
+        neighbor_contention_time: secs_member(r, "neighbor_contention_time_s")?,
+        migrations: MigrationStats {
+            count: u64_member(r, "mig_count")?,
+            bytes: Bytes(u64_member(r, "mig_bytes")?),
+            to_dram_count: u64_member(r, "mig_to_dram")?,
+            to_nvm_count: u64_member(r, "mig_to_nvm")?,
+            overlapped: secs_member(r, "mig_overlapped_s")?,
+            exposed: secs_member(r, "mig_exposed_s")?,
+        },
+        reprofiles: u64_member(r, "reprofiles")?,
+        lease_replans: u64_member(r, "lease_replans")?,
+        iterations: u64_member(r, "iterations")?,
+    };
+    r.end_object()?;
+    Ok(stats)
+}
+
+fn read_report(r: &mut Reader<'_>) -> Result<RunReport, String> {
+    r.begin_object()?;
+    let workload = string_member(r, "workload")?;
+    let policy = string_member(r, "policy")?;
+    r.member("plan_kind")?;
+    let plan_kind = match r.peek() {
+        Some(b'n') => {
+            r.null()?;
+            None
+        }
+        _ => {
+            let name = r.str()?;
+            let kind = SearchKind::from_name(&name);
+            Some(kind.ok_or_else(|| format!("unknown plan kind {name:?}"))?)
+        }
+    };
+    r.member("job")?;
+    let job = read_stats(r)?;
+    r.member("per_rank")?;
+    let per_rank = array_of(r, read_stats)?;
+    r.end_object()?;
+    Ok(RunReport {
+        workload,
+        policy,
+        per_rank,
+        job,
+        plan_kind,
     })
 }
 
-// Field accessors that name the missing/mistyped member in the error —
-// every decode error surfaces verbatim in the corrupt-entry warning.
-
-fn field<'a>(v: &'a Json, k: &str) -> Result<&'a Json, String> {
-    v.get(k).ok_or_else(|| format!("missing member {k:?}"))
+fn read_cell(r: &mut Reader<'_>) -> Result<SweepCell, String> {
+    r.begin_object()?;
+    let cell = SweepCell {
+        workload: string_member(r, "workload")?,
+        full_name: string_member(r, "full_name")?,
+        policy: named_member(r, "policy", PolicyKind::from_name)?,
+        profile: named_member(r, "profile", NvmProfile::parse)?,
+        nranks: usize_member(r, "nranks")?,
+        ranks_per_node: usize_member(r, "ranks_per_node")?,
+        topology: named_member(r, "topology", TopologySpec::parse)?,
+        normalized_to_dram: f64_member(r, "normalized_to_dram")?,
+        report: {
+            r.member("report")?;
+            read_report(r)?
+        },
+    };
+    r.end_object()?;
+    Ok(cell)
 }
 
-fn string(v: &Json, k: &str) -> Result<String, String> {
-    field(v, k)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("member {k:?} is not a string"))
+fn read_corun_cell(r: &mut Reader<'_>) -> Result<CorunCell, String> {
+    r.begin_object()?;
+    let cell = CorunCell {
+        mix: string_member(r, "mix")?,
+        workload: string_member(r, "workload")?,
+        tenant: string_member(r, "tenant")?,
+        weight: u32::try_from(u64_member(r, "weight")?).map_err(|_| "weight exceeds u32")?,
+        start_epoch: usize_member(r, "start_epoch")?,
+        arbiter: named_member(r, "arbiter", ArbiterPolicy::parse)?,
+        profile: named_member(r, "profile", NvmProfile::parse)?,
+        nranks: usize_member(r, "nranks")?,
+        solo_time_s: f64_member(r, "solo_time_s")?,
+        slowdown: f64_member(r, "slowdown")?,
+        lease_min: Bytes(u64_member(r, "lease_min")?),
+        lease_max: Bytes(u64_member(r, "lease_max")?),
+        report: {
+            r.member("report")?;
+            read_report(r)?
+        },
+    };
+    r.end_object()?;
+    Ok(cell)
 }
 
-fn uint(v: &Json, k: &str) -> Result<u64, String> {
-    field(v, k)?
-        .as_u64()
-        .ok_or_else(|| format!("member {k:?} is not an unsigned integer"))
+/// An array whose every element `item` reads.
+fn array_of<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    r.begin_array()?;
+    let mut items = Vec::new();
+    while r.item()? {
+        items.push(item(r)?);
+    }
+    r.end_array()?;
+    Ok(items)
 }
 
-fn float(v: &Json, k: &str) -> Result<f64, String> {
-    field(v, k)?
-        .as_f64()
-        .ok_or_else(|| format!("member {k:?} is not a number"))
+// Member readers: the named member must come next.
+
+fn u64_member(r: &mut Reader<'_>, name: &str) -> Result<u64, String> {
+    r.member(name)?;
+    r.u64()
 }
 
-fn vdur(v: &Json, k: &str) -> Result<VDur, String> {
-    Ok(VDur(float(v, k)?))
+fn usize_member(r: &mut Reader<'_>, name: &str) -> Result<usize, String> {
+    usize::try_from(u64_member(r, name)?).map_err(|_| format!("member {name:?} exceeds usize"))
+}
+
+fn f64_member(r: &mut Reader<'_>, name: &str) -> Result<f64, String> {
+    r.member(name)?;
+    r.f64()
+}
+
+fn secs_member(r: &mut Reader<'_>, name: &str) -> Result<VDur, String> {
+    f64_member(r, name).map(VDur)
+}
+
+fn string_member(r: &mut Reader<'_>, name: &str) -> Result<String, String> {
+    r.member(name)?;
+    Ok(r.str()?.into_owned())
+}
+
+/// A member that names one value of a closed set: a policy, profile,
+/// arbiter or topology.
+fn named_member<T>(
+    r: &mut Reader<'_>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    r.member(name)?;
+    let value = r.str()?;
+    parse(&value).ok_or_else(|| format!("unknown {name} {value:?}"))
 }
 
 #[cfg(test)]
@@ -555,6 +608,190 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use unimem_sim::DetRng;
     use unimem_workloads::Class;
+    use ReadError::Corrupt;
+
+    // -----------------------------------------------------------------
+    // The reference: tree decoders. The whole payload is parsed into a
+    // tree, the key member is re-serialized and compared with the
+    // canonical text, and each field is looked up by name, in any order.
+    // -----------------------------------------------------------------
+
+    fn reference_entry<T>(
+        path: &Path,
+        expected_canon: &str,
+        member: &str,
+        decode: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, ReadError> {
+        let text = read_frame(path)?;
+        let doc = Json::parse(&text).map_err(|e| Corrupt(format!("unparsable payload: {e}")))?;
+        let key = doc
+            .get("key")
+            .ok_or_else(|| Corrupt("entry has no \"key\" member".into()))?;
+        if key.to_compact() != expected_canon {
+            return Err(Corrupt(
+                "key mismatch (digest collision or misnamed file)".into(),
+            ));
+        }
+        doc.get(member)
+            .ok_or_else(|| format!("entry has no {member:?} member"))
+            .and_then(decode)
+            .map_err(Corrupt)
+    }
+
+    fn stats_from_json(v: &Json) -> Result<RunStats, String> {
+        Ok(RunStats {
+            total_time: vdur(v, "total_time_s")?,
+            app_time: vdur(v, "app_time_s")?,
+            profiling_overhead: vdur(v, "profiling_overhead_s")?,
+            modeling_overhead: vdur(v, "modeling_overhead_s")?,
+            sync_overhead: vdur(v, "sync_overhead_s")?,
+            migration_stall: vdur(v, "migration_stall_s")?,
+            contention_time: vdur(v, "contention_time_s")?,
+            neighbor_contention_time: vdur(v, "neighbor_contention_time_s")?,
+            migrations: MigrationStats {
+                count: uint(v, "mig_count")?,
+                bytes: Bytes(uint(v, "mig_bytes")?),
+                to_dram_count: uint(v, "mig_to_dram")?,
+                to_nvm_count: uint(v, "mig_to_nvm")?,
+                overlapped: vdur(v, "mig_overlapped_s")?,
+                exposed: vdur(v, "mig_exposed_s")?,
+            },
+            reprofiles: uint(v, "reprofiles")?,
+            lease_replans: uint(v, "lease_replans")?,
+            iterations: uint(v, "iterations")?,
+        })
+    }
+
+    fn report_from_json(v: &Json) -> Result<RunReport, String> {
+        let plan_kind = match field(v, "plan_kind")? {
+            Json::Null => None,
+            Json::Str(s) => {
+                Some(SearchKind::from_name(s).ok_or_else(|| format!("unknown plan kind {s:?}"))?)
+            }
+            other => return Err(format!("plan_kind is neither null nor a string: {other:?}")),
+        };
+        let per_rank = field(v, "per_rank")?
+            .as_arr()
+            .ok_or("per_rank is not an array")?
+            .iter()
+            .map(stats_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(RunReport {
+            workload: string(v, "workload")?,
+            policy: string(v, "policy")?,
+            per_rank,
+            job: stats_from_json(field(v, "job")?)?,
+            plan_kind,
+        })
+    }
+
+    fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
+        let policy = string(v, "policy")?;
+        let profile = string(v, "profile")?;
+        let topology = string(v, "topology")?;
+        Ok(SweepCell {
+            workload: string(v, "workload")?,
+            full_name: string(v, "full_name")?,
+            policy: PolicyKind::from_name(&policy)
+                .ok_or_else(|| format!("unknown policy {policy:?}"))?,
+            profile: NvmProfile::parse(&profile)
+                .ok_or_else(|| format!("unknown profile {profile:?}"))?,
+            nranks: uint(v, "nranks")? as usize,
+            ranks_per_node: uint(v, "ranks_per_node")? as usize,
+            topology: TopologySpec::parse(&topology)
+                .ok_or_else(|| format!("unknown topology {topology:?}"))?,
+            normalized_to_dram: float(v, "normalized_to_dram")?,
+            report: report_from_json(field(v, "report")?)?,
+        })
+    }
+
+    fn corun_cell_from_json(v: &Json) -> Result<CorunCell, String> {
+        let arbiter = string(v, "arbiter")?;
+        let profile = string(v, "profile")?;
+        Ok(CorunCell {
+            mix: string(v, "mix")?,
+            workload: string(v, "workload")?,
+            tenant: string(v, "tenant")?,
+            weight: u32::try_from(uint(v, "weight")?).map_err(|_| "weight exceeds u32")?,
+            start_epoch: uint(v, "start_epoch")? as usize,
+            arbiter: ArbiterPolicy::parse(&arbiter)
+                .ok_or_else(|| format!("unknown arbiter {arbiter:?}"))?,
+            profile: NvmProfile::parse(&profile)
+                .ok_or_else(|| format!("unknown profile {profile:?}"))?,
+            nranks: uint(v, "nranks")? as usize,
+            solo_time_s: float(v, "solo_time_s")?,
+            slowdown: float(v, "slowdown")?,
+            lease_min: Bytes(uint(v, "lease_min")?),
+            lease_max: Bytes(uint(v, "lease_max")?),
+            report: report_from_json(field(v, "report")?)?,
+        })
+    }
+
+    fn field<'a>(v: &'a Json, k: &str) -> Result<&'a Json, String> {
+        v.get(k).ok_or_else(|| format!("missing member {k:?}"))
+    }
+
+    fn string(v: &Json, k: &str) -> Result<String, String> {
+        field(v, k)?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("member {k:?} is not a string"))
+    }
+
+    fn uint(v: &Json, k: &str) -> Result<u64, String> {
+        field(v, k)?
+            .as_u64()
+            .ok_or_else(|| format!("member {k:?} is not an unsigned integer"))
+    }
+
+    fn float(v: &Json, k: &str) -> Result<f64, String> {
+        field(v, k)?
+            .as_f64()
+            .ok_or_else(|| format!("member {k:?} is not a number"))
+    }
+
+    fn vdur(v: &Json, k: &str) -> Result<VDur, String> {
+        Ok(VDur(float(v, k)?))
+    }
+
+    /// Whether the entry under `key` is a hit, by both decoders: the typed
+    /// one `load` uses and the tree reference. They must agree, and on a
+    /// hit they must have decoded the same cells, byte for byte in the
+    /// full-fidelity form.
+    fn same_verdict(cache: &SweepCache, key: &CacheKey) -> bool {
+        let path = key.path_in(cache.dir());
+        let group = |cells: Vec<CorunCell>| {
+            Json::from(cells.iter().map(corun_cell_to_json).collect::<Vec<_>>())
+        };
+        let (typed, reference) = match key.kind {
+            "cell" => (
+                read_entry(&path, &key.canon, "cell", read_cell).map(|c| cell_to_json(&c)),
+                reference_entry(&path, &key.canon, "cell", cell_from_json)
+                    .map(|c| cell_to_json(&c)),
+            ),
+            _ => (
+                read_entry(&path, &key.canon, "cells", |r| array_of(r, read_corun_cell)).map(group),
+                reference_entry(&path, &key.canon, "cells", |v| {
+                    let items = v.as_arr().ok_or("\"cells\" is not an array")?;
+                    items.iter().map(corun_cell_from_json).collect()
+                })
+                .map(group),
+            ),
+        };
+        match (typed, reference) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.to_compact(), b.to_compact(), "{}", path.display());
+                true
+            }
+            (Err(_), Err(_)) => false,
+            (a, b) => panic!(
+                "the decoders disagree on {}: typed {:?}, reference {:?}",
+                path.display(),
+                a.err(),
+                b.err()
+            ),
+        }
+    }
 
     fn tmp_dir() -> PathBuf {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -783,19 +1020,27 @@ mod tests {
         assert!(cache.load_cell(&key).is_none(), "bad-magic entry misses");
 
         // A well-formed entry filed under the wrong name (what a digest
-        // collision would look like): the stored canonical key disagrees.
-        let other = cache.cell_key(
-            &sample_config(),
-            "CG",
-            PolicyKind::Unimem,
-            NvmProfile::BwHalf,
-            8,
-            1,
-            &TopologySpec::Flat,
-        );
-        std::fs::write(&path, &whole).expect("restore");
-        std::fs::rename(&path, other.path_in(cache.dir())).expect("misfile");
-        assert!(cache.load_cell(&other).is_none(), "key mismatch misses");
+        // collision would look like): the stored canonical key disagrees,
+        // in its length or only in one byte (8 ranks instead of 4).
+        for (nranks, topology) in [
+            (8, TopologySpec::Flat),
+            (8, TopologySpec::Nodes { count: 4 }),
+        ] {
+            let other = cache.cell_key(
+                &sample_config(),
+                "CG",
+                PolicyKind::Unimem,
+                NvmProfile::BwHalf,
+                nranks,
+                1,
+                &topology,
+            );
+            std::fs::write(&path, &whole).expect("restore");
+            let misfiled = other.path_in(cache.dir());
+            std::fs::rename(&path, &misfiled).expect("misfile");
+            assert!(cache.load_cell(&other).is_none(), "key mismatch misses");
+            std::fs::remove_file(&misfiled).expect("clean up");
+        }
 
         // And after all that abuse, a fresh store still works.
         cache.store_cell(&key, &cell);
@@ -804,9 +1049,10 @@ mod tests {
     }
 
     /// A frame whose magic, length and checksum all verify around a
-    /// payload nested 200,000 levels deep: the parser's depth limit makes
-    /// it a corrupt entry (warned about and discarded) instead of a stack
-    /// overflow, and the sweep recomputes the cell.
+    /// payload nested 200,000 levels deep: a corrupt entry (warned about
+    /// and discarded) instead of a stack overflow, and the sweep
+    /// recomputes the cell. The typed decoder stops at the first bracket;
+    /// the tree reference stops at its depth limit.
     #[test]
     fn forged_deep_payload_is_discarded_and_recomputed() {
         let dir = tmp_dir();
@@ -833,8 +1079,8 @@ mod tests {
         frame.extend_from_slice(&crc64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         std::fs::write(&path, &frame).expect("forge");
-        match read_entry(&path, &key.canon) {
-            Err(ReadError::Corrupt(why)) => assert!(why.contains("unparsable payload"), "{why}"),
+        match read_entry(&path, &key.canon, "cell", read_cell) {
+            Err(Corrupt(why)) => assert!(why.contains("unparsable payload"), "{why}"),
             _ => panic!("a forged deep payload must read as a corrupt entry"),
         }
 
@@ -859,11 +1105,10 @@ mod tests {
         let dir = tmp_dir();
         let cache = SweepCache::open(&dir).expect("open");
         let key = key_for(&cache);
-        let mut doc = Json::obj();
-        doc.push("key", key.doc.clone())
-            .push("cell", "not an object");
-        write_entry(&key.path_in(cache.dir()), &doc).expect("write");
+        let payload = format!("{{\"key\":{},\"cell\":\"not an object\"}}", key.canon);
+        write_entry(&key.path_in(cache.dir()), payload.as_bytes()).expect("write");
         assert!(cache.load_cell(&key).is_none());
+        assert!(!same_verdict(&cache, &key));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -969,11 +1214,12 @@ mod tests {
     }
 
     /// Arbitrary bytes under a cell's and a co-run group's entry names, and
-    /// mutated copies of real entries re-framed with correct magic,
-    /// length, checksum and key: every load is a hit or a miss, never a
-    /// panic, and the untouched entries still load afterwards.
-    #[test]
-    fn hostile_entries_load_or_miss_without_panicking() {
+    /// `mutated` mutated copies of each real entry re-framed with correct
+    /// magic, length, checksum and key: every load is a hit or a miss,
+    /// never a panic, the typed decoder and the tree reference agree on
+    /// every verdict and every hit's bytes, and the untouched entries still
+    /// load afterwards.
+    fn hostile_entries(mutated: usize) {
         let dir = tmp_dir();
         let cache = SweepCache::open(&dir).expect("open");
         let (cell_key, corun_key) = (key_for(&cache), corun_key_for(&cache));
@@ -985,6 +1231,7 @@ mod tests {
         };
         let mut rng = DetRng::seed(0xbad_b17e5);
         let json_bytes = b"{}[]\":,.-+eE0123456789 truefalsnul\\";
+        let mut hits = 0;
         for (key, member) in [(&cell_key, "cell"), (&corun_key, "cells")] {
             let path = key.path_in(cache.dir());
             let whole = std::fs::read(&path).expect("stored");
@@ -1019,9 +1266,9 @@ mod tests {
                     }
                 };
                 std::fs::write(&path, &bytes).expect("write");
-                loads(key);
+                same_verdict(&cache, key);
             }
-            for case in 0..600 {
+            for case in 0..mutated {
                 let mut mutated = doc.clone();
                 if let Json::Obj(ms) = &mut mutated {
                     for (k, x) in ms.iter_mut() {
@@ -1030,12 +1277,62 @@ mod tests {
                         }
                     }
                 }
-                write_entry(&path, &mutated).expect("write");
-                loads(key);
+                write_entry(&path, mutated.to_compact().as_bytes()).expect("write");
+                hits += usize::from(same_verdict(&cache, key));
             }
             std::fs::write(&path, &whole).expect("restore");
             assert!(loads(&cell_key) && loads(&corun_key));
         }
+        // Some mutations keep an entry decodable (a string renamed, a
+        // per-rank list emptied): the oracle compares hits as well as
+        // misses.
+        assert!(hits > 0 && hits < 2 * mutated, "{hits} hits");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_entries_load_or_miss_without_panicking() {
+        hostile_entries(600);
+    }
+
+    /// About 20,000 mutated entries; run at `--release` with `--ignored`.
+    #[test]
+    #[ignore]
+    fn deep_hostile_entries_decode_like_the_reference() {
+        hostile_entries(10_000);
+    }
+
+    /// The framed bytes and the file names of both entry kinds, pinned by
+    /// digest: caches written by earlier builds must keep loading as hits,
+    /// and the strict-order reader must stay in step with the writer.
+    #[test]
+    fn entry_format_is_pinned() {
+        let dir = tmp_dir();
+        let cache = SweepCache::open(&dir).expect("open");
+        let (cell_key, corun_key) = (key_for(&cache), corun_key_for(&cache));
+        cache.store_cell(&cell_key, &sample_cell());
+        cache.store_corun(&corun_key, &sample_group());
+        for (key, name, len, digest) in [
+            (
+                &cell_key,
+                "2b7c8f3e4c2054b42ae02e38202c9992.cell",
+                1759,
+                "272ed306a1f05157e5731bc84190b94f",
+            ),
+            (
+                &corun_key,
+                "6e2bfdbfe5045d46f289f9a757adcfc5.corun",
+                3416,
+                "4d08882dc5349624da58b29a88d6cb46",
+            ),
+        ] {
+            let path = key.path_in(cache.dir());
+            assert_eq!(path.file_name().and_then(|n| n.to_str()), Some(name));
+            let bytes = std::fs::read(&path).expect("stored");
+            let hex = Fnv128::new().update(&bytes).finish_hex();
+            assert_eq!((bytes.len(), hex.as_str()), (len, digest), "{name}");
+        }
+        assert!(same_verdict(&cache, &cell_key) && same_verdict(&cache, &corun_key));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,10 +16,11 @@
 //!   independent FNV-1a implementation (the `known_vectors` test does).
 //!
 //! The convention: **hash the canonical compact JSON form**. The cell
-//! cache derives its entry names from [`json_digest_hex`] of a
-//! canonically-constructed [`Json`] document, so two processes — or two
-//! runs months apart — that describe the same cell configuration land on
-//! the same file. The [`Json`] type already guarantees the canonical
+//! cache names its entries by [`json_digest_hex`] of a
+//! canonically-constructed [`Json`] document (it hashes the compact text
+//! it already holds, which gives the same digest), so two processes — or
+//! two runs months apart — that describe the same cell configuration
+//! land on the same file. The [`Json`] type already guarantees the canonical
 //! part: objects keep insertion order, floats render in shortest
 //! round-trip form, and nothing consults locale or host state. Hashing
 //! that text (rather than an ad-hoc field concatenation) means the key

@@ -1,4 +1,5 @@
-//! Minimal deterministic JSON document builder **and parser**.
+//! Minimal deterministic JSON document builder, and the pull reader that
+//! reads it back.
 //!
 //! The workspace has no serialization crate, so machine-readable reports
 //! are built through this hand-rolled value tree. Two properties matter
@@ -13,27 +14,52 @@
 //!
 //! Non-finite floats have no JSON representation and render as `null`,
 //! matching what `serde_json` does with `arbitrary_precision` disabled.
+//! The emitter writes in runs: indentation comes from a static run of
+//! spaces, a string with nothing to escape is pushed whole, and integers
+//! are formatted without `fmt`.
 //!
-//! [`Json::parse`] is the inverse, added for the sweep's incremental cell
-//! cache: cached cells are stored as JSON text and must reconstruct to
-//! values that re-serialize **byte-identically**. The round-trip contract
+//! [`Reader`] is the one tokenizer. It pulls a document apart one token
+//! or value at a time (object and array begin and end, `member(name)`,
+//! strings, numbers, `null`) without building a tree, so a decoder that
+//! knows its document's shape — the sweep's cell cache — reads it in one
+//! pass. It accepts exactly RFC 8259 JSON:
+//!
+//! * numbers match `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, so
+//!   `01`, `1.`, `-.5` and `+1` are errors;
+//! * strings hold no unescaped control character, a `\u` escape has
+//!   exactly four hex digits, and a high surrogate must be followed by a
+//!   low one;
+//! * arrays and objects nest at most 128 levels deep, so a hostile
+//!   document cannot overflow the stack of a recursive consumer;
+//! * the input is a `&str`, so UTF-8 is checked once, before reading.
+//!
+//! Every error is an `Err`, never a panic (a cache entry's checksum is not
+//! cryptographic, so the reader sees untrusted bytes), and carries the
+//! byte offset of the problem.
+//!
+//! [`Json::parse`] builds a tree on that reader. The round-trip contract
 //! is `parse(v.to_compact())?.to_compact() == v.to_compact()` for every
 //! value this builder can produce, which hinges on two details: unsigned
 //! integer literals parse to [`Json::UInt`] (not a lossy `f64`) so `u64`
 //! counters above 2^53 survive, and fractional/exponent literals parse
 //! through Rust's correctly-rounded `str::parse::<f64>`, whose result
 //! re-renders to the same shortest form.
-//!
-//! The parser also reads untrusted bytes (a cache entry's checksum is not
-//! cryptographic), so bad input is an `Err`, never a panic: nesting is
-//! capped at 128 levels so a hostile document cannot overflow the stack
-//! of the recursive descent.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// Deepest array/object nesting [`Reader`] accepts. [`Json::parse`]
 /// recurses once per level; committed reports nest 6 levels deep.
 const MAX_DEPTH: usize = 128;
+
+/// Starting capacity of the serialized text. A power of two keeps the
+/// buffer's growth on powers of two; a first growth sized by one odd
+/// push would leave an 8 MB report in a 9 MiB buffer, which glibc maps
+/// separately from the heap and which raises the peak resident set.
+const INITIAL_CAPACITY: usize = 256;
+
+/// A run of spaces that indentation is cut from.
+const SPACES: &str = "                                                                ";
 
 /// A JSON value. Objects preserve insertion order (no hashing) so the
 /// serialized form is a pure function of construction order.
@@ -110,7 +136,7 @@ impl Json {
 
     /// Compact single-line serialization.
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(INITIAL_CAPACITY);
         self.write(&mut out, None, 0)
             .expect("fmt to String cannot fail");
         out
@@ -119,7 +145,7 @@ impl Json {
     /// Pretty serialization with two-space indentation and a trailing
     /// newline (the on-disk `BENCH_*.json` format).
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(INITIAL_CAPACITY);
         self.write(&mut out, Some(2), 0)
             .expect("fmt to String cannot fail");
         out.push('\n');
@@ -129,30 +155,64 @@ impl Json {
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) -> fmt::Result {
         use fmt::Write;
         match self {
-            Json::Null => out.write_str("null"),
-            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => write!(out, "{u}"),
-            Json::Int(i) => write!(out, "{i}"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(u) => write_u64(out, *u),
+            Json::Int(i) => {
+                if *i < 0 {
+                    out.push('-');
+                }
+                write_u64(out, i.unsigned_abs());
+            }
             Json::Num(n) => {
                 if n.is_finite() {
                     // Shortest round-trip form; deterministic across runs
                     // and hosts for identical bit patterns.
-                    write!(out, "{n}")
+                    write!(out, "{n}")?;
                 } else {
-                    out.write_str("null")
+                    out.push_str("null");
                 }
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, items.len(), '[', ']', |o, i| {
                 items[i].write(o, indent, depth + 1)
-            }),
-            Json::Obj(members) => write_seq(out, indent, depth, members.len(), '{', '}', |o, i| {
-                let (k, v) = &members[i];
-                write_escaped(o, k)?;
-                o.write_str(if indent.is_some() { ": " } else { ":" })?;
-                v.write(o, indent, depth + 1)
-            }),
+            })?,
+            Json::Obj(members) => {
+                write_seq(out, indent, depth, members.len(), '{', '}', |o, i| {
+                    let (k, v) = &members[i];
+                    write_escaped(o, k);
+                    o.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(o, indent, depth + 1)
+                })?
+            }
         }
+        Ok(())
+    }
+}
+
+/// Decimal digits of `u`, written back to front into a stack buffer.
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// A line break and `width` spaces, cut from [`SPACES`].
+fn newline_indent(out: &mut String, width: usize) {
+    out.push('\n');
+    let mut left = width;
+    while left > 0 {
+        let run = left.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        left -= run;
     }
 }
 
@@ -175,39 +235,50 @@ fn write_seq(
             out.push(',');
         }
         if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
+            newline_indent(out, w * (depth + 1));
         }
         item(out, i)?;
     }
     if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
+        newline_indent(out, w * depth);
     }
     out.push(close);
     Ok(())
 }
 
-fn write_escaped(out: &mut String, s: &str) -> fmt::Result {
-    use fmt::Write;
+/// `s` as a quoted string literal: the runs between bytes that need an
+/// escape are pushed whole. Every such byte is ASCII, so the runs end on
+/// char boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.push(c),
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(named);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    Ok(())
 }
 
 impl Json {
-    /// Parse JSON text into a value tree.
+    /// Parse JSON text into a value tree, with a [`Reader`].
     ///
     /// Accepts exactly standard JSON (as produced by [`Json::to_compact`]
     /// / [`Json::to_pretty`], but any conforming writer works). Number
@@ -216,44 +287,82 @@ impl Json {
     /// everything with a fraction or exponent (or beyond integer range)
     /// to [`Json::Num`]. Errors carry the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(v)
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
+        Ok(value)
     }
 }
 
-/// Recursive-descent JSON parser over raw bytes (`at` is a byte offset;
-/// string decoding is the only place multi-byte UTF-8 appears, and it is
-/// copied through verbatim).
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over JSON text: the one tokenizer behind
+/// [`Json::parse`] and the sweep cache's typed decoders.
+///
+/// Each call skips whitespace, then consumes one token or value. When the
+/// text does not hold what the caller asks for, the call returns an error
+/// with the byte offset; it never panics.
+///
+/// ```
+/// use unimem_sim::json::Reader;
+/// let mut r = Reader::new(r#"{"name": "CG.C", "iters": [50, 51]}"#);
+/// r.begin_object()?;
+/// r.member("name")?;
+/// assert_eq!(r.str()?, "CG.C");
+/// r.member("iters")?;
+/// r.begin_array()?;
+/// let mut iters = Vec::new();
+/// while r.item()? {
+///     iters.push(r.u64()?);
+/// }
+/// r.end_array()?;
+/// r.end_object()?;
+/// r.finish()?;
+/// assert_eq!(iters, [50, 51]);
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte.
     at: usize,
     /// Arrays and objects currently open around `at`.
     depth: usize,
+    /// Nothing has been read yet in the innermost open container.
+    first: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("json parse error at byte {}: {what}", self.at)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            at: 0,
+            depth: 0,
+            first: true,
         }
+    }
+
+    fn err_at(&self, at: usize, what: &str) -> String {
+        format!("json parse error at byte {at}: {what}")
+    }
+
+    fn err(&self, what: &str) -> String {
+        self.err_at(self.at, what)
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.at..]
+    }
+
+    /// The next byte after whitespace, not consumed, so that a caller can
+    /// branch on the kind of the next value (`b'n'` for `null`, `b'"'`
+    /// for a string, ...); `None` at the end of the text.
+    pub fn peek(&mut self) -> Option<u8> {
+        let rest = self.rest();
+        self.at += rest
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
+        self.rest().first().copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -267,156 +376,177 @@ impl<'a> Parser<'a> {
 
     /// Open one array or object level: the depth check runs once per
     /// container, not once per value, so scalars pay nothing for it.
-    fn descend(&mut self) -> Result<(), String> {
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.eat(bracket)?;
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
         self.depth += 1;
+        self.first = true;
         Ok(())
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected {word:?}")))
+    fn close(&mut self, bracket: u8) -> Result<(), String> {
+        self.eat(bracket)?;
+        self.depth = self.depth.saturating_sub(1);
+        // The closed container was a value of the one around it.
+        self.first = false;
+        Ok(())
+    }
+
+    /// Consume `{`.
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{')
+    }
+
+    /// Consume `}`: an error while members are left.
+    pub fn end_object(&mut self) -> Result<(), String> {
+        self.close(b'}')
+    }
+
+    /// Consume `[`.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    /// Consume `]`: an error while elements are left.
+    pub fn end_array(&mut self) -> Result<(), String> {
+        self.close(b']')
+    }
+
+    /// Step to the next element of the open array: `true` when one
+    /// follows (read it next), `false` at the closing bracket, which
+    /// [`Reader::end_array`] consumes.
+    pub fn item(&mut self) -> Result<bool, String> {
+        if self.peek() == Some(b']') {
+            return Ok(false);
+        }
+        self.separator("expected ',' or ']' in array")?;
+        Ok(true)
+    }
+
+    /// Read the next member's name, which must be `name`, and its colon;
+    /// the member's value is read next. Members are read in the order
+    /// the caller asks for them, so a missing, extra or reordered member
+    /// is an error.
+    pub fn member(&mut self, name: &str) -> Result<(), String> {
+        self.peek();
+        let at = self.at;
+        match self.key()? {
+            Some(key) if key == name => Ok(()),
+            _ => Err(self.err_at(at, &format!("expected member {name:?}"))),
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
+    /// The next member's name and its colon, or `None` at the closing
+    /// brace, which [`Reader::end_object`] consumes.
+    fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.peek() == Some(b'}') {
+            return Ok(None);
         }
+        self.separator("expected ',' or '}' in object")?;
+        let key = self.str()?;
+        self.eat(b':')?;
+        Ok(Some(key))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() != Some(b']') {
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b']') => break,
-                    _ => return Err(self.err("expected ',' or ']' in array")),
-                }
-            }
+    /// The comma before every member or element but a container's first.
+    fn separator(&mut self, what: &str) -> Result<(), String> {
+        if std::mem::replace(&mut self.first, false) {
+            return Ok(());
+        }
+        if self.peek() != Some(b',') {
+            return Err(self.err(what));
         }
         self.at += 1;
-        self.depth -= 1;
-        Ok(Json::Arr(items))
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        self.descend()?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() != Some(b'}') {
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.eat(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                members.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => break,
-                    _ => return Err(self.err("expected ',' or '}' in object")),
-                }
-            }
-        }
-        self.at += 1;
-        self.depth -= 1;
-        Ok(Json::Obj(members))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, borrowed from the text when it holds no escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.at;
+        self.skip_plain();
+        if self.rest().first() == Some(&b'"') {
+            self.at += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.at - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.at]);
         loop {
-            let start = self.at;
-            // Copy unescaped runs through verbatim (multi-byte UTF-8
-            // included — no byte in a multi-byte sequence can equal '"'
-            // or '\\', both < 0x80).
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                self.at += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.at])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+            match self.rest().first() {
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.at += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: the writer never emits
-                                // one, but a conforming reader decodes it.
-                                if !self.bytes[self.at..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.at += 2;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            // hex4 leaves `at` one past the last digit.
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.at += 1;
+                    self.escape(&mut out)?;
                 }
+                Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
-                _ => unreachable!("loop above stops only on '\"', '\\\\', or EOF"),
             }
+            let run = self.at;
+            self.skip_plain();
+            out.push_str(&self.text[run..self.at]);
         }
+    }
+
+    /// Advance over the bytes a string holds verbatim: all but `"`, `\`
+    /// and control characters. Every byte of a multi-byte UTF-8 sequence
+    /// is at least 0x80, so the run ends on a char boundary.
+    fn skip_plain(&mut self) {
+        let rest = self.rest();
+        self.at += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Decode the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let c = match self.rest().first() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.at += 1;
+                let hi = self.hex4()?;
+                let code = if (0xd800..0xdc00).contains(&hi) {
+                    // Surrogate pair: the writer never emits one, but a
+                    // conforming reader decodes it.
+                    if !self.rest().starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.at += 2;
+                    let lo = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"))?);
+                return Ok(());
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.at += 1;
+        out.push(c);
+        Ok(())
     }
 
     /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
     /// take a leading `+`, reading `\u+041` as `A`).
     fn hex4(&mut self) -> Result<u32, String> {
         let digits = self
-            .bytes
-            .get(self.at..self.at + 4)
+            .rest()
+            .get(..4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let mut code = 0;
         for &d in digits {
@@ -429,45 +559,190 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
+    fn literal(&mut self, word: &str) -> Result<(), String> {
+        self.peek();
+        if self.rest().starts_with(word.as_bytes()) {
+            self.at += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {word:?}")))
         }
-        let mut integral = true;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.at += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.at += 1;
-                }
-                _ => break,
-            }
+    }
+
+    /// Consume `null`.
+    pub fn null(&mut self) -> Result<(), String> {
+        self.literal("null")
+    }
+
+    /// A `true` or `false`.
+    fn bool(&mut self) -> Result<bool, String> {
+        if self.peek() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ASCII digits");
-        if integral {
-            // Integer literal: keep full 64-bit precision (a u64 counter
-            // above 2^53 must not round through f64).
-            if text.starts_with('-') {
-                match text.parse::<i64>() {
-                    // Only a negative-zero float renders as "-0" (integers
-                    // print zero unsigned): keep the sign so the text
-                    // round-trips.
-                    Ok(0) => return Ok(Json::Num(-0.0)),
-                    Ok(i) => return Ok(Json::Int(i)),
-                    // Magnitude beyond i64: fall through to f64 like serde_json.
-                    Err(_) => {}
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
-            }
-        }
+    }
+
+    /// The next number's text, checked against RFC 8259's grammar, and
+    /// whether it is an integer (no fraction and no exponent).
+    fn number(&mut self) -> Result<(&'a str, bool), String> {
+        self.peek();
+        let rest = self.rest();
+        let len = rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .unwrap_or(rest.len());
+        let text = &self.text[self.at..self.at + len];
+        let integral = number_shape(text.as_bytes())
+            .ok_or_else(|| self.err(&format!("invalid number {text:?}")))?;
+        self.at += len;
+        Ok((text, integral))
+    }
+
+    /// An unsigned integer: digits only, at most `u64::MAX`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        let (text, _) = self.number()?;
+        text.parse().map_err(|_| {
+            self.err_at(
+                self.at - text.len(),
+                &format!("{text:?} is not an unsigned 64-bit integer"),
+            )
+        })
+    }
+
+    /// Any number, as the nearest `f64`. Parsing rounds correctly, so a
+    /// float's shortest rendering reads back to the same bits; a number
+    /// beyond the `f64` range is an error.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        let (text, _) = self.number()?;
+        self.finite(text)
+    }
+
+    /// `text` (a number just read) as a finite `f64`.
+    fn finite(&self, text: &str) -> Result<f64, String> {
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| format!("json parse error: invalid number {text:?}"))
+            .ok_or_else(|| {
+                self.err_at(
+                    self.at - text.len(),
+                    &format!("number {text:?} is out of range"),
+                )
+            })
+    }
+
+    /// Consume `text` when the input continues with exactly its bytes
+    /// (after whitespace), and tell whether it did: a value compared with
+    /// its canonical form without being decoded. `text` must be one
+    /// complete JSON value; the reader takes it on trust.
+    pub fn verbatim(&mut self, text: &str) -> bool {
+        self.peek();
+        let hit = self.rest().starts_with(text.as_bytes());
+        if hit {
+            self.at += text.len();
+        }
+        hit
+    }
+
+    /// Check that nothing but whitespace follows what has been read.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing characters after the document")),
+        }
+    }
+
+    /// One value of any kind, as a tree. The recursion is bounded: only
+    /// `open` descends, and it stops at [`MAX_DEPTH`].
+    fn value(&mut self) -> Result<Json, String> {
+        Ok(match self.peek() {
+            Some(b'n') => {
+                self.null()?;
+                Json::Null
+            }
+            Some(b't' | b'f') => Json::Bool(self.bool()?),
+            Some(b'"') => Json::Str(self.str()?.into_owned()),
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.item()? {
+                    items.push(self.value()?);
+                }
+                self.end_array()?;
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut members = Vec::new();
+                while let Some(key) = self.key()? {
+                    members.push((key.into_owned(), self.value()?));
+                }
+                self.end_object()?;
+                Json::Obj(members)
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                let (text, integral) = self.number()?;
+                match integral.then(|| exact_integer(text)).flatten() {
+                    Some(v) => v,
+                    None => Json::Num(self.finite(text)?),
+                }
+            }
+            Some(c) => return Err(self.err(&format!("unexpected character {:?}", c as char))),
+            None => return Err(self.err("unexpected end of input")),
+        })
+    }
+}
+
+/// Whether `s` is a number by RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: `Some(true)` for an
+/// integer, `Some(false)` with a fraction or an exponent, `None` if not.
+fn number_shape(s: &[u8]) -> Option<bool> {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let s = s.strip_prefix(b"-").unwrap_or(s);
+    let int = match s.first()? {
+        b'0' => 1,
+        b'1'..=b'9' => digits(s),
+        _ => return None,
+    };
+    let mut rest = &s[int..];
+    let mut integral = true;
+    if let Some(frac) = rest.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return None;
+        }
+        rest = &frac[n..];
+        integral = false;
+    }
+    if let Some(exp) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or_else(|| exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return None;
+        }
+        rest = &exp[n..];
+        integral = false;
+    }
+    rest.is_empty().then_some(integral)
+}
+
+/// An integer literal's exact value, keeping full 64-bit precision (a
+/// u64 counter above 2^53 must not round through f64): unsigned to
+/// [`Json::UInt`], negative to [`Json::Int`]. `None` beyond 64 bits,
+/// where it is a float like in `serde_json`.
+fn exact_integer(text: &str) -> Option<Json> {
+    if text.starts_with('-') {
+        // Only a negative-zero float renders as "-0" (integers print zero
+        // unsigned): keep the sign so the text round-trips.
+        match text.parse::<i64>().ok()? {
+            0 => Some(Json::Num(-0.0)),
+            i => Some(Json::Int(i)),
+        }
+    } else {
+        text.parse().ok().map(Json::UInt)
     }
 }
 
@@ -700,9 +975,145 @@ mod tests {
             "\"\\u12\"",
             "\"\\ud800\"",
             "\"\\u+041\"",
+            "\"a\nb\"",
+            "\"\u{1f}\"",
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "0.",
+            "-.5",
+            "1.e5",
+            "1.5.2",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            "[01]",
+            "{\"a\":1.}",
+            "1e999",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    /// RFC 8259's number forms that a strict grammar might wrongly turn
+    /// away, and integers beyond 64 bits, which become floats.
+    #[test]
+    fn parse_accepts_every_standard_number_form() {
+        for (text, value) in [
+            ("-0", Json::Num(-0.0)),
+            ("0", Json::UInt(0)),
+            ("1E5", Json::Num(1e5)),
+            ("2.50", Json::Num(2.5)),
+            ("1.5e-0", Json::Num(1.5)),
+            ("1e+2", Json::Num(100.0)),
+            ("-0.0", Json::Num(-0.0)),
+            ("18446744073709551616", Json::Num(18446744073709551616.0)),
+            ("-9223372036854775809", Json::Num(-9223372036854775809.0)),
+        ] {
+            let parsed = Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(parsed, value, "{text}");
+            let bits = |v: &Json| v.as_f64().map(f64::to_bits);
+            assert_eq!(bits(&parsed), bits(&value), "{text} keeps its sign");
+        }
+    }
+
+    /// Errors name the byte offset where the bad token starts.
+    #[test]
+    fn parse_errors_carry_the_byte_offset() {
+        for (text, at) in [
+            ("1.5.2", 0),
+            ("[1, 01]", 4),
+            ("{\"a\": 1.}", 6),
+            ("[1e999]", 1),
+            ("\"ab\u{7}\"", 3),
+            ("[true, nul]", 7),
+            ("{\"a\":1,}", 7),
+        ] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(
+                err.starts_with(&format!("json parse error at byte {at}:")),
+                "{text:?}: {err}"
+            );
+        }
+        let err = Json::parse("1.5.2").expect_err("1.5.2");
+        assert!(err.contains("invalid number \"1.5.2\""), "{err}");
+    }
+
+    /// The reader pulls a document in the order the caller names its
+    /// members, borrows strings without escapes, and reports any other
+    /// shape as an error.
+    #[test]
+    fn reader_reads_members_in_order() {
+        let text = r#"{"name":"CG.C","esc":"a\"b","n":18446744073709551615,"x":-2.5e-3,"none":null,"runs":[1,2,3],"tail":{}}"#;
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        r.member("name").unwrap();
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("CG.C")));
+        r.member("esc").unwrap();
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "a\"b"));
+        r.member("n").unwrap();
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        r.member("x").unwrap();
+        assert_eq!(r.f64().unwrap().to_bits(), (-2.5e-3f64).to_bits());
+        r.member("none").unwrap();
+        assert_eq!(r.peek(), Some(b'n'));
+        r.null().unwrap();
+        r.member("runs").unwrap();
+        r.begin_array().unwrap();
+        let mut runs = Vec::new();
+        while r.item().unwrap() {
+            runs.push(r.u64().unwrap());
+        }
+        r.end_array().unwrap();
+        assert_eq!(runs, [1, 2, 3]);
+        r.member("tail").unwrap();
+        assert!(r.verbatim("{}"));
+        r.end_object().unwrap();
+        r.finish().unwrap();
+
+        let shape = |text: &str| {
+            let mut r = Reader::new(text);
+            r.begin_object()?;
+            r.member("a")?;
+            let a = r.u64()?;
+            r.member("b")?;
+            let b = r.f64()?;
+            r.end_object()?;
+            r.finish().map(|()| (a, b))
+        };
+        assert_eq!(shape(r#" { "a" : 1 , "b" : 2 } "#), Ok((1, 2.0)));
+        for bad in [
+            r#"{"b":2,"a":1}"#,
+            r#"{"a":1}"#,
+            r#"{"a":1,"b":2,"c":3}"#,
+            r#"{"a":1,"a":1,"b":2}"#,
+            r#"{"a":-1,"b":2}"#,
+            r#"{"a":1.0,"b":2}"#,
+            r#"{"a":18446744073709551616,"b":2}"#,
+            r#"{"a":1,"b":"2"}"#,
+            r#"{"a":1,"b":2}x"#,
+            r#"{"a":1 "b":2}"#,
+        ] {
+            assert!(shape(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// `verbatim` consumes only an exact match and leaves the reader
+    /// where it was otherwise.
+    #[test]
+    fn verbatim_matches_bytes_exactly() {
+        let mut r = Reader::new(r#"{"key":{"a":1},"v":2}"#);
+        r.begin_object().unwrap();
+        r.member("key").unwrap();
+        assert!(!r.verbatim(r#"{"a":2}"#));
+        assert!(!r.verbatim(r#"{"a": 1}"#));
+        assert!(r.verbatim(r#"{"a":1}"#));
+        r.member("v").unwrap();
+        assert_eq!(r.u64().unwrap(), 2);
+        r.end_object().unwrap();
+        r.finish().unwrap();
     }
 
     #[test]
