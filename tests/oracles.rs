@@ -11,37 +11,52 @@
 //! The scalar DP in turn must be optimal at granule resolution, which
 //! `solve_exhaustive` checks by enumeration.
 
-use proptest::prelude::*;
+mod common;
+
+use common::for_seeds;
 use unimem_repro::runtime::knapsack::{
     granule_for, solve, solve_exhaustive, solve_reference, Item,
 };
-use unimem_repro::sim::Bytes;
+use unimem_repro::sim::{Bytes, DetRng};
 
 /// One generated item: a roll that makes it hostile, its kind, a weight
 /// magnitude, its size as a fraction of half the capacity, and a roll
 /// that makes it a copy of the item before it.
 type Draw = (f64, u8, f64, f64, f64);
 
-fn draw() -> impl Strategy<Value = Draw> {
-    (
-        0.0f64..1.0,
-        any::<u8>(),
-        0.01f64..10.0,
-        0.0f64..1.0,
-        0.0f64..1.0,
-    )
+/// `n` items' draws.
+fn draws(n: usize, rng: &mut DetRng) -> Vec<Draw> {
+    (0..n)
+        .map(|_| {
+            (
+                rng.f64(),
+                rng.u64() as u8,
+                rng.range_f64(0.01, 10.0),
+                rng.f64(),
+                rng.f64(),
+            )
+        })
+        .collect()
 }
 
 /// 0..=64 items, half the cases on each side of the old subset-sum limit
 /// of 12; hostile items then push some of the larger ones back under it.
-fn counts() -> impl Strategy<Value = usize> {
-    prop_oneof![0usize..13, 13..65]
+fn count(rng: &mut DetRng) -> usize {
+    if rng.index(2) == 0 {
+        rng.index(13)
+    } else {
+        13 + rng.index(52)
+    }
 }
 
 /// Capacities with a granule of 1, and with a granule above 1 at KiB to
 /// hundreds-of-MiB scale.
-fn capacities() -> impl Strategy<Value = u64> {
-    prop_oneof![1u64..4097, 4097u64..1_048_576, 1_048_576u64..(1 << 30)]
+fn capacity(rng: &mut DetRng) -> u64 {
+    (match rng.index(3) {
+        0 => 1 + rng.index(4096),
+        1 => 4097 + rng.index(1_048_576 - 4097),
+        _ => 1_048_576 + rng.index((1 << 30) - 1_048_576),
+    }) as u64
 }
 
 /// How `build` shapes the items that are neither copies nor hostile.
@@ -129,134 +144,127 @@ fn assert_matches_reference(items: &[Item], cap: u64) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    /// `solve` returns the scalar DP's indices and weight bits on 0..=64
-    /// items.
-    #[test]
-    fn solve_matches_the_reference_dp_bit_for_bit(
-        draws in prop::collection::vec(draw(), 64..65),
-        n in counts(),
-        hostile_share in 0.0f64..0.5,
-        cap in capacities(),
-    ) {
-        assert_matches_reference(&build(&draws[..n], Shape::Mixed, hostile_share, cap, true), cap);
-    }
+/// `solve` returns the scalar DP's indices and weight bits on 0..=64
+/// items.
+#[test]
+fn solve_matches_the_reference_dp_bit_for_bit() {
+    for_seeds("solve_matches_the_reference_dp_bit_for_bit", 1024, |rng| {
+        let draws = draws(count(rng), rng);
+        let hostile_share = rng.range_f64(0.0, 0.5);
+        let cap = capacity(rng);
+        assert_matches_reference(&build(&draws, Shape::Mixed, hostile_share, cap, true), cap);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The same on full-width fronts: granule 1, 1..=64 items.
-    #[test]
-    fn solve_matches_the_reference_dp_on_full_width_fronts(
-        draws in prop::collection::vec(draw(), 64..65),
-        n in 1usize..65,
-        hostile_share in 0.0f64..0.25,
-        cap in 1u64..4097,
-    ) {
-        assert_matches_reference(&build(&draws[..n], Shape::Wide, hostile_share, cap, true), cap);
-    }
+/// The same on full-width fronts: granule 1, 1..=64 items.
+#[test]
+fn solve_matches_the_reference_dp_on_full_width_fronts() {
+    for_seeds(
+        "solve_matches_the_reference_dp_on_full_width_fronts",
+        64,
+        |rng| {
+            let draws = draws(1 + rng.index(64), rng);
+            let hostile_share = rng.range_f64(0.0, 0.25);
+            let cap = 1 + rng.index(4096) as u64;
+            assert_matches_reference(&build(&draws, Shape::Wide, hostile_share, cap, true), cap);
+        },
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4096))]
-
-    /// Release-only (`--ignored`): both shapes on 0..=128 items, wide
-    /// ones at granule 1.
-    #[test]
-    #[ignore = "thousands of solves of up to 128 items; run in release"]
-    fn solve_matches_the_reference_dp_deep(
-        draws in prop::collection::vec(draw(), 128..129),
-        n in 0usize..129,
-        wide in any::<bool>(),
-        hostile_share in 0.0f64..0.5,
-        cap in capacities(),
-    ) {
-        let (shape, cap) = if wide { (Shape::Wide, 1 + cap % 4096) } else { (Shape::Mixed, cap) };
-        assert_matches_reference(&build(&draws[..n], shape, hostile_share, cap, true), cap);
-    }
+/// Release-only (`--ignored`): both shapes on 0..=128 items, wide ones at
+/// granule 1.
+#[test]
+#[ignore = "thousands of solves of up to 128 items; run in release"]
+fn solve_matches_the_reference_dp_deep() {
+    for_seeds("solve_matches_the_reference_dp_deep", 4096, |rng| {
+        let draws = draws(rng.index(129), rng);
+        let hostile_share = rng.range_f64(0.0, 0.5);
+        let (shape, cap) = if rng.index(2) == 1 {
+            (Shape::Wide, 1 + rng.index(4096) as u64)
+        } else {
+            (Shape::Mixed, capacity(rng))
+        };
+        assert_matches_reference(&build(&draws, shape, hostile_share, cap, true), cap);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The scalar DP is optimal at granule resolution on 13..=16 items, past
+/// the 12 that the brute-force case below covers. Zero sizes are left
+/// out: the DP never takes them, enumeration would.
+#[test]
+fn reference_dp_matches_exhaustive_on_13_to_16_items() {
+    for_seeds(
+        "reference_dp_matches_exhaustive_on_13_to_16_items",
+        48,
+        |rng| {
+            let draws = draws(13 + rng.index(4), rng);
+            let hostile_share = rng.range_f64(0.0, 0.5);
+            let cap = capacity(rng);
+            let items = build(&draws, Shape::Mixed, hostile_share, cap, false);
+            let granule = granule_for(Bytes(cap));
+            let rounded: Vec<Item> = items
+                .iter()
+                .map(|i| Item {
+                    weight: i.weight,
+                    size: Bytes(i.size.get().div_ceil(granule)),
+                })
+                .collect();
+            let (_, w_dp) = solve_reference(&items, Bytes(cap));
+            let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap / granule));
+            assert!(
+                (w_dp - w_gr).abs() < 1e-9,
+                "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
+            );
+        },
+    );
+}
 
-    /// The scalar DP is optimal at granule resolution on 13..=16 items,
-    /// past the 12 that the brute-force case below covers. Zero sizes are
-    /// left out: the DP never takes them, enumeration would.
-    #[test]
-    fn reference_dp_matches_exhaustive_on_13_to_16_items(
-        draws in prop::collection::vec(draw(), 13..17),
-        hostile_share in 0.0f64..0.5,
-        cap in capacities(),
-    ) {
-        let items = build(&draws, Shape::Mixed, hostile_share, cap, false);
-        let granule = granule_for(Bytes(cap));
-        let rounded: Vec<Item> = items
-            .iter()
-            .map(|i| Item { weight: i.weight, size: Bytes(i.size.get().div_ceil(granule)) })
+/// `solve` matches exhaustive search on every small instance.
+#[test]
+fn knapsack_matches_exhaustive() {
+    for_seeds("knapsack_matches_exhaustive", 128, |rng| {
+        let items: Vec<Item> = (0..1 + rng.index(9))
+            .map(|_| Item {
+                weight: rng.range_f64(-5.0, 10.0),
+                size: Bytes(1 + rng.index(199) as u64),
+            })
             .collect();
-        let (_, w_dp) = solve_reference(&items, Bytes(cap));
-        let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap / granule));
-        prop_assert!(
-            (w_dp - w_gr).abs() < 1e-9,
-            "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// `solve` matches exhaustive search on every small instance.
-    #[test]
-    fn knapsack_matches_exhaustive(
-        weights in prop::collection::vec(-5.0f64..10.0, 1..10),
-        sizes in prop::collection::vec(1u64..200, 1..10),
-        cap in 1u64..600,
-    ) {
-        let n = weights.len().min(sizes.len());
-        let items: Vec<Item> = (0..n)
-            .map(|i| Item { weight: weights[i], size: Bytes(sizes[i]) })
-            .collect();
+        let cap = 1 + rng.index(599) as u64;
         let (chosen, w_dp) = solve(&items, Bytes(cap));
         let (_, w_ex) = solve_exhaustive(&items, Bytes(cap));
-        prop_assert!((w_dp - w_ex).abs() < 1e-9, "dp {w_dp} vs exhaustive {w_ex}");
+        assert!((w_dp - w_ex).abs() < 1e-9, "dp {w_dp} vs exhaustive {w_ex}");
         // Chosen set must fit and produce the reported weight.
         let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
-        prop_assert!(total <= cap);
+        assert!(total <= cap);
         let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
-        prop_assert!((sum - w_dp).abs() < 1e-9);
-    }
-
+        assert!((sum - w_dp).abs() < 1e-9);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `solve` agrees with brute-force enumeration on every instance of
-    /// up to 12 items, with sizes spanning byte, KiB and MiB
-    /// magnitudes in one instance (the `prop_oneof!` union) so granule
-    /// rounding, zero-weight filtering and the empty instance all get
-    /// exercised. Complements `knapsack_matches_exhaustive` above, which
-    /// stays within one narrow size magnitude.
-    #[test]
-    fn knapsack_dp_matches_bruteforce_upto_12_items(
-        spec in prop::collection::vec(
-            (
-                -4.0f64..8.0,
-                prop_oneof![1u64..64, 1024u64..65_536, 1_048_576u64..16_777_216],
-            ),
-            0..13,
-        ),
-        cap_sel in prop_oneof![1u64..256, 4096u64..262_144, 1_048_576u64..67_108_864],
-    ) {
-        let items: Vec<Item> = spec
-            .iter()
-            .map(|&(weight, size)| Item { weight, size: Bytes(size) })
+/// `solve` agrees with brute-force enumeration on every instance of up to
+/// 12 items, with sizes spanning byte, KiB and MiB magnitudes in one
+/// instance (each item picks its magnitude) so granule rounding,
+/// zero-weight filtering and the empty instance all get exercised.
+/// Complements `knapsack_matches_exhaustive` above, which stays within
+/// one narrow size magnitude.
+#[test]
+fn knapsack_dp_matches_bruteforce_upto_12_items() {
+    for_seeds("knapsack_dp_matches_bruteforce_upto_12_items", 256, |rng| {
+        let items: Vec<Item> = (0..rng.index(13))
+            .map(|_| Item {
+                weight: rng.range_f64(-4.0, 8.0),
+                size: Bytes(match rng.index(3) {
+                    0 => 1 + rng.index(63),
+                    1 => 1024 + rng.index(65_536 - 1024),
+                    _ => 1_048_576 + rng.index(16_777_216 - 1_048_576),
+                } as u64),
+            })
             .collect();
-        let cap = Bytes(cap_sel);
+        let cap = Bytes(match rng.index(3) {
+            0 => 1 + rng.index(255),
+            1 => 4096 + rng.index(262_144 - 4096),
+            _ => 1_048_576 + rng.index(67_108_864 - 1_048_576),
+        } as u64);
         let (chosen, w_dp) = solve(&items, cap);
         // The DP quantizes capacity into granules, rounding item sizes
         // *up* (never overcommitting): it solves the instance whose sizes
@@ -266,21 +274,24 @@ proptest! {
         let granule = granule_for(cap);
         let rounded: Vec<Item> = items
             .iter()
-            .map(|i| Item { weight: i.weight, size: Bytes(i.size.get().div_ceil(granule)) })
+            .map(|i| Item {
+                weight: i.weight,
+                size: Bytes(i.size.get().div_ceil(granule)),
+            })
             .collect();
         let (_, w_gr) = solve_exhaustive(&rounded, Bytes(cap.get() / granule));
-        prop_assert!(
+        assert!(
             (w_dp - w_gr).abs() < 1e-9,
             "dp {w_dp} vs granule-exact exhaustive {w_gr} (granule {granule})"
         );
         // And it never beats the unquantized optimum.
         let (_, w_ex) = solve_exhaustive(&items, cap);
-        prop_assert!(w_dp <= w_ex + 1e-9, "dp {w_dp} beats exhaustive {w_ex}?");
+        assert!(w_dp <= w_ex + 1e-9, "dp {w_dp} beats exhaustive {w_ex}?");
         // Whatever the DP chose must genuinely fit and add up.
         let total: u64 = chosen.iter().map(|&i| items[i].size.get()).sum();
-        prop_assert!(total <= cap.get(), "overcommitted {total} > {}", cap.get());
+        assert!(total <= cap.get(), "overcommitted {total} > {}", cap.get());
         let sum: f64 = chosen.iter().map(|&i| items[i].weight).sum();
-        prop_assert!((sum - w_dp).abs() < 1e-9);
-        prop_assert!(chosen.iter().all(|&i| items[i].weight > 0.0));
-    }
+        assert!((sum - w_dp).abs() < 1e-9);
+        assert!(chosen.iter().all(|&i| items[i].weight > 0.0));
+    });
 }
