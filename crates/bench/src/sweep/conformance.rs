@@ -448,10 +448,7 @@ pub fn check_contention(cfg: &SweepConfig) -> Vec<Violation> {
     let cache = CacheModel::platform_a();
     let mut violations = Vec::new();
     for &profile in &cfg.profiles {
-        let mut machine = profile.machine().with_ranks_per_node(rpn);
-        if let Some(cap) = cfg.dram_capacity {
-            machine = machine.with_dram_capacity(cap);
-        }
+        let machine = cfg.machine(profile, rpn);
         let run = |m: &unimem_hms::MachineConfig| {
             run_workload(w.as_ref(), m, &cache, nranks, &Policy::DramOnly)
                 .to_json()
@@ -554,8 +551,8 @@ fn check_coruns(report: &SweepReport, tol: &Tolerances) -> Vec<Violation> {
 
 /// Determinism check: re-run a representative Unimem cell of each profile
 /// at the matrix's largest rank count and require byte-identical
-/// `RunReport` JSON. This guards the virtual-clock MPI layer against
-/// host-scheduling leaks — any nondeterminism in the multi-threaded rank
+/// `RunReport` JSON. This guards the virtual-clock MPI layer and the
+/// policies against hidden state — any nondeterminism in the rank
 /// execution shows up as differing serialized stats.
 pub fn check_determinism(cfg: &SweepConfig) -> Vec<Violation> {
     use unimem::exec::{run_workload, Policy};
@@ -584,10 +581,7 @@ pub fn check_determinism(cfg: &SweepConfig) -> Vec<Violation> {
     let cache = CacheModel::platform_a();
     let mut violations = Vec::new();
     for &profile in &cfg.profiles {
-        let mut machine = profile.machine();
-        if let Some(cap) = cfg.dram_capacity {
-            machine = machine.with_dram_capacity(cap);
-        }
+        let machine = cfg.machine(profile, 1);
         // Unimem always probes (it exercises the most machinery); the
         // new-in-v4 policies probe when the matrix carries them —
         // hw-cache's fractional hit splitting and online-guidance's
@@ -670,23 +664,16 @@ pub fn check_weak_scaling(cfg: &SweepConfig, tol: &Tolerances) -> Vec<Violation>
         ));
     }
 
-    let machine = |rpn: usize| {
-        let mut m = profile.machine().with_ranks_per_node(rpn);
-        if let Some(cap) = cfg.dram_capacity {
-            m = m.with_dram_capacity(cap);
-        }
-        m
-    };
     let cache = CacheModel::platform_a();
     let cell = format!(
         "{canon}/{}/r{base_ranks}→r{scaled_ranks}@nodes{n_nodes}/unimem",
         profile.name()
     );
 
-    let flat = machine(1);
+    let flat = cfg.machine(profile, 1);
     let base_dram = run_workload(w.as_ref(), &flat, &cache, base_ranks, &Policy::DramOnly);
     let base_uni = run_workload(w.as_ref(), &flat, &cache, base_ranks, &Policy::unimem());
-    let room = ClusterSpec::homogeneous(machine(slots), n_nodes, slots);
+    let room = ClusterSpec::homogeneous(cfg.machine(profile, slots), n_nodes, slots);
     let topo = ClusterTopology::contiguous(room, scaled_ranks);
     let scaled_dram = run_workload_clustered(w.as_ref(), &topo, &cache, &Policy::DramOnly);
     let scaled_uni = run_workload_clustered(w.as_ref(), &topo, &cache, &Policy::unimem());
@@ -787,10 +774,7 @@ pub fn check_recovery(cfg: &SweepConfig, tol: &Tolerances) -> Vec<Violation> {
         });
         return violations;
     };
-    let mut machine = profile.machine();
-    if let Some(cap) = cfg.dram_capacity {
-        machine = machine.with_dram_capacity(cap);
-    }
+    let machine = cfg.machine(profile, 1);
     let cache = CacheModel::platform_a();
     let policy = Policy::unimem();
 

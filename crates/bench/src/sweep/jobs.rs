@@ -19,9 +19,9 @@
 //! (first failing job index wins, deterministically) instead of
 //! deadlocking the caller.
 //!
-//! The pool itself now lives in [`unimem_sim::pool`] so the execution
-//! driver can schedule ranks on it too; the historical re-exports below
-//! keep this module the bench-facing entry point.
+//! The pool itself lives in [`unimem_sim::pool`]; only the sweep runs
+//! jobs on it, and the re-exports below keep this module the
+//! bench-facing entry point.
 
 use crate::sweep::matrix::{NvmProfile, PolicyKind, SweepConfig};
 

@@ -73,7 +73,7 @@
 //!
 //! Identical sweeps serialize to byte-identical text (insertion-ordered
 //! members, shortest-round-trip floats); the determinism conformance
-//! check compares these bytes across repeated multi-threaded runs.
+//! check compares these bytes across repeated runs.
 
 use crate::sweep::matrix::TopologySpec;
 use crate::sweep::runner::{CorunCell, SweepCell, SweepReport};

@@ -346,13 +346,6 @@ pub fn run_sweep_cached(
     cfg.workloads = selection.iter().map(|(n, _)| n.clone()).collect();
     cfg.normalize_axes();
 
-    let machine = |profile: NvmProfile, ranks_per_node: usize| {
-        let mut m = profile.machine().with_ranks_per_node(ranks_per_node);
-        if let Some(cap) = cfg.dram_capacity {
-            m = m.with_dram_capacity(cap);
-        }
-        m
-    };
     // Lay a clustered machine room out for a cell: `None` for the flat
     // world (the legacy `run_workload` path keeps the historical bytes),
     // otherwise the `ClusterTopology` the clustered driver runs in.
@@ -361,13 +354,13 @@ pub fn run_sweep_cached(
         TopologySpec::Nodes { count } => {
             let slots = t.slots_for(nranks);
             Some(ClusterTopology::contiguous(
-                ClusterSpec::homogeneous(machine(profile, slots), *count, slots),
+                ClusterSpec::homogeneous(cfg.machine(profile, slots), *count, slots),
                 nranks,
             ))
         }
         TopologySpec::Mixed { profiles } => {
             let slots = t.slots_for(nranks);
-            let machines = profiles.iter().map(|&p| machine(p, slots)).collect();
+            let machines = profiles.iter().map(|&p| cfg.machine(p, slots)).collect();
             Some(ClusterTopology::contiguous(
                 ClusterSpec::mixed(machines, slots),
                 nranks,
@@ -481,7 +474,7 @@ pub fn run_sweep_cached(
                 Ok(match topo_of(t, row.profile, row.nranks) {
                     None => run_workload(
                         workload.as_ref(),
-                        &machine(row.profile, row.ranks_per_node),
+                        &cfg.machine(row.profile, row.ranks_per_node),
                         &cache,
                         row.nranks,
                         &Policy::DramOnly,
@@ -527,7 +520,7 @@ pub fn run_sweep_cached(
             },
             || {
                 let w = workload.as_ref();
-                let m = machine(job.row.profile, ranks_per_node);
+                let m = cfg.machine(job.row.profile, ranks_per_node);
                 let dram = baselines[job.baseline]
                     .as_ref()
                     .expect("baseline resolved for every row with a missed cell");
@@ -623,7 +616,7 @@ pub fn run_sweep_cached(
                 // Co-runs keep one rank per node: cross-tenant DRAM
                 // contention is arbitrated (the lease pathway), and the
                 // single-tenant rpn axis owns bandwidth contention.
-                let m = machine(job.profile, 1);
+                let m = cfg.machine(job.profile, 1);
                 let members = mix.instantiate(cfg.class);
                 let tenants: Vec<CorunTenant<'_>> = members
                     .iter()

@@ -5,8 +5,8 @@
 //! steps — computation (with per-object access descriptors at class scale)
 //! or communication. The driver replays the script, computing ground-truth
 //! phase times from the cache model and tier parameters under the
-//! *current* placement. Placement itself is a
-//! [`crate::policy::PlacementPolicy`]: the driver calls the same
+//! *current* placement. Placement itself is the [`Policy`]'s per-rank
+//! [`crate::policy::RankState`]: the driver calls the same
 //! lifecycle hooks for every policy (iteration begin, phase begin,
 //! observe, iteration end), and the policy's [`crate::policy::TierView`]
 //! is what the timing model charges. The Unimem implementation manages
@@ -52,7 +52,7 @@
 //! produces under different policies and machine configurations.
 
 use crate::comm::{collective_timing, CollectiveKind, NetParams, PhaseId, PhaseTracker, RankClock};
-use crate::policy::{PlacementPolicy, RankInit, RankState, StepEnv, TierView};
+use crate::policy::{RankInit, RankState, StepEnv, TierView};
 use crate::search::SearchKind;
 use crate::stats::RunStats;
 use std::collections::{HashMap, VecDeque};
@@ -232,7 +232,7 @@ impl RunReport {
     /// winning plan kind, the job-level merge, and every rank's stats in
     /// rank order. Equal reports serialize to byte-identical text — the
     /// determinism regression tests compare these bytes across repeated
-    /// multi-threaded runs.
+    /// runs and sweep worker counts.
     pub fn to_json(&self) -> unimem_sim::Json {
         use unimem_sim::Json;
         let mut o = Json::obj();
@@ -277,7 +277,7 @@ pub fn run_workload(
 /// ([`crate::tenancy::run_corun`]) is the main caller.
 ///
 /// Only a policy that *manages* placement can honour a moving lease
-/// ([`PlacementPolicy::supports_moving_lease`]); the fixed policies
+/// ([`Policy::supports_moving_lease`]); the fixed policies
 /// (DRAM-only, NVM-only, static pins) have nothing to evict with.
 /// Passing a non-constant lease with a fixed policy panics rather than
 /// silently reporting full-budget performance under a schedule that
@@ -455,7 +455,7 @@ struct Run<'a> {
     spec: &'a RunSpec,
     workload: &'a dyn Workload,
     cache: &'a CacheModel,
-    policy: Box<dyn PlacementPolicy>,
+    policy: &'a Policy,
     service: DramService,
     bw: SharedBandwidth,
     /// Offline calibrations by (node class, occupancy).
@@ -479,7 +479,6 @@ pub(crate) fn run(
     oracles: Vec<RankOracle>,
 ) -> (RunReport, Vec<RankJournalOut>) {
     let room = &spec.room;
-    let policy = policy.build();
     assert!(
         spec.leases.iter().all(CapacitySchedule::is_constant) || policy.supports_moving_lease(),
         "a moving DRAM lease requires a placement-managing policy ({} cannot evict)",

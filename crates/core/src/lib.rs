@@ -27,10 +27,11 @@
 //! * [`adapt`] — workload-variation monitor (>10% phase-time deviation
 //!   re-triggers profiling, §3.2).
 //! * [`stats`] — run statistics: Table 4 counters and "pure runtime cost".
-//! * [`policy`] — the pluggable placement-policy framework: the
-//!   [`policy::PlacementPolicy`] trait, the [`policy::PolicyId`] name
-//!   registry, and every competitor implementation (DRAM-only, NVM-only,
-//!   static pins, Unimem, online guidance, hardware DRAM cache).
+//! * [`policy`] — the placement policies: the [`policy::Policy`] value
+//!   that builds each rank's [`policy::RankState`], the
+//!   [`policy::PolicyId`] name registry, and every competitor
+//!   implementation (DRAM-only, NVM-only, static pins, Unimem, online
+//!   guidance, hardware DRAM cache).
 //! * [`comm`] — what the executor sees of MPI: per-rank virtual clocks,
 //!   collective and point-to-point costs priced over the machine room,
 //!   and PMPI-style phase identification (§3.3).
@@ -69,7 +70,7 @@ pub use exec::{
     StepSpec, UnimemConfig, Workload,
 };
 pub use model::{ModelParams, Sensitivity};
-pub use policy::{PlacementPolicy, PolicyId};
+pub use policy::PolicyId;
 pub use recovery::{
     CrashOutcome, JournaledRun, RecoveredRun, RecoverySetup, RecoveryStats, ReplaySummary,
 };

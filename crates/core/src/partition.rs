@@ -10,39 +10,21 @@
 use unimem_hms::object::{ObjId, ObjectRegistry};
 use unimem_sim::Bytes;
 
-/// Partitioning policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionPolicy {
-    /// Split objects larger than this fraction of DRAM capacity.
-    pub threshold_frac: f64,
-    /// Target chunk size as a fraction of DRAM capacity.
-    pub chunk_frac: f64,
-    /// Upper bound on chunks per object (placement-problem size control).
-    pub max_chunks: u16,
-}
-
-impl Default for PartitionPolicy {
-    fn default() -> PartitionPolicy {
-        PartitionPolicy {
-            threshold_frac: 0.5,
-            chunk_frac: 0.25,
-            max_chunks: 64,
-        }
-    }
-}
+/// Split objects larger than this fraction of DRAM capacity.
+const THRESHOLD_FRAC: f64 = 0.5;
+/// Target chunk size as a fraction of DRAM capacity.
+const CHUNK_FRAC: f64 = 0.25;
+/// Upper bound on chunks per object (placement-problem size control).
+const MAX_CHUNKS: u16 = 64;
 
 /// Decide and apply chunking for every eligible object. Returns the ids
 /// that were split.
-pub fn partition_large_objects(
-    registry: &mut ObjectRegistry,
-    dram_capacity: Bytes,
-    policy: PartitionPolicy,
-) -> Vec<ObjId> {
+pub fn partition_large_objects(registry: &mut ObjectRegistry, dram_capacity: Bytes) -> Vec<ObjId> {
     if dram_capacity.is_zero() {
         return Vec::new();
     }
-    let threshold = (dram_capacity.as_f64() * policy.threshold_frac) as u64;
-    let target_chunk = ((dram_capacity.as_f64() * policy.chunk_frac) as u64).max(1);
+    let threshold = (dram_capacity.as_f64() * THRESHOLD_FRAC) as u64;
+    let target_chunk = ((dram_capacity.as_f64() * CHUNK_FRAC) as u64).max(1);
     let candidates: Vec<(ObjId, u16)> = registry
         .iter()
         .filter(|o| o.partitionable && !o.aliased && o.size.get() > threshold)
@@ -51,7 +33,7 @@ pub fn partition_large_objects(
                 .size
                 .get()
                 .div_ceil(target_chunk)
-                .clamp(2, u64::from(policy.max_chunks)) as u16;
+                .clamp(2, u64::from(MAX_CHUNKS)) as u16;
             (o.id, chunks)
         })
         .collect();
@@ -82,7 +64,7 @@ mod tests {
     #[test]
     fn only_eligible_large_objects_split() {
         let mut r = reg();
-        let split = partition_large_objects(&mut r, Bytes::mib(256), PartitionPolicy::default());
+        let split = partition_large_objects(&mut r, Bytes::mib(256));
         assert_eq!(split.len(), 1);
         let o = r.get(split[0]);
         assert_eq!(r.name_of(o.id), "big1d");
@@ -97,7 +79,7 @@ mod tests {
     fn chunk_sizes_fit_dram() {
         let mut r = reg();
         let cap = Bytes::mib(256);
-        partition_large_objects(&mut r, cap, PartitionPolicy::default());
+        partition_large_objects(&mut r, cap);
         let big = r.lookup("big1d").unwrap();
         for u in r.get(big).units() {
             assert!(r.unit_size(u) <= cap);
@@ -108,21 +90,15 @@ mod tests {
     fn max_chunks_bounds_the_split() {
         let mut r = ObjectRegistry::new();
         r.register(ObjectSpec::new("huge", Bytes::gib(16)).partitionable(true));
-        let split = partition_large_objects(
-            &mut r,
-            Bytes::mib(128),
-            PartitionPolicy {
-                max_chunks: 8,
-                ..PartitionPolicy::default()
-            },
-        );
-        assert_eq!(r.get(split[0]).chunks, 8);
+        // 16 GiB / 32 MiB target → 512 chunks, capped at 64.
+        let split = partition_large_objects(&mut r, Bytes::mib(128));
+        assert_eq!(r.get(split[0]).chunks, 64);
     }
 
     #[test]
     fn zero_capacity_is_a_noop() {
         let mut r = reg();
-        assert!(partition_large_objects(&mut r, Bytes(0), PartitionPolicy::default()).is_empty());
+        assert!(partition_large_objects(&mut r, Bytes(0)).is_empty());
     }
 
     #[test]
@@ -130,7 +106,7 @@ mod tests {
         let mut r = ObjectRegistry::new();
         r.register(ObjectSpec::new("edge", Bytes::mib(100)).partitionable(true));
         // threshold = 0.5 · 256 MiB = 128 MiB > 100 MiB → no split.
-        let split = partition_large_objects(&mut r, Bytes::mib(256), PartitionPolicy::default());
+        let split = partition_large_objects(&mut r, Bytes::mib(256));
         assert!(split.is_empty());
     }
 }

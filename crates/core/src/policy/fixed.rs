@@ -2,25 +2,9 @@
 //! pins. None of them observe, replan, or migrate — their whole behaviour
 //! is the [`TierView`] they report — so they share one inert rank state.
 
-use super::{PlacementPolicy, PolicyId, RankInit, RankState, TierView};
+use super::{RankInit, RankState, TierView};
 use std::collections::BTreeSet;
 use unimem_hms::object::UnitId;
-
-/// Unlimited DRAM: the paper's baseline machine.
-pub struct DramOnly;
-
-/// Everything in NVM: the paper's worst case.
-pub struct NvmOnly;
-
-/// Named objects pinned in DRAM for the whole run. X-Mem's offline
-/// placement builds one of these (label "X-Mem"); Fig. 4's manual pins
-/// use it directly.
-pub struct StaticPins {
-    /// Object names pinned in DRAM.
-    pub in_dram: Vec<String>,
-    /// Display label for reports.
-    pub label: String,
-}
 
 /// Tier residency frozen at init: the only state a fixed policy has.
 struct FixedRank {
@@ -37,59 +21,14 @@ impl RankState for FixedRank {
     }
 }
 
-impl PlacementPolicy for DramOnly {
-    fn id(&self) -> PolicyId {
-        PolicyId::DramOnly
-    }
-
-    fn label(&self) -> &str {
-        "DRAM-only"
-    }
-
-    fn init_rank(&self, _init: RankInit<'_>) -> Box<dyn RankState> {
-        Box::new(FixedRank {
-            in_dram: BTreeSet::new(),
-            all_dram: true,
-        })
-    }
-}
-
-impl PlacementPolicy for NvmOnly {
-    fn id(&self) -> PolicyId {
-        PolicyId::NvmOnly
-    }
-
-    fn label(&self) -> &str {
-        "NVM-only"
-    }
-
-    fn init_rank(&self, _init: RankInit<'_>) -> Box<dyn RankState> {
-        Box::new(FixedRank {
-            in_dram: BTreeSet::new(),
-            all_dram: false,
-        })
-    }
-}
-
-impl PlacementPolicy for StaticPins {
-    fn id(&self) -> PolicyId {
-        PolicyId::Xmem
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
-        let set = self
-            .in_dram
-            .iter()
-            .filter_map(|name| init.registry.lookup(name))
-            .flat_map(|id| init.registry.get(id).units().collect::<Vec<_>>())
-            .collect();
-        Box::new(FixedRank {
-            in_dram: set,
-            all_dram: false,
-        })
-    }
+/// Build one rank's frozen residency: every unit of the objects named
+/// in `pins` in DRAM, or every access a DRAM access when `all_dram`
+/// (the unlimited-DRAM baseline machine).
+pub(super) fn init_rank(init: RankInit<'_>, pins: &[String], all_dram: bool) -> Box<dyn RankState> {
+    let in_dram = pins
+        .iter()
+        .filter_map(|name| init.registry.lookup(name))
+        .flat_map(|id| init.registry.get(id).units().collect::<Vec<_>>())
+        .collect();
+    Box::new(FixedRank { in_dram, all_dram })
 }

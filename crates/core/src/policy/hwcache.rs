@@ -25,7 +25,7 @@
 //! price of no phase awareness and cache-filtered hit behaviour that
 //! tracks the footprint, not the benefit.
 
-use super::{PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
+use super::{RankInit, RankState, StepEnv, TierView};
 use crate::comm::PhaseId;
 use std::collections::BTreeSet;
 use unimem_hms::contention::BwClient;
@@ -34,44 +34,22 @@ use unimem_hms::tier::TierKind;
 use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, VDur, VTime};
 
-/// Configuration for the hardware DRAM-cache policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HwCacheConfig {
-    /// Set associativity of the DRAM cache (the conflict-miss discount
-    /// is `1 − 1/(2·assoc)`).
-    pub assoc: u32,
-}
+/// Set associativity of the DRAM cache (the conflict-miss discount is
+/// `1 − 1/(2·ASSOC)`).
+const ASSOC: u32 = 8;
 
-impl Default for HwCacheConfig {
-    fn default() -> HwCacheConfig {
-        HwCacheConfig { assoc: 8 }
-    }
-}
-
-/// The hardware DRAM-cache policy.
-pub struct HwCache(pub HwCacheConfig);
-
-impl PlacementPolicy for HwCache {
-    fn id(&self) -> PolicyId {
-        PolicyId::HwCache
-    }
-
-    fn label(&self) -> &str {
-        "HW-cache"
-    }
-
-    fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
-        let assoc = f64::from(self.0.assoc.max(1));
-        let cap_eff = init.service.per_rank(init.rank, init.lease.at(0)).as_f64()
-            * (1.0 - 1.0 / (2.0 * assoc));
-        Box::new(HwCacheRank {
-            cap_eff,
-            frac: 0.0,
-            touched: BTreeSet::new(),
-            client: init.client.clone(),
-            phase_start: VTime::ZERO,
-        })
-    }
+/// Build one rank's cache state: cold (no DRAM hits) until the first
+/// iteration has shown the footprint.
+pub(super) fn init_rank(init: RankInit<'_>) -> Box<dyn RankState> {
+    let cap_eff = init.service.per_rank(init.rank, init.lease.at(0)).as_f64()
+        * (1.0 - 1.0 / (2.0 * f64::from(ASSOC)));
+    Box::new(HwCacheRank {
+        cap_eff,
+        frac: 0.0,
+        touched: BTreeSet::new(),
+        client: init.client.clone(),
+        phase_start: VTime::ZERO,
+    })
 }
 
 /// Per-rank hardware-cache state.

@@ -1,14 +1,14 @@
-//! Pluggable placement policies: the trait, the registry, and the
+//! Placement policies: the [`Policy`] value, the registry, and the
 //! self-contained policy implementations.
 //!
 //! The driver in [`crate::exec`] replays a workload's phase script; what
 //! varies between the paper's bars is *who decides tier residency and
-//! when*. Each competitor is a [`PlacementPolicy`] — a factory that
-//! builds one [`RankState`] per rank — and the driver calls the same
-//! lifecycle hooks for every policy:
+//! when*. Each competitor is a [`Policy`] variant whose
+//! [`Policy::init_rank`] builds one [`RankState`] per rank, and the
+//! driver calls the same lifecycle hooks for every policy:
 //!
-//! 1. [`PlacementPolicy::init_rank`] — initial placement from the
-//!    registry (and, for Unimem, compiler estimates + partitioning);
+//! 1. [`Policy::init_rank`] — initial placement from the registry (and,
+//!    for Unimem, compiler estimates + partitioning);
 //! 2. [`RankState::iteration_begin`] — dependency-table construction and
 //!    reaction to capacity-lease changes at iteration boundaries;
 //! 3. [`RankState::phase_begin`] — enforcement work at a phase boundary
@@ -24,7 +24,8 @@
 //! sweep matrix, the `--policies` CLI, and the JSON report all spell a
 //! policy the way [`PolicyId::name`] does.
 //!
-//! Implementations live one file per family:
+//! Implementations live one file per family, each with an `init_rank`
+//! function that [`Policy::init_rank`] calls:
 //!
 //! * [`fixed`] — DRAM-only, NVM-only, and named static pins (X-Mem's
 //!   offline placement feeds the latter);
@@ -54,9 +55,7 @@ use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Calibration, SamplerConfig};
 use unimem_sim::VDur;
 
-pub use hwcache::{HwCache, HwCacheConfig};
-pub use online::{OnlineConfig, OnlineGuidance};
-pub use unimem::{UnimemConfig, UnimemPolicy};
+pub use unimem::UnimemConfig;
 
 /// Canonical policy registry: every placement policy the evaluation
 /// matrix knows, with its one true sweep/CLI/JSON name.
@@ -112,25 +111,10 @@ impl PolicyId {
             .into_iter()
             .find(|p| p.name().eq_ignore_ascii_case(s))
     }
-
-    /// The workload-independent default [`Policy`] value for this entry,
-    /// or `None` for X-Mem, whose static placement requires an offline
-    /// training run per (workload, machine) — see `unimem_xmem`.
-    pub fn default_policy(self) -> Option<Policy> {
-        match self {
-            PolicyId::Unimem => Some(Policy::unimem()),
-            PolicyId::Xmem => None,
-            PolicyId::DramOnly => Some(Policy::DramOnly),
-            PolicyId::NvmOnly => Some(Policy::NvmOnly),
-            PolicyId::OnlineGuidance => Some(Policy::online_guidance()),
-            PolicyId::HwCache => Some(Policy::hw_cache()),
-        }
-    }
 }
 
-/// Placement policy for a run: the user-facing configuration value.
-/// [`Policy::build`] turns it into the [`PlacementPolicy`] the driver
-/// actually runs.
+/// Placement policy for a run: which competitor decides tier residency,
+/// with Unimem's ablation and sampler settings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Policy {
     /// Unlimited DRAM (the paper's DRAM-only baseline machine).
@@ -148,9 +132,9 @@ pub enum Policy {
     /// The paper's runtime, with its ablation/config toggles.
     Unimem(UnimemConfig),
     /// Interval-based online guidance with sampled hotness feedback.
-    OnlineGuidance(OnlineConfig),
+    OnlineGuidance,
     /// Hardware-managed DRAM cache over NVM.
-    HwCache(HwCacheConfig),
+    HwCache,
 }
 
 impl Policy {
@@ -162,8 +146,8 @@ impl Policy {
             Policy::NvmOnly => "NVM-only",
             Policy::Static { label, .. } => label,
             Policy::Unimem(_) => "Unimem",
-            Policy::OnlineGuidance(_) => "Online-guidance",
-            Policy::HwCache(_) => "HW-cache",
+            Policy::OnlineGuidance => "Online-guidance",
+            Policy::HwCache => "HW-cache",
         }
     }
 
@@ -172,28 +156,41 @@ impl Policy {
         Policy::Unimem(UnimemConfig::default())
     }
 
-    /// Online guidance at its default configuration.
+    /// Online guidance.
     pub fn online_guidance() -> Policy {
-        Policy::OnlineGuidance(OnlineConfig::default())
+        Policy::OnlineGuidance
     }
 
-    /// The hardware DRAM cache at its default configuration.
+    /// The hardware DRAM cache.
     pub fn hw_cache() -> Policy {
-        Policy::HwCache(HwCacheConfig::default())
+        Policy::HwCache
     }
 
-    /// Instantiate the policy implementation the driver runs.
-    pub fn build(&self) -> Box<dyn PlacementPolicy> {
+    /// True when the policy can honour a non-constant DRAM lease (it
+    /// manages placement, so it can evict when budget is revoked).
+    pub fn supports_moving_lease(&self) -> bool {
+        matches!(self, Policy::Unimem(_) | Policy::OnlineGuidance)
+    }
+
+    /// When `Some`, the driver runs the offline sampler calibration once
+    /// per distinct node occupancy (with the returned config and seed)
+    /// and passes the results to [`Policy::init_rank`].
+    pub fn sampler_calibration(&self) -> Option<(SamplerConfig, u64)> {
         match self {
-            Policy::DramOnly => Box::new(fixed::DramOnly),
-            Policy::NvmOnly => Box::new(fixed::NvmOnly),
-            Policy::Static { in_dram, label } => Box::new(fixed::StaticPins {
-                in_dram: in_dram.clone(),
-                label: label.clone(),
-            }),
-            Policy::Unimem(cfg) => Box::new(UnimemPolicy(cfg.clone())),
-            Policy::OnlineGuidance(cfg) => Box::new(OnlineGuidance(cfg.clone())),
-            Policy::HwCache(cfg) => Box::new(HwCache(*cfg)),
+            Policy::Unimem(cfg) => Some((cfg.sampler, unimem::SEED)),
+            _ => None,
+        }
+    }
+
+    /// Build one rank's placement state (initial placement included).
+    pub fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
+        match self {
+            Policy::DramOnly => fixed::init_rank(init, &[], true),
+            Policy::NvmOnly => fixed::init_rank(init, &[], false),
+            Policy::Static { in_dram, .. } => fixed::init_rank(init, in_dram, false),
+            Policy::Unimem(cfg) => unimem::init_rank(cfg, init),
+            Policy::OnlineGuidance => online::init_rank(init),
+            Policy::HwCache => hwcache::init_rank(init),
         }
     }
 }
@@ -216,7 +213,7 @@ pub struct RankInit<'a> {
     /// its own tier parameters, so Eq. 1's peak comparison must be
     /// calibrated against the share a rank of *that* class actually sees.
     /// Empty unless the policy requested them via
-    /// [`PlacementPolicy::sampler_calibration`]. A rank's class is
+    /// [`Policy::sampler_calibration`]. A rank's class is
     /// [`BwClient::node_class`].
     pub cals: &'a HashMap<(usize, usize), Calibration>,
     /// The rank's crash-consistency redo journal, when journaling is on.
@@ -266,39 +263,14 @@ pub enum TierView<'a> {
     Fraction(f64),
 }
 
-/// A placement policy: a per-run factory for per-rank placement state.
+/// Per-rank placement state: the lifecycle hooks the driver calls while
+/// replaying the phase script. Every hook may advance virtual time
+/// (charging its own overhead) and update [`RunStats`] counters.
 ///
 /// Implementations must be deterministic — two runs with identical
 /// inputs must produce byte-identical reports, which in practice means
 /// no wall-clock, no global state, and randomness only through
 /// `unimem_sim::DetRng`.
-pub trait PlacementPolicy {
-    /// This policy's registry entry.
-    fn id(&self) -> PolicyId;
-
-    /// Display label used in reports ("Unimem", "X-Mem", ...).
-    fn label(&self) -> &str;
-
-    /// True when the policy can honour a non-constant DRAM lease (it
-    /// manages placement, so it can evict when budget is revoked).
-    fn supports_moving_lease(&self) -> bool {
-        false
-    }
-
-    /// When `Some`, the driver runs the offline sampler calibration once
-    /// per distinct node occupancy (with the returned config and seed)
-    /// and passes the results to [`PlacementPolicy::init_rank`].
-    fn sampler_calibration(&self) -> Option<(SamplerConfig, u64)> {
-        None
-    }
-
-    /// Build one rank's placement state (initial placement included).
-    fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState>;
-}
-
-/// Per-rank placement state: the lifecycle hooks the driver calls while
-/// replaying the phase script. Every hook may advance virtual time
-/// (charging its own overhead) and update [`RunStats`] counters.
 pub trait RankState {
     /// Iteration boundary: build dependency tables on the first pass,
     /// react to capacity-lease changes.
@@ -365,26 +337,42 @@ mod tests {
     }
 
     #[test]
-    fn registry_labels_match_policy_labels() {
-        // Every instantiable registry entry builds a policy whose trait
-        // label agrees with the enum label.
-        for id in PolicyId::ALL {
-            let Some(p) = id.default_policy() else {
-                assert_eq!(id, PolicyId::Xmem, "only X-Mem needs offline training");
-                continue;
-            };
-            let built = p.build();
-            assert_eq!(built.id(), id);
-            assert_eq!(built.label(), p.label());
+    fn only_adaptive_policies_accept_moving_leases() {
+        assert!(Policy::unimem().supports_moving_lease());
+        assert!(Policy::online_guidance().supports_moving_lease());
+        for p in [Policy::DramOnly, Policy::NvmOnly, Policy::hw_cache()] {
+            assert!(!p.supports_moving_lease(), "{}", p.label());
         }
     }
 
     #[test]
-    fn only_adaptive_policies_accept_moving_leases() {
-        assert!(Policy::unimem().build().supports_moving_lease());
-        assert!(Policy::online_guidance().build().supports_moving_lease());
-        for p in [Policy::DramOnly, Policy::NvmOnly, Policy::hw_cache()] {
-            assert!(!p.build().supports_moving_lease(), "{}", p.label());
+    fn only_unimem_requests_calibration() {
+        // Every report byte of a Unimem run depends on this seed.
+        assert_eq!(
+            Policy::unimem().sampler_calibration(),
+            Some((SamplerConfig::default(), 0x5eed))
+        );
+        let sampler = SamplerConfig {
+            event_period: 100,
+            ..SamplerConfig::default()
+        };
+        let tuned = Policy::Unimem(UnimemConfig {
+            sampler,
+            ..UnimemConfig::default()
+        });
+        assert_eq!(tuned.sampler_calibration(), Some((sampler, 0x5eed)));
+        let pins = Policy::Static {
+            in_dram: vec!["lhs".to_string()],
+            label: "pin lhs".to_string(),
+        };
+        for p in [
+            Policy::DramOnly,
+            Policy::NvmOnly,
+            pins,
+            Policy::online_guidance(),
+            Policy::hw_cache(),
+        ] {
+            assert_eq!(p.sampler_calibration(), None, "{}", p.label());
         }
     }
 }

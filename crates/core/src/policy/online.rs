@@ -14,7 +14,7 @@
 //! binomial-thinned through `unimem_sim::DetRng`, seeded per rank, so
 //! runs replay byte-identically.
 
-use super::{build_refs, PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
+use super::{build_refs, RankInit, RankState, StepEnv, TierView};
 use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::exec::StepSpec;
@@ -28,79 +28,45 @@ use unimem_hms::MigrationEngine;
 use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, DetRng, VDur};
 
-/// Configuration for the online-guidance policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineConfig {
-    /// Per-miss sampling probability of the hotness profiler.
-    pub sample_prob: f64,
-    /// EWMA retention of previous intervals' hotness (0 forgets
-    /// instantly, 1 never forgets).
-    pub decay: f64,
-    /// Residency hysteresis: a challenger must beat a resident unit's
-    /// reference density by this factor to displace it. Guards against
-    /// boundary ping-pong when sampled counts jitter between intervals
-    /// (small per-rank miss counts make the thinned samples noisy at
-    /// scale, and an oscillating hot set would migrate the same bytes
-    /// back and forth every interval).
-    pub hysteresis: f64,
-    /// Seed for the deterministic sampling thinning.
-    pub seed: u64,
-    /// Cost charged per interval decision (sort + greedy fill).
-    pub decision_cost: VDur,
-    /// Cost charged per phase boundary (migration-queue check).
-    pub sync_cost: VDur,
-}
+/// Per-miss sampling probability of the hotness profiler.
+const SAMPLE_PROB: f64 = 1e-3;
+/// EWMA retention of previous intervals' hotness (0 forgets instantly,
+/// 1 never forgets).
+const DECAY: f64 = 0.5;
+/// Residency hysteresis: a challenger must beat a resident unit's
+/// reference density by this factor to displace it. Guards against
+/// boundary ping-pong when sampled counts jitter between intervals
+/// (small per-rank miss counts make the thinned samples noisy at scale,
+/// and an oscillating hot set would migrate the same bytes back and
+/// forth every interval).
+const HYSTERESIS: f64 = 2.0;
+/// Seed for the deterministic sampling thinning.
+const SEED: u64 = 0x01_5eed;
+/// Cost charged per interval decision (sort + greedy fill).
+const DECISION_COST: VDur = VDur::from_micros(60.0);
+/// Cost charged per phase boundary (migration-queue check).
+const SYNC_COST: VDur = VDur::from_nanos(250.0);
 
-impl Default for OnlineConfig {
-    fn default() -> OnlineConfig {
-        OnlineConfig {
-            sample_prob: 1e-3,
-            decay: 0.5,
-            hysteresis: 2.0,
-            seed: 0x01_5eed,
-            decision_cost: VDur::from_micros(60.0),
-            sync_cost: VDur::from_nanos(250.0),
-        }
-    }
-}
-
-/// The online-guidance policy.
-pub struct OnlineGuidance(pub OnlineConfig);
-
-impl PlacementPolicy for OnlineGuidance {
-    fn id(&self) -> PolicyId {
-        PolicyId::OnlineGuidance
-    }
-
-    fn label(&self) -> &str {
-        "Online-guidance"
-    }
-
-    fn supports_moving_lease(&self) -> bool {
-        true
-    }
-
-    fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
-        Box::new(OnlineRank {
-            rng: DetRng::seed(self.0.seed ^ (init.rank as u64).wrapping_mul(0x9e3779b9)),
-            hotness: BTreeMap::new(),
-            interval: BTreeMap::new(),
-            in_dram: BTreeSet::new(),
-            grants: HashMap::new(),
-            engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
-                .with_journal(init.journal.clone()),
-            refs: None,
-            cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
-            rank: init.rank,
-            decided: false,
-            cfg: self.0.clone(),
-        })
-    }
+/// Build one rank's online-guidance state: everything starts in NVM,
+/// and the first interval decision comes at the end of iteration 0.
+pub(super) fn init_rank(init: RankInit<'_>) -> Box<dyn RankState> {
+    Box::new(OnlineRank {
+        rng: DetRng::seed(SEED ^ (init.rank as u64).wrapping_mul(0x9e3779b9)),
+        hotness: BTreeMap::new(),
+        interval: BTreeMap::new(),
+        in_dram: BTreeSet::new(),
+        grants: HashMap::new(),
+        engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
+            .with_journal(init.journal.clone()),
+        refs: None,
+        cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
+        rank: init.rank,
+        decided: false,
+    })
 }
 
 /// Per-rank online-guidance state.
 struct OnlineRank {
-    cfg: OnlineConfig,
     rng: DetRng,
     /// EWMA-decayed sampled reference counts per unit.
     hotness: BTreeMap<UnitId, f64>,
@@ -123,8 +89,8 @@ impl OnlineRank {
     /// placement diff on the migration helper (evictions first, so the
     /// freed grants can back the admissions).
     fn replan(&mut self, env: &mut StepEnv<'_>) {
-        env.ctx.advance(self.cfg.decision_cost);
-        env.stats.modeling_overhead += self.cfg.decision_cost;
+        env.ctx.advance(DECISION_COST);
+        env.stats.modeling_overhead += DECISION_COST;
 
         let mut scored: Vec<(UnitId, f64)> = self
             .hotness
@@ -132,7 +98,7 @@ impl OnlineRank {
             .filter(|&(_, &h)| h > 0.0)
             .map(|(&u, &h)| {
                 let boost = if self.in_dram.contains(&u) {
-                    self.cfg.hysteresis
+                    HYSTERESIS
                 } else {
                     1.0
                 };
@@ -221,8 +187,8 @@ impl RankState for OnlineRank {
         for u in refs.units_of(phase) {
             stall += self.engine.require(u, env.ctx.now() + stall);
         }
-        env.ctx.advance(self.cfg.sync_cost + stall);
-        env.stats.sync_overhead += self.cfg.sync_cost;
+        env.ctx.advance(SYNC_COST + stall);
+        env.stats.sync_overhead += SYNC_COST;
         env.stats.migration_stall += stall;
     }
 
@@ -241,7 +207,7 @@ impl RankState for OnlineRank {
         _env: &mut StepEnv<'_>,
     ) {
         for t in truths {
-            let sampled = self.rng.binomial(t.misses, self.cfg.sample_prob);
+            let sampled = self.rng.binomial(t.misses, SAMPLE_PROB);
             if sampled > 0 {
                 *self.interval.entry(t.unit).or_insert(0) += sampled;
             }
@@ -252,7 +218,7 @@ impl RankState for OnlineRank {
         // Interval boundary: decay history, fold in this interval's
         // samples, and re-decide the placement.
         for h in self.hotness.values_mut() {
-            *h *= self.cfg.decay;
+            *h *= DECAY;
         }
         for (u, c) in std::mem::take(&mut self.interval) {
             *self.hotness.entry(u).or_insert(0.0) += c as f64;

@@ -1,9 +1,9 @@
-//! The paper's runtime as a [`PlacementPolicy`]: sampled profiling,
+//! The paper's runtime as a placement policy: sampled profiling,
 //! knapsack-guided search, proactive enforcement, re-profiling on
 //! variation — §3.1's profile → decide → enforce loop, driven through
 //! the policy lifecycle hooks.
 
-use super::{build_refs, PlacementPolicy, PolicyId, RankInit, RankState, StepEnv, TierView};
+use super::{build_refs, RankInit, RankState, StepEnv, TierView};
 use crate::adapt::VariationMonitor;
 use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
@@ -11,7 +11,7 @@ use crate::enforce::Enforcer;
 use crate::exec::StepSpec;
 use crate::initial::initial_placement;
 use crate::model::ModelParams;
-use crate::partition::{partition_large_objects, PartitionPolicy};
+use crate::partition::partition_large_objects;
 use crate::profile::{IterationProfile, PhaseRecord};
 use crate::search::{best_plan, SearchInput, SearchKind};
 use crate::stats::RunStats;
@@ -40,15 +40,14 @@ pub struct UnimemConfig {
     pub adaptation: bool,
     /// Hardware-counter sampling configuration.
     pub sampler: SamplerConfig,
-    /// Seed for the sampler's deterministic thinning.
-    pub seed: u64,
-    /// Cost charged per placement decision (model + knapsack solve).
-    pub modeling_cost: VDur,
-    /// Cost charged per phase boundary (helper-queue status check).
-    pub sync_cost: VDur,
-    /// How large objects split into chunks (§3.2).
-    pub partition_policy: PartitionPolicy,
 }
+
+/// Seed for the sampler's deterministic thinning.
+pub(super) const SEED: u64 = 0x5eed;
+/// Cost charged per placement decision (model + knapsack solve).
+const MODELING_COST: VDur = VDur::from_micros(120.0);
+/// Cost charged per phase boundary (helper-queue status check).
+const SYNC_COST: VDur = VDur::from_nanos(250.0);
 
 impl Default for UnimemConfig {
     fn default() -> UnimemConfig {
@@ -59,10 +58,6 @@ impl Default for UnimemConfig {
             initial_placement: true,
             adaptation: true,
             sampler: SamplerConfig::default(),
-            seed: 0x5eed,
-            modeling_cost: VDur::from_micros(120.0),
-            sync_cost: VDur::from_nanos(250.0),
-            partition_policy: PartitionPolicy::default(),
         }
     }
 }
@@ -82,101 +77,80 @@ impl UnimemConfig {
     }
 }
 
-/// The paper's runtime.
-pub struct UnimemPolicy(pub UnimemConfig);
-
-impl PlacementPolicy for UnimemPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::Unimem
-    }
-
-    fn label(&self) -> &str {
-        "Unimem"
-    }
-
-    fn supports_moving_lease(&self) -> bool {
-        true
-    }
-
-    fn sampler_calibration(&self) -> Option<(SamplerConfig, u64)> {
-        Some((self.0.sampler, self.0.seed))
-    }
-
-    fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
-        let cfg = &self.0;
-        if cfg.partitioning {
-            // Chunks are sized against the lease's peak: a chunk that
-            // fits DRAM at the high-water lease simply stays in NVM
-            // while the lease is lower.
-            partition_large_objects(
-                init.registry,
-                init.service.per_rank(init.rank, init.lease.peak()),
-                cfg.partition_policy,
-            );
-        }
-        // The models reason about this rank's share of the node: tier
-        // bandwidth over occupancy and the helper's fair copy-path
-        // slice. The Eq. 4 contention terms charge hidden copies for
-        // the load they put on the pools each direction actually
-        // touches — an admission reads NVM and writes DRAM, an
-        // eviction the reverse (which is far harsher on
-        // write-asymmetric technologies).
-        let machine = init.machine;
-        let occ = init.client.occupancy();
-        let rho = init.client.copy_rate().bytes_per_s();
-        let pressure = |read_pool: unimem_sim::Bandwidth, write_pool: unimem_sim::Bandwidth| {
-            if machine.helper_contention {
-                rho / read_pool.bytes_per_s().min(write_pool.bytes_per_s())
-            } else {
-                0.0
-            }
-        };
-        let model = ModelParams::new(
-            machine.rank_share(TierKind::Dram, occ),
-            machine.rank_share(TierKind::Nvm, occ),
-            init.client.copy_rate(),
-            *init
-                .cals
-                .get(&(init.client.node_class(), occ))
-                .expect("calibration computed per (node class, occupancy) for Unimem runs"),
-        )
-        .with_contention_penalties(
-            pressure(machine.nvm.read_bw, machine.dram.write_bw),
-            pressure(machine.dram.read_bw, machine.nvm.write_bw),
+/// Build one rank's Unimem state: partition large objects, then make
+/// the estimate-driven initial placement within the rank's lease.
+pub(super) fn init_rank(cfg: &UnimemConfig, init: RankInit<'_>) -> Box<dyn RankState> {
+    if cfg.partitioning {
+        // Chunks are sized against the lease's peak: a chunk that
+        // fits DRAM at the high-water lease simply stays in NVM
+        // while the lease is lower.
+        partition_large_objects(
+            init.registry,
+            init.service.per_rank(init.rank, init.lease.peak()),
         );
-        let mut committed = BTreeSet::new();
-        let mut grants = HashMap::new();
-        if cfg.initial_placement {
-            for u in initial_placement(
-                init.registry,
-                init.service.per_rank(init.rank, init.lease.at(0)),
-            ) {
-                if let Some(g) = init.service.reserve(init.rank, init.registry.unit_size(u)) {
-                    committed.insert(u);
-                    grants.insert(u, g);
-                }
+    }
+    // The models reason about this rank's share of the node: tier
+    // bandwidth over occupancy and the helper's fair copy-path
+    // slice. The Eq. 4 contention terms charge hidden copies for
+    // the load they put on the pools each direction actually
+    // touches — an admission reads NVM and writes DRAM, an
+    // eviction the reverse (which is far harsher on
+    // write-asymmetric technologies).
+    let machine = init.machine;
+    let occ = init.client.occupancy();
+    let rho = init.client.copy_rate().bytes_per_s();
+    let pressure = |read_pool: unimem_sim::Bandwidth, write_pool: unimem_sim::Bandwidth| {
+        if machine.helper_contention {
+            rho / read_pool.bytes_per_s().min(write_pool.bytes_per_s())
+        } else {
+            0.0
+        }
+    };
+    let model = ModelParams::new(
+        machine.rank_share(TierKind::Dram, occ),
+        machine.rank_share(TierKind::Nvm, occ),
+        init.client.copy_rate(),
+        *init
+            .cals
+            .get(&(init.client.node_class(), occ))
+            .expect("calibration computed per (node class, occupancy) for Unimem runs"),
+    )
+    .with_contention_penalties(
+        pressure(machine.nvm.read_bw, machine.dram.write_bw),
+        pressure(machine.dram.read_bw, machine.nvm.write_bw),
+    );
+    let mut committed = BTreeSet::new();
+    let mut grants = HashMap::new();
+    if cfg.initial_placement {
+        for u in initial_placement(
+            init.registry,
+            init.service.per_rank(init.rank, init.lease.at(0)),
+        ) {
+            if let Some(g) = init.service.reserve(init.rank, init.registry.unit_size(u)) {
+                committed.insert(u);
+                grants.insert(u, g);
             }
         }
-        Box::new(UnimemRank {
-            sampler: Sampler::new(
-                cfg.sampler,
-                cfg.seed ^ (init.rank as u64).wrapping_mul(0x9e3779b9),
-            ),
-            engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
-                .with_journal(init.journal.clone()),
-            monitor: None,
-            profile: IterationProfile::new(),
-            refs: None,
-            enforcer: None,
-            committed,
-            grants,
-            profiling: true,
-            cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
-            model,
-            cfg: cfg.clone(),
-            rank: init.rank,
-        })
     }
+    Box::new(UnimemRank {
+        sampler: Sampler::new(
+            cfg.sampler,
+            SEED ^ (init.rank as u64).wrapping_mul(0x9e3779b9),
+        ),
+        engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
+            .with_journal(init.journal.clone()),
+        monitor: None,
+        profile: IterationProfile::new(),
+        refs: None,
+        enforcer: None,
+        committed,
+        grants,
+        profiling: true,
+        cap_per_rank: init.service.per_rank(init.rank, init.lease.at(0)),
+        model,
+        cfg: cfg.clone(),
+        rank: init.rank,
+    })
 }
 
 /// Per-rank Unimem state: the profile → decide → enforce pipeline.
@@ -212,8 +186,8 @@ impl UnimemRank {
     /// Resets the variation monitor — the new placement legitimately
     /// changes phase times, which must not read as workload variation.
     fn replace_plan(&mut self, env: &mut StepEnv<'_>, steps_len: usize, remaining_iters: u64) {
-        env.ctx.advance(self.cfg.modeling_cost);
-        env.stats.modeling_overhead += self.cfg.modeling_cost;
+        env.ctx.advance(MODELING_COST);
+        env.stats.modeling_overhead += MODELING_COST;
         let refs = self.refs.as_ref().expect("refs built in first iteration");
         let (committed, grants) = match self.enforcer.take() {
             Some(e) => e.into_state(),
@@ -240,7 +214,7 @@ impl UnimemRank {
             committed,
             grants,
             self.rank,
-            self.cfg.sync_cost,
+            SYNC_COST,
         );
         enf.enter_plan(
             env.ctx.now(),

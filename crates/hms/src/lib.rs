@@ -56,7 +56,7 @@ pub use contention::{BwClient, FlowScope, HelperLink, SharedBandwidth};
 pub use dram_service::DramService;
 pub use journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ReplayedState};
 pub use migration::{MigrationEngine, MigrationStats};
-pub use object::{DataObject, ObjId, ObjectRegistry, Placement};
+pub use object::{DataObject, ObjId, ObjectRegistry};
 pub use profiles::MachineConfig;
 pub use tier::{AccessMix, TierKind, TierParams};
 pub use topology::{ClusterSpec, ClusterTopology, NodeSpec};

@@ -6,8 +6,6 @@
 //! of an object. [`UnitId`] names a placement unit (object + chunk index);
 //! an unpartitioned object is a single chunk.
 
-use crate::tier::TierKind;
-use std::collections::HashMap;
 use std::fmt;
 use unimem_sim::Bytes;
 
@@ -233,63 +231,6 @@ impl ObjectRegistry {
     }
 }
 
-/// A placement: which tier each placement unit lives in. Units default to
-/// NVM (the paper's default initial placement before optimization).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Placement {
-    in_dram: HashMap<UnitId, ()>,
-}
-
-impl Placement {
-    /// Everything in NVM.
-    pub fn all_nvm() -> Placement {
-        Placement::default()
-    }
-
-    /// Every unit of every object in DRAM (the DRAM-only policy).
-    pub fn all_dram(reg: &ObjectRegistry) -> Placement {
-        let mut p = Placement::default();
-        for u in reg.units() {
-            p.set(u, TierKind::Dram);
-        }
-        p
-    }
-
-    pub fn tier(&self, u: UnitId) -> TierKind {
-        if self.in_dram.contains_key(&u) {
-            TierKind::Dram
-        } else {
-            TierKind::Nvm
-        }
-    }
-
-    pub fn set(&mut self, u: UnitId, tier: TierKind) {
-        match tier {
-            TierKind::Dram => {
-                self.in_dram.insert(u, ());
-            }
-            TierKind::Nvm => {
-                self.in_dram.remove(&u);
-            }
-        }
-    }
-
-    /// Units currently in DRAM (unordered).
-    pub fn dram_units(&self) -> impl Iterator<Item = UnitId> + '_ {
-        self.in_dram.keys().copied()
-    }
-
-    /// Total DRAM bytes this placement occupies.
-    pub fn dram_bytes(&self, reg: &ObjectRegistry) -> Bytes {
-        self.in_dram.keys().map(|&u| reg.unit_size(u)).sum()
-    }
-
-    /// True when every chunk of `obj` is in DRAM.
-    pub fn object_fully_in_dram(&self, reg: &ObjectRegistry, obj: ObjId) -> bool {
-        reg.get(obj).units().all(|u| self.tier(u) == TierKind::Dram)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,47 +317,6 @@ mod tests {
                 .aliased(true),
         );
         r.set_chunks(id, 2);
-    }
-
-    #[test]
-    fn placement_defaults_to_nvm() {
-        let r = reg_with(&[("a", 100)]);
-        let p = Placement::all_nvm();
-        let u = UnitId::whole(r.lookup("a").unwrap());
-        assert_eq!(p.tier(u), TierKind::Nvm);
-    }
-
-    #[test]
-    fn placement_set_and_bytes() {
-        let r = reg_with(&[("a", 100), ("b", 200)]);
-        let mut p = Placement::all_nvm();
-        let ua = UnitId::whole(r.lookup("a").unwrap());
-        p.set(ua, TierKind::Dram);
-        assert_eq!(p.tier(ua), TierKind::Dram);
-        assert_eq!(p.dram_bytes(&r), Bytes(100));
-        p.set(ua, TierKind::Nvm);
-        assert_eq!(p.dram_bytes(&r), Bytes(0));
-    }
-
-    #[test]
-    fn all_dram_covers_every_unit() {
-        let mut r = ObjectRegistry::new();
-        let big = r.register(ObjectSpec::new("big", Bytes(400)).partitionable(true));
-        r.register(ObjectSpec::new("small", Bytes(40)));
-        r.set_chunks(big, 4);
-        let p = Placement::all_dram(&r);
-        assert_eq!(p.dram_bytes(&r), Bytes(440));
-        assert!(p.object_fully_in_dram(&r, big));
-    }
-
-    #[test]
-    fn partial_object_not_fully_in_dram() {
-        let mut r = ObjectRegistry::new();
-        let big = r.register(ObjectSpec::new("big", Bytes(400)).partitionable(true));
-        r.set_chunks(big, 2);
-        let mut p = Placement::all_nvm();
-        p.set(UnitId { obj: big, chunk: 0 }, TierKind::Dram);
-        assert!(!p.object_fully_in_dram(&r, big));
     }
 
     #[test]

@@ -69,13 +69,13 @@ impl VDur {
 
     /// Construct from nanoseconds.
     #[inline]
-    pub fn from_nanos(ns: f64) -> VDur {
+    pub const fn from_nanos(ns: f64) -> VDur {
         VDur((ns * 1e-9).max(0.0))
     }
 
     /// Construct from microseconds.
     #[inline]
-    pub fn from_micros(us: f64) -> VDur {
+    pub const fn from_micros(us: f64) -> VDur {
         VDur((us * 1e-6).max(0.0))
     }
 

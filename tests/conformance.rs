@@ -2,13 +2,13 @@
 //!
 //! Runs the same reduced matrix as `cargo run --release --example sweep`
 //! (CLASS C, 4 ranks, both emulation-anchor NVM profiles, all 7 workloads
-//! × all 4 policies) and asserts the claims of Figs. 9/10 and Table 4:
+//! × all 6 policies) and asserts the claims of Figs. 9/10 and Table 4:
 //!
 //! * Unimem tracks DRAM-only within the documented tolerance,
 //! * Unimem never loses to NVM-only (beyond runtime-overhead slack),
 //! * Unimem beats the X-Mem static placement on Nek5000's drift,
 //! * pure runtime cost stays within the paper's bound,
-//! * reports are byte-identical across repeated multi-threaded runs,
+//! * reports are byte-identical across repeated runs,
 //! * co-run cells exist and satisfy the tenant-QoS claim: under
 //!   `priority` arbitration a weighted tenant never degrades more than
 //!   its best-effort peers.

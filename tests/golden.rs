@@ -7,8 +7,8 @@
 //! and 8 workers (8 oversubscribes small hosts on purpose), and from a
 //! cold and a fully-warm cell cache. The four legacy policies, run on
 //! their own, must reproduce the committed report projected onto them:
-//! the baseline of the enum-dispatch implementation the
-//! `PlacementPolicy` trait replaced.
+//! the baseline the policy layer's rewrites have kept since those four
+//! were its only policies.
 //!
 //! Multi-node reports are pinned by digest: the reduced matrix over the
 //! topology axis CI's `topology-sweep` leg runs. The full matrix is
@@ -133,8 +133,8 @@ fn cached_runs_reproduce_the_committed_sweep_bytes() {
 }
 
 /// The placement-policy refactor guard: the four legacy policies,
-/// regenerated through the `PlacementPolicy` trait machinery, produce
-/// exactly the committed report's cells for those policies.
+/// regenerated through today's policy layer, produce exactly the
+/// committed report's cells for those policies.
 #[test]
 fn legacy_policies_reproduce_the_projected_sweep_bytes() {
     let mut cfg = SweepConfig::reduced();
