@@ -12,15 +12,16 @@
 //! and the trigger search walks backwards across the iteration boundary.
 
 use crate::comm::PhaseId;
-use std::collections::BTreeSet;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::{UnitId, UnitSet};
 use unimem_sim::VDur;
 
-/// Which units each phase of the iteration references.
+/// Which units each phase of the iteration references: one [`UnitSet`]
+/// per phase, so membership is a bit test and [`PhaseRefTable::units_of`]
+/// walks the units in `UnitId` order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseRefTable {
     /// `refs[p]` = units referenced by phase `p` (compute or comm).
-    refs: Vec<BTreeSet<UnitId>>,
+    refs: Vec<UnitSet>,
 }
 
 /// The migration window for one (unit, use-phase) pair.
@@ -36,7 +37,7 @@ pub struct TriggerWindow {
 impl PhaseRefTable {
     pub fn new(n_phases: usize) -> PhaseRefTable {
         PhaseRefTable {
-            refs: vec![BTreeSet::new(); n_phases],
+            refs: vec![UnitSet::new(); n_phases],
         }
     }
 
@@ -49,11 +50,12 @@ impl PhaseRefTable {
     }
 
     pub fn references(&self, phase: PhaseId, unit: UnitId) -> bool {
-        self.refs[phase.0 as usize].contains(&unit)
+        self.refs[phase.0 as usize].contains(unit)
     }
 
+    /// The units phase `phase` references, in `UnitId` order.
     pub fn units_of(&self, phase: PhaseId) -> impl Iterator<Item = UnitId> + '_ {
-        self.refs[phase.0 as usize].iter().copied()
+        self.refs[phase.0 as usize].iter()
     }
 
     /// All phases (in id order) that reference `unit`.
@@ -76,7 +78,7 @@ impl PhaseRefTable {
         // Walk back up to n-1 phases.
         for back in 1..n {
             let p = (use_phase.0 + n - back) % n;
-            if self.refs[p as usize].contains(&unit) {
+            if self.refs[p as usize].contains(unit) {
                 // Phase p references it; trigger at the next phase.
                 return TriggerWindow {
                     trigger: PhaseId((p + 1) % n),

@@ -17,9 +17,8 @@
 use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::search::{is_static, PlacementPlan};
-use std::collections::{BTreeSet, HashMap};
 use unimem_hms::alloc::Region;
-use unimem_hms::object::{ObjectRegistry, UnitId};
+use unimem_hms::object::{ObjectRegistry, UnitId, UnitMap, UnitSet};
 use unimem_hms::tier::TierKind;
 use unimem_hms::{DramService, MigrationEngine};
 use unimem_sim::{VDur, VTime};
@@ -42,15 +41,17 @@ pub struct BoundaryCost {
     pub stall: VDur,
 }
 
-/// The enforcement state machine for one rank.
+/// The enforcement state machine for one rank. The committed DRAM
+/// contents are a [`UnitSet`] and the service grants a [`UnitMap`], so a
+/// boundary's membership tests are bit tests and each grant is one slot.
 #[derive(Debug)]
 pub struct Enforcer {
     plan: PlacementPlan,
     /// Actions indexed by trigger phase.
     schedule: Vec<Vec<Action>>,
     /// DRAM contents after all enqueued copies complete.
-    committed: BTreeSet<UnitId>,
-    grants: HashMap<UnitId, Region>,
+    committed: UnitSet,
+    grants: UnitMap<Region>,
     /// Admissions the service refused, retried at later boundaries (space
     /// frees as scheduled evictions drain).
     pending_in: Vec<UnitId>,
@@ -73,8 +74,8 @@ impl Enforcer {
         refs: &PhaseRefTable,
         registry: &ObjectRegistry,
         capacity: unimem_sim::Bytes,
-        current: BTreeSet<UnitId>,
-        grants: HashMap<UnitId, Region>,
+        current: UnitSet,
+        grants: UnitMap<Region>,
         rank: usize,
         sync_cost: VDur,
     ) -> Enforcer {
@@ -96,12 +97,12 @@ impl Enforcer {
     }
 
     /// DRAM contents once all enqueued copies complete.
-    pub fn committed(&self) -> &BTreeSet<UnitId> {
+    pub fn committed(&self) -> &UnitSet {
         &self.committed
     }
 
     /// Take back the state to rebuild an enforcer after a re-plan.
-    pub fn into_state(self) -> (BTreeSet<UnitId>, HashMap<UnitId, Region>) {
+    pub fn into_state(self) -> (UnitSet, UnitMap<Region>) {
         (self.committed, self.grants)
     }
 
@@ -118,10 +119,7 @@ impl Enforcer {
         engine: &mut MigrationEngine,
         service: &DramService,
     ) {
-        let mut want: Vec<UnitId> = self.plan.per_phase[0]
-            .difference(&self.committed)
-            .copied()
-            .collect();
+        let mut want: Vec<UnitId> = self.plan.per_phase[0].difference(&self.committed).collect();
         let first_ref = |u: UnitId| -> u32 {
             refs.phases_referencing(u)
                 .first()
@@ -130,18 +128,8 @@ impl Enforcer {
         };
         want.sort_by_key(|&u| (first_ref(u), u));
         // Make room first: evict residents the plan never wants anywhere.
-        let wanted_somewhere: BTreeSet<UnitId> = self
-            .plan
-            .per_phase
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .collect();
-        let evict: Vec<UnitId> = self
-            .committed
-            .iter()
-            .filter(|u| !wanted_somewhere.contains(u))
-            .copied()
-            .collect();
+        let wanted_somewhere: UnitSet = self.plan.per_phase.iter().flat_map(|s| s.iter()).collect();
+        let evict: Vec<UnitId> = self.committed.difference(&wanted_somewhere).collect();
         for u in evict {
             self.do_evict(u, now, registry, engine, service);
         }
@@ -158,11 +146,11 @@ impl Enforcer {
         engine: &mut MigrationEngine,
         service: &DramService,
     ) {
-        if !self.committed.remove(&unit) {
+        if !self.committed.remove(unit) {
             return;
         }
         engine.enqueue(unit, TierKind::Nvm, registry.unit_size(unit), now);
-        if let Some(grant) = self.grants.remove(&unit) {
+        if let Some(grant) = self.grants.remove(unit) {
             // The space frees when the copy completes; the FIFO helper
             // serializes it before any admission enqueued afterwards, so
             // releasing the accounting now is safe.
@@ -178,7 +166,7 @@ impl Enforcer {
         engine: &mut MigrationEngine,
         service: &DramService,
     ) {
-        if self.committed.contains(&unit) {
+        if self.committed.contains(unit) {
             return;
         }
         let size = registry.unit_size(unit);
@@ -224,9 +212,8 @@ impl Enforcer {
         // 2. fire this boundary's scheduled movements (evictions first —
         // the schedule is built that way), then retry refused admissions
         // now that evictions may have freed space.
-        let actions = self.schedule[p].clone();
-        for a in actions {
-            match a {
+        for i in 0..self.schedule[p].len() {
+            match self.schedule[p][i] {
                 Action::Out { unit } => self.do_evict(unit, now, registry, engine, service),
                 Action::In { unit, .. } => self.do_admit(unit, now, registry, engine, service),
             }
@@ -235,7 +222,7 @@ impl Enforcer {
         for unit in retry {
             // Only retry units the plan still wants resident at this phase
             // (cyclic plans re-schedule the rest at their own triggers).
-            if self.plan.dram_set(phase).contains(&unit) {
+            if self.plan.dram_set(phase).contains(unit) {
                 self.do_admit(unit, now, registry, engine, service);
             }
         }
@@ -243,11 +230,11 @@ impl Enforcer {
         // phase actually references must be usable by the time the phase
         // reaches it. Whole objects are needed at the start; chunk k of an
         // n-chunk object is needed k/n of the way through the phase.
-        let mut required: Vec<UnitId> = refs
+        // `units_of` walks in `UnitId` order, the order stalls accrue in.
+        let wanted = self.plan.dram_set(phase);
+        let required = refs
             .units_of(phase)
-            .filter(|u| self.committed.contains(u) && self.plan.dram_set(phase).contains(u))
-            .collect();
-        required.sort();
+            .filter(|&u| self.committed.contains(u) && wanted.contains(u));
         let mut stall = VDur::ZERO;
         for unit in required {
             let chunks = u32::from(registry.get(unit.obj).chunks).max(1);
@@ -270,7 +257,7 @@ impl Enforcer {
 /// analytic overlap window cannot see (queueing on the single helper
 /// thread, deferred triggers).
 pub fn estimate_cycle_stall(
-    per_phase: &[BTreeSet<UnitId>],
+    per_phase: &[UnitSet],
     refs: &PhaseRefTable,
     registry: &ObjectRegistry,
     capacity: unimem_sim::Bytes,
@@ -284,7 +271,7 @@ pub fn estimate_cycle_stall(
     let schedule = build_schedule(per_phase, refs, registry, capacity);
     let mut now = VTime::ZERO;
     let mut helper_free = VTime::ZERO;
-    let mut ready: HashMap<UnitId, VTime> = HashMap::new();
+    let mut ready: UnitMap<VTime> = UnitMap::new();
     let mut stall = VDur::ZERO;
     for cycle in 0..2 {
         if cycle == 1 {
@@ -303,13 +290,12 @@ pub fn estimate_cycle_stall(
                 }
             }
             for unit in refs.units_of(PhaseId(p as u32)) {
-                if per_phase[p].contains(&unit) {
-                    if let Some(&t) = ready.get(&unit) {
+                if per_phase[p].contains(unit) {
+                    if let Some(t) = ready.remove(unit) {
                         if t > now {
                             stall += t - now;
                             now = t;
                         }
-                        ready.remove(&unit);
                     }
                 }
             }
@@ -328,7 +314,7 @@ pub fn estimate_cycle_stall(
 /// availability of DRAM space", Fig. 6). Within a boundary, evictions are
 /// ordered before admissions so the FIFO helper frees space first.
 fn build_schedule(
-    per_phase: &[BTreeSet<UnitId>],
+    per_phase: &[UnitSet],
     refs: &PhaseRefTable,
     registry: &ObjectRegistry,
     capacity: unimem_sim::Bytes,
@@ -340,7 +326,7 @@ fn build_schedule(
     }
     let phase_bytes: Vec<u64> = per_phase
         .iter()
-        .map(|s| s.iter().map(|&u| registry.unit_size(u).get()).sum())
+        .map(|s| s.iter().map(|u| registry.unit_size(u).get()).sum())
         .collect();
     for p in 0..n {
         let prev = &per_phase[(p + n - 1) % n];
@@ -348,11 +334,11 @@ fn build_schedule(
         let use_phase = PhaseId(p as u32);
         // Evictions leaving at this transition: safe once unreferenced
         // before the phase that drops them.
-        for &v in prev.difference(cur) {
+        for v in prev.difference(cur) {
             let t = refs.trigger_for(v, use_phase).trigger;
             schedule[t.0 as usize].insert(0, Action::Out { unit: v });
         }
-        for &u in cur.difference(prev) {
+        for u in cur.difference(prev) {
             let dep = refs.trigger_for(u, use_phase).trigger;
             let size = registry.unit_size(u).get();
             // Walk back from the use phase while the plan leaves room for
@@ -474,13 +460,13 @@ mod tests {
             &refs,
             &reg,
             Bytes::mib(64),
-            BTreeSet::new(),
-            HashMap::new(),
+            UnitSet::new(),
+            UnitMap::new(),
             0,
             VDur::from_nanos(200.0),
         );
         enf.enter_plan(VTime::ZERO, &refs, &reg, &mut eng, &service);
-        assert!(enf.committed().contains(&unit(0)));
+        assert!(enf.committed().contains(unit(0)));
         assert_eq!(eng.stats().to_dram_count, 1);
         // DRAM is fully granted now.
         assert_eq!(service.available(0), Bytes(0));
@@ -497,8 +483,8 @@ mod tests {
             &refs,
             &reg,
             Bytes::mib(64),
-            BTreeSet::new(),
-            HashMap::new(),
+            UnitSet::new(),
+            UnitMap::new(),
             0,
             VDur::from_nanos(200.0),
         );
@@ -534,8 +520,8 @@ mod tests {
             &refs,
             &reg,
             Bytes::mib(64),
-            BTreeSet::new(),
-            HashMap::new(),
+            UnitSet::new(),
+            UnitMap::new(),
             0,
             VDur::from_nanos(200.0),
         );
@@ -575,8 +561,8 @@ mod tests {
             &refs,
             &reg,
             Bytes(0),
-            BTreeSet::new(),
-            HashMap::new(),
+            UnitSet::new(),
+            UnitMap::new(),
             0,
             VDur::ZERO,
         );

@@ -421,12 +421,21 @@ impl RankOracle {
         }
     }
 
-    fn next_observe(&mut self) -> Option<(VDur, Vec<GroundTruth>, PhaseContention)> {
-        let obs = self.observes.pop_front();
-        if obs.is_some() {
-            self.consumed += 1;
+    /// The next journaled observation, or `None` once the log runs out.
+    /// Journal bytes are checksummed, not trusted: an observation naming
+    /// a unit `registry` lacks ends the log there, and the live model
+    /// prices that phase and every later one.
+    fn next_observe(
+        &mut self,
+        registry: &ObjectRegistry,
+    ) -> Option<(VDur, Vec<GroundTruth>, PhaseContention)> {
+        let obs = self.observes.pop_front()?;
+        if !obs.1.iter().all(|g| registry.has_unit(g.unit)) {
+            self.observes.clear();
+            return None;
         }
-        obs
+        self.consumed += 1;
+        Some(obs)
     }
 
     /// Bitwise-compare a live comm duration against the journaled one;
@@ -727,7 +736,7 @@ impl<'a> RankTask<'a> {
                 let initial: Vec<UnitId> = if all_dram {
                     registry.units()
                 } else {
-                    in_dram.iter().copied().collect()
+                    in_dram.iter().collect()
                 };
                 for u in initial {
                     jm.append(
@@ -799,22 +808,25 @@ impl<'a> RankTask<'a> {
                             // takes over seamlessly — determinism
                             // guarantees the two agree on the shared
                             // prefix.
-                            let (phase_time, truths, contention) =
-                                match self.oracle.as_mut().and_then(|o| o.next_observe()) {
-                                    Some(replayed) => replayed,
-                                    None => {
-                                        let view = self.state.view();
-                                        ground_truth(
-                                            &mut self.memo[idx],
-                                            spec,
-                                            &self.registry,
-                                            view,
-                                            self.run.cache,
-                                            &self.client,
-                                            self.clock.now(),
-                                        )
-                                    }
-                                };
+                            let (phase_time, truths, contention) = match self
+                                .oracle
+                                .as_mut()
+                                .and_then(|o| o.next_observe(&self.registry))
+                            {
+                                Some(replayed) => replayed,
+                                None => {
+                                    let view = self.state.view();
+                                    ground_truth(
+                                        &mut self.memo[idx],
+                                        spec,
+                                        &self.registry,
+                                        view,
+                                        self.run.cache,
+                                        &self.client,
+                                        self.clock.now(),
+                                    )
+                                }
+                            };
                             if let Some(j) = &self.journal {
                                 let mut jm = j.borrow_mut();
                                 let seq = jm.next_seq();
@@ -987,7 +999,7 @@ impl PlacementKey {
         match view {
             TierView::Sets { in_dram, all_dram } => PlacementKey::Sets(
                 raw.iter()
-                    .map(|r| all_dram || in_dram.contains(&r.unit))
+                    .map(|r| all_dram || in_dram.contains(r.unit))
                     .collect(),
             ),
             TierView::Fraction(hit) => PlacementKey::Fraction(hit.to_bits()),
@@ -1000,7 +1012,7 @@ impl PlacementKey {
             (PlacementKey::Sets(dram), TierView::Sets { in_dram, all_dram }) => dram
                 .iter()
                 .zip(raw)
-                .all(|(&d, r)| d == (all_dram || in_dram.contains(&r.unit))),
+                .all(|(&d, r)| d == (all_dram || in_dram.contains(r.unit))),
             (PlacementKey::Fraction(bits), TierView::Fraction(hit)) => *bits == hit.to_bits(),
             _ => false,
         }
@@ -1278,7 +1290,7 @@ fn ground_truth_reference(
             }
             match view {
                 TierView::Sets { in_dram, all_dram } => {
-                    let tier = if all_dram || in_dram.contains(&unit) {
+                    let tier = if all_dram || in_dram.contains(unit) {
                         TierKind::Dram
                     } else {
                         TierKind::Nvm
@@ -1522,7 +1534,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use unimem_cache::AccessPattern;
-    use unimem_hms::object::ObjId;
+    use unimem_hms::object::{ObjId, UnitSet};
     use unimem_hms::topology::{ClusterSpec, NodeSpec};
     use unimem_sim::DetRng;
 
@@ -2181,13 +2193,13 @@ mod tests {
 
     /// An owned [`TierView`].
     struct View {
-        in_dram: BTreeSet<UnitId>,
+        in_dram: UnitSet,
         all_dram: bool,
         hit: Option<f64>,
     }
 
     impl View {
-        fn sets(in_dram: BTreeSet<UnitId>) -> View {
+        fn sets(in_dram: UnitSet) -> View {
             View {
                 in_dram,
                 all_dram: false,
@@ -2212,12 +2224,12 @@ mod tests {
     fn random_view(rng: &mut DetRng, registry: &ObjectRegistry) -> View {
         let fraction = |hit| View {
             hit: Some(hit),
-            ..View::sets(BTreeSet::new())
+            ..View::sets(UnitSet::new())
         };
         match rng.index(9) {
             0 => View {
                 all_dram: true,
-                ..View::sets(BTreeSet::new())
+                ..View::sets(UnitSet::new())
             },
             1 => fraction(0.0),
             2 => fraction(1.0),
@@ -2320,7 +2332,7 @@ mod tests {
                 ),
             ],
         };
-        let nvm = View::sets(BTreeSet::new());
+        let nvm = View::sets(UnitSet::new());
         let hot = View::sets(registry.get(ObjId(0)).units().collect());
         let window = |memo: &Option<StepMemo>| {
             let t_base = memo.as_ref().expect("memo filled").t_base;

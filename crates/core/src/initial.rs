@@ -8,20 +8,19 @@
 //! count cannot be determined statically carry an estimate of zero and stay
 //! in NVM, exactly as the paper's convergence-test example does.
 
-use std::collections::BTreeSet;
-use unimem_hms::object::{ObjectRegistry, UnitId};
+use unimem_hms::object::{ObjectRegistry, UnitSet};
 use unimem_sim::Bytes;
 
 /// Choose the initial DRAM contents: greedy by estimated reference count,
 /// densest-first tie-break by size (more references per byte first when
 /// counts tie), subject to `capacity`.
-pub fn initial_placement(registry: &ObjectRegistry, capacity: Bytes) -> BTreeSet<UnitId> {
+pub fn initial_placement(registry: &ObjectRegistry, capacity: Bytes) -> UnitSet {
     let mut objs: Vec<_> = registry.iter().filter(|o| o.est_refs > 0.0).collect();
     // total_cmp instead of partial_cmp().expect(): registration rejects
     // non-finite estimates, but placement must not be able to panic on a
     // registry it did not build.
     objs.sort_by(|a, b| b.est_refs.total_cmp(&a.est_refs).then(a.size.cmp(&b.size)));
-    let mut chosen = BTreeSet::new();
+    let mut chosen = UnitSet::new();
     let mut used = Bytes::ZERO;
     for o in objs {
         // Whole objects only: the partitioner has not run yet at startup.

@@ -7,15 +7,13 @@
 //! and a 128 MB DRAM goes underused). Chunks become independent placement
 //! units profiled and moved separately.
 
-use unimem_hms::object::{ObjId, ObjectRegistry};
+use unimem_hms::object::{ObjId, ObjectRegistry, MAX_CHUNKS};
 use unimem_sim::Bytes;
 
 /// Split objects larger than this fraction of DRAM capacity.
 const THRESHOLD_FRAC: f64 = 0.5;
 /// Target chunk size as a fraction of DRAM capacity.
 const CHUNK_FRAC: f64 = 0.25;
-/// Upper bound on chunks per object (placement-problem size control).
-const MAX_CHUNKS: u16 = 64;
 
 /// Decide and apply chunking for every eligible object. Returns the ids
 /// that were split.

@@ -3,12 +3,11 @@
 //! is the [`TierView`] they report — so they share one inert rank state.
 
 use super::{RankInit, RankState, TierView};
-use std::collections::BTreeSet;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::UnitSet;
 
 /// Tier residency frozen at init: the only state a fixed policy has.
 struct FixedRank {
-    in_dram: BTreeSet<UnitId>,
+    in_dram: UnitSet,
     all_dram: bool,
 }
 

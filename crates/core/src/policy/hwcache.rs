@@ -27,9 +27,8 @@
 
 use super::{RankInit, RankState, StepEnv, TierView};
 use crate::comm::PhaseId;
-use std::collections::BTreeSet;
 use unimem_hms::contention::BwClient;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::UnitSet;
 use unimem_hms::tier::TierKind;
 use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, VDur, VTime};
@@ -46,7 +45,7 @@ pub(super) fn init_rank(init: RankInit<'_>) -> Box<dyn RankState> {
     Box::new(HwCacheRank {
         cap_eff,
         frac: 0.0,
-        touched: BTreeSet::new(),
+        touched: UnitSet::new(),
         client: init.client.clone(),
         phase_start: VTime::ZERO,
     })
@@ -61,7 +60,7 @@ struct HwCacheRank {
     frac: f64,
     /// Units with main-memory misses this iteration (next iteration's
     /// resident-footprint estimate).
-    touched: BTreeSet<UnitId>,
+    touched: UnitSet,
     client: BwClient,
     phase_start: VTime,
 }
@@ -110,7 +109,7 @@ impl RankState for HwCacheRank {
         let footprint: f64 = self
             .touched
             .iter()
-            .map(|&u| env.registry.unit_size(u).as_f64())
+            .map(|u| env.registry.unit_size(u).as_f64())
             .sum();
         self.frac = if footprint > 0.0 {
             (self.cap_eff / footprint).min(1.0)

@@ -47,9 +47,9 @@ use crate::deps::PhaseRefTable;
 use crate::exec::{CapacitySchedule, StepSpec};
 use crate::search::SearchKind;
 use crate::stats::RunStats;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use unimem_hms::contention::BwClient;
-use unimem_hms::object::{ObjectRegistry, UnitId};
+use unimem_hms::object::{ObjectRegistry, UnitSet};
 use unimem_hms::{DramService, MachineConfig};
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Calibration, SamplerConfig};
@@ -251,10 +251,12 @@ pub struct StepEnv<'a> {
 pub enum TierView<'a> {
     /// Explicit per-unit residency: members of `in_dram` are served from
     /// DRAM, everything else from NVM; `all_dram` short-circuits for the
-    /// DRAM-only baseline machine.
+    /// DRAM-only baseline machine. Membership is one bit test per unit
+    /// ([`UnitSet`]), since the timing model asks it for every access
+    /// site of every phase.
     Sets {
         /// Units currently resident in DRAM.
-        in_dram: &'a BTreeSet<UnitId>,
+        in_dram: &'a UnitSet,
         /// Every access is a DRAM access (infinite-DRAM baseline).
         all_dram: bool,
     },

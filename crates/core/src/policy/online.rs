@@ -20,9 +20,8 @@ use crate::deps::PhaseRefTable;
 use crate::exec::StepSpec;
 use crate::search::SearchKind;
 use crate::stats::RunStats;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use unimem_hms::contention::HelperLink;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::{UnitId, UnitMap, UnitSet};
 use unimem_hms::tier::TierKind;
 use unimem_hms::MigrationEngine;
 use unimem_perf::sampler::GroundTruth;
@@ -52,10 +51,10 @@ const SYNC_COST: VDur = VDur::from_nanos(250.0);
 pub(super) fn init_rank(init: RankInit<'_>) -> Box<dyn RankState> {
     Box::new(OnlineRank {
         rng: DetRng::seed(SEED ^ (init.rank as u64).wrapping_mul(0x9e3779b9)),
-        hotness: BTreeMap::new(),
-        interval: BTreeMap::new(),
-        in_dram: BTreeSet::new(),
-        grants: HashMap::new(),
+        hotness: UnitMap::new(),
+        interval: UnitMap::new(),
+        in_dram: UnitSet::new(),
+        grants: UnitMap::new(),
         engine: MigrationEngine::new(HelperLink::Shared(init.client.clone()))
             .with_journal(init.journal.clone()),
         refs: None,
@@ -69,12 +68,12 @@ pub(super) fn init_rank(init: RankInit<'_>) -> Box<dyn RankState> {
 struct OnlineRank {
     rng: DetRng,
     /// EWMA-decayed sampled reference counts per unit.
-    hotness: BTreeMap<UnitId, f64>,
+    hotness: UnitMap<f64>,
     /// Samples accumulated during the current interval.
-    interval: BTreeMap<UnitId, u64>,
+    interval: UnitMap<u64>,
     /// Units currently resident in DRAM (always within the lease).
-    in_dram: BTreeSet<UnitId>,
-    grants: HashMap<UnitId, unimem_hms::alloc::Region>,
+    in_dram: UnitSet,
+    grants: UnitMap<unimem_hms::alloc::Region>,
     engine: MigrationEngine,
     refs: Option<PhaseRefTable>,
     cap_per_rank: Bytes,
@@ -96,8 +95,8 @@ impl OnlineRank {
             .hotness
             .iter()
             .filter(|&(_, &h)| h > 0.0)
-            .map(|(&u, &h)| {
-                let boost = if self.in_dram.contains(&u) {
+            .map(|(u, &h)| {
+                let boost = if self.in_dram.contains(u) {
                     HYSTERESIS
                 } else {
                     1.0
@@ -112,7 +111,7 @@ impl OnlineRank {
         });
         let cap = self.cap_per_rank.get();
         let mut used = 0u64;
-        let mut target = BTreeSet::new();
+        let mut target = UnitSet::new();
         for (u, _) in scored {
             let sz = env.registry.unit_size(u).get();
             if used + sz <= cap {
@@ -121,16 +120,16 @@ impl OnlineRank {
             }
         }
 
-        let evict: Vec<UnitId> = self.in_dram.difference(&target).copied().collect();
+        let evict: Vec<UnitId> = self.in_dram.difference(&target).collect();
         for u in evict {
-            self.in_dram.remove(&u);
-            if let Some(g) = self.grants.remove(&u) {
+            self.in_dram.remove(u);
+            if let Some(g) = self.grants.remove(u) {
                 env.service.release(self.rank, g);
             }
             self.engine
                 .enqueue(u, TierKind::Nvm, env.registry.unit_size(u), env.ctx.now());
         }
-        let admit: Vec<UnitId> = target.difference(&self.in_dram).copied().collect();
+        let admit: Vec<UnitId> = target.difference(&self.in_dram).collect();
         for u in admit {
             let sz = env.registry.unit_size(u);
             // A refused grant (another tenant holds the node's slack)
@@ -149,7 +148,7 @@ impl OnlineRank {
         let resident: u64 = self
             .in_dram
             .iter()
-            .map(|&u| env.registry.unit_size(u).get())
+            .map(|u| env.registry.unit_size(u).get())
             .sum();
         assert!(
             resident <= cap,
@@ -209,7 +208,7 @@ impl RankState for OnlineRank {
         for t in truths {
             let sampled = self.rng.binomial(t.misses, SAMPLE_PROB);
             if sampled > 0 {
-                *self.interval.entry(t.unit).or_insert(0) += sampled;
+                *self.interval.get_or_insert(t.unit, 0) += sampled;
             }
         }
     }
@@ -220,9 +219,10 @@ impl RankState for OnlineRank {
         for h in self.hotness.values_mut() {
             *h *= DECAY;
         }
-        for (u, c) in std::mem::take(&mut self.interval) {
-            *self.hotness.entry(u).or_insert(0.0) += c as f64;
+        for (u, &c) in self.interval.iter() {
+            *self.hotness.get_or_insert(u, 0.0) += c as f64;
         }
+        self.interval.clear();
         self.replan(env);
     }
 

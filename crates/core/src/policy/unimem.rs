@@ -15,9 +15,8 @@ use crate::partition::partition_large_objects;
 use crate::profile::{IterationProfile, PhaseRecord};
 use crate::search::{best_plan, SearchInput, SearchKind};
 use crate::stats::RunStats;
-use std::collections::{BTreeSet, HashMap};
 use unimem_hms::contention::HelperLink;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::{UnitMap, UnitSet};
 use unimem_hms::tier::TierKind;
 use unimem_hms::MigrationEngine;
 use unimem_perf::sampler::GroundTruth;
@@ -119,13 +118,14 @@ pub(super) fn init_rank(cfg: &UnimemConfig, init: RankInit<'_>) -> Box<dyn RankS
         pressure(machine.nvm.read_bw, machine.dram.write_bw),
         pressure(machine.dram.read_bw, machine.nvm.write_bw),
     );
-    let mut committed = BTreeSet::new();
-    let mut grants = HashMap::new();
+    let mut committed = UnitSet::new();
+    let mut grants = UnitMap::new();
     if cfg.initial_placement {
-        for u in initial_placement(
+        let initial = initial_placement(
             init.registry,
             init.service.per_rank(init.rank, init.lease.at(0)),
-        ) {
+        );
+        for u in initial.iter() {
             if let Some(g) = init.service.reserve(init.rank, init.registry.unit_size(u)) {
                 committed.insert(u);
                 grants.insert(u, g);
@@ -164,15 +164,15 @@ struct UnimemRank {
     refs: Option<PhaseRefTable>,
     enforcer: Option<Enforcer>,
     /// Pre-plan DRAM contents (initial placement) and their grants.
-    committed: BTreeSet<UnitId>,
-    grants: HashMap<UnitId, unimem_hms::alloc::Region>,
+    committed: UnitSet,
+    grants: UnitMap<unimem_hms::alloc::Region>,
     profiling: bool,
     cap_per_rank: Bytes,
     rank: usize,
 }
 
 impl UnimemRank {
-    fn dram_units(&self) -> &BTreeSet<UnitId> {
+    fn dram_units(&self) -> &UnitSet {
         self.enforcer
             .as_ref()
             .map(|e| e.committed())

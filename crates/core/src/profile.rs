@@ -7,7 +7,7 @@
 
 use crate::comm::PhaseId;
 use std::collections::BTreeMap;
-use unimem_hms::object::UnitId;
+use unimem_hms::object::{UnitId, UnitMap};
 use unimem_perf::PhaseProfile;
 use unimem_sim::VDur;
 
@@ -89,13 +89,13 @@ impl IterationProfile {
     /// Aggregate sampled accesses per unit across all phases (what the
     /// cross-phase global search consumes).
     pub fn aggregate_recorded(&self) -> Vec<(UnitId, u64)> {
-        let mut acc: BTreeMap<UnitId, u64> = BTreeMap::new();
+        let mut acc: UnitMap<u64> = UnitMap::new();
         for rec in self.phases.values() {
             for &(u, r, _) in &rec.units {
-                *acc.entry(u).or_insert(0) += r;
+                *acc.get_or_insert(u, 0) += r;
             }
         }
-        acc.into_iter().collect()
+        acc.iter().map(|(u, &r)| (u, r)).collect()
     }
 
     pub fn clear(&mut self) {

@@ -19,8 +19,7 @@ use crate::deps::PhaseRefTable;
 use crate::knapsack::{self, Item};
 use crate::model::ModelParams;
 use crate::profile::{IterationProfile, PhaseRecord};
-use std::collections::BTreeSet;
-use unimem_hms::object::{ObjectRegistry, UnitId};
+use unimem_hms::object::{ObjectRegistry, UnitId, UnitSet};
 use unimem_sim::{Bytes, VDur};
 
 /// Which search produced a plan.
@@ -54,7 +53,7 @@ impl SearchKind {
 pub struct PlacementPlan {
     pub kind: SearchKind,
     /// Indexed by phase id; the DRAM-resident unit set while that phase runs.
-    pub per_phase: Vec<BTreeSet<UnitId>>,
+    pub per_phase: Vec<UnitSet>,
     /// Predicted steady-state iteration time under this plan.
     pub predicted: VDur,
 }
@@ -64,19 +63,19 @@ impl PlacementPlan {
     pub fn stay_in_nvm(n_phases: usize) -> PlacementPlan {
         PlacementPlan {
             kind: SearchKind::Global,
-            per_phase: vec![BTreeSet::new(); n_phases],
+            per_phase: vec![UnitSet::new(); n_phases],
             predicted: VDur::ZERO,
         }
     }
 
-    pub fn dram_set(&self, phase: PhaseId) -> &BTreeSet<UnitId> {
+    pub fn dram_set(&self, phase: PhaseId) -> &UnitSet {
         &self.per_phase[phase.0 as usize]
     }
 }
 
 /// True when every phase of `per_phase` wants the same DRAM contents (a
 /// static plan).
-pub fn is_static(per_phase: &[BTreeSet<UnitId>]) -> bool {
+pub fn is_static(per_phase: &[UnitSet]) -> bool {
     per_phase.windows(2).all(|w| w[0] == w[1])
 }
 
@@ -89,7 +88,7 @@ pub struct SearchInput<'a> {
     /// DRAM capacity available to this rank.
     pub capacity: Bytes,
     /// DRAM contents while the profile was taken (for delta prediction).
-    pub profiled_dram: &'a BTreeSet<UnitId>,
+    pub profiled_dram: &'a UnitSet,
     /// Iterations left after the decision (amortizes one-time moves).
     pub remaining_iters: u64,
 }
@@ -140,7 +139,7 @@ pub fn global_search(input: &SearchInput<'_>) -> PlacementPlan {
         .zip(&benefits)
         .map(|(&u, &b)| {
             let size = input.registry.unit_size(u);
-            let move_cost = if input.profiled_dram.contains(&u) {
+            let move_cost = if input.profiled_dram.contains(u) {
                 VDur::ZERO
             } else {
                 input.model.copy_time(size) / amort
@@ -152,7 +151,7 @@ pub fn global_search(input: &SearchInput<'_>) -> PlacementPlan {
         })
         .collect();
     let (chosen, _) = knapsack::solve(&items, input.capacity);
-    let set: BTreeSet<UnitId> = chosen.into_iter().map(|k| units[k]).collect();
+    let set: UnitSet = chosen.into_iter().map(|k| units[k]).collect();
     let per_phase = vec![set; n.max(1)];
     let predicted = predict_iteration_time(input, &per_phase);
     PlacementPlan {
@@ -172,8 +171,8 @@ const MOVEMENT_HYSTERESIS: f64 = 0.3;
 pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
     let n = input.refs.n_phases();
     let times = phase_times(input);
-    let mut dram: BTreeSet<UnitId> = input.profiled_dram.clone();
-    let mut per_phase: Vec<BTreeSet<UnitId>> = Vec::with_capacity(n);
+    let mut dram: UnitSet = input.profiled_dram.clone();
+    let mut per_phase: Vec<UnitSet> = Vec::with_capacity(n);
 
     for p in 0..n as u32 {
         let phase = PhaseId(p);
@@ -186,7 +185,7 @@ pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
         let candidates: Vec<UnitId> = rec
             .observed_units()
             .filter(|&u| {
-                dram.contains(&u) || {
+                dram.contains(u) || {
                     let gain = unit_benefit(input.model, rec, u).secs();
                     gain > MOVEMENT_HYSTERESIS
                         * input.model.copy_time(input.registry.unit_size(u)).secs()
@@ -197,7 +196,7 @@ pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
         for &u in &candidates {
             let size = input.registry.unit_size(u);
             let benefit = unit_benefit(input.model, rec, u);
-            let (cost, extra) = if dram.contains(&u) {
+            let (cost, extra) = if dram.contains(u) {
                 (VDur::ZERO, VDur::ZERO)
             } else {
                 // Eviction cost when DRAM lacks room: move out victims
@@ -206,7 +205,7 @@ pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
                 // same dependency window, so the overlap of Fig. 5 applies
                 // to the whole eviction+admission copy train.
                 let overlap = input.refs.overlap_time(u, phase, &times);
-                let resident: Bytes = dram.iter().map(|&v| input.registry.unit_size(v)).sum();
+                let resident: Bytes = dram.iter().map(|v| input.registry.unit_size(v)).sum();
                 let free = input.capacity.saturating_sub(resident);
                 let shortfall = size.saturating_sub(free);
                 let evict_copy = if shortfall.is_zero() {
@@ -248,34 +247,33 @@ pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
             });
         }
         let (chosen, _) = knapsack::solve(&items, input.capacity);
-        let selected: BTreeSet<UnitId> = chosen.into_iter().map(|k| candidates[k]).collect();
+        let selected: UnitSet = chosen.into_iter().map(|k| candidates[k]).collect();
 
         // Evolve the DRAM state: bring in selected units, evicting
         // non-selected residents (largest first) when space runs short.
-        for &u in &selected {
-            if dram.contains(&u) {
+        for u in selected.iter() {
+            if dram.contains(u) {
                 continue;
             }
             let size = input.registry.unit_size(u);
             loop {
-                let resident: Bytes = dram.iter().map(|&v| input.registry.unit_size(v)).sum();
+                let resident: Bytes = dram.iter().map(|v| input.registry.unit_size(v)).sum();
                 if input.capacity.saturating_sub(resident) >= size {
                     break;
                 }
                 // Largest non-selected resident goes first.
                 let victim = dram
                     .iter()
-                    .filter(|v| !selected.contains(v))
-                    .max_by_key(|&&v| input.registry.unit_size(v))
-                    .copied();
+                    .filter(|&v| !selected.contains(v))
+                    .max_by_key(|&v| input.registry.unit_size(v));
                 match victim {
                     Some(v) => {
-                        dram.remove(&v);
+                        dram.remove(v);
                     }
                     None => break, // only selected units left: cannot evict
                 }
             }
-            let resident: Bytes = dram.iter().map(|&v| input.registry.unit_size(v)).sum();
+            let resident: Bytes = dram.iter().map(|v| input.registry.unit_size(v)).sum();
             if input.capacity.saturating_sub(resident) >= size {
                 dram.insert(u);
             }
@@ -295,15 +293,11 @@ pub fn local_search(input: &SearchInput<'_>) -> PlacementPlan {
 /// ("whose total size is just big enough"), preferring non-candidates.
 fn victim_bytes(
     registry: &ObjectRegistry,
-    dram: &BTreeSet<UnitId>,
+    dram: &UnitSet,
     candidates: &[UnitId],
     shortfall: Bytes,
 ) -> Bytes {
-    let mut residents: Vec<UnitId> = dram
-        .iter()
-        .filter(|u| !candidates.contains(u))
-        .copied()
-        .collect();
+    let mut residents: Vec<UnitId> = dram.iter().filter(|u| !candidates.contains(u)).collect();
     // Smallest-first greedy gets "just big enough" totals.
     residents.sort_by_key(|&u| registry.unit_size(u));
     let mut freed = Bytes::ZERO;
@@ -318,7 +312,7 @@ fn victim_bytes(
 
 /// Predicted steady-state iteration time under a per-phase placement,
 /// relative to the profiled iteration (model scale, §3.1.3 evaluator).
-pub fn predict_iteration_time(input: &SearchInput<'_>, per_phase: &[BTreeSet<UnitId>]) -> VDur {
+pub fn predict_iteration_time(input: &SearchInput<'_>, per_phase: &[UnitSet]) -> VDur {
     let times = phase_times(input);
     let n = input.refs.n_phases();
     let mut total = VDur::ZERO;
@@ -328,8 +322,8 @@ pub fn predict_iteration_time(input: &SearchInput<'_>, per_phase: &[BTreeSet<Uni
         if let Some(rec) = input.profile.get(phase) {
             let target = &per_phase[p as usize];
             for u in rec.observed_units() {
-                let in_target = target.contains(&u);
-                let was_in_dram = input.profiled_dram.contains(&u);
+                let in_target = target.contains(u);
+                let was_in_dram = input.profiled_dram.contains(u);
                 if in_target && !was_in_dram {
                     t = t.saturating_sub(unit_benefit(input.model, rec, u));
                 } else if !in_target && was_in_dram {
@@ -420,7 +414,7 @@ mod tests {
         profile: &'a IterationProfile,
         refs: &'a PhaseRefTable,
         model: &'a ModelParams,
-        profiled: &'a BTreeSet<UnitId>,
+        profiled: &'a UnitSet,
     ) -> SearchInput<'a> {
         SearchInput {
             registry: reg,
@@ -446,12 +440,12 @@ mod tests {
             }
         }
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = global_search(&input);
         assert!(is_static(&plan.per_phase));
-        assert!(plan.per_phase[0].contains(&unit(0)));
-        assert!(!plan.per_phase[0].contains(&unit(1)), "only one fits");
+        assert!(plan.per_phase[0].contains(unit(0)));
+        assert!(!plan.per_phase[0].contains(unit(1)), "only one fits");
     }
 
     #[test]
@@ -465,13 +459,13 @@ mod tests {
         refs.add_ref(PhaseId(0), unit(0));
         refs.add_ref(PhaseId(1), unit(1));
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = local_search(&input);
-        assert!(plan.per_phase[0].contains(&unit(0)));
-        assert!(plan.per_phase[1].contains(&unit(1)));
+        assert!(plan.per_phase[0].contains(unit(0)));
+        assert!(plan.per_phase[1].contains(unit(1)));
         // Capacity is one object: `a` must have been evicted in phase 1.
-        assert!(!plan.per_phase[1].contains(&unit(0)));
+        assert!(!plan.per_phase[1].contains(unit(0)));
     }
 
     #[test]
@@ -485,7 +479,7 @@ mod tests {
         refs.add_ref(PhaseId(0), unit(0));
         refs.add_ref(PhaseId(1), unit(1));
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = local_search(&input);
         assert!(plan.per_phase.iter().all(|s| s.is_empty()), "{plan:?}");
@@ -504,7 +498,7 @@ mod tests {
         refs.add_ref(PhaseId(0), unit(0));
         refs.add_ref(PhaseId(1), unit(1));
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let free = local_search(&input);
         assert!(
@@ -534,7 +528,7 @@ mod tests {
         refs.add_ref(PhaseId(0), unit(0));
         refs.add_ref(PhaseId(1), unit(0));
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = best_plan(&input, true, true);
         assert_eq!(plan.kind, SearchKind::Global);
@@ -550,10 +544,10 @@ mod tests {
         let m = model();
         // Profiled with `a` in DRAM; a plan that drops it must predict
         // a slower iteration.
-        let profiled: BTreeSet<UnitId> = [unit(0)].into();
+        let profiled: UnitSet = [unit(0)].into();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let keep = predict_iteration_time(&input, &[[unit(0)].into()]);
-        let drop = predict_iteration_time(&input, &[BTreeSet::new()]);
+        let drop = predict_iteration_time(&input, &[UnitSet::new()]);
         assert!(drop > keep);
     }
 
@@ -563,7 +557,7 @@ mod tests {
         let profile = IterationProfile::new();
         let refs = PhaseRefTable::new(3);
         let m = model();
-        let profiled = BTreeSet::new();
+        let profiled = UnitSet::new();
         let input = simple_input(&reg, &profile, &refs, &m, &profiled);
         let plan = best_plan(&input, false, false);
         assert!(plan.per_phase.iter().all(|s| s.is_empty()));

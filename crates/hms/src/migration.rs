@@ -22,9 +22,8 @@
 
 use crate::contention::HelperLink;
 use crate::journal::{JournalHandle, Record};
-use crate::object::UnitId;
+use crate::object::{UnitId, UnitMap};
 use crate::tier::TierKind;
-use std::collections::HashMap;
 use unimem_sim::{Bandwidth, Bytes, VDur, VTime};
 
 /// One migration's lifecycle record.
@@ -108,7 +107,7 @@ pub struct MigrationEngine {
     helper_free_at: VTime,
     records: Vec<MigRecord>,
     /// Index of the most recent record per unit.
-    latest: HashMap<UnitId, usize>,
+    latest: UnitMap<usize>,
     /// Redo journal: every intent is appended *before* its copy is
     /// posted, so a crash mid-copy still knows what was moving where.
     journal: Option<JournalHandle>,
@@ -122,7 +121,7 @@ impl MigrationEngine {
             link,
             helper_free_at: VTime::ZERO,
             records: Vec::new(),
-            latest: HashMap::new(),
+            latest: UnitMap::new(),
             journal: None,
         }
     }
@@ -195,7 +194,7 @@ impl MigrationEngine {
 
     /// Completion time of the most recent migration of `unit`, if any.
     pub fn ready_time(&self, unit: UnitId) -> Option<VTime> {
-        self.latest.get(&unit).map(|&i| self.records[i].done)
+        self.latest.get(unit).map(|&i| self.records[i].done)
     }
 
     /// Main thread requires `unit` at `now` (phase start). Returns the stall
@@ -203,7 +202,7 @@ impl MigrationEngine {
     /// overlap accounting. Only the first requirement after a migration
     /// counts — later phases see the data already resident.
     pub fn require(&mut self, unit: UnitId, now: VTime) -> VDur {
-        let Some(&idx) = self.latest.get(&unit) else {
+        let Some(&idx) = self.latest.get(unit) else {
             return VDur::ZERO;
         };
         let rec = &mut self.records[idx];

@@ -4,10 +4,17 @@
 //! `unimem_malloc` (paper Table 2). The runtime decides placement per
 //! object — or, when large-object partitioning (§3.2) applies, per *chunk*
 //! of an object. [`UnitId`] names a placement unit (object + chunk index);
-//! an unpartitioned object is a single chunk.
+//! an unpartitioned object is a single chunk. [`UnitSet`] and [`UnitMap`]
+//! are the dense per-rank tables over units: object ids are small and
+//! dense, and no object has more than [`MAX_CHUNKS`] chunks.
 
 use std::fmt;
 use unimem_sim::Bytes;
+
+/// Most chunks one object may be split into. A [`UnitSet`] keeps one
+/// `u64` word per object, one bit per chunk, so the cap is the word's
+/// width; [`ObjectRegistry::set_chunks`] enforces it.
+pub const MAX_CHUNKS: u16 = u64::BITS as u16;
 
 /// Identifier of a registered data object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,6 +47,237 @@ impl fmt::Display for UnitId {
         } else {
             write!(f, "{}#{}", self.obj, self.chunk)
         }
+    }
+}
+
+/// Panic unless `u` fits the one-word-per-object layout. Callers build
+/// units from a registry whose chunk counts [`ObjectRegistry::set_chunks`]
+/// capped, so a unit past the cap is a broken invariant.
+fn check_cap(u: UnitId) {
+    assert!(
+        u.chunk < MAX_CHUNKS,
+        "unit {u}: chunk index past the {MAX_CHUNKS}-chunk cap"
+    );
+}
+
+/// Chunk bit of `chunk` in an object's word; zero past the cap, so a
+/// lookup of such a chunk finds nothing.
+fn chunk_bit(chunk: u16) -> u64 {
+    1u64.checked_shl(u32::from(chunk)).unwrap_or(0)
+}
+
+/// The units whose bits `words` sets, word `o` holding object `o`'s
+/// chunks, in [`UnitId`] order.
+fn units_of_words(words: impl Iterator<Item = u64>) -> impl Iterator<Item = UnitId> {
+    words.enumerate().flat_map(|(o, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let chunk = w.trailing_zeros() as u16;
+                w &= w - 1;
+                UnitId {
+                    obj: ObjId(o as u32),
+                    chunk,
+                }
+            })
+        })
+    })
+}
+
+/// A set of placement units: one `u64` word per object, bit `chunk` set
+/// for each member unit. Iterates in [`UnitId`] order (object, then
+/// chunk). The words never end in a zero word, so two sets with the same
+/// members are `==` however they were built.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct UnitSet {
+    words: Vec<u64>,
+}
+
+impl UnitSet {
+    pub fn new() -> UnitSet {
+        UnitSet::default()
+    }
+
+    /// Add `u`; true when it was not already a member. Panics when `u`'s
+    /// chunk is at or past [`MAX_CHUNKS`].
+    pub fn insert(&mut self, u: UnitId) -> bool {
+        check_cap(u);
+        let o = u.obj.0 as usize;
+        if o >= self.words.len() {
+            self.words.resize(o + 1, 0);
+        }
+        let bit = chunk_bit(u.chunk);
+        let fresh = self.words[o] & bit == 0;
+        self.words[o] |= bit;
+        fresh
+    }
+
+    /// Drop `u`; true when it was a member.
+    pub fn remove(&mut self, u: UnitId) -> bool {
+        let bit = chunk_bit(u.chunk);
+        match self.words.get_mut(u.obj.0 as usize) {
+            Some(w) if *w & bit != 0 => *w &= !bit,
+            _ => return false,
+        }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
+        }
+        true
+    }
+
+    pub fn contains(&self, u: UnitId) -> bool {
+        self.words
+            .get(u.obj.0 as usize)
+            .is_some_and(|w| w & chunk_bit(u.chunk) != 0)
+    }
+
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// The members in [`UnitId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = UnitId> + '_ {
+        units_of_words(self.words.iter().copied())
+    }
+
+    /// The members of `self` that `other` lacks, in [`UnitId`] order.
+    pub fn difference<'a>(&'a self, other: &'a UnitSet) -> impl Iterator<Item = UnitId> + 'a {
+        units_of_words(
+            self.words
+                .iter()
+                .enumerate()
+                .map(|(o, w)| w & !other.words.get(o).copied().unwrap_or(0)),
+        )
+    }
+}
+
+impl fmt::Debug for UnitSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl Extend<UnitId> for UnitSet {
+    fn extend<I: IntoIterator<Item = UnitId>>(&mut self, units: I) {
+        for u in units {
+            self.insert(u);
+        }
+    }
+}
+
+impl FromIterator<UnitId> for UnitSet {
+    fn from_iter<I: IntoIterator<Item = UnitId>>(units: I) -> UnitSet {
+        let mut set = UnitSet::new();
+        set.extend(units);
+        set
+    }
+}
+
+impl<const N: usize> From<[UnitId; N]> for UnitSet {
+    fn from(units: [UnitId; N]) -> UnitSet {
+        units.into_iter().collect()
+    }
+}
+
+/// A map keyed by placement unit: one row per object, one slot per chunk.
+/// Iterates in [`UnitId`] order (object, then chunk).
+pub struct UnitMap<V> {
+    rows: Vec<Vec<Option<V>>>,
+}
+
+impl<V> Default for UnitMap<V> {
+    fn default() -> UnitMap<V> {
+        UnitMap { rows: Vec::new() }
+    }
+}
+
+impl<V> UnitMap<V> {
+    pub fn new() -> UnitMap<V> {
+        UnitMap::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    pub fn get(&self, u: UnitId) -> Option<&V> {
+        self.rows
+            .get(u.obj.0 as usize)?
+            .get(usize::from(u.chunk))?
+            .as_ref()
+    }
+
+    /// The slot of `u`, grown into existence. Panics when `u`'s chunk is
+    /// at or past [`MAX_CHUNKS`].
+    fn slot(&mut self, u: UnitId) -> &mut Option<V> {
+        check_cap(u);
+        let (o, c) = (u.obj.0 as usize, usize::from(u.chunk));
+        if o >= self.rows.len() {
+            self.rows.resize_with(o + 1, Vec::new);
+        }
+        let row = &mut self.rows[o];
+        if c >= row.len() {
+            row.resize_with(c + 1, || None);
+        }
+        &mut row[c]
+    }
+
+    /// Map `u` to `v`; the value it replaced, if any. Panics when `u`'s
+    /// chunk is at or past [`MAX_CHUNKS`].
+    pub fn insert(&mut self, u: UnitId, v: V) -> Option<V> {
+        self.slot(u).replace(v)
+    }
+
+    /// The value of `u`, inserting `default` first when `u` is absent.
+    pub fn get_or_insert(&mut self, u: UnitId, default: V) -> &mut V {
+        self.slot(u).get_or_insert(default)
+    }
+
+    pub fn remove(&mut self, u: UnitId) -> Option<V> {
+        self.rows
+            .get_mut(u.obj.0 as usize)?
+            .get_mut(usize::from(u.chunk))?
+            .take()
+    }
+
+    /// Empty the map, keeping its rows for reuse.
+    pub fn clear(&mut self) {
+        self.rows.iter_mut().flatten().for_each(|slot| *slot = None);
+    }
+
+    /// The entries in [`UnitId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (UnitId, &V)> + '_ {
+        self.rows.iter().enumerate().flat_map(|(o, row)| {
+            row.iter().enumerate().filter_map(move |(c, slot)| {
+                let u = UnitId {
+                    obj: ObjId(o as u32),
+                    chunk: c as u16,
+                };
+                slot.as_ref().map(|v| (u, v))
+            })
+        })
+    }
+
+    /// The values in [`UnitId`] order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.rows.iter_mut().flatten().flatten()
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for UnitMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -202,10 +440,14 @@ impl ObjectRegistry {
         self.objects.iter()
     }
 
-    /// Split `id` into `chunks` pieces (partitioner). Panics if the object
-    /// was declared non-partitionable or aliased.
+    /// Split `id` into `chunks` pieces (partitioner). Panics unless
+    /// `chunks` is within `1..=MAX_CHUNKS`, and if the object was
+    /// declared non-partitionable or aliased.
     pub fn set_chunks(&mut self, id: ObjId, chunks: u16) {
-        assert!(chunks >= 1);
+        assert!(
+            (1..=MAX_CHUNKS).contains(&chunks),
+            "{chunks} chunks: an object has 1 to {MAX_CHUNKS}"
+        );
         let o = &self.objects[id.0 as usize];
         assert!(
             chunks == 1 || (o.partitionable && !o.aliased),
@@ -218,6 +460,13 @@ impl ObjectRegistry {
     /// All placement units across all objects.
     pub fn units(&self) -> Vec<UnitId> {
         self.objects.iter().flat_map(|o| o.units()).collect()
+    }
+
+    /// True when `u` names a registered object and one of its chunks.
+    pub fn has_unit(&self, u: UnitId) -> bool {
+        self.objects
+            .get(u.obj.0 as usize)
+            .is_some_and(|o| u.chunk < o.chunks)
     }
 
     /// Size of one placement unit.
@@ -324,7 +573,36 @@ mod tests {
         let mut r = ObjectRegistry::new();
         let big = r.register(ObjectSpec::new("big", Bytes(100)).partitionable(true));
         r.set_chunks(big, 3);
-        r.register(ObjectSpec::new("s", Bytes(10)));
+        let s = r.register(ObjectSpec::new("s", Bytes(10)));
         assert_eq!(r.units().len(), 4);
+        assert!(r.has_unit(UnitId { obj: big, chunk: 2 }));
+        assert!(!r.has_unit(UnitId { obj: big, chunk: 3 }));
+        assert!(!r.has_unit(UnitId { obj: s, chunk: 1 }));
+        assert!(!r.has_unit(UnitId::whole(ObjId(2))));
+    }
+
+    #[test]
+    #[should_panic(expected = "an object has 1 to 64")]
+    fn chunks_past_the_cap_are_rejected() {
+        let mut r = ObjectRegistry::new();
+        let id = r.register(ObjectSpec::new("big", Bytes(1 << 20)).partitionable(true));
+        r.set_chunks(id, MAX_CHUNKS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "an object has 1 to 64")]
+    fn zero_chunks_are_rejected() {
+        let mut r = ObjectRegistry::new();
+        let id = r.register(ObjectSpec::new("x", Bytes(100)));
+        r.set_chunks(id, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index past the 64-chunk cap")]
+    fn inserting_past_the_cap_panics() {
+        UnitSet::new().insert(UnitId {
+            obj: ObjId(0),
+            chunk: MAX_CHUNKS,
+        });
     }
 }

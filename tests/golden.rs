@@ -16,11 +16,20 @@
 //! benchmark's `rooms` matrix. Those two tests are `#[ignore]`d because
 //! a debug build runs them too slowly; run them on a release build:
 //! `cargo test --release -q --test golden -- --ignored`.
+//!
+//! Reports see the order of a rank's migrations only through timing, so
+//! the Strict journals of the two migrating software policies are pinned
+//! by digest as well, record for record.
 
 use unimem_repro::bench::sweep::{
     run_sweep_cached, NvmProfile, PolicyKind, SweepCache, SweepConfig, TopologySpec,
 };
-use unimem_repro::sim::{json_digest_hex, Bytes, Json};
+use unimem_repro::cache::CacheModel;
+use unimem_repro::hms::journal::DurabilityMode;
+use unimem_repro::runtime::exec::Policy;
+use unimem_repro::runtime::recovery::RecoverySetup;
+use unimem_repro::sim::{json_digest_hex, Bytes, Fnv128, Json};
+use unimem_repro::workloads::{select, Class, SUITE_NAMES};
 
 const GOLDEN: &str = include_str!("../BENCH_sweep.json");
 
@@ -215,4 +224,79 @@ fn rooms_matrix_digest_is_pinned() {
         json_digest_hex(&report.to_json()),
         "1d7960830cf8ed9668ab13c27bcc7d0c"
     );
+}
+
+/// `Fnv128` of the Strict journals of a 4-rank run on the bw-half
+/// profile, per reduced-matrix workload: `(workload, unimem,
+/// online-guidance)`. Each rank's journal is folded in rank order, its
+/// byte length first.
+const JOURNAL_DIGESTS: [(&str, &str, &str); 7] = [
+    (
+        "CG",
+        "db1fe0fba4eccea5e48012a0a1d8b6ed",
+        "e564d087c68b58ef18fda1834a456525",
+    ),
+    (
+        "FT",
+        "bd54f658d81b7900a104a4682a72ece1",
+        "5243043b7c415fc37cdfe2fe6c7173dd",
+    ),
+    (
+        "BT",
+        "9c17788f634a2f46c7f1106cb9258191",
+        "62bbb7e0be79d6630a3df38153f0509f",
+    ),
+    (
+        "LU",
+        "5651ceec60aa5497372a490a4c6501dd",
+        "3a8fd29e5bce7eaec38c3917e45b933a",
+    ),
+    (
+        "SP",
+        "09f1d2184e18557dd5e3a6bc95881a0d",
+        "78f935cd9d882b7f598a87a0d49dda95",
+    ),
+    (
+        "MG",
+        "bbfdaaa0e4e7b4fd3f5d7178aa4c7b25",
+        "b3794b20922a4b97e3bec89ac6c9c4dd",
+    ),
+    (
+        "Nek5000",
+        "c44183cc64871b539aa45f09ae269c4c",
+        "8ff431d499325ef970d79e35aea29aee",
+    ),
+];
+
+/// The journals record every migration intent in the order the rank's
+/// placement sets iterate, which no report byte shows directly.
+#[test]
+fn strict_journal_digests_are_pinned() {
+    assert_eq!(JOURNAL_DIGESTS.map(|(name, ..)| name), SUITE_NAMES);
+    let machine = NvmProfile::BwHalf.machine();
+    let cache = CacheModel::platform_a();
+    for (name, unimem, online) in JOURNAL_DIGESTS {
+        let (_, workload) = select(&[name], Class::C).expect("suite workload").remove(0);
+        for (policy, want) in [
+            (Policy::unimem(), unimem),
+            (Policy::online_guidance(), online),
+        ] {
+            let setup = RecoverySetup {
+                workload: workload.as_ref(),
+                machine: &machine,
+                cache: &cache,
+                nranks: 4,
+                policy: &policy,
+            };
+            let digest = setup
+                .run_journaled(DurabilityMode::Strict)
+                .journals
+                .iter()
+                .fold(Fnv128::new(), |h, j| {
+                    h.update(&(j.len() as u64).to_le_bytes()).update(j)
+                })
+                .finish_hex();
+            assert_eq!(digest, want, "{name} under {}", policy.label());
+        }
+    }
 }

@@ -1,11 +1,12 @@
 //! Journal/recovery edge cases over a real workload: empty journals,
 //! crashes landing exactly on a fence epoch, crashes mid-first-copy,
-//! and torn final records. Each case must still recover to a run
+//! torn final records, and well-framed records that name units the rank
+//! never registered. Each case must still recover to a run
 //! byte-identical to the uninterrupted one — the crash-consistency
 //! contract has no easy inputs.
 
 use unimem_repro::cache::CacheModel;
-use unimem_repro::hms::journal::{read_journal, DurabilityMode, Record, ReplayedState};
+use unimem_repro::hms::journal::{read_journal, DurabilityMode, Journal, Record, ReplayedState};
 use unimem_repro::runtime::exec::Policy;
 use unimem_repro::runtime::recovery::RecoverySetup;
 use unimem_repro::sim::{CrashSpec, VTime};
@@ -183,5 +184,69 @@ fn header_records_identify_the_run() {
         // The first record in the byte stream is the header itself.
         let (records, _) = read_journal(journal);
         assert!(matches!(records[0].0, Record::RunHeader { .. }));
+    }
+}
+
+/// `journal` re-framed record by record, with the first unit of its
+/// `nth` non-empty `Observe` renamed to `(obj, chunk)`: the frames and
+/// checksums are valid, only the content lies. Also returns how many
+/// observations precede the forged one.
+fn forge_observe(journal: &[u8], nth: usize, obj: u32, chunk: u16) -> (Vec<u8>, u64) {
+    let mut out = Journal::new(DurabilityMode::InMemory);
+    let (mut observes, mut non_empty, mut before) = (0, 0, None);
+    for (mut rec, at) in read_journal(journal).0 {
+        if let Record::Observe { units, .. } = &mut rec {
+            if let Some(first) = units.first_mut() {
+                if non_empty == nth {
+                    first.obj = obj;
+                    first.chunk = chunk;
+                    before = Some(observes);
+                }
+                non_empty += 1;
+            }
+            observes += 1;
+        }
+        out.append(&rec, at);
+    }
+    let before = before.expect("enough observations to forge");
+    (out.bytes().to_vec(), before)
+}
+
+/// A checksummed observation naming a chunk past the object's chunk
+/// count, or an object the rank never registered, used to reach the
+/// policies and index the registry with it. Recovery now ends the log at
+/// that record, so the live model prices the rest of the run and the
+/// recovered run is the clean one.
+#[test]
+fn forged_observe_units_end_the_replayed_log() {
+    for policy in [
+        Policy::unimem(),
+        Policy::online_guidance(),
+        Policy::hw_cache(),
+    ] {
+        let rig = Rig {
+            policy,
+            ..Rig::new()
+        };
+        let s = rig.setup();
+        let clean = s.run_journaled(DurabilityMode::Strict);
+        let label = rig.policy.label();
+        for (obj, chunk) in [(0, 70), (99, 0)] {
+            let mut durable = clean.journals.clone();
+            let (forged, before) = forge_observe(&clean.journals[0], 1, obj, chunk);
+            durable[0] = forged;
+            let rec = s.recover(DurabilityMode::Strict, &durable);
+            assert_eq!(
+                rec.report.to_json().to_pretty(),
+                clean.report.to_json().to_pretty(),
+                "{label}: obj {obj} chunk {chunk}"
+            );
+            assert_eq!(rec.journals, clean.journals, "{label}");
+            assert_eq!(
+                rec.summaries[0].replayed_observes, before,
+                "{label}: the observations before the forged one replay"
+            );
+            assert_eq!(rec.summaries[0].comm_mismatches, 0, "{label}");
+        }
     }
 }

@@ -9,7 +9,7 @@ mod common;
 use common::for_seeds;
 use unimem_repro::hms::alloc::SpaceAllocator;
 use unimem_repro::hms::migration::MigrationEngine;
-use unimem_repro::hms::object::{ObjId, UnitId};
+use unimem_repro::hms::object::{ObjId, UnitId, UnitMap, UnitSet, MAX_CHUNKS};
 use unimem_repro::hms::tier::TierKind;
 use unimem_repro::sim::{Bandwidth, Bytes, DetRng, VDur, VTime};
 
@@ -243,6 +243,118 @@ fn trigger_windows_respect_dependencies() {
         referenced >= 11,
         "only {referenced} of 24 cases reference the unit"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Dense unit tables against their `BTreeSet`/`BTreeMap` reference.
+
+/// A unit of objects 0–15. A third of the draws land near chunk 0, a
+/// third near chunk 63, the rest anywhere below the cap, so every case
+/// can reach the last chunk of a word and still revisit units often.
+fn arb_unit(rng: &mut DetRng) -> UnitId {
+    let last = MAX_CHUNKS as usize - 1;
+    let chunk = match rng.index(3) {
+        0 => rng.index(2),
+        1 => last - rng.index(2),
+        _ => rng.index(last + 1),
+    };
+    UnitId {
+        obj: ObjId(rng.index(16) as u32),
+        chunk: chunk as u16,
+    }
+}
+
+/// A lookup key: usually a unit the tables may hold, sometimes an object
+/// past any inserted one or a chunk past the cap.
+fn arb_probe(rng: &mut DetRng) -> UnitId {
+    match rng.index(8) {
+        0 => UnitId {
+            obj: ObjId(16 + rng.index(1000) as u32),
+            chunk: rng.index(70) as u16,
+        },
+        1 => UnitId {
+            obj: ObjId(rng.index(16) as u32),
+            chunk: MAX_CHUNKS + rng.index(8) as u16,
+        },
+        _ => arb_unit(rng),
+    }
+}
+
+/// `UnitSet` and `UnitMap` answer every insert, remove and lookup as
+/// `BTreeSet<UnitId>` and `BTreeMap<UnitId, _>` do, iterate and take
+/// differences in the same order, print the same `Debug` text, and
+/// compare `==` by members however a set was built.
+#[test]
+fn dense_unit_tables_match_the_btree_reference() {
+    use std::collections::{BTreeMap, BTreeSet};
+    for_seeds("dense_unit_tables_match_the_btree_reference", 256, |rng| {
+        let mut sets = [UnitSet::new(), UnitSet::new()];
+        let mut ref_sets = [BTreeSet::new(), BTreeSet::new()];
+        let mut map: UnitMap<u32> = UnitMap::new();
+        let mut ref_map: BTreeMap<UnitId, u32> = BTreeMap::new();
+        for _ in 0..1 + rng.index(200) {
+            let (k, u) = (rng.index(2), arb_unit(rng));
+            let v = rng.index(1000) as u32;
+            match rng.index(8) {
+                0 | 1 => assert_eq!(sets[k].insert(u), ref_sets[k].insert(u)),
+                2 | 3 => {
+                    let p = arb_probe(rng);
+                    assert_eq!(sets[k].remove(p), ref_sets[k].remove(&p));
+                }
+                4 => assert_eq!(map.insert(u, v), ref_map.insert(u, v)),
+                5 => {
+                    let p = arb_probe(rng);
+                    assert_eq!(map.remove(p), ref_map.remove(&p));
+                }
+                6 => {
+                    *map.get_or_insert(u, v) += 1;
+                    *ref_map.entry(u).or_insert(v) += 1;
+                }
+                _ if rng.index(8) == 0 => {
+                    map.values_mut().for_each(|x| *x /= 2);
+                    ref_map.values_mut().for_each(|x| *x /= 2);
+                }
+                _ if rng.index(16) == 0 => {
+                    map.clear();
+                    ref_map.clear();
+                }
+                _ => {}
+            }
+            for p in [u, arb_probe(rng)] {
+                for (set, r) in sets.iter().zip(&ref_sets) {
+                    assert_eq!(set.contains(p), r.contains(&p), "{p:?}");
+                }
+                assert_eq!(map.get(p), ref_map.get(&p), "{p:?}");
+            }
+            for (set, r) in sets.iter().zip(&ref_sets) {
+                assert_eq!(set.len(), r.len());
+                assert_eq!(set.is_empty(), r.is_empty());
+            }
+            assert_eq!(map.len(), ref_map.len());
+            assert_eq!(map.is_empty(), ref_map.is_empty());
+        }
+        for (set, r) in sets.iter().zip(&ref_sets) {
+            assert!(set.iter().eq(r.iter().copied()));
+            assert_eq!(format!("{set:?}"), format!("{r:?}"));
+            // Built afresh in one pass, the set equals the one the
+            // inserts and removals left behind.
+            assert_eq!(*set, r.iter().copied().collect::<UnitSet>());
+        }
+        assert!(map.iter().eq(ref_map.iter().map(|(&u, v)| (u, v))));
+        assert_eq!(format!("{map:?}"), format!("{ref_map:?}"));
+        for (a, b) in [(0, 1), (1, 0)] {
+            assert!(sets[a]
+                .difference(&sets[b])
+                .eq(ref_sets[a].difference(&ref_sets[b]).copied()));
+        }
+        assert_eq!(sets[0] == sets[1], ref_sets[0] == ref_sets[1]);
+        // Removing every member leaves a set equal to a new one.
+        let mut drained = sets[0].clone();
+        for u in ref_sets[0].iter().rev() {
+            assert!(drained.remove(*u));
+        }
+        assert_eq!(drained, UnitSet::new());
+    });
 }
 
 // ---------------------------------------------------------------------------
