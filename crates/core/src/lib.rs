@@ -32,11 +32,12 @@
 //!   [`policy::PolicyId`] name registry, and every competitor
 //!   implementation (DRAM-only, NVM-only, static pins, Unimem, online
 //!   guidance, hardware DRAM cache).
-//! * [`comm`] — what the executor sees of MPI: per-rank virtual clocks,
-//!   collective and point-to-point costs priced over the machine room,
-//!   and PMPI-style phase identification (§3.3).
+//! * [`comm`] — what the executor sees of MPI: collective and
+//!   point-to-point costs priced over the machine room, and the phase id
+//!   (the step index of the executor's walk, the PMPI counter of §3.3).
 //! * [`exec`] — the driver: runs a [`exec::Workload`] under a
-//!   [`exec::Policy`] on a machine model and reports times + stats.
+//!   [`exec::Policy`] on a machine model and reports times + stats;
+//!   [`exec::RankTime`] owns each rank's clock and time accounts.
 //! * [`recovery`] — crash-consistent recovery over the
 //!   `unimem_hms::journal` redo log: journaled runs, deterministic
 //!   crash injection, and replay back to an equivalent execution.

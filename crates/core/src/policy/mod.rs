@@ -18,7 +18,7 @@
 //! 5. [`RankState::observe_compute`] / [`RankState::observe_comm`] —
 //!    profiling feedback after the phase ran;
 //! 6. [`RankState::iteration_end`] — per-epoch replanning;
-//! 7. [`RankState::finish`] — plan metadata into [`RunStats`].
+//! 7. [`RankState::finish`] — the migration counters and winning plan.
 //!
 //! The registry ([`PolicyId`]) is the one canonical name table: the
 //! sweep matrix, the `--policies` CLI, and the JSON report all spell a
@@ -42,15 +42,14 @@ pub mod hwcache;
 pub mod online;
 pub mod unimem;
 
-use crate::comm::{PhaseId, RankClock};
+use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
-use crate::exec::{CapacitySchedule, StepSpec};
+use crate::exec::{CapacitySchedule, RankTime, StepSpec};
 use crate::search::SearchKind;
-use crate::stats::RunStats;
 use std::collections::HashMap;
 use unimem_hms::contention::BwClient;
 use unimem_hms::object::{ObjectRegistry, UnitSet};
-use unimem_hms::{DramService, MachineConfig};
+use unimem_hms::{DramService, MachineConfig, MigrationStats};
 use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Calibration, SamplerConfig};
 use unimem_sim::VDur;
@@ -227,12 +226,10 @@ pub struct RankInit<'a> {
 
 /// The driver-owned context a [`RankState`] hook runs against.
 pub struct StepEnv<'a> {
-    /// The rank's virtual clock. Hooks advance it to charge their own
-    /// overhead; communication is driven by the executor between hook
-    /// calls, never from inside one.
-    pub ctx: &'a mut RankClock,
-    /// The rank's run statistics (policies charge their overheads here).
-    pub stats: &'a mut RunStats,
+    /// The rank's clock and time accounts. Hooks charge their own
+    /// overhead here, each part under its [`crate::exec::Cause`];
+    /// communication is driven by the executor between hook calls.
+    pub time: &'a mut RankTime,
     /// The rank's object registry (frozen after init).
     pub registry: &'a ObjectRegistry,
     /// The node-level DRAM grant service.
@@ -266,8 +263,9 @@ pub enum TierView<'a> {
 }
 
 /// Per-rank placement state: the lifecycle hooks the driver calls while
-/// replaying the phase script. Every hook may advance virtual time
-/// (charging its own overhead) and update [`RunStats`] counters.
+/// replaying the phase script. Every hook may charge its own overhead to
+/// the rank's clock and count re-plans and re-profiles, through
+/// [`StepEnv::time`].
 ///
 /// Implementations must be deterministic — two runs with identical
 /// inputs must produce byte-identical reports, which in practice means
@@ -301,10 +299,10 @@ pub trait RankState {
     /// Iteration boundary, after the last phase: per-epoch replanning.
     fn iteration_end(&mut self, _it: usize, _steps: &[StepSpec], _env: &mut StepEnv<'_>) {}
 
-    /// End of run: fold plan metadata into the stats and report which
-    /// search kind won (Unimem only).
-    fn finish(&mut self, _stats: &mut RunStats) -> Option<SearchKind> {
-        None
+    /// End of run: the migration counters and which search kind won
+    /// (Unimem only).
+    fn finish(&self) -> (MigrationStats, Option<SearchKind>) {
+        (MigrationStats::default(), None)
     }
 }
 
