@@ -237,7 +237,6 @@ mod tests {
             dram,
             nvm,
             dram_capacity: _,
-            nvm_capacity: _,
             copy_bw: _,
             ranks_per_node: _,
             helper_contention: _,
@@ -258,7 +257,7 @@ mod tests {
             per_window_cost: _,
         } = base.2;
         // (field, whether the key must move, the move)
-        let cases: [(&str, bool, Nudge); 21] = [
+        let cases: [(&str, bool, Nudge); 20] = [
             ("dram.read_lat", true, |i| up(&mut i.0.dram.read_lat.0)),
             ("dram.write_lat", true, |i| up(&mut i.0.dram.write_lat.0)),
             ("dram.read_bw", true, |i| up(&mut i.0.dram.read_bw.0)),
@@ -268,7 +267,6 @@ mod tests {
             ("nvm.read_bw", true, |i| up(&mut i.0.nvm.read_bw.0)),
             ("nvm.write_bw", true, |i| up(&mut i.0.nvm.write_bw.0)),
             ("dram_capacity", false, |i| i.0.dram_capacity += Bytes(1)),
-            ("nvm_capacity", false, |i| i.0.nvm_capacity += Bytes(1)),
             ("copy_bw", false, |i| up(&mut i.0.copy_bw.0)),
             ("ranks_per_node", false, |i| i.0.ranks_per_node += 1),
             ("helper_contention", false, |i| {

@@ -368,7 +368,7 @@ mod tests {
     use crate::search::SearchKind;
     use unimem_hms::object::{ObjId, ObjectSpec};
     use unimem_hms::topology::ClusterTopology;
-    use unimem_hms::MachineConfig;
+    use unimem_hms::{MachineConfig, SharedBandwidth};
     use unimem_sim::{Bandwidth, Bytes};
 
     fn unit(n: u32) -> UnitId {
@@ -383,8 +383,12 @@ mod tests {
         r
     }
 
+    /// The helper of one rank alone on a node with a 4 GB/s copy path.
     fn engine() -> MigrationEngine {
-        MigrationEngine::with_copy_bw(Bandwidth::gb_per_s(4.0))
+        let mut m = MachineConfig::nvm_bw_fraction(0.5);
+        m.copy_bw = Bandwidth::gb_per_s(4.0);
+        let room = ClusterTopology::homogeneous(&m, 1);
+        MigrationEngine::new(SharedBandwidth::from_topology(&room).client(0))
     }
 
     /// The DRAM service of one rank alone on a node of `dram`.

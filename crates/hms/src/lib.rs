@@ -52,7 +52,7 @@ pub mod topology;
 
 pub use alloc::SpaceAllocator;
 pub use arbiter::{ArbiterPolicy, DramArbiter, LeaseChange, TenantId, TenantSpec};
-pub use contention::{BwClient, FlowScope, HelperLink, SharedBandwidth};
+pub use contention::{BwClient, FlowScope, SharedBandwidth};
 pub use dram_service::DramService;
 pub use journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ReplayedState};
 pub use migration::{MigrationEngine, MigrationStats};

@@ -14,17 +14,17 @@
 //!   split is what Table 4 reports as "% overlap".
 //!
 //! The engine does not own a private copy bandwidth: it is a client of
-//! the node's shared-bandwidth model through a [`HelperLink`]. Its copy
+//! the node's shared-bandwidth model through a [`BwClient`]. Its copy
 //! rate is the node copy path's fair per-helper slice, and every
 //! scheduled copy is posted to the node ledger so overlapping compute —
 //! this rank's and, after the next fence, its co-located neighbors' —
 //! pays for the bandwidth the copy consumes.
 
-use crate::contention::HelperLink;
+use crate::contention::BwClient;
 use crate::journal::{JournalHandle, Record};
 use crate::object::{UnitId, UnitMap};
 use crate::tier::TierKind;
-use unimem_sim::{Bandwidth, Bytes, VDur, VTime};
+use unimem_sim::{Bytes, VDur, VTime};
 
 /// One migration's lifecycle record.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +103,7 @@ impl MigrationStats {
 /// The virtual-time helper thread.
 #[derive(Debug)]
 pub struct MigrationEngine {
-    link: HelperLink,
+    client: BwClient,
     helper_free_at: VTime,
     records: Vec<MigRecord>,
     /// Index of the most recent record per unit.
@@ -114,22 +114,16 @@ pub struct MigrationEngine {
 }
 
 impl MigrationEngine {
-    /// An engine drawing bandwidth through `link` — the runtime passes a
-    /// shared-ledger client so copies are visible to overlapping compute.
-    pub fn new(link: HelperLink) -> MigrationEngine {
+    /// An engine copying at `client`'s rate, whose copies are posted to
+    /// the node ledger so overlapping compute pays for them.
+    pub fn new(client: BwClient) -> MigrationEngine {
         MigrationEngine {
-            link,
+            client,
             helper_free_at: VTime::ZERO,
             records: Vec::new(),
             latest: UnitMap::new(),
             journal: None,
         }
-    }
-
-    /// An engine with a fixed private copy bandwidth that posts nothing
-    /// to any ledger (unit tests and detached tools).
-    pub fn with_copy_bw(copy_bw: Bandwidth) -> MigrationEngine {
-        MigrationEngine::new(HelperLink::Fixed(copy_bw))
     }
 
     /// Attach the rank's redo journal (when crash consistency is on):
@@ -140,22 +134,16 @@ impl MigrationEngine {
         self
     }
 
-    /// The helper's copy rate (its fair slice of the node copy path on
-    /// the shared link).
-    pub fn copy_bw(&self) -> Bandwidth {
-        self.link.copy_rate()
-    }
-
-    /// Predicted copy duration for `bytes` (the `data_size / mem_copy_bw`
-    /// term of Eq. 4).
+    /// Predicted copy duration for `bytes` at the helper's fair slice of
+    /// the node copy path (the `data_size / mem_copy_bw` term of Eq. 4).
     pub fn copy_time(&self, bytes: Bytes) -> VDur {
-        self.link.copy_time(bytes)
+        bytes / self.client.copy_rate()
     }
 
     /// Enqueue a migration at virtual time `now`. Returns its completion
     /// time. FIFO: it starts when the helper thread frees up. The copy is
-    /// posted to the shared ledger (when linked) so overlapping compute
-    /// pays for the bandwidth it consumes on both tiers.
+    /// posted to the shared ledger so overlapping compute pays for the
+    /// bandwidth it consumes on both tiers.
     pub fn enqueue(&mut self, unit: UnitId, to: TierKind, bytes: Bytes, now: VTime) -> VTime {
         let start = now.max(self.helper_free_at);
         let done = start + self.copy_time(bytes);
@@ -177,7 +165,7 @@ impl MigrationEngine {
                 now,
             );
         }
-        self.link.post_copy(to, start, done, bytes);
+        self.client.post_copy(to, start, done, bytes);
         let idx = self.records.len();
         self.records.push(MigRecord {
             unit,
@@ -254,15 +242,23 @@ impl MigrationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contention::SharedBandwidth;
     use crate::object::ObjId;
+    use crate::profiles::MachineConfig;
+    use crate::topology::ClusterTopology;
+    use unimem_sim::Bandwidth;
 
     fn unit(n: u32) -> UnitId {
         UnitId::whole(ObjId(n))
     }
 
     fn engine() -> MigrationEngine {
-        // 1 GB/s copy bandwidth: 1 MB copies take 1 ms.
-        MigrationEngine::with_copy_bw(Bandwidth::gb_per_s(1.0))
+        // One rank alone on a node with a 1 GB/s copy path: 1 MB copies
+        // take 1 ms.
+        let mut m = MachineConfig::nvm_bw_fraction(0.5);
+        m.copy_bw = Bandwidth::gb_per_s(1.0);
+        let room = ClusterTopology::homogeneous(&m, 1);
+        MigrationEngine::new(SharedBandwidth::from_topology(&room).client(0))
     }
 
     #[test]

@@ -21,10 +21,9 @@ use unimem_sim::{Bandwidth, Bytes, VDur};
 pub struct MachineConfig {
     pub dram: TierParams,
     pub nvm: TierParams,
-    /// DRAM capacity available to target data objects (per node).
+    /// DRAM capacity available to target data objects (per node). NVM
+    /// capacity has no field: it never binds in the experiments.
     pub dram_capacity: Bytes,
-    /// NVM capacity (per node). Effectively unbounded in the experiments.
-    pub nvm_capacity: Bytes,
     /// Node-level memory-copy bandwidth between NVM and DRAM
     /// (`mem_copy_bw` in Eq. 4). Dominated by the slower medium; each
     /// rank's helper thread gets a fair `1/ranks_per_node` slice.
@@ -117,9 +116,8 @@ impl MachineConfig {
         MachineConfig {
             dram,
             nvm,
-            // Paper §5 basic tests: DRAM 256 MB, NVM 16 GB per node.
+            // Paper §5 basic tests: DRAM 256 MB per node.
             dram_capacity: Bytes::mib(256),
-            nvm_capacity: Bytes::gib(16),
             copy_bw: copy_bw_between(dram, nvm),
             ranks_per_node: 1,
             helper_contention: true,
@@ -150,10 +148,7 @@ impl MachineConfig {
     /// 60% of DRAM bandwidth and 1.89× DRAM latency.
     pub fn edison_numa() -> MachineConfig {
         let nvm = sim_dram().with_bw_fraction(0.6).with_lat_multiple(1.89);
-        let mut cfg = MachineConfig::base(nvm, "Edison NUMA emulation".into());
-        // Strong-scaling tests: DRAM 256 MB, NVM 32 GB.
-        cfg.nvm_capacity = Bytes::gib(32);
-        cfg
+        MachineConfig::base(nvm, "Edison NUMA emulation".into())
     }
 
     /// A Table-1 technology preset paired with the simulation DRAM.
@@ -236,14 +231,12 @@ mod tests {
             (cfg.nvm.read_bw.bytes_per_s() / cfg.dram.read_bw.bytes_per_s() - 0.6).abs() < 1e-9
         );
         assert!((cfg.nvm.read_lat.secs() / cfg.dram.read_lat.secs() - 1.89).abs() < 1e-9);
-        assert_eq!(cfg.nvm_capacity, Bytes::gib(32));
     }
 
     #[test]
     fn default_capacities_match_section5() {
         let cfg = MachineConfig::nvm_bw_fraction(0.5);
         assert_eq!(cfg.dram_capacity, Bytes::mib(256));
-        assert_eq!(cfg.nvm_capacity, Bytes::gib(16));
     }
 
     #[test]

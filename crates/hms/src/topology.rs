@@ -9,9 +9,9 @@
 //! them — and placement across such nodes is a runtime decision, not a
 //! constant. A [`ClusterSpec`] makes the machine room a first-class
 //! value: a list of [`NodeSpec`]s (NVM profile + rank slots + copy
-//! path, one per node) plus the inter-node link; a [`ClusterTopology`]
-//! adds the rank→node assignment: ranks fill the nodes' slots in node
-//! order.
+//! path, one per node), joined by one kind of inter-node link
+//! ([`LINK_BW`], [`LINK_LATENCY`]); a [`ClusterTopology`] adds the
+//! rank→node assignment: ranks fill the nodes' slots in node order.
 //!
 //! Everything here is an immutable value computed before any rank runs,
 //! so placement is trivially deterministic; the shared-bandwidth model
@@ -34,32 +34,25 @@ pub struct NodeSpec {
     pub slots: usize,
 }
 
-/// The machine room: nodes plus the inter-node link they share.
+/// The machine room: its nodes, joined by the inter-node link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// The nodes, in node-id order. Heterogeneity is per-node: mixed
     /// NVM technologies in one spec are expected, not special.
     pub nodes: Vec<NodeSpec>,
-    /// Per-direction bandwidth of one node's link to the interconnect
-    /// (the resource the `LinkUp`/`LinkDown` ledger channels meter).
-    pub link_bw: Bandwidth,
-    /// One-hop link latency (the inter-node collective alpha).
-    pub link_latency: VDur,
 }
 
-/// Default interconnect: 2.5 GB/s per direction, 5 µs hop —
+/// Per-direction bandwidth of one node's link to the interconnect (the
+/// resource the `LinkUp`/`LinkDown` ledger channels meter): 2.5 GB/s,
 /// deliberately slower than the intra-node fabric
 /// (`unimem::comm::NetParams::default`: 5 GB/s, 2 µs) and than any node's
 /// DRAM, so crossing a link costs more than staying inside a node and
 /// the link is worth metering.
-pub fn default_link_bw() -> Bandwidth {
-    Bandwidth::gb_per_s(2.5)
-}
+pub const LINK_BW: Bandwidth = Bandwidth::gb_per_s(2.5);
 
-/// Default one-hop link latency. See [`default_link_bw`].
-pub fn default_link_latency() -> VDur {
-    VDur::from_micros(5.0)
-}
+/// One-hop link latency (the inter-node collective alpha). See
+/// [`LINK_BW`].
+pub const LINK_LATENCY: VDur = VDur::from_micros(5.0);
 
 impl ClusterSpec {
     /// `n_nodes` identical nodes with `slots` rank slots each.
@@ -72,8 +65,6 @@ impl ClusterSpec {
                     slots,
                 })
                 .collect(),
-            link_bw: default_link_bw(),
-            link_latency: default_link_latency(),
         }
     }
 
@@ -86,8 +77,6 @@ impl ClusterSpec {
                 .into_iter()
                 .map(|machine| NodeSpec { machine, slots })
                 .collect(),
-            link_bw: default_link_bw(),
-            link_latency: default_link_latency(),
         }
     }
 

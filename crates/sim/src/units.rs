@@ -161,7 +161,7 @@ impl Bandwidth {
 
     /// Bandwidth from GB/s (decimal).
     #[inline]
-    pub fn gb_per_s(gb: f64) -> Bandwidth {
+    pub const fn gb_per_s(gb: f64) -> Bandwidth {
         Bandwidth(gb * 1e9)
     }
 

@@ -11,6 +11,7 @@ use unimem_repro::hms::alloc::SpaceAllocator;
 use unimem_repro::hms::migration::MigrationEngine;
 use unimem_repro::hms::object::{ObjId, UnitId, UnitMap, UnitSet, MAX_CHUNKS};
 use unimem_repro::hms::tier::TierKind;
+use unimem_repro::hms::{ClusterTopology, MachineConfig, SharedBandwidth};
 use unimem_repro::sim::{Bandwidth, Bytes, DetRng, VDur, VTime};
 
 /// The allocator never overcommits, never hands out overlapping
@@ -52,7 +53,11 @@ fn allocator_invariants() {
 #[test]
 fn migration_engine_conserves_time() {
     for_seeds("migration_engine_conserves_time", 128, |rng| {
-        let mut e = MigrationEngine::with_copy_bw(Bandwidth::gb_per_s(2.0));
+        // One rank alone on a node with a 2 GB/s copy path.
+        let mut m = MachineConfig::nvm_bw_fraction(0.5);
+        m.copy_bw = Bandwidth::gb_per_s(2.0);
+        let room = ClusterTopology::homogeneous(&m, 1);
+        let mut e = MigrationEngine::new(SharedBandwidth::from_topology(&room).client(0));
         let mut now = VTime::ZERO;
         let mut sizes = Vec::new();
         for i in 0..1 + rng.index(19) {
