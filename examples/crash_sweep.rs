@@ -19,12 +19,12 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use unimem_repro::bench::sweep::{NvmProfile, Tolerances};
+use unimem_repro::bench::sweep::{inject_crashes, NvmProfile, Tolerances, CRASH_SEED};
 use unimem_repro::cache::CacheModel;
 use unimem_repro::hms::journal::DurabilityMode;
 use unimem_repro::runtime::exec::Policy;
 use unimem_repro::runtime::recovery::RecoverySetup;
-use unimem_repro::sim::{sample_kill_points, CrashSpec, Json, VDur, VTime};
+use unimem_repro::sim::Json;
 use unimem_repro::workloads::{select, Class};
 
 fn usage() -> ! {
@@ -38,7 +38,7 @@ fn usage() -> ! {
 
 fn main() -> ExitCode {
     let mut points = 3usize;
-    let mut seed = 0xC4A5_u64;
+    let mut seed = CRASH_SEED;
     let mut modes: Vec<DurabilityMode> = DurabilityMode::ALL.to_vec();
     let mut workloads: Vec<String> = vec!["CG".into(), "Nek5000".into()];
     let mut nranks = 4usize;
@@ -132,60 +132,41 @@ fn main() -> ExitCode {
             nranks,
             policy: &policy,
         };
-        for &mode in &modes {
-            let clean = setup.run_journaled(mode);
-            let horizon = VTime::ZERO + clean.report.time();
-            let mut crashes = sample_kill_points(seed, horizon, points);
-            // The forced late crash: the recovery-advantage evidence.
-            let late = mode == DurabilityMode::Strict;
-            if late {
-                crashes.push(CrashSpec::at(
-                    VTime::ZERO + VDur(clean.report.time().secs() * 0.75),
-                ));
+        let cell = format!("{canon}/{}/r{nranks}", profile.name());
+        for kill in inject_crashes(&setup, &modes, seed, points, &tol, &cell) {
+            let o = &kill.outcome;
+            let ok = kill.violations.is_empty();
+            if !ok {
+                failures += 1;
             }
-            for (i, crash) in crashes.iter().enumerate() {
-                let o = setup.crash_and_recover(mode, *crash, &clean);
-                let is_late = late && i == crashes.len() - 1;
-                let mut ok = o.equivalent();
-                if mode != DurabilityMode::InMemory {
-                    ok &= o.stats.recovery_time.secs()
-                        <= o.stats.restart_time.secs() * tol.recovery_bound;
-                }
-                if is_late {
-                    ok &= o.stats.advantage() >= tol.recovery_advantage_min;
-                }
-                if !ok {
-                    failures += 1;
-                }
-                println!(
-                    "{canon:8} {:9} kill{}@{:.4}s{}  equivalent={} advantage={:.2} {}",
-                    mode.name(),
-                    i,
-                    crash.at.secs(),
-                    if crash.torn { "+torn" } else { "" },
-                    o.equivalent(),
-                    o.stats.advantage(),
-                    if ok { "ok" } else { "FAIL" },
-                );
-                let mut cell = Json::obj();
-                cell.push("workload", canon.as_str())
-                    .push("kill_index", i)
-                    .push("forced_late", is_late)
-                    .push("equivalent", o.equivalent())
-                    .push("report_equal", o.report_equal)
-                    .push("journals_equal", o.journals_equal)
-                    .push(
-                        "durable_records",
-                        o.summaries.iter().map(|s| s.records).sum::<u64>(),
-                    )
-                    .push(
-                        "replayed_observes",
-                        o.summaries.iter().map(|s| s.replayed_observes).sum::<u64>(),
-                    )
-                    .push("stats", o.stats.to_json())
-                    .push("ok", ok);
-                cells.push(cell);
-            }
+            println!(
+                "{canon:8} {:9} kill{}@{:.4}s{}  equivalent={} advantage={:.2} {}",
+                o.mode.name(),
+                kill.index,
+                o.crash.at.secs(),
+                if o.crash.torn { "+torn" } else { "" },
+                o.equivalent(),
+                o.stats.advantage(),
+                if ok { "ok" } else { "FAIL" },
+            );
+            let mut cell = Json::obj();
+            cell.push("workload", canon.as_str())
+                .push("kill_index", kill.index)
+                .push("forced_late", kill.forced_late)
+                .push("equivalent", o.equivalent())
+                .push("report_equal", o.report_equal)
+                .push("journals_equal", o.journals_equal)
+                .push(
+                    "durable_records",
+                    o.summaries.iter().map(|s| s.records).sum::<u64>(),
+                )
+                .push(
+                    "replayed_observes",
+                    o.summaries.iter().map(|s| s.replayed_observes).sum::<u64>(),
+                )
+                .push("stats", o.stats.to_json())
+                .push("ok", ok);
+            cells.push(cell);
         }
     }
 
