@@ -67,7 +67,20 @@ pub const SCHEMA: &str = "unimem-sweep-cache/v1";
 /// change anywhere in the execution engine (simulator, runtime model,
 /// policies, workload models, machine profiles) can alter any cell's
 /// numbers — stale entries then become unreachable instead of wrong.
-pub const ENGINE_FINGERPRINT: &str = "unimem-engine/pr10";
+/// It is the last entry of [`ENGINE_HISTORY`].
+pub const ENGINE_FINGERPRINT: &str = ENGINE_HISTORY[ENGINE_HISTORY.len() - 1].0;
+
+/// Every engine fingerprint, oldest first, with the `Fnv128` hex digest
+/// of the reduced-matrix report (`BENCH_sweep.json`) that engine wrote.
+/// A change that moves report bytes appends a new fingerprint and the new
+/// digest; `tests/golden.rs` fails until it does.
+pub const ENGINE_HISTORY: [(&str, &str); 2] = [
+    ("unimem-engine/pr10", "5983608cb4167214236e23fd8d7758ec"),
+    (
+        "unimem-engine/hw-cache-dram-fill",
+        "f460c1b10b891498f6fcd462ad1146f6",
+    ),
+];
 
 /// On-disk entry magic ("UNIMEMSC" — UNIMEM Sweep Cache).
 const MAGIC: &[u8; 8] = b"UNIMEMSC";
@@ -1303,8 +1316,10 @@ mod tests {
     }
 
     /// The framed bytes and the file names of both entry kinds, pinned by
-    /// digest: caches written by earlier builds must keep loading as hits,
-    /// and the strict-order reader must stay in step with the writer.
+    /// digest: caches written by earlier builds of the same engine must
+    /// keep loading as hits, and the strict-order reader must stay in step
+    /// with the writer. The key holds [`ENGINE_FINGERPRINT`], so a bump
+    /// moves both pins.
     #[test]
     fn entry_format_is_pinned() {
         let dir = tmp_dir();
@@ -1315,15 +1330,15 @@ mod tests {
         for (key, name, len, digest) in [
             (
                 &cell_key,
-                "2b7c8f3e4c2054b42ae02e38202c9992.cell",
-                1759,
-                "272ed306a1f05157e5731bc84190b94f",
+                "2074eeb88a4e720a1bb0668452ba8304.cell",
+                1773,
+                "f83425b79c04704e687dfeaaf19c5d24",
             ),
             (
                 &corun_key,
-                "6e2bfdbfe5045d46f289f9a757adcfc5.corun",
-                3416,
-                "4d08882dc5349624da58b29a88d6cb46",
+                "f2b3c29427077d66b02f93e5b4053187.corun",
+                3430,
+                "fe302d56f8b8e20cc1dd5f0f8b99a371",
             ),
         ] {
             let path = key.path_in(cache.dir());

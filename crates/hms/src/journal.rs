@@ -44,6 +44,7 @@
 //! a prefix, which is what [`durable_prefix`] computes per mode.
 
 use crate::contention::BwClient;
+use crate::tier::TierKind;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -604,7 +605,7 @@ impl Journal {
         let bytes = Bytes(n as u64);
         let dt = bytes / self.write_bw + self.flush_lat;
         if let Some(c) = &self.link {
-            c.post_journal_write(now, now + dt, bytes);
+            c.post_write(TierKind::Nvm, now, now + dt, bytes);
         }
         self.pending += dt;
         self.stats.write_cost += dt;

@@ -21,6 +21,7 @@
 //! the Strict journals of the two migrating software policies are pinned
 //! by digest as well, record for record.
 
+use unimem_repro::bench::sweep::cache::{ENGINE_FINGERPRINT, ENGINE_HISTORY};
 use unimem_repro::bench::sweep::{
     run_sweep_cached, NvmProfile, PolicyKind, SweepCache, SweepConfig, TopologySpec,
 };
@@ -91,6 +92,30 @@ fn golden_projected_onto(policies: &[PolicyKind]) -> Json {
         }
     }
     report
+}
+
+/// Every engine fingerprint names one reduced-matrix report: the
+/// fingerprints are distinct, the current one is the last, and it carries
+/// the committed `BENCH_sweep.json`'s digest. A change that moves report
+/// bytes fails here until it appends a new fingerprint with the new
+/// digest, so no sweep cache serves the old engine's cells.
+#[test]
+fn engine_fingerprint_pairs_with_the_committed_report() {
+    let (current, digest) = ENGINE_HISTORY[ENGINE_HISTORY.len() - 1];
+    assert_eq!(
+        current, ENGINE_FINGERPRINT,
+        "the current fingerprint is last"
+    );
+    assert_eq!(
+        Fnv128::new().update(GOLDEN.as_bytes()).finish_hex(),
+        digest,
+        "BENCH_sweep.json moved: append a new fingerprint with its digest"
+    );
+    for (i, (a, da)) in ENGINE_HISTORY.iter().enumerate() {
+        for (b, db) in &ENGINE_HISTORY[i + 1..] {
+            assert!(a != b && da != db, "{a} and {b} repeat an entry");
+        }
+    }
 }
 
 #[test]
@@ -169,18 +194,18 @@ fn topology_axis_digest_is_pinned() {
     let report = run_sweep_cached(&cfg, 2, None).expect("topology sweep runs");
     assert_eq!(
         json_digest_hex(&report.to_json()),
-        "c424d80bb889cd524c4c672d9449cb33"
+        "6dbfd1c24f13bb1d4958539ff23811d0"
     );
 }
 
 /// `json_digest_hex` of the full-matrix report at each per-node DRAM
 /// capacity (MiB) the repository benchmark draws from.
 const FULL_MATRIX_DIGESTS: [(u64, &str); 5] = [
-    (192, "a3fdd096a77c3a0e05febf6cdd1851e0"),
-    (224, "56ddc12f127b04170da0ffb92bc50044"),
-    (256, "bca31c1833aa8b978bcaf2bb988e0b44"),
-    (288, "5c6d89bc9afa2c07ecd2b41fb92e4678"),
-    (320, "e63525f66a8f8345c008f9c50e094a8a"),
+    (192, "0c2480f6fabb4809e5bbd74f5bf1cc16"),
+    (224, "fe0bcf8b67998bed645b4673e4ee6200"),
+    (256, "29680a69e4d879f9aeaeb3aeef98d9c1"),
+    (288, "a8e734b227c3ce584d97316c67e15007"),
+    (320, "6cd7fec025e11c20a4be6ee2a105c108"),
 ];
 
 /// The committed file pins only the reduced matrix. The full matrix
