@@ -13,15 +13,16 @@
 //! placement exactly as §3.1 prescribes: profile the first iteration,
 //! decide at its end, enforce thereafter, re-profile on variation.
 //!
-//! The same regularity makes the timing model cheap. Each rank keeps one
-//! memo per script step: the step's miss sites, which depend on its
-//! accesses alone, and their pricing at the rank's plain node share
-//! under the placement the `TierView` showed last. A phase whose accesses
-//! and placement repeat costs one ledger read of the four tier channels.
-//! When no helper flow loads the window, the memo is the answer; when
-//! one does, only the contended passes are re-priced. The memo is exact
-//! (the tests check it against the direct pricing bit for bit) and lives
-//! as long as the rank's run.
+//! The same regularity makes the timing model cheap. A rank builds its
+//! script once per script epoch ([`Workload::script_epoch`]) and keeps
+//! one memo per script step for that epoch: the step's miss sites, which
+//! depend on its accesses alone, and their pricing at the rank's plain
+//! node share under the placement the `TierView` showed last. A phase
+//! whose placement repeats costs one ledger read of the four tier
+//! channels. When no helper flow loads the window, the memo is the
+//! answer; when one does, only the contended passes are re-priced. The
+//! memo is exact (the tests check it against the direct pricing bit for
+//! bit), so dropping it at an epoch change moves no result.
 //!
 //! Execution is segmented and bulk-synchronous, and one thread runs a
 //! whole run: each rank is a `RankTask` that runs to its next
@@ -119,9 +120,17 @@ pub trait Workload: Sync {
     /// Target data objects of one rank (Table 3), in registration order —
     /// `ObjId(k)` is the k-th spec returned here.
     fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec>;
-    /// The per-iteration phase script. The *structure* (step kinds and
-    /// order) must not vary across iterations; access volumes may.
-    fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec>;
+    /// The script epoch iteration `iter` runs in. Consecutive iterations
+    /// of one epoch run the same script; a workload whose accesses drift
+    /// names a new epoch where they change, one that never varies
+    /// returns 0.
+    fn script_epoch(&self, iter: usize) -> usize;
+    /// The phase script of every iteration in `epoch`, a function of
+    /// `(rank, nranks, epoch)` alone: the executor builds it once per
+    /// epoch and runs it until [`Workload::script_epoch`] changes. The
+    /// *structure* (step kinds and order) must not vary across epochs;
+    /// access volumes may.
+    fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec>;
     /// Main-loop iterations to simulate.
     fn iterations(&self) -> usize;
 }
@@ -735,9 +744,13 @@ struct RankTask<'a> {
     client: BwClient,
     journal: Option<JournalHandle>,
     oracle: Option<RankOracle>,
-    /// Current iteration's script (refreshed at each `IterBegin`).
+    /// The script epoch `steps` was built for; `None` before the first
+    /// iteration.
+    epoch: Option<usize>,
+    /// The current epoch's script, built at the epoch's first iteration.
     steps: Vec<StepSpec>,
-    /// Per script step, its [`ground_truth`] memo once it has been priced.
+    /// Per script step, its [`ground_truth`] memo once it has been priced
+    /// in the current epoch.
     memo: Vec<Option<StepMemo>>,
     pos: Pos,
     iterations: usize,
@@ -829,6 +842,7 @@ impl<'a> RankTask<'a> {
             client,
             journal,
             oracle: None,
+            epoch: None,
             steps: Vec::new(),
             memo: Vec::new(),
             pos: Pos::IterBegin { it: 0 },
@@ -858,15 +872,22 @@ impl<'a> RankTask<'a> {
             match self.pos {
                 Pos::IterBegin { it } if it == self.iterations => return false,
                 Pos::IterBegin { it } => {
-                    let nranks = self.run.spec.room.nranks();
-                    self.steps = self.run.workload.script(self.rank, nranks, it);
-                    // Phase k is step k (the PMPI counter of §3.3), so
-                    // every iteration repeats the first one's steps (§2.1).
-                    debug_assert!(
-                        it == 0 || self.steps.len() == self.memo.len(),
-                        "phase structure changed between iterations"
-                    );
-                    self.memo.resize_with(self.steps.len(), || None);
+                    let epoch = self.run.workload.script_epoch(it);
+                    if self.epoch != Some(epoch) {
+                        let nranks = self.run.spec.room.nranks();
+                        self.steps = self.run.workload.script(self.rank, nranks, epoch);
+                        // Phase k is step k (the PMPI counter of §3.3), so
+                        // every epoch repeats the first one's steps (§2.1).
+                        debug_assert!(
+                            self.epoch.is_none() || self.steps.len() == self.memo.len(),
+                            "phase structure changed between epochs"
+                        );
+                        // A memo is keyed on its placement alone, so it
+                        // lives one epoch.
+                        self.memo.clear();
+                        self.memo.resize_with(self.steps.len(), || None);
+                        self.epoch = Some(epoch);
+                    }
                     self.state.iteration_begin(it, &self.steps, &mut env!(self));
                     self.pos = Pos::Step { it, idx: 0 };
                 }
@@ -1140,13 +1161,12 @@ impl PlacementKey {
     }
 }
 
-/// One script step's [`ground_truth`] memo. The key is the step's
-/// accesses, compared by bits, plus the placement; the value is the
-/// step's plain-share pricing (pass 1), which reads no ledger. The
-/// `Workload::script` contract keeps a step's kind fixed across
-/// iterations, so a rank keeps one memo per step.
+/// One script step's [`ground_truth`] memo for one script epoch. The
+/// step's accesses cannot change inside the epoch ([`Workload::script`]
+/// is a function of the epoch), so the key is the placement alone; the
+/// value is the step's plain-share pricing (pass 1), which reads no
+/// ledger. The rank drops its memos when the epoch changes.
 struct StepMemo {
-    accesses: Vec<ObjAccess>,
     /// The step's sites with misses, in descriptor then unit order:
     /// `CacheModel::misses` depends on the accesses alone.
     raw: Vec<RawSite>,
@@ -1189,7 +1209,6 @@ impl StepMemo {
             }
         }
         let mut memo = StepMemo {
-            accesses: spec.accesses.clone(),
             placement: PlacementKey::of(view, &raw),
             raw,
             sites: Vec::new(),
@@ -1199,25 +1218,6 @@ impl StepMemo {
         };
         memo.price(bw);
         memo
-    }
-
-    /// Whether the memo was built for exactly these accesses.
-    fn holds(&self, accesses: &[ObjAccess]) -> bool {
-        self.accesses.len() == accesses.len()
-            && self.accesses.iter().zip(accesses).all(|(a, b)| {
-                let ObjAccess {
-                    obj,
-                    accesses,
-                    touched,
-                    pattern,
-                    mix,
-                } = *a;
-                obj == b.obj
-                    && accesses == b.accesses
-                    && touched == b.touched
-                    && pattern == b.pattern
-                    && mix.read_frac.to_bits() == b.mix.read_frac.to_bits()
-            })
     }
 
     /// Re-price when `view` places the step differently.
@@ -1277,15 +1277,16 @@ impl StepMemo {
 /// cache's hit fraction splits a site into a DRAM part and an NVM part
 /// (misses rounded, bytes conserved).
 ///
-/// `memo` is the step's slot in the rank's memo. A step repeats every
-/// iteration under a mostly stable placement, so the sites and the
-/// plain-share pass are kept until the accesses or the placement move
-/// (see [`StepMemo`]). Each call then reads the window's load on the
-/// four tier channels once: a quiet window (no load, or helper
-/// contention off) charges exactly the plain share, so the memo answers
-/// with only the current `spec.cpu` added; a loud one re-prices the
-/// own-traffic and full passes over the memoized sites. Either way the
-/// result is bit for bit the direct computation's.
+/// `memo` is the step's slot in the rank's memo, which must have been
+/// filled for this `spec` or be empty. A step repeats every iteration of
+/// its script epoch under a mostly stable placement, so the sites and
+/// the plain-share pass are kept until the placement moves (see
+/// [`StepMemo`]). Each call then reads the window's load on the four
+/// tier channels once: a quiet window (no load, or helper contention
+/// off) charges exactly the plain share, so the memo answers with only
+/// `spec.cpu` added; a loud one re-prices the own-traffic and full
+/// passes over the memoized sites. Either way the result is bit for bit
+/// the direct computation's.
 fn ground_truth(
     memo: &mut Option<StepMemo>,
     spec: &ComputeSpec,
@@ -1296,7 +1297,7 @@ fn ground_truth(
     now: VTime,
 ) -> (VDur, Vec<GroundTruth>, PhaseContention) {
     let m = match memo {
-        Some(m) if m.holds(&spec.accesses) => {
+        Some(m) => {
             m.place(view, bw);
             m
         }
@@ -1611,6 +1612,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicyId;
     use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use unimem_cache::AccessPattern;
     use unimem_hms::object::{ObjId, UnitSet};
     use unimem_hms::topology::{ClusterSpec, NodeSpec};
@@ -1634,7 +1636,11 @@ mod tests {
             ]
         }
 
-        fn script(&self, _rank: usize, _nranks: usize, _iter: usize) -> Vec<StepSpec> {
+        fn script_epoch(&self, _iter: usize) -> usize {
+            0
+        }
+
+        fn script(&self, _rank: usize, _nranks: usize, _epoch: usize) -> Vec<StepSpec> {
             vec![
                 StepSpec::Compute(ComputeSpec {
                     label: "sweep",
@@ -1814,8 +1820,12 @@ mod tests {
             self.0.objects(rank, nranks)
         }
 
-        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
-            let mut steps = self.0.script(rank, nranks, iter);
+        fn script_epoch(&self, _iter: usize) -> usize {
+            0
+        }
+
+        fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
+            let mut steps = self.0.script(rank, nranks, epoch);
             if let StepSpec::Compute(spec) = &mut steps[0] {
                 spec.accesses[1] = spec.accesses[1].with_mix(AccessMix::new(0.2));
             }
@@ -1864,8 +1874,12 @@ mod tests {
             Synth { iters: 2 }.objects(rank, nranks)
         }
 
-        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
-            let mut steps = Synth { iters: 2 }.script(rank, nranks, iter);
+        fn script_epoch(&self, _iter: usize) -> usize {
+            0
+        }
+
+        fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
+            let mut steps = Synth { iters: 2 }.script(rank, nranks, epoch);
             steps.truncate(1);
             steps.extend((self.0)(rank, nranks));
             steps
@@ -2171,7 +2185,7 @@ mod tests {
         }
     }
 
-    /// A script whose step count grows after the first iteration.
+    /// A script whose step count grows at its second epoch, iteration 1.
     struct Growing;
 
     impl Workload for Growing {
@@ -2183,9 +2197,13 @@ mod tests {
             Synth { iters: 2 }.objects(rank, nranks)
         }
 
-        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
-            let mut steps = Synth { iters: 2 }.script(rank, nranks, iter);
-            steps.truncate(1 + iter.min(1));
+        fn script_epoch(&self, iter: usize) -> usize {
+            iter.min(1)
+        }
+
+        fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
+            let mut steps = Synth { iters: 2 }.script(rank, nranks, epoch);
+            steps.truncate(1 + epoch);
             steps
         }
 
@@ -2201,10 +2219,50 @@ mod tests {
         run_room(&Growing, flat_room(&machine(), 1), None);
     }
 
+    /// [`Synth`]'s script in epochs of two iterations, counting how often
+    /// it is built.
+    struct Counted {
+        builds: AtomicUsize,
+    }
+
+    impl Workload for Counted {
+        fn name(&self) -> String {
+            "counted".into()
+        }
+
+        fn objects(&self, rank: usize, nranks: usize) -> Vec<ObjectSpec> {
+            Synth { iters: 6 }.objects(rank, nranks)
+        }
+
+        fn script_epoch(&self, iter: usize) -> usize {
+            iter / 2
+        }
+
+        fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Synth { iters: 6 }.script(rank, nranks, epoch)
+        }
+
+        fn iterations(&self) -> usize {
+            6
+        }
+    }
+
+    /// Each rank builds its script once per epoch: 4 ranks over 3 epochs
+    /// of 2 iterations make 12 builds, where one per iteration makes 24.
+    #[test]
+    fn scripts_are_built_once_per_epoch() {
+        let w = Counted {
+            builds: AtomicUsize::new(0),
+        };
+        run_room(&w, flat_room(&machine(), 4), None);
+        assert_eq!(w.builds.load(Ordering::Relaxed), 12);
+    }
+
     /// The time oracle's workload: a hot and a cold compute phase around
     /// a halo ring and an allreduce, over [`Synth`]'s objects. The two
-    /// objects trade roles at iteration 3, a drift the variation monitor
-    /// answers by re-profiling.
+    /// objects trade roles at iteration 3, where the second script epoch
+    /// begins: a drift the variation monitor answers by re-profiling.
     struct Drift;
 
     impl Workload for Drift {
@@ -2216,8 +2274,12 @@ mod tests {
             Synth { iters: 6 }.objects(rank, nranks)
         }
 
-        fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
-            let (hot, cold) = if iter < 3 { (0, 1) } else { (1, 0) };
+        fn script_epoch(&self, iter: usize) -> usize {
+            usize::from(iter >= 3)
+        }
+
+        fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
+            let (hot, cold) = if epoch == 0 { (0, 1) } else { (1, 0) };
             let sweep = |label, obj, accesses| {
                 StepSpec::Compute(ComputeSpec {
                     label,
@@ -2597,9 +2659,10 @@ mod tests {
         );
     }
 
-    /// One memo slot through every branch: a fresh entry, a repeat in a
-    /// quiet window, a repeat after an own copy makes the window loud, a
-    /// placement change, the placement changed back, and new accesses.
+    /// One memo slot through every branch: a fresh entry (as at every
+    /// epoch's first iteration), a repeat in a quiet window, a repeat
+    /// after an own copy makes the window loud, a placement change, and
+    /// the placement changed back.
     #[test]
     fn one_memo_slot_runs_every_branch_bit_for_bit() {
         let registry = chunked_registry(&mut DetRng::seed(7));
@@ -2634,13 +2697,13 @@ mod tests {
             me.tier_loads(now, now + spec.cpu + t_base)
         };
         let mut memo = None;
-        let check = |memo: &mut Option<StepMemo>, spec: &ComputeSpec, view: &View, ctx: &str| {
-            assert_memo_matches(memo, spec, &registry, view.get(), &me, now, ctx);
+        let check = |memo: &mut Option<StepMemo>, view: &View, ctx: &str| {
+            assert_memo_matches(memo, &spec, &registry, view.get(), &me, now, ctx);
         };
 
-        check(&mut memo, &spec, &nvm, "fresh entry");
+        check(&mut memo, &nvm, "fresh entry");
         assert!(window(&memo).is_quiet());
-        check(&mut memo, &spec, &nvm, "quiet hit");
+        check(&mut memo, &nvm, "quiet hit");
 
         me.post_copy(
             TierKind::Dram,
@@ -2649,22 +2712,16 @@ mod tests {
             Bytes::mib(8),
         );
         assert!(!window(&memo).is_quiet());
-        check(&mut memo, &spec, &nvm, "loud hit");
+        check(&mut memo, &nvm, "loud hit");
 
         let placed = |memo: &Option<StepMemo>, view: &View| {
             let m = memo.as_ref().expect("memo filled");
             m.placement.matches(view.get(), &m.raw)
         };
         assert!(!placed(&memo, &hot));
-        check(&mut memo, &spec, &hot, "placement changed");
+        check(&mut memo, &hot, "placement changed");
         assert!(placed(&memo, &hot) && !placed(&memo, &nvm));
-        check(&mut memo, &spec, &nvm, "placement changed back");
+        check(&mut memo, &nvm, "placement changed back");
         assert!(placed(&memo, &nvm));
-
-        let mut grown = spec.clone();
-        grown.accesses[1].accesses *= 2;
-        assert!(!memo.as_ref().expect("memo filled").holds(&grown.accesses));
-        check(&mut memo, &grown, &nvm, "accesses changed");
-        assert!(memo.as_ref().expect("memo filled").holds(&grown.accesses));
     }
 }

@@ -323,7 +323,11 @@ mod tests {
             ]
         }
 
-        fn script(&self, _rank: usize, _nranks: usize, _iter: usize) -> Vec<StepSpec> {
+        fn script_epoch(&self, _iter: usize) -> usize {
+            0
+        }
+
+        fn script(&self, _rank: usize, _nranks: usize, _epoch: usize) -> Vec<StepSpec> {
             vec![
                 StepSpec::Compute(ComputeSpec {
                     label: "sweep",

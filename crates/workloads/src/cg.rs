@@ -78,7 +78,11 @@ impl Workload for Cg {
         ]
     }
 
-    fn script(&self, rank: usize, nranks: usize, _iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, _iter: usize) -> usize {
+        0
+    }
+
+    fn script(&self, rank: usize, nranks: usize, _epoch: usize) -> Vec<StepSpec> {
         let a = self.sz(A_C, nranks);
         let colidx = self.sz(COLIDX_C, nranks);
         let vec = self.sz(VEC_C, nranks);
@@ -207,9 +211,8 @@ mod tests {
     #[test]
     fn script_phase_structure_is_stable() {
         let cg = Cg::new(Class::C);
-        let s0 = cg.script(0, 4, 0);
-        let s5 = cg.script(0, 4, 5);
-        assert_eq!(s0.len(), s5.len());
-        assert_eq!(s0.len(), 6);
+        // One epoch: every iteration runs the same six steps.
+        assert!((0..cg.iterations()).all(|it| cg.script_epoch(it) == 0));
+        assert_eq!(cg.script(0, 4, 0).len(), 6);
     }
 }

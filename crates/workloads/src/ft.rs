@@ -62,7 +62,11 @@ impl Workload for Ft {
         ]
     }
 
-    fn script(&self, _rank: usize, nranks: usize, _iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, _iter: usize) -> usize {
+        0
+    }
+
+    fn script(&self, _rank: usize, nranks: usize, _epoch: usize) -> Vec<StepSpec> {
         let st = scaled_bytes(STATE_C, self.class, nranks);
         let roots = scaled_bytes(ROOTS_C, self.class, nranks);
         // Transpose exchanges the whole state across ranks.

@@ -68,7 +68,11 @@ impl Workload for Lu {
         objs
     }
 
-    fn script(&self, rank: usize, nranks: usize, _iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, _iter: usize) -> usize {
+        0
+    }
+
+    fn script(&self, rank: usize, nranks: usize, _epoch: usize) -> Vec<StepSpec> {
         let s = |b: u64| scaled_bytes(b, self.class, nranks);
         let grid5 = s(GRID5_C);
         let jac = s(JACOBIAN_C);

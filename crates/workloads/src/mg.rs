@@ -61,7 +61,11 @@ impl Workload for Mg {
         ]
     }
 
-    fn script(&self, rank: usize, nranks: usize, _iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, _iter: usize) -> usize {
+        0
+    }
+
+    fn script(&self, rank: usize, nranks: usize, _epoch: usize) -> Vec<StepSpec> {
         let s = |b: u64| scaled_bytes(b, self.class, nranks);
         let left = (rank + nranks - 1) % nranks;
         let right = (rank + 1) % nranks;

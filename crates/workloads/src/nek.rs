@@ -10,9 +10,11 @@
 //! migrating (102 migrations, 1.1 GB moved in Table 4), and (b) defeats a
 //! static offline-profiled placement — the 10% X-Mem gap of Fig. 9/10.
 //!
-//! The drift is deterministic: the pressure solve's Krylov depth cycles
-//! with a period of several iterations, and the "hot" geometry block
-//! rotates as the eddy advects across the element layout.
+//! The drift is deterministic and comes in script epochs of
+//! `DRIFT_PERIOD` iterations (`Workload::script_epoch`): from one epoch
+//! to the next the pressure solve's Krylov depth alternates, and the
+//! "hot" geometry block rotates as the eddy advects across the element
+//! layout. Inside an epoch every iteration runs the same script.
 
 use crate::classes::{scaled_bytes, Class};
 use crate::helpers::{gather, stream, stream_rw};
@@ -31,7 +33,8 @@ const FIELD_C: u64 = 140 << 20;
 const GEOM_C: u64 = 100 << 20;
 const WORK_C: u64 = 12 << 20;
 
-/// Advection period: the hot geometry block rotates this often.
+/// Advection period, in iterations: one script epoch, after which the
+/// hot geometry block rotates.
 const DRIFT_PERIOD: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
@@ -82,7 +85,11 @@ impl Workload for Nek {
         objs
     }
 
-    fn script(&self, rank: usize, nranks: usize, iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, iter: usize) -> usize {
+        iter / DRIFT_PERIOD
+    }
+
+    fn script(&self, rank: usize, nranks: usize, epoch: usize) -> Vec<StepSpec> {
         let field = self.field(nranks);
         let geom = self.geom(nranks);
         let work = scaled_bytes(WORK_C, self.class, nranks);
@@ -90,9 +97,9 @@ impl Workload for Nek {
         let right = (rank + 1) % nranks;
 
         // Drift: which geometry block is hot, and how deep the pressure
-        // solve iterates this step (Krylov depth cycles 1x..2.2x).
-        let hot_geom = N_FIELDS + ((iter / DRIFT_PERIOD) as u32 % N_GEOM);
-        let krylov = 1.0 + 1.2 * ((iter % (2 * DRIFT_PERIOD)) / DRIFT_PERIOD) as f64;
+        // solve iterates this epoch (Krylov depth alternates 1x, 2.2x).
+        let hot_geom = N_FIELDS + (epoch as u32 % N_GEOM);
+        let krylov = 1.0 + 1.2 * (epoch % 2) as f64;
 
         let vx = 0u32;
         let vy = 1u32;
@@ -175,8 +182,11 @@ mod tests {
     #[test]
     fn access_pattern_drifts_across_iterations() {
         let nek = Nek::new(Class::C);
+        // The first epoch spans the first `DRIFT_PERIOD` iterations.
+        assert!((0..DRIFT_PERIOD).all(|it| nek.script_epoch(it) == 0));
+        assert_eq!(nek.script_epoch(DRIFT_PERIOD), 1);
         let s0 = nek.script(0, 4, 0);
-        let s_next = nek.script(0, 4, DRIFT_PERIOD);
+        let s_next = nek.script(0, 4, 1);
         // Same structure...
         assert_eq!(s0.len(), s_next.len());
         // ...different hot geometry object.

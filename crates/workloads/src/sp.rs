@@ -95,7 +95,11 @@ impl Workload for Sp {
         objs
     }
 
-    fn script(&self, rank: usize, nranks: usize, _iter: usize) -> Vec<StepSpec> {
+    fn script_epoch(&self, _iter: usize) -> usize {
+        0
+    }
+
+    fn script(&self, rank: usize, nranks: usize, _epoch: usize) -> Vec<StepSpec> {
         let s = |b: u64| scaled_bytes(b, self.class, nranks);
         let grid5 = s(GRID5_C);
         let grid1 = s(GRID1_C);

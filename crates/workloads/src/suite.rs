@@ -99,6 +99,7 @@ pub fn by_name(name: &str, class: Class) -> Option<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn suite_has_paper_order() {
@@ -136,11 +137,14 @@ mod tests {
 
     #[test]
     fn every_workload_has_consistent_object_ids() {
-        // Descriptors must reference registered object ids only.
+        // Descriptors must reference registered object ids only, in
+        // every script epoch a run reaches.
         for w in npb_and_nek(Class::S) {
             let n_objs = w.objects(0, 2).len() as u32;
-            for it in 0..2 {
-                for step in w.script(0, 2, it) {
+            let epochs: BTreeSet<usize> =
+                (0..w.iterations()).map(|it| w.script_epoch(it)).collect();
+            for epoch in epochs {
+                for step in w.script(0, 2, epoch) {
                     if let unimem::exec::StepSpec::Compute(c) = step {
                         for acc in &c.accesses {
                             assert!(

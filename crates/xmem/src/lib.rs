@@ -65,8 +65,8 @@ fn classify(p: &AccessPattern) -> PatternClass {
 }
 
 /// Run the offline training profile: exact per-object miss counts and
-/// dominant patterns over the first iteration (rank 0's script, as a
-/// representative training run).
+/// dominant patterns over the first iteration (rank 0's script of
+/// iteration 0's epoch, as a representative training run).
 pub fn offline_profile(
     workload: &dyn Workload,
     cache: &CacheModel,
@@ -79,7 +79,7 @@ pub fn offline_profile(
     let mut misses: HashMap<ObjId, u64> = HashMap::new();
     let mut pattern_votes: HashMap<ObjId, HashMap<&'static str, (u64, PatternClass)>> =
         HashMap::new();
-    let steps = workload.script(0, nranks, 0);
+    let steps = workload.script(0, nranks, workload.script_epoch(0));
     for step in &steps {
         let StepSpec::Compute(spec) = step else {
             continue;
