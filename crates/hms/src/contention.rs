@@ -212,11 +212,6 @@ impl BwClient {
         self.node().copy_rate
     }
 
-    /// True when helper traffic draws from this node's shared pools.
-    pub fn helper_contention(&self) -> bool {
-        self.node().helper_contention
-    }
-
     /// Machine-equivalence class of this rank's node (heterogeneous
     /// rooms have several; the calibration table is keyed on it).
     pub fn node_class(&self) -> usize {

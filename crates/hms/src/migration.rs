@@ -180,11 +180,6 @@ impl MigrationEngine {
         done
     }
 
-    /// Completion time of the most recent migration of `unit`, if any.
-    pub fn ready_time(&self, unit: UnitId) -> Option<VTime> {
-        self.latest.get(unit).map(|&i| self.records[i].done)
-    }
-
     /// Main thread requires `unit` at `now` (phase start). Returns the stall
     /// needed before the unit is usable and records the requirement for
     /// overlap accounting. Only the first requirement after a migration
@@ -211,11 +206,6 @@ impl MigrationEngine {
             );
         }
         stall
-    }
-
-    /// True when the helper thread has nothing queued after `now`.
-    pub fn idle_at(&self, now: VTime) -> bool {
-        self.helper_free_at <= now
     }
 
     pub fn records(&self) -> &[MigRecord] {
@@ -345,24 +335,6 @@ mod tests {
         assert_eq!(s.bytes, Bytes(400));
         assert_eq!(s.to_dram_count, 1);
         assert_eq!(s.to_nvm_count, 2);
-    }
-
-    #[test]
-    fn ready_time_tracks_latest() {
-        let mut e = engine();
-        e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
-        let d2 = e.enqueue(unit(0), TierKind::Nvm, Bytes(1_000_000), VTime(5.0));
-        assert_eq!(e.ready_time(unit(0)), Some(d2));
-        assert_eq!(e.ready_time(unit(3)), None);
-    }
-
-    #[test]
-    fn idle_tracking() {
-        let mut e = engine();
-        assert!(e.idle_at(VTime(0.0)));
-        e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
-        assert!(!e.idle_at(VTime(0.0005)));
-        assert!(e.idle_at(VTime(0.002)));
     }
 
     #[test]
