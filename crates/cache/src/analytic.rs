@@ -119,12 +119,6 @@ impl CacheModel {
             miss_bytes: Bytes(misses * self.line.get()),
         }
     }
-
-    /// Total misses for a set of co-live descriptors (helper for drivers).
-    pub fn phase_misses(&self, accs: &[ObjAccess]) -> Vec<MissEstimate> {
-        let total: Bytes = accs.iter().map(|a| a.touched).sum();
-        accs.iter().map(|a| self.misses(a, total)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -246,17 +240,6 @@ mod tests {
         let m = model_kib(64);
         let a = ObjAccess::new(ObjId(0), 0, Bytes::mib(1), AccessPattern::Random);
         assert_eq!(m.misses(&a, Bytes::mib(1)), MissEstimate::default());
-    }
-
-    #[test]
-    fn phase_misses_matches_individual_calls() {
-        let m = model_kib(128);
-        let a = ObjAccess::new(ObjId(0), 10_000, Bytes::mib(1), AccessPattern::Random);
-        let b = stream(Bytes::mib(2), 50_000);
-        let ests = m.phase_misses(&[a, b]);
-        let total = Bytes::mib(3);
-        assert_eq!(ests[0], m.misses(&a, total));
-        assert_eq!(ests[1], m.misses(&b, total));
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //!   `unimem_hms::journal` redo log: journaled runs, deterministic
 //!   crash injection, and replay back to an equivalent execution.
 //! * [`tenancy`] — multi-tenant co-runs: N independent Unimem instances
-//!   whose knapsack capacities are leased from the
-//!   `unimem_hms::arbiter` broker and re-planned when leases move.
+//!   whose knapsack capacities are per-epoch leases from
+//!   `unimem_hms::arbiter::split`, re-planned when leases move.
 
 #![forbid(unsafe_code)]
 

@@ -7,7 +7,7 @@
 
 use crate::comm::PhaseId;
 use std::collections::BTreeMap;
-use unimem_hms::object::{UnitId, UnitMap};
+use unimem_hms::object::UnitId;
 use unimem_perf::PhaseProfile;
 use unimem_sim::VDur;
 
@@ -86,18 +86,6 @@ impl IterationProfile {
         self.phases.values().map(|r| r.time).sum()
     }
 
-    /// Aggregate sampled accesses per unit across all phases (what the
-    /// cross-phase global search consumes).
-    pub fn aggregate_recorded(&self) -> Vec<(UnitId, u64)> {
-        let mut acc: UnitMap<u64> = UnitMap::new();
-        for rec in self.phases.values() {
-            for &(u, r, _) in &rec.units {
-                *acc.get_or_insert(u, 0) += r;
-            }
-        }
-        acc.iter().map(|(u, &r)| (u, r)).collect()
-    }
-
     pub fn clear(&mut self) {
         self.phases.clear();
     }
@@ -125,15 +113,6 @@ mod tests {
         let r = rec(&[(0, 100), (1, 50)], 1.0);
         assert_eq!(r.recorded(unit(0)), 100);
         assert_eq!(r.recorded(unit(2)), 0);
-    }
-
-    #[test]
-    fn aggregate_sums_across_phases() {
-        let mut ip = IterationProfile::new();
-        ip.insert(PhaseId(0), rec(&[(0, 100), (1, 10)], 1.0));
-        ip.insert(PhaseId(1), rec(&[(0, 200)], 2.0));
-        let agg = ip.aggregate_recorded();
-        assert_eq!(agg, vec![(unit(0), 300), (unit(1), 10)]);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Multi-tenant co-run execution: N independent Unimem instances under
-//! one DRAM arbiter.
+//! Multi-tenant co-run execution: N independent Unimem instances sharing
+//! one node's DRAM.
 //!
 //! The paper's runtime is single-application; a production node serves
 //! several applications contending for the same scarce DRAM tier. This
 //! layer wraps N independent Unimem runs, intercepts each one's knapsack
-//! capacity input, and drives it from the `unimem_hms::arbiter` broker
+//! capacity input, and drives it from `unimem_hms::arbiter::split`
 //! instead of the machine constant:
 //!
 //! 1. each tenant's **demand** is its per-node data footprint (capped at
 //!    the node budget);
 //! 2. the co-run timeline is divided into **epochs** — one per main-loop
 //!    iteration, with tenants' phase clocks staggered by their
-//!    `start_epoch` — and the arbiter rebalances at every epoch boundary
-//!    where the active tenant set changes (a tenant arriving revokes
-//!    budget from the incumbents; a tenant finishing returns its lease to
-//!    the pool);
+//!    `start_epoch` — and every epoch's leases are one `split` of the
+//!    node budget over the tenants running in it (a tenant arriving
+//!    takes budget from the incumbents; a tenant finishing asks for
+//!    nothing and its lease returns to the others);
 //! 3. each tenant then executes with its per-epoch lease as a
 //!    [`CapacitySchedule`]: the runtime re-runs placement at the
 //!    boundaries where its lease moved
@@ -34,7 +34,7 @@ use crate::exec::{
     run_workload, run_workload_leased, CapacitySchedule, Policy, RunReport, Workload,
 };
 use unimem_cache::CacheModel;
-use unimem_hms::arbiter::{ArbiterPolicy, DramArbiter, TenantSpec};
+use unimem_hms::arbiter::{split, ArbiterPolicy};
 use unimem_hms::MachineConfig;
 use unimem_sim::Bytes;
 
@@ -46,21 +46,18 @@ pub struct CorunTenant<'a> {
     pub workload: &'a dyn Workload,
     /// Priority weight (≥ 1); read by [`ArbiterPolicy::Priority`].
     pub weight: u32,
-    /// Guaranteed per-node DRAM floor.
-    pub reservation: Bytes,
     /// Staggered phase clock: the epoch (global iteration index) at which
     /// this tenant's main loop begins.
     pub start_epoch: usize,
 }
 
 impl<'a> CorunTenant<'a> {
-    /// A weight-1, reservation-free tenant starting at epoch 0.
+    /// A weight-1 tenant starting at epoch 0.
     pub fn new(name: impl Into<String>, workload: &'a dyn Workload) -> CorunTenant<'a> {
         CorunTenant {
             name: name.into(),
             workload,
             weight: 1,
-            reservation: Bytes::ZERO,
             start_epoch: 0,
         }
     }
@@ -68,12 +65,6 @@ impl<'a> CorunTenant<'a> {
     /// Set the priority weight.
     pub fn weight(mut self, w: u32) -> CorunTenant<'a> {
         self.weight = w;
-        self
-    }
-
-    /// Set the guaranteed per-node DRAM floor.
-    pub fn reservation(mut self, r: Bytes) -> CorunTenant<'a> {
-        self.reservation = r;
         self
     }
 
@@ -122,10 +113,11 @@ impl TenantOutcome {
     }
 }
 
-/// Run a co-run mix: compute every tenant's lease schedule from the
-/// arbiter, execute each tenant (solo baseline + leased co-run), and
-/// report per-tenant slowdowns. Errors on an empty mix, infeasible
-/// reservations, or a degenerate (zero/non-finite) solo baseline.
+/// Run a co-run mix: compute every tenant's lease schedule with
+/// [`split`], execute each tenant (solo baseline + leased co-run), and
+/// report per-tenant slowdowns. Errors on an empty mix, a duplicate
+/// tenant name, a zero weight, or a degenerate (zero/non-finite) solo
+/// baseline.
 pub fn run_corun(
     tenants: &[CorunTenant<'_>],
     machine: &MachineConfig,
@@ -163,6 +155,14 @@ pub fn run_corun_with_solos(
             tenants.len()
         ));
     }
+    for (i, t) in tenants.iter().enumerate() {
+        if tenants[..i].iter().any(|u| u.name == t.name) {
+            return Err(format!("duplicate tenant name: {}", t.name));
+        }
+        if t.weight == 0 {
+            return Err(format!("tenant {}: weight must be >= 1", t.name));
+        }
+    }
     let budget = machine.dram_capacity;
     let rpn = machine.ranks_per_node as u64;
 
@@ -175,46 +175,35 @@ pub fn run_corun_with_solos(
             Bytes((per_rank.get() * rpn).min(budget.get()))
         })
         .collect();
-    let iters: Vec<usize> = tenants.iter().map(|t| t.workload.iterations()).collect();
 
-    let mut arb = DramArbiter::new(budget, policy);
-    let mut ids = Vec::with_capacity(tenants.len());
-    for t in tenants {
-        let id = arb.register(
-            TenantSpec::new(t.name.clone())
-                .weight(t.weight)
-                .reservation(t.reservation),
-        )?;
-        // Tenants whose phase clock starts later join at their epoch.
-        if t.start_epoch > 0 {
-            arb.deactivate(id);
-        }
-        ids.push(id);
-    }
-
-    // Walk the global epoch timeline; the arbiter rebalances wherever the
-    // active set or demands change, and each active tenant logs its lease.
-    let total_epochs = tenants
+    // Each tenant runs over its own span of the global epoch timeline;
+    // a tenant whose phase clock starts later joins at its epoch. Every
+    // epoch splits the budget over the tenants running in it, and each
+    // of them logs its lease.
+    let spans: Vec<_> = tenants
         .iter()
-        .zip(&iters)
-        .map(|(t, &n)| t.start_epoch + n.max(1))
-        .max()
-        .expect("non-empty mix");
+        .map(|t| t.start_epoch..t.start_epoch + t.workload.iterations().max(1))
+        .collect();
+    let total_epochs = spans.iter().map(|s| s.end).max().expect("non-empty mix");
     let mut leases: Vec<Vec<Bytes>> = vec![Vec::new(); tenants.len()];
     for epoch in 0..total_epochs {
-        for (i, t) in tenants.iter().enumerate() {
-            let active = epoch >= t.start_epoch && epoch < t.start_epoch + iters[i].max(1);
-            if active {
-                arb.activate(ids[i])?;
-                arb.set_demand(ids[i], demands[i]);
-            } else {
-                arb.deactivate(ids[i]);
-            }
-        }
-        arb.rebalance();
-        for (i, t) in tenants.iter().enumerate() {
-            if epoch >= t.start_epoch && epoch < t.start_epoch + iters[i].max(1) {
-                leases[i].push(arb.grant(ids[i]));
+        let asks: Vec<(u32, Bytes)> = tenants
+            .iter()
+            .zip(&spans)
+            .zip(&demands)
+            .map(|((t, span), &demand)| {
+                let ask = if span.contains(&epoch) {
+                    demand
+                } else {
+                    Bytes::ZERO
+                };
+                (t.weight, ask)
+            })
+            .collect();
+        let grants = split(budget, policy, &asks)?;
+        for ((lease, span), grant) in leases.iter_mut().zip(&spans).zip(grants) {
+            if span.contains(&epoch) {
+                lease.push(grant);
             }
         }
     }
@@ -222,9 +211,9 @@ pub fn run_corun_with_solos(
     // Execute the leased co-runs against the provided solo baselines.
     let policy = Policy::unimem();
     let mut outcomes = Vec::with_capacity(tenants.len());
-    for (i, t) in tenants.iter().enumerate() {
-        let solo = solos[i].clone();
-        let lease = CapacitySchedule::from_epochs(leases[i].clone())?;
+    for ((t, solo), lease) in tenants.iter().zip(solos).zip(leases) {
+        let solo = solo.clone();
+        let lease = CapacitySchedule::from_epochs(lease)?;
         let corun = run_workload_leased(t.workload, machine, cache, nranks, &policy, &lease);
         let slowdown = corun.time().secs() / solo.time().secs();
         if !slowdown.is_finite() {
@@ -312,6 +301,31 @@ mod tests {
         let m = machine();
         let c = CacheModel::platform_a();
         assert!(run_corun(&[], &m, &c, 1, ArbiterPolicy::FairShare).is_err());
+    }
+
+    #[test]
+    fn zero_weight_is_an_error_naming_the_tenant() {
+        let (wa, wb) = (Synth { tag: "a", iters: 2 }, Synth { tag: "b", iters: 2 });
+        let m = machine();
+        let c = CacheModel::platform_a();
+        let mix = [
+            CorunTenant::new("a", &wa),
+            CorunTenant::new("idle", &wb).weight(0),
+        ];
+        for policy in ArbiterPolicy::ALL {
+            let err = run_corun(&mix, &m, &c, 1, policy).unwrap_err();
+            assert_eq!(err, "tenant idle: weight must be >= 1");
+        }
+    }
+
+    #[test]
+    fn duplicate_tenant_name_is_an_error() {
+        let (wa, wb) = (Synth { tag: "a", iters: 2 }, Synth { tag: "b", iters: 2 });
+        let m = machine();
+        let c = CacheModel::platform_a();
+        let mix = [CorunTenant::new("twin", &wa), CorunTenant::new("twin", &wb)];
+        let err = run_corun(&mix, &m, &c, 1, ArbiterPolicy::FairShare).unwrap_err();
+        assert_eq!(err, "duplicate tenant name: twin");
     }
 
     #[test]

@@ -1,70 +1,49 @@
-//! Multi-tenant DRAM arbitration: a global budget broker for the scarce
-//! DRAM tier.
+//! Multi-tenant DRAM arbitration: how one node's DRAM budget splits
+//! among co-running tenants.
 //!
-//! Unimem (the paper) manages placement for *one* application. A node
-//! serving several co-running applications needs an arbiter above the
-//! per-application runtimes: each tenant registers a reservation (a
-//! guaranteed DRAM floor) and a priority weight, reports its demand, and
-//! receives a *lease* — a byte budget its knapsack must respect. When the
-//! active tenant set or the demands change, [`DramArbiter::rebalance`]
-//! recomputes every lease, revoking from over-granted tenants and
-//! granting to under-served ones. The tenancy layer in `unimem::tenancy`
-//! turns those lease changes into placement re-runs at phase boundaries.
-//!
-//! The broker is **deterministic**: grants are a pure function of
-//! (budget, policy, tenant specs, demands, active set), computed with
-//! integer arithmetic in tenant-id order. Repeated [`DramArbiter::rebalance`]
-//! calls without state changes are fixpoints (no lease moves), which the
-//! property suite asserts.
+//! Unimem (the paper) manages placement for *one* application; its node
+//! DRAM service splits a node's DRAM statically among that application's
+//! MPI processes (§3.3). A node serving several co-running applications
+//! needs one decision above the per-application runtimes: given each
+//! tenant's priority weight and its demand, how many bytes may its
+//! knapsack use? [`split`] makes that decision. Its answer, the tenant's
+//! *lease*, is a pure function of (budget, policy, weights, demands),
+//! computed with integer arithmetic in tenant order. A tenant that is not
+//! running asks for zero bytes and gets none. The tenancy layer in
+//! `unimem::tenancy` calls [`split`] at every epoch and turns lease
+//! movements into placement re-runs at phase boundaries.
 //!
 //! # Example
 //!
 //! ```
-//! use unimem_hms::arbiter::{ArbiterPolicy, DramArbiter, TenantSpec};
+//! use unimem_hms::arbiter::{split, ArbiterPolicy};
 //! use unimem_sim::Bytes;
 //!
-//! let mut arb = DramArbiter::new(Bytes::mib(256), ArbiterPolicy::Priority);
-//! let a = arb
-//!     .register(TenantSpec::new("solver").weight(3).reservation(Bytes::mib(64)))
-//!     .unwrap();
-//! let b = arb.register(TenantSpec::new("batch")).unwrap();
-//! arb.set_demand(a, Bytes::mib(512));
-//! arb.set_demand(b, Bytes::mib(512));
-//! arb.rebalance();
-//! // Grants never exceed the budget, and the weighted tenant gets the
-//! // larger share of the contended remainder.
-//! assert!(arb.granted_total() <= Bytes::mib(256));
-//! assert!(arb.grant(a) > arb.grant(b));
+//! // A weight-3 solver and a weight-1 batch job each want 512 MiB of a
+//! // 256 MiB node: the contended budget goes 3 : 1.
+//! let asks = [(3, Bytes::mib(512)), (1, Bytes::mib(512))];
+//! let leases = split(Bytes::mib(256), ArbiterPolicy::Priority, &asks).unwrap();
+//! assert_eq!(leases, [Bytes::mib(192), Bytes::mib(64)]);
+//! // A tenant that is not running asks for nothing and frees its share.
+//! let asks = [(3, Bytes::ZERO), (1, Bytes::mib(512))];
+//! let leases = split(Bytes::mib(256), ArbiterPolicy::Priority, &asks).unwrap();
+//! assert_eq!(leases, [Bytes::ZERO, Bytes::mib(256)]);
 //! ```
 
-use std::fmt;
 use unimem_sim::Bytes;
 
-/// Identifier of a registered tenant (dense, in registration order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TenantId(pub u32);
-
-impl fmt::Display for TenantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant{}", self.0)
-    }
-}
-
-/// How the arbiter splits the DRAM budget among contending tenants.
-///
-/// Every policy first honours reservations (up to demand); the policies
-/// differ only in how the *contended remainder* is distributed.
+/// How [`split`] divides the DRAM budget among contending tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArbiterPolicy {
-    /// Equal shares of the remainder, water-filled: a tenant whose demand
-    /// is met early releases its surplus to the still-hungry ones.
+    /// Equal shares, water-filled: a tenant whose demand is met early
+    /// releases its surplus to the still-hungry ones.
     FairShare,
-    /// Weighted shares of the remainder (weight-proportional
-    /// water-filling) — a weight-3 tenant gets three times the share of a
-    /// weight-1 tenant while both stay hungry.
+    /// Weighted shares (weight-proportional water-filling) — a weight-3
+    /// tenant gets three times the share of a weight-1 tenant while both
+    /// stay hungry.
     Priority,
-    /// First-come-first-served in registration order: earlier tenants
-    /// take what they demand; later tenants get what is left.
+    /// First-come-first-served in tenant order: earlier tenants take
+    /// what they demand; later tenants get what is left.
     BestEffort,
 }
 
@@ -93,265 +72,39 @@ impl ArbiterPolicy {
     }
 }
 
-/// Registration-time description of a tenant.
-#[derive(Debug, Clone)]
-pub struct TenantSpec {
-    /// Human-readable name carried into reports.
-    pub name: String,
-    /// Priority weight (≥ 1); only [`ArbiterPolicy::Priority`] reads it.
-    pub weight: u32,
-    /// Guaranteed DRAM floor. Honoured (up to demand) under every policy;
-    /// the arbiter refuses to admit a tenant set whose reservations exceed
-    /// the budget.
-    pub reservation: Bytes,
-}
-
-impl TenantSpec {
-    /// A weight-1, reservation-free (pure best-effort) tenant.
-    pub fn new(name: impl Into<String>) -> TenantSpec {
-        TenantSpec {
-            name: name.into(),
-            weight: 1,
-            reservation: Bytes::ZERO,
-        }
-    }
-
-    /// Set the priority weight (≥ 1).
-    pub fn weight(mut self, w: u32) -> TenantSpec {
-        self.weight = w;
-        self
-    }
-
-    /// Set the guaranteed DRAM floor.
-    pub fn reservation(mut self, r: Bytes) -> TenantSpec {
-        self.reservation = r;
-        self
-    }
-}
-
-/// One lease movement produced by [`DramArbiter::rebalance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseChange {
-    /// Whose lease moved.
-    pub tenant: TenantId,
-    /// The lease before the rebalance.
-    pub from: Bytes,
-    /// The lease after the rebalance.
-    pub to: Bytes,
-}
-
-impl LeaseChange {
-    /// True when the rebalance took DRAM away from the tenant.
-    pub fn is_revocation(&self) -> bool {
-        self.to < self.from
-    }
-}
-
-#[derive(Debug, Clone)]
-struct TenantState {
-    spec: TenantSpec,
-    demand: Bytes,
-    active: bool,
-    granted: Bytes,
-}
-
-/// The global DRAM budget broker.
-///
-/// Tenants register once, then drive the broker with
-/// [`set_demand`](DramArbiter::set_demand) /
-/// [`activate`](DramArbiter::activate) /
-/// [`deactivate`](DramArbiter::deactivate) and read back their lease
-/// after each [`rebalance`](DramArbiter::rebalance).
-#[derive(Debug, Clone)]
-pub struct DramArbiter {
+/// Split `budget` bytes among tenants given as `(weight, demand)` pairs,
+/// returning each tenant's lease in the same order. No lease exceeds its
+/// demand, and the leases sum to `min(budget, Σ demand)`: the budget is
+/// never overcommitted and never idles while a tenant wants more. Only
+/// [`ArbiterPolicy::Priority`] reads the weights, but every weight must
+/// be at least 1; a zero weight is an error naming the tenant's index.
+pub fn split(
     budget: Bytes,
     policy: ArbiterPolicy,
-    tenants: Vec<TenantState>,
-}
-
-impl DramArbiter {
-    /// A broker over `budget` bytes of node DRAM under `policy`.
-    pub fn new(budget: Bytes, policy: ArbiterPolicy) -> DramArbiter {
-        DramArbiter {
-            budget,
-            policy,
-            tenants: Vec::new(),
-        }
+    tenants: &[(u32, Bytes)],
+) -> Result<Vec<Bytes>, String> {
+    if let Some(i) = tenants.iter().position(|&(weight, _)| weight == 0) {
+        return Err(format!("tenant {i}: weight must be >= 1"));
     }
-
-    /// The budget being brokered.
-    pub fn budget(&self) -> Bytes {
-        self.budget
-    }
-
-    /// The arbitration policy.
-    pub fn policy(&self) -> ArbiterPolicy {
-        self.policy
-    }
-
-    /// Admit a tenant (active immediately). Errors on a duplicate name, a
-    /// zero weight, or a reservation the budget cannot honour alongside
-    /// the already-active reservations.
-    pub fn register(&mut self, spec: TenantSpec) -> Result<TenantId, String> {
-        if self.tenants.iter().any(|t| t.spec.name == spec.name) {
-            return Err(format!("duplicate tenant name: {}", spec.name));
-        }
-        if spec.weight == 0 {
-            return Err(format!("tenant {}: weight must be >= 1", spec.name));
-        }
-        let reserved = self.active_reservations() + spec.reservation;
-        if reserved > self.budget {
-            return Err(format!(
-                "tenant {}: reservations {} exceed budget {}",
-                spec.name, reserved, self.budget
-            ));
-        }
-        let id = TenantId(self.tenants.len() as u32);
-        self.tenants.push(TenantState {
-            spec,
-            demand: Bytes::ZERO,
-            active: true,
-            granted: Bytes::ZERO,
-        });
-        Ok(id)
-    }
-
-    /// Report how much DRAM the tenant could use right now (its knapsack's
-    /// upper bound). Takes effect at the next rebalance.
-    pub fn set_demand(&mut self, t: TenantId, demand: Bytes) {
-        self.tenants[t.0 as usize].demand = demand;
-    }
-
-    /// Re-admit a deactivated tenant. Errors when its reservation no
-    /// longer fits beside the other active reservations.
-    pub fn activate(&mut self, t: TenantId) -> Result<(), String> {
-        if self.tenants[t.0 as usize].active {
-            return Ok(());
-        }
-        let reserved = self.active_reservations() + self.tenants[t.0 as usize].spec.reservation;
-        if reserved > self.budget {
-            return Err(format!(
-                "tenant {}: reservations {} exceed budget {}",
-                self.tenants[t.0 as usize].spec.name, reserved, self.budget
-            ));
-        }
-        self.tenants[t.0 as usize].active = true;
-        Ok(())
-    }
-
-    /// Retire a tenant (finished its run): its lease returns to the pool
-    /// at the next rebalance.
-    pub fn deactivate(&mut self, t: TenantId) {
-        let st = &mut self.tenants[t.0 as usize];
-        st.active = false;
-        st.demand = Bytes::ZERO;
-    }
-
-    /// Shrink or grow the brokered budget (e.g. the operator donates DRAM
-    /// to a different node service). Errors when the new budget cannot
-    /// honour the active reservations — revoking a *reservation* is an
-    /// operator decision, not something the broker does silently.
-    pub fn set_budget(&mut self, budget: Bytes) -> Result<(), String> {
-        if self.active_reservations() > budget {
-            return Err(format!(
-                "budget {} cannot honour active reservations {}",
-                budget,
-                self.active_reservations()
-            ));
-        }
-        self.budget = budget;
-        Ok(())
-    }
-
-    /// The tenant's current lease.
-    pub fn grant(&self, t: TenantId) -> Bytes {
-        self.tenants[t.0 as usize].granted
-    }
-
-    /// Sum of all current leases. Never exceeds [`DramArbiter::budget`]
-    /// after a rebalance — the property suite hammers this invariant.
-    pub fn granted_total(&self) -> Bytes {
-        self.tenants.iter().map(|t| t.granted).sum()
-    }
-
-    /// Number of registered tenants (active or not).
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// True when no tenant has registered.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
-    /// Registered name of a tenant.
-    pub fn name(&self, t: TenantId) -> &str {
-        &self.tenants[t.0 as usize].spec.name
-    }
-
-    fn active_reservations(&self) -> Bytes {
-        self.tenants
-            .iter()
-            .filter(|t| t.active)
-            .map(|t| t.spec.reservation)
-            .sum()
-    }
-
-    /// Recompute every lease from the current state and return the lease
-    /// movements (tenant-id order; a revocation and a grant may appear in
-    /// one batch). Grants are a pure function of the broker state, so a
-    /// second rebalance without intervening changes moves nothing.
-    pub fn rebalance(&mut self) -> Vec<LeaseChange> {
-        let fresh = self.split();
-        let mut changes = Vec::new();
-        for (i, (&to, st)) in fresh.iter().zip(self.tenants.iter_mut()).enumerate() {
-            if st.granted != to {
-                changes.push(LeaseChange {
-                    tenant: TenantId(i as u32),
-                    from: st.granted,
-                    to,
-                });
-                st.granted = to;
+    let want: Vec<u64> = tenants.iter().map(|&(_, demand)| demand.get()).collect();
+    let mut grant = vec![0u64; tenants.len()];
+    match policy {
+        ArbiterPolicy::BestEffort => {
+            let mut remaining = budget.get();
+            for (g, &w) in grant.iter_mut().zip(&want) {
+                *g = w.min(remaining);
+                remaining -= *g;
             }
         }
-        changes
-    }
-
-    /// The allocation function: floors first (min(reservation, demand)),
-    /// then the contended remainder by policy. Integer arithmetic, tenant
-    /// id order, no state mutation — determinism lives here.
-    fn split(&self) -> Vec<Bytes> {
-        let n = self.tenants.len();
-        let mut grant = vec![0u64; n];
-        let mut want = vec![0u64; n];
-        let mut remaining = self.budget.get();
-        for (i, t) in self.tenants.iter().enumerate() {
-            if !t.active {
-                continue;
-            }
-            let floor = t.spec.reservation.get().min(t.demand.get()).min(remaining);
-            grant[i] = floor;
-            want[i] = t.demand.get() - floor;
-            remaining -= floor;
+        ArbiterPolicy::FairShare => {
+            water_fill(&mut grant, &want, &vec![1u32; want.len()], budget.get());
         }
-        match self.policy {
-            ArbiterPolicy::BestEffort => {
-                for i in 0..n {
-                    let take = want[i].min(remaining);
-                    grant[i] += take;
-                    remaining -= take;
-                }
-            }
-            ArbiterPolicy::FairShare => {
-                water_fill(&mut grant, &want, &vec![1u32; n], remaining);
-            }
-            ArbiterPolicy::Priority => {
-                let weights: Vec<u32> = self.tenants.iter().map(|t| t.spec.weight).collect();
-                water_fill(&mut grant, &want, &weights, remaining);
-            }
+        ArbiterPolicy::Priority => {
+            let weights: Vec<u32> = tenants.iter().map(|&(weight, _)| weight).collect();
+            water_fill(&mut grant, &want, &weights, budget.get());
         }
-        grant.into_iter().map(Bytes).collect()
     }
+    Ok(grant.into_iter().map(Bytes).collect())
 }
 
 /// Weight-proportional water-filling of `remaining` bytes over tenants
@@ -410,8 +163,14 @@ fn water_fill(grant: &mut [u64], want: &[u64], weights: &[u32], mut remaining: u
 mod tests {
     use super::*;
 
-    fn arb(policy: ArbiterPolicy) -> DramArbiter {
-        DramArbiter::new(Bytes(1000), policy)
+    /// The leases of `asks` over a 1000-byte budget, as plain integers.
+    fn leases(policy: ArbiterPolicy, asks: &[(u32, u64)]) -> Vec<u64> {
+        let asks: Vec<(u32, Bytes)> = asks.iter().map(|&(w, d)| (w, Bytes(d))).collect();
+        split(Bytes(1000), policy, &asks)
+            .unwrap()
+            .into_iter()
+            .map(Bytes::get)
+            .collect()
     }
 
     #[test]
@@ -423,178 +182,65 @@ mod tests {
     }
 
     #[test]
-    fn registration_validates() {
-        let mut a = arb(ArbiterPolicy::FairShare);
-        a.register(TenantSpec::new("x")).unwrap();
-        assert!(a
-            .register(TenantSpec::new("x"))
-            .unwrap_err()
-            .contains("duplicate"));
-        assert!(a
-            .register(TenantSpec::new("w0").weight(0))
-            .unwrap_err()
-            .contains("weight"));
-        a.register(TenantSpec::new("r").reservation(Bytes(900)))
-            .unwrap();
-        assert!(a
-            .register(TenantSpec::new("r2").reservation(Bytes(200)))
-            .unwrap_err()
-            .contains("exceed budget"));
+    fn zero_weight_is_an_error() {
+        for policy in ArbiterPolicy::ALL {
+            let err = split(Bytes(1000), policy, &[(1, Bytes(10)), (0, Bytes(10))]).unwrap_err();
+            assert!(err.contains("tenant 1") && err.contains("weight"), "{err}");
+        }
+        // Weight zero would divide by zero in the priority fill.
+        assert!(split(Bytes(1000), ArbiterPolicy::Priority, &[(0, Bytes(10))]).is_err());
+        assert_eq!(split(Bytes(1000), ArbiterPolicy::Priority, &[]), Ok(vec![]));
     }
 
     #[test]
     fn fair_share_splits_equally_and_water_fills() {
-        let mut a = arb(ArbiterPolicy::FairShare);
-        let x = a.register(TenantSpec::new("x")).unwrap();
-        let y = a.register(TenantSpec::new("y")).unwrap();
-        let z = a.register(TenantSpec::new("z")).unwrap();
-        a.set_demand(x, Bytes(100)); // satisfied early
-        a.set_demand(y, Bytes(800));
-        a.set_demand(z, Bytes(800));
-        a.rebalance();
-        assert_eq!(a.grant(x), Bytes(100));
-        // x's surplus flows to y and z equally: (1000-100)/2 each.
-        assert_eq!(a.grant(y), Bytes(450));
-        assert_eq!(a.grant(z), Bytes(450));
-        assert_eq!(a.granted_total(), Bytes(1000));
+        // x is satisfied early; its surplus flows to y and z equally:
+        // (1000 - 100) / 2 each.
+        let got = leases(ArbiterPolicy::FairShare, &[(1, 100), (1, 800), (1, 800)]);
+        assert_eq!(got, [100, 450, 450]);
+        // Fair share ignores the weights.
+        let got = leases(ArbiterPolicy::FairShare, &[(7, 800), (1, 800)]);
+        assert_eq!(got, [500, 500]);
     }
 
     #[test]
     fn priority_weights_shape_the_contended_remainder() {
-        let mut a = arb(ArbiterPolicy::Priority);
-        let hi = a.register(TenantSpec::new("hi").weight(3)).unwrap();
-        let lo = a.register(TenantSpec::new("lo")).unwrap();
-        a.set_demand(hi, Bytes(2000));
-        a.set_demand(lo, Bytes(2000));
-        a.rebalance();
-        assert_eq!(a.grant(hi), Bytes(750));
-        assert_eq!(a.grant(lo), Bytes(250));
+        let got = leases(ArbiterPolicy::Priority, &[(3, 2000), (1, 2000)]);
+        assert_eq!(got, [750, 250]);
     }
 
     #[test]
     fn best_effort_is_first_come_first_served() {
-        let mut a = arb(ArbiterPolicy::BestEffort);
-        let first = a.register(TenantSpec::new("first")).unwrap();
-        let second = a.register(TenantSpec::new("second")).unwrap();
-        a.set_demand(first, Bytes(900));
-        a.set_demand(second, Bytes(900));
-        a.rebalance();
-        assert_eq!(a.grant(first), Bytes(900));
-        assert_eq!(a.grant(second), Bytes(100));
-    }
-
-    #[test]
-    fn reservations_are_floors_under_every_policy() {
-        for policy in ArbiterPolicy::ALL {
-            let mut a = arb(policy);
-            let hog = a.register(TenantSpec::new("hog").weight(10)).unwrap();
-            let res = a
-                .register(TenantSpec::new("res").reservation(Bytes(300)))
-                .unwrap();
-            a.set_demand(hog, Bytes(5000));
-            a.set_demand(res, Bytes(5000));
-            a.rebalance();
-            assert!(
-                a.grant(res) >= Bytes(300),
-                "{}: floor violated, got {}",
-                policy.name(),
-                a.grant(res)
-            );
-            assert!(a.granted_total() <= Bytes(1000));
-        }
-    }
-
-    #[test]
-    fn reservation_above_demand_only_grants_demand() {
-        let mut a = arb(ArbiterPolicy::FairShare);
-        let t = a
-            .register(TenantSpec::new("t").reservation(Bytes(600)))
-            .unwrap();
-        let u = a.register(TenantSpec::new("u")).unwrap();
-        a.set_demand(t, Bytes(50));
-        a.set_demand(u, Bytes(2000));
-        a.rebalance();
-        assert_eq!(a.grant(t), Bytes(50), "floor caps at demand");
-        assert_eq!(a.grant(u), Bytes(950));
+        let got = leases(ArbiterPolicy::BestEffort, &[(1, 900), (1, 900)]);
+        assert_eq!(got, [900, 100]);
     }
 
     #[test]
     fn deactivation_revokes_and_frees_the_lease() {
-        let mut a = arb(ArbiterPolicy::FairShare);
-        let x = a.register(TenantSpec::new("x")).unwrap();
-        let y = a.register(TenantSpec::new("y")).unwrap();
-        a.set_demand(x, Bytes(800));
-        a.set_demand(y, Bytes(800));
-        a.rebalance();
-        assert_eq!(a.grant(x), Bytes(500));
-        a.deactivate(x);
-        let changes = a.rebalance();
-        assert!(changes.iter().any(|c| c.tenant == x && c.is_revocation()));
-        assert_eq!(a.grant(x), Bytes::ZERO);
-        assert_eq!(a.grant(y), Bytes(800));
-    }
-
-    #[test]
-    fn budget_shrink_revokes_but_respects_reservations() {
-        let mut a = arb(ArbiterPolicy::FairShare);
-        let x = a
-            .register(TenantSpec::new("x").reservation(Bytes(200)))
-            .unwrap();
-        let y = a.register(TenantSpec::new("y")).unwrap();
-        a.set_demand(x, Bytes(600));
-        a.set_demand(y, Bytes(600));
-        a.rebalance();
-        assert!(a.set_budget(Bytes(100)).is_err(), "cannot break the floor");
-        a.set_budget(Bytes(400)).unwrap();
-        let changes = a.rebalance();
-        assert!(changes.iter().all(|c| c.is_revocation()));
-        assert!(a.granted_total() <= Bytes(400));
-        assert!(a.grant(x) >= Bytes(200));
-    }
-
-    #[test]
-    fn rebalance_is_a_fixpoint() {
-        let mut a = arb(ArbiterPolicy::Priority);
-        let x = a.register(TenantSpec::new("x").weight(2)).unwrap();
-        let y = a.register(TenantSpec::new("y")).unwrap();
-        a.set_demand(x, Bytes(700));
-        a.set_demand(y, Bytes(700));
-        let first = a.rebalance();
-        assert!(!first.is_empty());
-        assert!(
-            a.rebalance().is_empty(),
-            "second rebalance must move nothing"
-        );
+        // Both tenants running, then x finished: it asks for nothing, its
+        // lease falls to zero and y takes the freed bytes.
+        let got = leases(ArbiterPolicy::FairShare, &[(1, 800), (1, 800)]);
+        assert_eq!(got, [500, 500]);
+        let got = leases(ArbiterPolicy::FairShare, &[(1, 0), (1, 800)]);
+        assert_eq!(got, [0, 800]);
     }
 
     #[test]
     fn rounding_never_loses_the_budget_to_starvation() {
         // 7 equal tenants over 10 bytes: floor shares are 1 each, the
         // 3-byte leftover goes to the earliest tenants.
-        let mut a = DramArbiter::new(Bytes(10), ArbiterPolicy::FairShare);
-        let ids: Vec<TenantId> = (0..7)
-            .map(|i| a.register(TenantSpec::new(format!("t{i}"))).unwrap())
-            .collect();
-        for &t in &ids {
-            a.set_demand(t, Bytes(100));
-        }
-        a.rebalance();
-        assert_eq!(a.granted_total(), Bytes(10));
-        let grants: Vec<u64> = ids.iter().map(|&t| a.grant(t).get()).collect();
-        assert_eq!(grants, [2, 2, 2, 1, 1, 1, 1]);
+        let asks = vec![(1, Bytes(100)); 7];
+        let got = split(Bytes(10), ArbiterPolicy::FairShare, &asks).unwrap();
+        let got: Vec<u64> = got.into_iter().map(Bytes::get).collect();
+        assert_eq!(got, [2, 2, 2, 1, 1, 1, 1]);
     }
 
     #[test]
     fn inactive_tenants_get_nothing() {
-        let mut a = arb(ArbiterPolicy::BestEffort);
-        let x = a.register(TenantSpec::new("x")).unwrap();
-        a.set_demand(x, Bytes(10));
-        a.deactivate(x);
-        a.rebalance();
-        assert_eq!(a.grant(x), Bytes::ZERO);
-        a.activate(x).unwrap();
-        a.set_demand(x, Bytes(10));
-        a.rebalance();
-        assert_eq!(a.grant(x), Bytes(10));
+        for policy in ArbiterPolicy::ALL {
+            assert_eq!(leases(policy, &[(1, 0)]), [0], "{}", policy.name());
+            assert_eq!(leases(policy, &[(1, 0), (1, 10)]), [0, 10]);
+            assert_eq!(leases(policy, &[(1, 10)]), [10]);
+        }
     }
 }

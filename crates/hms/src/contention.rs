@@ -49,7 +49,7 @@
 use crate::tier::{TierKind, TierParams};
 use crate::topology::{ClusterTopology, LINK_BW};
 use std::rc::Rc;
-use unimem_sim::{Bandwidth, BwLedger, Bytes, Channel, ChannelMap, LoadSplit, VTime};
+use unimem_sim::{Bandwidth, BwLedger, Bytes, Channel, LoadSplit, VTime};
 
 fn channels_of(tier: TierKind) -> (Channel, Channel) {
     match tier {
@@ -121,7 +121,6 @@ impl SharedBandwidth {
     pub fn from_topology(topo: &ClusterTopology) -> SharedBandwidth {
         let nranks = topo.nranks();
         assert!(nranks >= 1);
-        let map = ChannelMap::for_nodes(topo.n_nodes());
         let nodes = (0..topo.n_nodes())
             .map(|n| {
                 let machine = &topo.node(n).machine;
@@ -131,7 +130,7 @@ impl SharedBandwidth {
                     // An unoccupied node keeps an inert 1-owner ledger
                     // rather than a 0-owner one; no client ever reaches it.
                     // A neighbor helper cannot copy faster than its path.
-                    ledger: BwLedger::with_channels(occupancy.max(1), map, copy_rate.bytes_per_s()),
+                    ledger: BwLedger::new(occupancy.max(1), copy_rate.bytes_per_s()),
                     occupancy,
                     copy_rate,
                     dram: machine.dram,
@@ -234,7 +233,7 @@ impl BwClient {
         let (src_read, _) = channels_of(to.other());
         self.node()
             .ledger
-            .post_named(self.owner, src_read, start, end, bytes.as_f64());
+            .post(self.owner, src_read, start, end, bytes.as_f64());
         self.post_write(to, start, end, bytes);
     }
 
@@ -253,7 +252,7 @@ impl BwClient {
         let (_, write) = channels_of(tier);
         self.node()
             .ledger
-            .post_named(self.owner, write, start, end, bytes.as_f64());
+            .post(self.owner, write, start, end, bytes.as_f64());
     }
 
     /// Post inter-node traffic crossing this node's link over
@@ -264,10 +263,10 @@ impl BwClient {
     pub fn post_link(&self, start: VTime, end: VTime, up: Bytes, down: Bytes) {
         let ledger = &self.node().ledger;
         if up.get() > 0 {
-            ledger.post_named(self.owner, Channel::LinkUp, start, end, up.as_f64());
+            ledger.post(self.owner, Channel::LinkUp, start, end, up.as_f64());
         }
         if down.get() > 0 {
-            ledger.post_named(self.owner, Channel::LinkDown, start, end, down.as_f64());
+            ledger.post(self.owner, Channel::LinkDown, start, end, down.as_f64());
         }
     }
 
@@ -287,7 +286,7 @@ impl BwClient {
         let node = self.node();
         let bw = LINK_BW.bytes_per_s();
         let load = if scope != FlowScope::None {
-            let split = node.ledger.load_named(self.owner, dir, w0, w1);
+            let split = node.ledger.load(self.owner, dir, w0, w1);
             match scope {
                 FlowScope::Own => split.own,
                 FlowScope::All => split.total(),

@@ -38,8 +38,6 @@ pub struct DramService {
     node_of: Vec<usize>,
     /// Rank → base address of its slot in the job address space.
     bases: Vec<u64>,
-    /// Rank → its static share of its node's allowance.
-    shares: Vec<Bytes>,
     /// Node → its rank slots.
     node_slots: Vec<usize>,
 }
@@ -90,7 +88,6 @@ impl DramService {
                 .collect(),
             node_of,
             bases,
-            shares,
             node_slots: caps.iter().map(|&(_, slots)| slots).collect(),
         }
     }
@@ -121,12 +118,6 @@ impl DramService {
     /// Free DRAM in `rank`'s share right now.
     pub fn available(&self, rank: usize) -> Bytes {
         self.slot(rank).available()
-    }
-
-    /// `rank`'s static share of its node's allowance (the knapsack's
-    /// capacity input; per-rank, since nodes may differ).
-    pub fn share_of(&self, rank: usize) -> Bytes {
-        self.shares[rank]
     }
 
     /// `rank`'s slice of a node-level byte budget (a DRAM lease): the
@@ -167,15 +158,15 @@ mod tests {
         assert_eq!(s.node_of(3), 0);
         assert_eq!(s.node_of(4), 1);
         // The straggler keeps a slot-sized share, not the whole node.
-        assert_eq!(s.share_of(4), s.share_of(0));
+        assert_eq!(s.available(4), s.available(0));
     }
 
     #[test]
     fn node_allowance_splits_statically_per_rank() {
         let s = service(2, 2, Bytes(100));
-        assert_eq!(s.share_of(0), Bytes(50));
+        assert_eq!(s.available(0), Bytes(50));
         // A lease is sliced by the same slot count the allowance is.
-        assert_eq!(s.per_rank(1, Bytes(100)), s.share_of(1));
+        assert_eq!(s.per_rank(1, Bytes(100)), s.available(1));
         assert_eq!(s.per_rank(1, Bytes(60)), Bytes(30));
         // A rank cannot exceed its share even while the neighbor is idle:
         // the planner's capacity input is the share, and borrowing would
@@ -264,8 +255,8 @@ mod tests {
             MachineConfig::technology(table1_pcram(), "pcram").with_dram_capacity(Bytes(100));
         let topo = ClusterTopology::contiguous(ClusterSpec::mixed(vec![big, small], 2), 4);
         let s = DramService::from_nodes(&topo);
-        assert_eq!(s.share_of(0), Bytes(200), "big-memory node share");
-        assert_eq!(s.share_of(2), Bytes(50), "small-memory node share");
+        assert_eq!(s.available(0), Bytes(200), "big-memory node share");
+        assert_eq!(s.available(2), Bytes(50), "small-memory node share");
         // Shares stay disjoint across the heterogeneous bases.
         let regions: Vec<Region> = (0..4).map(|r| s.reserve(r, Bytes(40)).unwrap()).collect();
         for (i, a) in regions.iter().enumerate() {

@@ -23,9 +23,10 @@
 //! * [`pools`] — a *real* two-pool backing store plus a *real* helper thread
 //!   with a FIFO queue, used by wall-clock benches and examples so the
 //!   concurrency machinery is exercised for real, not only in virtual time.
-//! * [`arbiter`] — the multi-tenant DRAM budget broker: per-tenant
-//!   reservations, priority weights, and deterministic lease
-//!   rebalancing/revocation for co-running applications.
+//! * [`arbiter`] — how a node's DRAM budget splits among co-running
+//!   applications: one pure function, [`arbiter::split`], from priority
+//!   weights and demands to leases under fair-share, priority or
+//!   best-effort policy.
 //! * [`contention`] — the node-level shared-bandwidth model: co-located
 //!   ranks split each tier's node bandwidth, and helper-thread copies draw
 //!   from both tiers' pools through a per-node ledger so migration traffic
@@ -51,7 +52,7 @@ pub mod tier;
 pub mod topology;
 
 pub use alloc::SpaceAllocator;
-pub use arbiter::{ArbiterPolicy, DramArbiter, LeaseChange, TenantId, TenantSpec};
+pub use arbiter::ArbiterPolicy;
 pub use contention::{BwClient, FlowScope, SharedBandwidth};
 pub use dram_service::DramService;
 pub use journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ReplayedState};

@@ -473,11 +473,6 @@ impl ObjectRegistry {
     pub fn unit_size(&self, u: UnitId) -> Bytes {
         self.get(u.obj).chunk_size(u.chunk)
     }
-
-    /// Total modeled footprint.
-    pub fn total_size(&self) -> Bytes {
-        self.objects.iter().map(|o| o.size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -499,7 +494,6 @@ mod tests {
         assert_eq!(r.get(a).size, Bytes(100));
         assert_eq!(r.lookup("c"), None);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.total_size(), Bytes(300));
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
         };
         // 50/50 mix: time per byte = 0.5/10 + 0.5/2 GB⁻¹s = 0.3ns/B → 3.33GB/s
         let bw = t.bandwidth(AccessMix::new(0.5));
-        assert!((bw.as_gb_per_s() - 10.0 / 3.0).abs() < 1e-9);
+        assert!((bw.bytes_per_s() - 10e9 / 3.0).abs() < 1.0);
     }
 
     #[test]

@@ -198,16 +198,6 @@ impl ClusterTopology {
     pub fn class_of_node(&self, n: usize) -> usize {
         self.classes[n]
     }
-
-    /// Machine-equivalence class of `rank`'s node.
-    pub fn class_of_rank(&self, rank: usize) -> usize {
-        self.classes[self.node_of[rank]]
-    }
-
-    /// Number of distinct machine classes in the room.
-    pub fn n_classes(&self) -> usize {
-        self.classes.iter().max().copied().unwrap_or(0) + 1
-    }
 }
 
 #[cfg(test)]
@@ -233,17 +223,20 @@ mod tests {
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.occupancy(0), 4);
         assert_eq!(t.occupancy(1), 2);
-        assert_eq!(t.n_classes(), 1, "identical nodes share a class");
+        assert_eq!(
+            t.class_of_node(1),
+            t.class_of_node(0),
+            "identical nodes share a class"
+        );
     }
 
     #[test]
     fn mixed_rooms_get_distinct_classes() {
         let spec = ClusterSpec::mixed(vec![fast(), slow(), fast()], 2);
         let t = ClusterTopology::contiguous(spec, 6);
-        assert_eq!(t.n_classes(), 2);
-        assert_eq!(t.class_of_node(0), t.class_of_node(2));
-        assert_ne!(t.class_of_node(0), t.class_of_node(1));
-        assert_eq!(t.class_of_rank(0), t.class_of_rank(5));
+        let classes: Vec<usize> = (0..3).map(|n| t.class_of_node(n)).collect();
+        assert_eq!(classes, [0, 1, 0]);
+        assert_eq!(t.class_of_node(t.node_of(0)), t.class_of_node(t.node_of(5)));
         assert_ne!(t.machine_of(0).nvm, t.machine_of(2).nvm);
     }
 

@@ -51,11 +51,11 @@ use crate::time::VTime;
 use std::cell::RefCell;
 
 /// Named ledger channels: the four intra-node tier × direction lanes
-/// plus the two inter-node link directions the cluster topology adds.
+/// plus the two inter-node link directions.
 ///
-/// `Channel as usize` is the ledger index, so a typed post can never
-/// name a lane the channel map does not contain — the bare-`usize`
-/// out-of-range assert becomes unrepresentable at typed call sites.
+/// `Channel as usize` is the ledger index. Every ledger has all six
+/// lanes, so no post or load can name a lane that does not exist; a
+/// one-node room never posts on the link lanes, and they read zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Channel {
@@ -102,62 +102,13 @@ impl Channel {
     }
 }
 
-/// The set of channels a ledger is built with, derived from the
-/// topology: a lone node only has the four tier lanes; a clustered node
-/// adds the two link directions. Constructing a [`BwLedger`] through a
-/// map (instead of a bare channel count) ties every typed post to a
-/// lane that exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelMap {
-    n: usize,
-}
-
-impl ChannelMap {
-    /// The four intra-node lanes (`DramRead` … `NvmWrite`).
-    pub fn intra_node() -> ChannelMap {
-        ChannelMap { n: 4 }
-    }
-
-    /// All six lanes, link directions included.
-    pub fn cluster() -> ChannelMap {
-        ChannelMap { n: 6 }
-    }
-
-    /// The map for a topology of `n_nodes`: a single node needs no link
-    /// lanes, anything larger does.
-    pub fn for_nodes(n_nodes: usize) -> ChannelMap {
-        if n_nodes > 1 {
-            ChannelMap::cluster()
-        } else {
-            ChannelMap::intra_node()
-        }
-    }
-
-    /// Number of ledger channels in the map.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// A map is never empty, but clippy insists `len` has a partner.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Whether the map includes `ch`.
-    pub fn contains(&self, ch: Channel) -> bool {
-        ch.index() < self.n
-    }
-
-    /// The named channels in the map, in index order.
-    pub fn channels(&self) -> &'static [Channel] {
-        &Channel::ALL[..self.n]
-    }
-}
+/// Number of lanes in every ledger.
+const LANES: usize = Channel::ALL.len();
 
 /// One posted flow: `bytes` moved on `channel` over `[start, end]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Flow {
-    channel: usize,
+    channel: Channel,
     start: VTime,
     end: VTime,
     bytes: f64,
@@ -173,10 +124,10 @@ struct OwnerState {
     /// flows ending before the fence can never be read again.
     flows: Vec<Flow>,
     /// Bytes posted per channel since the last fence.
-    posted: Vec<f64>,
+    posted: [f64; LANES],
     /// Per channel, the summed rate of every other owner's traffic over
     /// the last completed epoch, as the last fence published it.
-    neighbors: Vec<f64>,
+    neighbors: [f64; LANES],
 }
 
 /// The fence history the epoch-rate math needs.
@@ -207,14 +158,13 @@ impl LoadSplit {
     }
 }
 
-/// The shared ledger: `owners` posting flows against `channels`.
+/// The shared ledger: `owners` posting flows against the six channels.
 ///
 /// All methods take `&self`. Posts and loads touch only the calling
 /// owner's state; [`BwLedger::fence`] publishes the cross-owner view
 /// between rounds (see the module docs).
 #[derive(Debug)]
 pub struct BwLedger {
-    channels: usize,
     /// Per-neighbor rate cap, bytes/s: a helper cannot copy faster than
     /// its copy path.
     neighbor_rate_cap: f64,
@@ -223,19 +173,18 @@ pub struct BwLedger {
 }
 
 impl BwLedger {
-    /// A ledger for `owners` concurrent posters over `channels` channels,
-    /// charging each neighbor at most `neighbor_rate_cap` bytes/s.
-    pub fn new(owners: usize, channels: usize, neighbor_rate_cap: f64) -> BwLedger {
-        assert!(owners >= 1 && channels >= 1);
+    /// A ledger for `owners` concurrent posters, charging each neighbor
+    /// at most `neighbor_rate_cap` bytes/s.
+    pub fn new(owners: usize, neighbor_rate_cap: f64) -> BwLedger {
+        assert!(owners >= 1);
         BwLedger {
-            channels,
             neighbor_rate_cap,
             owners: (0..owners)
                 .map(|_| {
                     RefCell::new(OwnerState {
                         flows: Vec::new(),
-                        posted: vec![0.0; channels],
-                        neighbors: vec![0.0; channels],
+                        posted: [0.0; LANES],
+                        neighbors: [0.0; LANES],
                     })
                 })
                 .collect(),
@@ -243,36 +192,12 @@ impl BwLedger {
         }
     }
 
-    /// A ledger whose channels are the named lanes of `map` — the typed
-    /// constructor the topology layer uses so [`BwLedger::post_named`]
-    /// call sites cannot name a lane that does not exist.
-    pub fn with_channels(owners: usize, map: ChannelMap, neighbor_rate_cap: f64) -> BwLedger {
-        BwLedger::new(owners, map.len(), neighbor_rate_cap)
-    }
-
-    /// Typed [`BwLedger::post`]: the channel index comes from the named
-    /// lane, so it is in range by construction on a
-    /// [`ChannelMap::cluster`] ledger.
-    pub fn post_named(&self, owner: usize, ch: Channel, start: VTime, end: VTime, bytes: f64) {
-        self.post(owner, ch.index(), start, end, bytes);
-    }
-
-    /// Typed [`BwLedger::load`].
-    pub fn load_named(&self, owner: usize, ch: Channel, w0: VTime, w1: VTime) -> LoadSplit {
-        self.load(owner, ch.index(), w0, w1)
-    }
-
-    pub fn n_channels(&self) -> usize {
-        self.channels
-    }
-
     /// Post a flow: `owner` moves `bytes` on `channel` over `[start, end]`.
     /// Visible to the owner immediately, to neighbors from the next fence
     /// until the one after.
-    pub fn post(&self, owner: usize, channel: usize, start: VTime, end: VTime, bytes: f64) {
-        assert!(channel < self.channels, "channel {channel} out of range");
+    pub fn post(&self, owner: usize, channel: Channel, start: VTime, end: VTime, bytes: f64) {
         let mut st = self.owners[owner].borrow_mut();
-        st.posted[channel] += bytes;
+        st.posted[channel.index()] += bytes;
         st.flows.push(Flow {
             channel,
             start,
@@ -302,7 +227,7 @@ impl BwLedger {
             }
         };
         // Each owner's rate, once per channel, before its posts reset.
-        let mut rates = Vec::with_capacity(self.owners.len() * self.channels);
+        let mut rates = Vec::with_capacity(self.owners.len() * LANES);
         for owner in &self.owners {
             let mut st = owner.borrow_mut();
             rates.extend(st.posted.iter().map(|&bytes| rate(bytes)));
@@ -315,7 +240,7 @@ impl BwLedger {
         for (reader, owner) in self.owners.iter().enumerate() {
             let mut st = owner.borrow_mut();
             st.neighbors.fill(0.0);
-            for (o, neighbor) in rates.chunks_exact(self.channels).enumerate() {
+            for (o, neighbor) in rates.chunks_exact(LANES).enumerate() {
                 if o != reader {
                     for (sum, r) in st.neighbors.iter_mut().zip(neighbor) {
                         *sum += r;
@@ -336,8 +261,7 @@ impl BwLedger {
     /// Bandwidth already consumed on `channel` over `[w0, w1]` as seen by
     /// `owner`: own flows by exact interval overlap, neighbor flows at
     /// the rate the last fence published.
-    pub fn load(&self, owner: usize, channel: usize, w0: VTime, w1: VTime) -> LoadSplit {
-        assert!(channel < self.channels, "channel {channel} out of range");
+    pub fn load(&self, owner: usize, channel: Channel, w0: VTime, w1: VTime) -> LoadSplit {
         let window = w1.since(w0);
         if window.is_zero() {
             return LoadSplit::default();
@@ -349,24 +273,25 @@ impl BwLedger {
         }
         LoadSplit {
             own: own / window.secs(),
-            neighbors: st.neighbors[channel],
+            neighbors: st.neighbors[channel.index()],
         }
     }
 
-    /// [`BwLedger::load`] on each of the first `N` channels, in one
-    /// pass over the owner's flows. Each channel's
-    /// own bytes are summed in post order, as `load` sums them, so entry
-    /// `ch` is bit for bit `load(owner, ch, w0, w1)`.
+    /// [`BwLedger::load`] on each of the first `N` channels (in
+    /// [`Channel::ALL`] order), in one pass over the owner's flows. Each
+    /// channel's own bytes are summed in post order, as `load` sums them,
+    /// so entry `i` is bit for bit `load(owner, Channel::ALL[i], w0, w1)`.
+    /// `N` above six does not compile.
     pub fn loads<const N: usize>(&self, owner: usize, w0: VTime, w1: VTime) -> [LoadSplit; N] {
-        assert!(N <= self.channels, "{N} channels out of range");
+        const { assert!(N <= LANES) };
         let window = w1.since(w0);
         if window.is_zero() {
             return [LoadSplit::default(); N];
         }
         let st = self.owners[owner].borrow();
         let mut own = [0.0; N];
-        for f in st.flows.iter().filter(|f| f.channel < N) {
-            own[f.channel] += overlap_bytes(f, w0, w1);
+        for f in st.flows.iter().filter(|f| f.channel.index() < N) {
+            own[f.channel.index()] += overlap_bytes(f, w0, w1);
         }
         std::array::from_fn(|ch| LoadSplit {
             own: own[ch] / window.secs(),
@@ -404,129 +329,132 @@ mod tests {
 
     #[test]
     fn empty_ledger_has_no_load() {
-        let l = BwLedger::new(2, 4, 1e12);
-        let split = l.load(0, 1, t(0.0), t(1.0));
+        let l = BwLedger::new(2, 1e12);
+        let split = l.load(0, Channel::DramWrite, t(0.0), t(1.0));
         assert_eq!(split, LoadSplit::default());
         assert_eq!(split.total(), 0.0);
     }
 
     #[test]
     fn own_flow_charges_exact_overlap() {
-        let l = BwLedger::new(1, 1, 1e12);
+        let l = BwLedger::new(1, 1e12);
         // 1e9 bytes over [0, 1]: rate 1 GB/s.
-        l.post(0, 0, t(0.0), t(1.0), 1e9);
+        l.post(0, Channel::DramRead, t(0.0), t(1.0), 1e9);
         // Full containment.
-        let s = l.load(0, 0, t(0.0), t(1.0));
+        let s = l.load(0, Channel::DramRead, t(0.0), t(1.0));
         assert!((s.own - 1e9).abs() < 1.0);
         // Half overlap: window [0.5, 1.5] catches half the bytes over a
         // 1 s window -> 0.5 GB/s.
-        let s = l.load(0, 0, t(0.5), t(1.5));
+        let s = l.load(0, Channel::DramRead, t(0.5), t(1.5));
         assert!((s.own - 0.5e9).abs() < 1.0);
         // Disjoint window.
-        let s = l.load(0, 0, t(2.0), t(3.0));
+        let s = l.load(0, Channel::DramRead, t(2.0), t(3.0));
         assert_eq!(s.own, 0.0);
     }
 
     #[test]
     fn zero_duration_flow_deposits_at_start() {
-        let l = BwLedger::new(1, 1, 1e12);
-        l.post(0, 0, t(0.5), t(0.5), 100.0);
-        let s = l.load(0, 0, t(0.0), t(1.0));
+        let l = BwLedger::new(1, 1e12);
+        l.post(0, Channel::DramRead, t(0.5), t(0.5), 100.0);
+        let s = l.load(0, Channel::DramRead, t(0.0), t(1.0));
         assert!((s.own - 100.0).abs() < 1e-9);
-        let s = l.load(0, 0, t(0.6), t(1.0));
+        let s = l.load(0, Channel::DramRead, t(0.6), t(1.0));
         assert_eq!(s.own, 0.0);
     }
 
     #[test]
     fn neighbor_flow_invisible_before_fence() {
-        let l = BwLedger::new(2, 1, 1e12);
-        l.post(1, 0, t(0.0), t(1.0), 1e9);
-        let s = l.load(0, 0, t(0.0), t(1.0));
+        let l = BwLedger::new(2, 1e12);
+        l.post(1, Channel::DramRead, t(0.0), t(1.0), 1e9);
+        let s = l.load(0, Channel::DramRead, t(0.0), t(1.0));
         assert_eq!(s.neighbors, 0.0, "unfenced neighbor traffic leaked");
     }
 
     #[test]
     fn neighbor_flow_charged_as_epoch_rate_after_fence() {
-        let l = BwLedger::new(2, 1, 1e12);
+        let l = BwLedger::new(2, 1e12);
         // Both owners live through epoch [0, 2]; owner 1 copies 1e9 bytes.
-        l.post(1, 0, t(0.0), t(1.0), 1e9);
+        l.post(1, Channel::DramRead, t(0.0), t(1.0), 1e9);
         l.fence(t(2.0));
         // Epoch length 2 s -> neighbor rate 0.5 GB/s, over any window.
-        let s = l.load(0, 0, t(2.0), t(3.0));
+        let s = l.load(0, Channel::DramRead, t(2.0), t(3.0));
         assert!((s.neighbors - 0.5e9).abs() < 1.0, "{s:?}");
         // The owner's own view of the same flow is interval-exact: no
         // overlap with [2, 3].
-        let s1 = l.load(1, 0, t(2.0), t(3.0));
+        let s1 = l.load(1, Channel::DramRead, t(2.0), t(3.0));
         assert_eq!(s1.own, 0.0);
         assert_eq!(s1.neighbors, 0.0);
     }
 
     #[test]
     fn neighbor_rate_is_capped() {
-        let l = BwLedger::new(2, 1, 3e9);
-        l.post(1, 0, t(0.0), t(0.001), 1e9); // 1 TB/s burst
+        let l = BwLedger::new(2, 3e9);
+        l.post(1, Channel::DramRead, t(0.0), t(0.001), 1e9); // 1 TB/s burst
         l.fence(t(0.001));
-        let s = l.load(0, 0, t(0.001), t(0.002));
+        let s = l.load(0, Channel::DramRead, t(0.001), t(0.002));
         assert!((s.neighbors - 3e9).abs() < 1.0, "cap not applied: {s:?}");
     }
 
     #[test]
     fn old_epochs_age_out() {
-        let l = BwLedger::new(2, 1, 1e12);
-        l.post(1, 0, t(0.0), t(1.0), 1e9);
+        let l = BwLedger::new(2, 1e12);
+        l.post(1, Channel::DramRead, t(0.0), t(1.0), 1e9);
         l.fence(t(1.0));
         // A second, idle epoch: the old traffic no longer counts.
         l.fence(t(2.0));
-        let s = l.load(0, 0, t(2.0), t(3.0));
+        let s = l.load(0, Channel::DramRead, t(2.0), t(3.0));
         assert_eq!(s.neighbors, 0.0, "stale epoch traffic still charged");
     }
 
     #[test]
     fn channels_are_independent() {
-        let l = BwLedger::new(1, 2, 1e12);
-        l.post(0, 0, t(0.0), t(1.0), 1e9);
-        assert!(l.load(0, 0, t(0.0), t(1.0)).own > 0.0);
-        assert_eq!(l.load(0, 1, t(0.0), t(1.0)).own, 0.0);
+        let l = BwLedger::new(1, 1e12);
+        l.post(0, Channel::DramRead, t(0.0), t(1.0), 1e9);
+        assert!(l.load(0, Channel::DramRead, t(0.0), t(1.0)).own > 0.0);
+        assert_eq!(l.load(0, Channel::DramWrite, t(0.0), t(1.0)).own, 0.0);
     }
 
     #[test]
     fn empty_window_is_zero_load() {
-        let l = BwLedger::new(1, 1, 1e12);
-        l.post(0, 0, t(0.0), t(1.0), 1e9);
-        assert_eq!(l.load(0, 0, t(0.5), t(0.5)), LoadSplit::default());
+        let l = BwLedger::new(1, 1e12);
+        l.post(0, Channel::DramRead, t(0.0), t(1.0), 1e9);
+        assert_eq!(
+            l.load(0, Channel::DramRead, t(0.5), t(0.5)),
+            LoadSplit::default()
+        );
     }
 
     #[test]
     fn fences_retire_dead_flows_but_keep_in_flight_ones() {
-        let l = BwLedger::new(1, 1, 1e12);
-        l.post(0, 0, t(0.0), t(1.0), 1e9); // done before the fence
-        l.post(0, 0, t(0.0), t(10.0), 1e10); // spans the fence
+        let l = BwLedger::new(1, 1e12);
+        l.post(0, Channel::DramRead, t(0.0), t(1.0), 1e9); // done before the fence
+        l.post(0, Channel::DramRead, t(0.0), t(10.0), 1e10); // spans the fence
         l.fence(t(5.0));
         // The spanning flow is still charged at its 1 GB/s rate over
         // [5, 6]; the finished one contributes nothing (and is gone).
-        let s = l.load(0, 0, t(5.0), t(6.0));
+        let s = l.load(0, Channel::DramRead, t(5.0), t(6.0));
         assert!((s.own - 1e9).abs() < 1.0, "{s:?}");
         assert_eq!(l.owners[0].borrow().flows.len(), 1, "dead flow not pruned");
     }
 
     #[test]
     fn each_owner_sees_every_neighbor_but_itself() {
-        let l = BwLedger::new(3, 1, 1e12);
-        l.post(1, 0, t(0.0), t(1.0), 1e9);
-        l.post(2, 0, t(0.0), t(1.0), 3e9);
+        let l = BwLedger::new(3, 1e12);
+        l.post(1, Channel::DramRead, t(0.0), t(1.0), 1e9);
+        l.post(2, Channel::DramRead, t(0.0), t(1.0), 3e9);
         l.fence(t(1.0));
         let rates: Vec<f64> = (0..3)
-            .map(|o| l.load(o, 0, t(1.0), t(2.0)).neighbors)
+            .map(|o| l.load(o, Channel::DramRead, t(1.0), t(2.0)).neighbors)
             .collect();
         assert_eq!(rates, vec![4e9, 3e9, 1e9]);
         // Posts after the fence stay invisible until the next one.
-        l.post(2, 0, t(1.0), t(2.0), 5e9);
-        assert_eq!(l.load(0, 0, t(1.0), t(2.0)).neighbors, 4e9);
+        l.post(2, Channel::DramRead, t(1.0), t(2.0), 5e9);
+        assert_eq!(l.load(0, Channel::DramRead, t(1.0), t(2.0)).neighbors, 4e9);
     }
 
     #[test]
     fn gen_counts_fences() {
-        let l = BwLedger::new(2, 1, 1e12);
+        let l = BwLedger::new(2, 1e12);
         assert_eq!(l.gen(), 0);
         assert_eq!(l.fence(t(1.0)), 1);
         assert_eq!(l.gen(), 1);
@@ -544,31 +472,13 @@ mod tests {
         assert_eq!(Channel::LinkUp.name(), "link-up");
     }
 
-    #[test]
-    fn channel_map_tracks_topology() {
-        let intra = ChannelMap::intra_node();
-        assert_eq!(intra.len(), 4);
-        assert!(intra.contains(Channel::NvmWrite));
-        assert!(!intra.contains(Channel::LinkUp));
-        assert_eq!(intra.channels().len(), 4);
-
-        let cluster = ChannelMap::cluster();
-        assert_eq!(cluster.len(), 6);
-        assert!(cluster.contains(Channel::LinkDown));
-        assert!(!cluster.is_empty());
-
-        assert_eq!(ChannelMap::for_nodes(1), intra);
-        assert_eq!(ChannelMap::for_nodes(2), cluster);
-        assert_eq!(ChannelMap::for_nodes(128), cluster);
-    }
-
     /// What every post and fence so far says a load must read, integrated
     /// naively from the whole history rather than the ledger's pruned,
     /// pre-summed state.
     #[derive(Default)]
     struct History {
         /// Every post, in program order: (owner, channel, start, end, bytes).
-        posts: Vec<(usize, usize, f64, f64, f64)>,
+        posts: Vec<(usize, Channel, f64, f64, f64)>,
         /// Instants of every fence so far, and how many posts preceded each.
         fences: Vec<(f64, usize)>,
     }
@@ -584,7 +494,7 @@ mod tests {
             owners: usize,
             cap: f64,
             owner: usize,
-            ch: usize,
+            ch: Channel,
             w0: f64,
             w1: f64,
         ) -> LoadSplit {
@@ -653,7 +563,7 @@ mod tests {
             let mut rng = crate::DetRng::seed(seed);
             let owners = 1 + rng.index(8);
             let cap = [1e9, 5e9, 1e12][rng.index(3)];
-            let l = BwLedger::with_channels(owners, ChannelMap::cluster(), cap);
+            let l = BwLedger::new(owners, cap);
             let mut h = History::default();
             let mut fenced = 0.0;
             for _ in 0..40 {
@@ -668,7 +578,7 @@ mod tests {
                     }
                     1..=4 => {
                         let owner = rng.index(owners);
-                        let ch = rng.index(6);
+                        let ch = Channel::ALL[rng.index(6)];
                         let start = fenced + rng.range_f64(-1.0, 2.0);
                         let end = if rng.index(4) == 0 {
                             start
@@ -685,14 +595,16 @@ mod tests {
                         let w1 = w0 + [0.0, rng.range_f64(0.0, 3.0)][rng.index(2)];
                         let four: [LoadSplit; 4] = l.loads(owner, t(w0), t(w1));
                         let six: [LoadSplit; 6] = l.loads(owner, t(w0), t(w1));
-                        for ch in 0..6 {
+                        for (i, ch) in Channel::ALL.into_iter().enumerate() {
                             let single = l.load(owner, ch, t(w0), t(w1));
                             let naive = h.load(owners, cap, owner, ch, w0, w1);
-                            let ctx =
-                                format!("seed {seed}, owner {owner}, channel {ch}, [{w0}, {w1}]");
-                            assert_eq!(split_bits(&six[ch]), split_bits(&single), "{ctx}");
-                            if ch < 4 {
-                                assert_eq!(split_bits(&four[ch]), split_bits(&single), "{ctx}");
+                            let ctx = format!(
+                                "seed {seed}, owner {owner}, {} channel, [{w0}, {w1}]",
+                                ch.name()
+                            );
+                            assert_eq!(split_bits(&six[i]), split_bits(&single), "{ctx}");
+                            if i < 4 {
+                                assert_eq!(split_bits(&four[i]), split_bits(&single), "{ctx}");
                             }
                             assert_eq!(split_bits(&single), split_bits(&naive), "{ctx}: naive");
                         }
@@ -700,17 +612,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn typed_post_and_load_hit_the_same_lane_as_untyped() {
-        let l = BwLedger::with_channels(1, ChannelMap::cluster(), 1e12);
-        assert_eq!(l.n_channels(), 6);
-        l.post_named(0, Channel::LinkUp, t(0.0), t(1.0), 1e9);
-        let typed = l.load_named(0, Channel::LinkUp, t(0.0), t(1.0));
-        let untyped = l.load(0, 4, t(0.0), t(1.0));
-        assert_eq!(typed, untyped);
-        assert!(typed.own > 0.0);
-        assert_eq!(l.load_named(0, Channel::LinkDown, t(0.0), t(1.0)).own, 0.0);
     }
 }

@@ -48,10 +48,10 @@ pub mod units;
 pub use crash::{sample_kill_points, CrashSpec};
 pub use hash::{json_digest_hex, Fnv128, Fnv64};
 pub use json::Json;
-pub use ledger::{BwLedger, Channel, ChannelMap, LoadSplit};
+pub use ledger::{BwLedger, Channel, LoadSplit};
 pub use pool::{default_workers, run_pool, with_label};
 pub use rng::DetRng;
-pub use stats::{OnlineStats, Summary};
+pub use stats::OnlineStats;
 pub use time::{VDur, VTime};
 pub use units::{Bandwidth, Bytes, Latency};
 

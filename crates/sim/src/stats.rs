@@ -1,80 +1,34 @@
 //! Streaming statistics.
 //!
-//! [`OnlineStats`] is a Welford accumulator used by the Unimem runtime's
-//! phase-variation detector (the paper re-profiles when a phase's time
-//! deviates more than 10% from its running mean) and by the benchmark
-//! harnesses to summarize repeated runs.
+//! [`OnlineStats`] keeps the running mean the Unimem runtime's
+//! phase-variation detector judges against: the paper re-profiles when a
+//! phase's time deviates more than 10% from its running mean.
 
-/// Welford online mean/variance with min/max tracking.
+/// The running mean of a stream of observations.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     pub fn count(&self) -> u64 {
         self.n
     }
 
+    /// The mean so far; 0 before the first observation.
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (n in the denominator).
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.mean
     }
 
     /// Relative deviation of `x` from the running mean, |x-μ|/μ.
@@ -87,72 +41,6 @@ impl OnlineStats {
             (x - m).abs() / m.abs()
         }
     }
-
-    /// Merge another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count(),
-            mean: self.mean(),
-            stddev: self.stddev(),
-            min: self.min(),
-            max: self.max(),
-        }
-    }
-}
-
-/// Snapshot of an [`OnlineStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub count: u64,
-    pub mean: f64,
-    pub stddev: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-/// Geometric mean of strictly positive values; 0.0 for an empty slice.
-/// The paper reports averages of normalized slowdowns; geometric mean is the
-/// right aggregate for ratios and the harnesses print both.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            debug_assert!(x > 0.0, "geomean requires positive values, got {x}");
-            x.max(f64::MIN_POSITIVE).ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +52,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]
@@ -176,46 +61,8 @@ mod tests {
         for &x in &xs {
             s.push(x);
         }
+        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.summary();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.summary(), before);
-
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.summary(), before);
     }
 
     #[test]
@@ -225,13 +72,5 @@ mod tests {
         s.push(10.0);
         assert!((s.relative_deviation(11.0) - 0.1).abs() < 1e-12);
         assert_eq!(OnlineStats::new().relative_deviation(5.0), 0.0);
-    }
-
-    #[test]
-    fn geomean_and_mean() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(mean(&[]), 0.0);
     }
 }

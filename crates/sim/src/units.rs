@@ -81,12 +81,6 @@ impl Bytes {
     pub fn saturating_sub(self, other: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(other.0))
     }
-
-    /// Number of cache lines covering this many bytes (rounded up).
-    #[inline]
-    pub fn cache_lines(self) -> u64 {
-        self.0.div_ceil(CACHE_LINE.0)
-    }
 }
 
 impl Add for Bytes {
@@ -170,22 +164,11 @@ impl Bandwidth {
         self.0
     }
 
-    #[inline]
-    pub fn as_gb_per_s(self) -> f64 {
-        self.0 / 1e9
-    }
-
     /// Scale, e.g. `dram_bw.scaled(0.5)` for the paper's "½ DRAM bandwidth".
     #[inline]
     pub fn scaled(self, factor: f64) -> Bandwidth {
         debug_assert!(factor > 0.0);
         Bandwidth(self.0 * factor)
-    }
-
-    /// Bytes transferable in `d`.
-    #[inline]
-    pub fn bytes_in(self, d: VDur) -> Bytes {
-        Bytes((self.0 * d.secs()) as u64)
     }
 }
 
@@ -220,21 +203,7 @@ mod tests {
     #[test]
     fn bandwidth_scaling() {
         let half = Bandwidth::gb_per_s(10.0).scaled(0.5);
-        assert!((half.as_gb_per_s() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_lines_round_up() {
-        assert_eq!(Bytes(0).cache_lines(), 0);
-        assert_eq!(Bytes(1).cache_lines(), 1);
-        assert_eq!(Bytes(64).cache_lines(), 1);
-        assert_eq!(Bytes(65).cache_lines(), 2);
-    }
-
-    #[test]
-    fn bytes_in_duration() {
-        let bw = Bandwidth::mb_per_s(100.0);
-        assert_eq!(bw.bytes_in(VDur::from_secs(2.0)).get(), 200_000_000);
+        assert_eq!(half.bytes_per_s(), 5e9);
     }
 
     #[test]

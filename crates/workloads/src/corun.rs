@@ -126,7 +126,7 @@ impl CorunMix {
     }
 
     /// Materialize the member workloads at `class`, paired with their
-    /// slots (the slot order is the arbiter registration order).
+    /// slots (the slot order is the tenant order the arbiter serves).
     pub fn instantiate(&self, class: Class) -> Vec<(CorunMember, Box<dyn Workload>)> {
         self.members
             .iter()

@@ -469,207 +469,64 @@ fn new_policies_replay_byte_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// DRAM arbiter invariants (the multi-tenant broker behind the co-run sweep).
+// DRAM arbitration (the lease split behind the co-run sweep).
 
-use unimem_repro::hms::arbiter::{ArbiterPolicy, DramArbiter, TenantSpec};
+use unimem_repro::hms::arbiter::{split, ArbiterPolicy};
 
-/// Replayable arbiter scenario: a budget, a tenant roster (weights +
-/// reservations scaled to stay feasible), and a mutation script.
-#[derive(Debug, Clone)]
-struct ArbScenario {
-    budget: u64,
-    /// (weight, reservation, initial demand) per tenant.
-    tenants: Vec<(u32, u64, u64)>,
-    /// (tenant index seed, op kind, demand value) per step.
-    ops: Vec<(usize, u8, u64)>,
-}
-
-/// Final expected state per tenant, tracked alongside the broker so the
-/// invariant assertions can see demand/activity without new accessors.
-#[derive(Debug, Clone, Copy)]
-struct Shadow {
-    active: bool,
-    demand: u64,
-    reservation: u64,
-}
-
-/// Build an arbiter and run the scenario to its final state, returning
-/// the broker plus the shadow of every tenant's final demand/activity.
-fn replay(policy: ArbiterPolicy, sc: &ArbScenario) -> (DramArbiter, Vec<Shadow>) {
-    let mut arb = DramArbiter::new(Bytes(sc.budget), policy);
-    let mut ids = Vec::new();
-    let mut shadows = Vec::new();
-    for (i, &(weight, reservation, demand)) in sc.tenants.iter().enumerate() {
-        let id = arb
-            .register(
-                TenantSpec::new(format!("t{i}"))
-                    .weight(weight)
-                    .reservation(Bytes(reservation)),
-            )
-            .expect("scaled reservations always fit");
-        arb.set_demand(id, Bytes(demand));
-        ids.push(id);
-        shadows.push(Shadow {
-            active: true,
-            demand,
-            reservation,
-        });
-    }
-    for &(seed, kind, demand) in &sc.ops {
-        let i = seed % ids.len();
-        let t = ids[i];
-        match kind % 4 {
-            0 => {
-                arb.set_demand(t, Bytes(demand));
-                shadows[i].demand = demand;
-            }
-            1 => {
-                arb.deactivate(t);
-                shadows[i].active = false;
-                shadows[i].demand = 0; // deactivate clears the demand
-            }
-            2 => {
-                // Re-activation always fits: deactivate only shrinks the
-                // active reservation sum below the feasible roster total.
-                arb.activate(t).expect("roster reservations fit");
-                shadows[i].active = true;
-            }
-            _ => {
-                arb.rebalance();
-            }
-        }
-    }
-    arb.rebalance();
-    (arb, shadows)
-}
-
-/// A scenario of 1–7 tenants and up to 23 mutations.
-fn arb_scenario(rng: &mut DetRng) -> ArbScenario {
-    let budget = 1_000 + rng.index(999_000) as u64;
-    let mut tenants: Vec<(u32, u64, u64)> = (0..1 + rng.index(7))
-        .map(|_| {
-            (
-                1 + rng.index(7) as u32,
-                rng.index(1_000) as u64,
-                rng.index(2_000_000) as u64,
-            )
-        })
-        .collect();
-    let ops = (0..rng.index(24))
-        .map(|_| {
-            (
-                rng.index(8),
-                rng.index(4) as u8,
-                rng.index(2_000_000) as u64,
-            )
-        })
-        .collect();
-    // Scale reservations so the roster is always feasible: the raw
-    // values are shares of half the budget.
-    let total: u64 = tenants.iter().map(|t| t.1).sum::<u64>().max(1);
-    for t in &mut tenants {
-        t.1 = t.1 * (budget / 2) / total;
-    }
-    ArbScenario {
-        budget,
-        tenants,
-        ops,
-    }
-}
-
-/// Safety: whatever the mutation history, granted leases never exceed
-/// the global budget, no tenant exceeds its demand, active tenants get at
-/// least min(reservation, demand) (feasible by construction: roster
-/// reservations sum to ≤ budget/2), and inactive tenants hold nothing.
+/// Work conservation: under every policy no lease exceeds its demand, and
+/// the leases sum to exactly min(budget, Σ demand), so the budget is
+/// never overcommitted and never idles while a tenant wants more. Each
+/// case draws 1–7 tenants of weight 1–7; a quarter of them ask for
+/// nothing, and the rest ask for up to 8/3 of an equal share of the
+/// budget, so the mean total ask is about the budget and about half the
+/// cases contend.
 #[test]
-fn arbiter_grants_never_exceed_budget() {
-    // Cases that check an active tenant, and cases that check an
-    // inactive one.
-    let (mut active, mut inactive) = (0, 0);
-    for_seeds("arbiter_grants_never_exceed_budget", 96, |rng| {
-        let sc = arb_scenario(rng);
-        let policy = ArbiterPolicy::ALL[rng.index(3)];
-        let (mut arb, shadows) = replay(policy, &sc);
-        assert!(
-            arb.granted_total() <= Bytes(sc.budget),
-            "{}: granted {} over budget {}",
-            policy.name(),
-            arb.granted_total(),
-            sc.budget
-        );
-        active += u32::from(shadows.iter().any(|sh| sh.active));
-        inactive += u32::from(shadows.iter().any(|sh| !sh.active));
-        for (i, sh) in shadows.iter().enumerate() {
-            let t = unimem_repro::hms::arbiter::TenantId(i as u32);
-            let g = arb.grant(t).get();
-            if sh.active {
+fn split_conserves_work_within_demands() {
+    let (mut contended, mut uncontended) = (0, 0);
+    for_seeds("split_conserves_work_within_demands", 96, |rng| {
+        let budget = 1_000 + rng.index(999_000) as u64;
+        let n = 1 + rng.index(7);
+        let cap = 8 * budget / (3 * n as u64);
+        let asks: Vec<(u32, Bytes)> = (0..n)
+            .map(|_| {
+                let weight = 1 + rng.index(7) as u32;
+                let demand = if rng.index(4) == 0 {
+                    0
+                } else {
+                    1 + rng.index(cap as usize) as u64
+                };
+                (weight, Bytes(demand))
+            })
+            .collect();
+        let wanted: u64 = asks.iter().map(|&(_, demand)| demand.get()).sum();
+        if wanted > budget {
+            contended += 1;
+        } else {
+            uncontended += 1;
+        }
+        for policy in ArbiterPolicy::ALL {
+            let leases = split(Bytes(budget), policy, &asks).expect("weights are at least 1");
+            assert_eq!(leases.len(), n);
+            for (i, (&lease, &(_, demand))) in leases.iter().zip(&asks).enumerate() {
                 assert!(
-                    g <= sh.demand,
-                    "{}: tenant {i} granted {g} over demand {}",
-                    policy.name(),
-                    sh.demand
-                );
-                let floor = sh.reservation.min(sh.demand);
-                assert!(
-                    g >= floor,
-                    "{}: tenant {i} granted {g} below floor {floor}",
+                    lease <= demand,
+                    "{}: tenant {i} leased {lease} over its demand {demand}",
                     policy.name()
                 );
-            } else {
-                assert_eq!(g, 0, "inactive tenant {i} holds a lease");
             }
+            let total: u64 = leases.iter().map(|lease| lease.get()).sum();
+            assert_eq!(
+                total,
+                budget.min(wanted),
+                "{}: leases sum to {total} of budget {budget}, asked {wanted}",
+                policy.name()
+            );
         }
-        assert!(arb.rebalance().is_empty());
     });
     assert!(
-        active >= 44 && inactive >= 30,
-        "of 96 cases, {active} check an active and {inactive} an inactive tenant"
+        contended >= 26 && uncontended >= 22,
+        "of 96 cases, {contended} contend and {uncontended} do not"
     );
-}
-
-/// Revocation converges: a rebalance immediately after a rebalance moves
-/// nothing (grants are a pure function of broker state), under every
-/// policy and after any mutation history — including budget shrinks,
-/// the revocation trigger.
-#[test]
-fn arbiter_revocation_converges() {
-    for_seeds("arbiter_revocation_converges", 96, |rng| {
-        let sc = arb_scenario(rng);
-        let policy = ArbiterPolicy::ALL[rng.index(3)];
-        let shrink_num = 1 + rng.index(99) as u64;
-        let (mut arb, _) = replay(policy, &sc);
-        // Shrink toward the reservation floor (never below: the broker
-        // refuses to break reservations silently).
-        let reserved: u64 = sc.budget / 2; // roster max by construction
-        let target = reserved + (sc.budget - reserved) * shrink_num / 100;
-        arb.set_budget(Bytes(target))
-            .expect("target ≥ roster reservations");
-        arb.rebalance();
-        assert!(arb.granted_total() <= Bytes(target));
-        assert!(
-            arb.rebalance().is_empty(),
-            "rebalance after rebalance moved leases"
-        );
-        assert!(arb.rebalance().is_empty());
-    });
-}
-
-/// Determinism: replaying the same scenario on a fresh broker yields
-/// bit-identical grants, under every policy (the sweep's co-run cells
-/// inherit byte-identical reports from this).
-#[test]
-fn arbiter_replay_is_deterministic() {
-    for_seeds("arbiter_replay_is_deterministic", 96, |rng| {
-        let sc = arb_scenario(rng);
-        let policy = ArbiterPolicy::ALL[rng.index(3)];
-        let (a, _) = replay(policy, &sc);
-        let (b, _) = replay(policy, &sc);
-        for i in 0..a.len() {
-            let t = unimem_repro::hms::arbiter::TenantId(i as u32);
-            assert_eq!(a.grant(t), b.grant(t), "tenant {i} diverged");
-        }
-        assert_eq!(a.granted_total(), b.granted_total());
-    });
 }
 
 // ---------------------------------------------------------------------------
