@@ -120,11 +120,6 @@ impl SweepCache {
         &self.dir
     }
 
-    /// The active key salt.
-    pub fn salt(&self) -> &str {
-        &self.salt
-    }
-
     /// Key for one single-tenant cell. `ranks_per_node` is the *row*
     /// layout (clustered rooms derive their real packing from the
     /// topology, so the row value identifies the configuration).

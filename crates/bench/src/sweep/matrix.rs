@@ -101,7 +101,7 @@ impl NvmProfile {
 
 /// Cluster-topology axis: how the machine room a cell runs in is laid
 /// out. The default, [`TopologySpec::Flat`], is the paper's world — one
-/// node class, single-level collectives, node packing governed by the
+/// kind of node, single-level collectives, node packing governed by the
 /// `ranks_per_node` axis — and reproduces the historical report bytes.
 /// The other variants route the cell through
 /// `unimem::exec::run_workload_clustered`: explicit nodes, hierarchical

@@ -17,7 +17,7 @@
 //!   node's tier bandwidth and copy path, exercising the shared-bandwidth
 //!   contention model (Fig. 12-style scaling),
 //! * machine rooms: an optional cluster-topology axis
-//!   ([`matrix::TopologySpec`], `--topology` on the CLI) re-runs
+//!   ([`matrix::TopologySpec`], `--topologies` on the CLI) re-runs
 //!   one-rank-per-node rows in simulated multi-node or heterogeneous
 //!   rooms through `unimem::exec::run_workload_clustered` — two-level
 //!   collectives, inter-node traffic on the contended link channels,

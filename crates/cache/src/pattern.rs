@@ -5,7 +5,7 @@
 //! sensitive to memory bandwidth, while a data object with ... dependent
 //! memory accesses (e.g., pointer-chasing) is sensitive to memory latency."
 //! [`AccessPattern`] encodes exactly that taxonomy; its `mlp()` (memory-level
-//! parallelism) feeds the ground-truth roofline in `unimem-hms`.
+//! parallelism) feeds the ground-truth roofline in `unimem_hms`.
 
 use unimem_hms::object::ObjId;
 use unimem_hms::tier::AccessMix;

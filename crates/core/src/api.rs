@@ -9,7 +9,7 @@
 //! | `unimem_free` | free target data objects |
 //!
 //! This is the *real-memory* embodiment the `quickstart` example runs:
-//! objects live in the two accounted pools of `unimem-hms`, migration
+//! objects live in the two accounted pools of `unimem_hms`, migration
 //! goes through the real helper thread and its FIFO queue, and pointer
 //! fix-up is the handle swap under the object's lock. Hardware miss
 //! sampling is not available to a plain user-space process, so this mode
@@ -49,7 +49,6 @@ pub struct Unimem {
     objects: Mutex<HashMap<String, Arc<RealObject>>>,
     touches: Mutex<HashMap<String, u64>>,
     pending: Mutex<Vec<Ticket>>,
-    in_loop: Mutex<bool>,
     migrations: Mutex<u64>,
 }
 
@@ -62,7 +61,6 @@ impl Unimem {
             objects: Mutex::new(HashMap::new()),
             touches: Mutex::new(HashMap::new()),
             pending: Mutex::new(Vec::new()),
-            in_loop: Mutex::new(false),
             migrations: Mutex::new(0),
         }
     }
@@ -85,10 +83,10 @@ impl Unimem {
         self.touches().remove(name);
     }
 
-    /// `unimem_start`: the main computation loop begins.
-    pub fn start(&self) {
-        *self.in_loop.lock().expect("loop flag poisoned") = true;
-    }
+    /// `unimem_start`: the main computation loop begins. Real mode keeps
+    /// no loop state: placement is decided at [`Unimem::end_iteration`],
+    /// so this is Table 2's marker and nothing more.
+    pub fn start(&self) {}
 
     /// Software access accounting (stands in for the hardware counters the
     /// simulation path models; see module docs).
@@ -150,7 +148,6 @@ impl Unimem {
 
     /// `unimem_end`: the loop finished; returns (migrations, DRAM bytes).
     pub fn end(&self) -> (u64, Bytes) {
-        *self.in_loop.lock().expect("loop flag poisoned") = false;
         self.quiesce();
         (
             *self.migrations.lock().expect("migration count poisoned"),

@@ -56,7 +56,7 @@ use crate::comm::{collective_timing, CollectiveKind, NetParams, PhaseId};
 use crate::policy::{RankInit, RankState, StepEnv, TierView};
 use crate::search::SearchKind;
 use crate::stats::RunStats;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use unimem_cache::{CacheModel, MissEstimate, ObjAccess};
 use unimem_hms::contention::{BwClient, FlowScope, SharedBandwidth, TierLoads};
 use unimem_hms::journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ObsUnit, Record};
@@ -65,7 +65,6 @@ use unimem_hms::tier::{AccessMix, TierKind, TierParams};
 use unimem_hms::topology::{ClusterTopology, LINK_BW};
 use unimem_hms::{DramService, MachineConfig};
 use unimem_perf::sampler::GroundTruth;
-use unimem_perf::Calibration;
 use unimem_sim::{Bytes, Channel, VDur, VTime};
 
 pub use crate::policy::{Policy, UnimemConfig};
@@ -479,8 +478,6 @@ struct Run<'a> {
     policy: &'a Policy,
     service: DramService,
     bw: SharedBandwidth,
-    /// Offline calibrations by (node class, occupancy).
-    cals: HashMap<(usize, usize), Calibration>,
 }
 
 /// The executor: build one [`RankTask`] per rank, then run
@@ -505,31 +502,6 @@ pub(crate) fn run(
         "a moving DRAM lease requires a placement-managing policy ({} cannot evict)",
         policy.label()
     );
-    // Offline calibration happens once per platform, outside the job. It
-    // runs against one rank's *share* of its node — the bandwidth the
-    // sampled phases actually see — so Eq. 1's peak comparisons stay
-    // like-for-like under multi-rank nodes. Distinct (node class,
-    // occupancy) pairs see distinct shares, so calibrate once per pair
-    // and let each rank pick its node's entry. The call goes through the
-    // process-wide memo ([`crate::calib`]), so a sweep running many
-    // cells on the same platforms calibrates each one once per process,
-    // not once per cell.
-    let mut cals = HashMap::new();
-    if let Some((sampler, seed)) = policy.sampler_calibration() {
-        for n in 0..room.n_nodes() {
-            let occ = room.occupancy(n);
-            if occ == 0 {
-                continue;
-            }
-            cals.entry((room.class_of_node(n), occ)).or_insert_with(|| {
-                let machine = &room.node(n).machine;
-                let mut share = machine.clone();
-                share.dram = machine.rank_share(TierKind::Dram, occ);
-                share.nvm = machine.rank_share(TierKind::Nvm, occ);
-                crate::calib::calibrate_memoized(&share, cache, sampler, seed)
-            });
-        }
-    }
     let run = Run {
         spec,
         workload,
@@ -540,7 +512,6 @@ pub(crate) fn run(
         // tier's node bandwidth, and helper copies are posted here so
         // overlapping compute pays for them.
         bw: SharedBandwidth::from_topology(room),
-        cals,
     };
 
     // Build every rank's task (registration, partitioning, initial
@@ -787,7 +758,7 @@ impl<'a> RankTask<'a> {
             service: &run.service,
             client: &client,
             lease: &run.spec.leases[rank],
-            cals: &run.cals,
+            cache: run.cache,
             journal: journal.clone(),
             rank,
         });
@@ -1610,12 +1581,14 @@ fn halo_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calib::memo_holds;
     use crate::policy::PolicyId;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use unimem_cache::AccessPattern;
     use unimem_hms::object::{ObjId, UnitSet};
     use unimem_hms::topology::{ClusterSpec, NodeSpec};
+    use unimem_perf::SamplerConfig;
     use unimem_sim::DetRng;
 
     /// Two-object synthetic workload: a streaming-hot `hot` and a cold
@@ -2182,6 +2155,58 @@ mod tests {
                 "{} replay diverged",
                 policy.label()
             );
+        }
+    }
+
+    /// Each Unimem rank calibrates Eq. 1 against its own share of its
+    /// node, under the policy's sampler, and no other policy calibrates.
+    /// The machines sit ulps away from any other test's, so whatever the
+    /// memo holds for them this test put there.
+    #[test]
+    fn each_unimem_rank_calibrates_its_own_share() {
+        let c = CacheModel::platform_a();
+        let default = SamplerConfig::default();
+        let tuned = SamplerConfig {
+            event_period: 100,
+            ..default
+        };
+        let held = |m: &MachineConfig, occ: usize, sampler: SamplerConfig| {
+            let [dram, nvm] = [TierKind::Dram, TierKind::Nvm].map(|t| m.rank_share(t, occ));
+            memo_holds(&dram, &nvm, &c, sampler, 0x5eed)
+        };
+        let pcram = MachineConfig::technology(unimem_hms::profiles::table1_pcram(), "pcram");
+        let [a, b, other] = [(machine(), 7_001), (pcram, 7_002), (machine(), 7_003)].map(
+            |(mut m, ulps): (MachineConfig, u64)| {
+                m.nvm.write_lat.0 = f64::from_bits(m.nvm.write_lat.0.to_bits() + ulps);
+                m
+            },
+        );
+        // Two ranks on node 0, one on node 1.
+        let room =
+            ClusterTopology::contiguous(ClusterSpec::mixed(vec![a.clone(), b.clone()], 2), 3);
+        let unimem = Policy::Unimem(UnimemConfig {
+            sampler: tuned,
+            ..UnimemConfig::default()
+        });
+        run_workload_clustered(&Synth { iters: 2 }, &room, &c, &unimem);
+        for (m, occ) in [(&a, 2), (&b, 1)] {
+            assert!(held(m, occ, tuned), "{}: share not calibrated", m.label);
+            assert!(!held(m, occ, default), "{}: default sampler", m.label);
+        }
+        for policy in [
+            Policy::DramOnly,
+            Policy::NvmOnly,
+            Policy::Static {
+                in_dram: vec!["hot".to_string()],
+                label: "pin hot".to_string(),
+            },
+            Policy::online_guidance(),
+            Policy::hw_cache(),
+        ] {
+            run_workload(&Synth { iters: 2 }, &other, &c, 2, &policy);
+            for sampler in [default, tuned] {
+                assert!(!held(&other, 1, sampler), "{} calibrated", policy.label());
+            }
         }
     }
 

@@ -46,12 +46,11 @@ use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::exec::{CapacitySchedule, RankTime, StepSpec};
 use crate::search::SearchKind;
-use std::collections::HashMap;
+use unimem_cache::CacheModel;
 use unimem_hms::contention::BwClient;
 use unimem_hms::object::{ObjectRegistry, UnitSet};
 use unimem_hms::{DramService, MachineConfig, MigrationStats};
 use unimem_perf::sampler::GroundTruth;
-use unimem_perf::{Calibration, SamplerConfig};
 use unimem_sim::VDur;
 
 pub use unimem::UnimemConfig;
@@ -171,16 +170,6 @@ impl Policy {
         matches!(self, Policy::Unimem(_) | Policy::OnlineGuidance)
     }
 
-    /// When `Some`, the driver runs the offline sampler calibration once
-    /// per distinct node occupancy (with the returned config and seed)
-    /// and passes the results to [`Policy::init_rank`].
-    pub fn sampler_calibration(&self) -> Option<(SamplerConfig, u64)> {
-        match self {
-            Policy::Unimem(cfg) => Some((cfg.sampler, unimem::SEED)),
-            _ => None,
-        }
-    }
-
     /// Build one rank's placement state (initial placement included).
     pub fn init_rank(&self, init: RankInit<'_>) -> Box<dyn RankState> {
         match self {
@@ -207,14 +196,9 @@ pub struct RankInit<'a> {
     pub client: &'a BwClient,
     /// The per-iteration node DRAM lease.
     pub lease: &'a CapacitySchedule,
-    /// Offline calibrations, keyed by `(node hardware class, node
-    /// occupancy)` — under a heterogeneous topology each node class has
-    /// its own tier parameters, so Eq. 1's peak comparison must be
-    /// calibrated against the share a rank of *that* class actually sees.
-    /// Empty unless the policy requested them via
-    /// [`Policy::sampler_calibration`]. A rank's class is
-    /// [`BwClient::node_class`].
-    pub cals: &'a HashMap<(usize, usize), Calibration>,
+    /// The run's cache model. Unimem calibrates Eq. 1 against it and the
+    /// rank's share of [`RankInit::machine`] ([`crate::calib`]).
+    pub cache: &'a CacheModel,
     /// The rank's crash-consistency redo journal, when journaling is on.
     /// Policies that own a [`unimem_hms::MigrationEngine`] must attach it
     /// (`engine.with_journal(...)`) so migration intents are journaled
@@ -342,37 +326,6 @@ mod tests {
         assert!(Policy::online_guidance().supports_moving_lease());
         for p in [Policy::DramOnly, Policy::NvmOnly, Policy::hw_cache()] {
             assert!(!p.supports_moving_lease(), "{}", p.label());
-        }
-    }
-
-    #[test]
-    fn only_unimem_requests_calibration() {
-        // Every report byte of a Unimem run depends on this seed.
-        assert_eq!(
-            Policy::unimem().sampler_calibration(),
-            Some((SamplerConfig::default(), 0x5eed))
-        );
-        let sampler = SamplerConfig {
-            event_period: 100,
-            ..SamplerConfig::default()
-        };
-        let tuned = Policy::Unimem(UnimemConfig {
-            sampler,
-            ..UnimemConfig::default()
-        });
-        assert_eq!(tuned.sampler_calibration(), Some((sampler, 0x5eed)));
-        let pins = Policy::Static {
-            in_dram: vec!["lhs".to_string()],
-            label: "pin lhs".to_string(),
-        };
-        for p in [
-            Policy::DramOnly,
-            Policy::NvmOnly,
-            pins,
-            Policy::online_guidance(),
-            Policy::hw_cache(),
-        ] {
-            assert_eq!(p.sampler_calibration(), None, "{}", p.label());
         }
     }
 }

@@ -5,6 +5,7 @@
 
 use super::{build_refs, RankInit, RankState, StepEnv, TierView};
 use crate::adapt::VariationMonitor;
+use crate::calib::calibrate_memoized;
 use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::enforce::Enforcer;
@@ -39,8 +40,8 @@ pub struct UnimemConfig {
     pub sampler: SamplerConfig,
 }
 
-/// Seed for the sampler's deterministic thinning.
-pub(super) const SEED: u64 = 0x5eed;
+/// Seed for the sampler's deterministic thinning and its calibration.
+const SEED: u64 = 0x5eed;
 /// Cost charged per placement decision (model + knapsack solve).
 const MODELING_COST: VDur = VDur::from_micros(120.0);
 /// Cost charged per phase boundary (helper-queue status check).
@@ -95,6 +96,12 @@ pub(super) fn init_rank(cfg: &UnimemConfig, init: RankInit<'_>) -> Box<dyn RankS
     // write-asymmetric technologies).
     let machine = init.machine;
     let occ = init.client.occupancy();
+    let dram_share = machine.rank_share(TierKind::Dram, occ);
+    let nvm_share = machine.rank_share(TierKind::Nvm, occ);
+    // Offline calibration (§3.1.2) probes the same share, the bandwidth
+    // the sampled phases see, so Eq. 1's peak comparisons stay
+    // like-for-like; the memo runs it once per distinct share.
+    let cal = calibrate_memoized(&dram_share, &nvm_share, init.cache, cfg.sampler, SEED);
     let rho = init.client.copy_rate().bytes_per_s();
     let pressure = |read_pool: unimem_sim::Bandwidth, write_pool: unimem_sim::Bandwidth| {
         if machine.helper_contention {
@@ -103,19 +110,11 @@ pub(super) fn init_rank(cfg: &UnimemConfig, init: RankInit<'_>) -> Box<dyn RankS
             0.0
         }
     };
-    let model = ModelParams::new(
-        machine.rank_share(TierKind::Dram, occ),
-        machine.rank_share(TierKind::Nvm, occ),
-        init.client.copy_rate(),
-        *init
-            .cals
-            .get(&(init.client.node_class(), occ))
-            .expect("calibration computed per (node class, occupancy) for Unimem runs"),
-    )
-    .with_contention_penalties(
-        pressure(machine.nvm.read_bw, machine.dram.write_bw),
-        pressure(machine.dram.read_bw, machine.nvm.write_bw),
-    );
+    let model = ModelParams::new(dram_share, nvm_share, init.client.copy_rate(), cal)
+        .with_contention_penalties(
+            pressure(machine.nvm.read_bw, machine.dram.write_bw),
+            pressure(machine.dram.read_bw, machine.nvm.write_bw),
+        );
     let mut committed = UnitSet::new();
     let mut grants = UnitMap::new();
     if cfg.initial_placement {

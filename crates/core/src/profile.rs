@@ -81,11 +81,6 @@ impl IterationProfile {
         self.phases.is_empty()
     }
 
-    /// Total profiled iteration time.
-    pub fn total_time(&self) -> VDur {
-        self.phases.values().map(|r| r.time).sum()
-    }
-
     pub fn clear(&mut self) {
         self.phases.clear();
     }
@@ -113,14 +108,6 @@ mod tests {
         let r = rec(&[(0, 100), (1, 50)], 1.0);
         assert_eq!(r.recorded(unit(0)), 100);
         assert_eq!(r.recorded(unit(2)), 0);
-    }
-
-    #[test]
-    fn total_time_sums_phases() {
-        let mut ip = IterationProfile::new();
-        ip.insert(PhaseId(0), rec(&[], 1.5));
-        ip.insert(PhaseId(1), rec(&[], 2.5));
-        assert!((ip.total_time().millis() - 4.0).abs() < 1e-9);
     }
 
     #[test]

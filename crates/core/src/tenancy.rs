@@ -125,6 +125,7 @@ pub fn run_corun(
     nranks: usize,
     policy: ArbiterPolicy,
 ) -> Result<Vec<TenantOutcome>, String> {
+    check_mix(tenants)?;
     let solos: Vec<RunReport> = tenants
         .iter()
         .map(|t| run_workload(t.workload, machine, cache, nranks, &Policy::unimem()))
@@ -145,23 +146,13 @@ pub fn run_corun_with_solos(
     policy: ArbiterPolicy,
     solos: &[RunReport],
 ) -> Result<Vec<TenantOutcome>, String> {
-    if tenants.is_empty() {
-        return Err("co-run needs at least one tenant".into());
-    }
+    check_mix(tenants)?;
     if solos.len() != tenants.len() {
         return Err(format!(
             "{} solo baselines for {} tenants",
             solos.len(),
             tenants.len()
         ));
-    }
-    for (i, t) in tenants.iter().enumerate() {
-        if tenants[..i].iter().any(|u| u.name == t.name) {
-            return Err(format!("duplicate tenant name: {}", t.name));
-        }
-        if t.weight == 0 {
-            return Err(format!("tenant {}: weight must be >= 1", t.name));
-        }
     }
     let budget = machine.dram_capacity;
     let rpn = machine.ranks_per_node as u64;
@@ -237,6 +228,24 @@ pub fn run_corun_with_solos(
     Ok(outcomes)
 }
 
+/// Reject an empty mix, a duplicate tenant name or a zero weight: the
+/// errors no run is needed to find, so [`run_corun`] checks them before
+/// its solo baselines.
+fn check_mix(tenants: &[CorunTenant<'_>]) -> Result<(), String> {
+    if tenants.is_empty() {
+        return Err("co-run needs at least one tenant".into());
+    }
+    for (i, t) in tenants.iter().enumerate() {
+        if tenants[..i].iter().any(|u| u.name == t.name) {
+            return Err(format!("duplicate tenant name: {}", t.name));
+        }
+        if t.weight == 0 {
+            return Err(format!("tenant {}: weight must be >= 1", t.name));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +300,32 @@ mod tests {
         }
     }
 
+    /// A workload that must never run: a mix the checks reject has to
+    /// fail before any tenant's solo baseline.
+    struct Unrunnable;
+
+    impl Workload for Unrunnable {
+        fn name(&self) -> String {
+            "unrunnable".into()
+        }
+
+        fn objects(&self, _rank: usize, _nranks: usize) -> Vec<ObjectSpec> {
+            panic!("a rejected mix ran a workload")
+        }
+
+        fn script_epoch(&self, _iter: usize) -> usize {
+            0
+        }
+
+        fn script(&self, _rank: usize, _nranks: usize, _epoch: usize) -> Vec<StepSpec> {
+            panic!("a rejected mix ran a workload")
+        }
+
+        fn iterations(&self) -> usize {
+            1
+        }
+    }
+
     fn machine() -> MachineConfig {
         // Node DRAM fits one tenant's hot object, not two.
         MachineConfig::nvm_bw_fraction(0.5).with_dram_capacity(Bytes::mib(128))
@@ -305,12 +340,12 @@ mod tests {
 
     #[test]
     fn zero_weight_is_an_error_naming_the_tenant() {
-        let (wa, wb) = (Synth { tag: "a", iters: 2 }, Synth { tag: "b", iters: 2 });
+        let wa = Synth { tag: "a", iters: 2 };
         let m = machine();
         let c = CacheModel::platform_a();
         let mix = [
             CorunTenant::new("a", &wa),
-            CorunTenant::new("idle", &wb).weight(0),
+            CorunTenant::new("idle", &Unrunnable).weight(0),
         ];
         for policy in ArbiterPolicy::ALL {
             let err = run_corun(&mix, &m, &c, 1, policy).unwrap_err();
@@ -320,10 +355,13 @@ mod tests {
 
     #[test]
     fn duplicate_tenant_name_is_an_error() {
-        let (wa, wb) = (Synth { tag: "a", iters: 2 }, Synth { tag: "b", iters: 2 });
+        let wa = Synth { tag: "a", iters: 2 };
         let m = machine();
         let c = CacheModel::platform_a();
-        let mix = [CorunTenant::new("twin", &wa), CorunTenant::new("twin", &wb)];
+        let mix = [
+            CorunTenant::new("twin", &wa),
+            CorunTenant::new("twin", &Unrunnable),
+        ];
         let err = run_corun(&mix, &m, &c, 1, ArbiterPolicy::FairShare).unwrap_err();
         assert_eq!(err, "duplicate tenant name: twin");
     }

@@ -91,8 +91,6 @@ struct Node {
     /// This node's tier parameters (per-node: heterogeneous rooms differ).
     dram: TierParams,
     nvm: TierParams,
-    /// Machine-equivalence class (calibration key component).
-    class: usize,
     /// Whether helper traffic on this node draws from the shared pools.
     helper_contention: bool,
 }
@@ -116,8 +114,8 @@ pub struct SharedBandwidth {
 
 impl SharedBandwidth {
     /// Per-node ledgers for an explicit (possibly heterogeneous) machine
-    /// room. Every node gets its own tier parameters, copy path and
-    /// machine class from its [`crate::topology::NodeSpec`].
+    /// room. Every node gets its own tier parameters and copy path from
+    /// its [`crate::topology::NodeSpec`].
     pub fn from_topology(topo: &ClusterTopology) -> SharedBandwidth {
         let nranks = topo.nranks();
         assert!(nranks >= 1);
@@ -135,7 +133,6 @@ impl SharedBandwidth {
                     copy_rate,
                     dram: machine.dram,
                     nvm: machine.nvm,
-                    class: topo.class_of_node(n),
                     helper_contention: machine.helper_contention,
                 }
             })
@@ -209,12 +206,6 @@ impl BwClient {
     /// fairly among the node's helpers.
     pub fn copy_rate(&self) -> Bandwidth {
         self.node().copy_rate
-    }
-
-    /// Machine-equivalence class of this rank's node (heterogeneous
-    /// rooms have several; the calibration table is keyed on it).
-    pub fn node_class(&self) -> usize {
-        self.node().class
     }
 
     /// Fences passed so far — the epoch the placement journal stamps on
@@ -501,7 +492,6 @@ mod tests {
             .effective(TierKind::Nvm, VTime::ZERO, VTime(1.0), FlowScope::None);
         assert_eq!(on_stt, stt.nvm);
         assert_eq!(on_pcm, pcm.nvm);
-        assert_ne!(s.client(0).node_class(), s.client(1).node_class());
     }
 
     #[test]

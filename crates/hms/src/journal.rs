@@ -547,10 +547,6 @@ impl Journal {
         Rc::new(RefCell::new(self))
     }
 
-    pub fn mode(&self) -> DurabilityMode {
-        self.mode
-    }
-
     /// Next record sequence number (observation/communication stream).
     pub fn next_seq(&mut self) -> u64 {
         let s = self.next_seq;

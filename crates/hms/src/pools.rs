@@ -180,11 +180,6 @@ impl Ticket {
         cv.notify_all();
     }
 
-    /// Non-blocking status check (the per-phase queue poll of §3.3).
-    pub fn is_done(&self) -> bool {
-        self.state.0.lock().expect("ticket poisoned").is_some()
-    }
-
     /// Block until the migration finished; returns whether it succeeded.
     pub fn wait(&self) -> bool {
         let (lock, cv) = &*self.state;
@@ -207,7 +202,7 @@ enum Request {
 /// The real helper thread with its FIFO queue.
 pub struct HelperThread {
     tx: Sender<Request>,
-    handle: Option<JoinHandle<u64>>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl HelperThread {
@@ -216,20 +211,10 @@ impl HelperThread {
         let handle = std::thread::Builder::new()
             .name("unimem-helper".into())
             .spawn(move || {
-                let mut completed: u64 = 0;
-                while let Ok(req) = rx.recv() {
-                    match req {
-                        Request::Migrate { obj, to, ticket } => {
-                            let ok = obj.migrate_sync(to);
-                            if ok {
-                                completed += 1;
-                            }
-                            ticket.complete(ok);
-                        }
-                        Request::Shutdown => break,
-                    }
+                // Until `Shutdown` or a closed queue.
+                while let Ok(Request::Migrate { obj, to, ticket }) = rx.recv() {
+                    ticket.complete(obj.migrate_sync(to));
                 }
-                completed
             })
             .expect("spawn helper thread");
         HelperThread {
@@ -249,16 +234,6 @@ impl HelperThread {
             })
             .expect("helper thread alive");
         ticket
-    }
-
-    /// Stop the helper and return how many migrations it completed.
-    pub fn shutdown(mut self) -> u64 {
-        let _ = self.tx.send(Request::Shutdown);
-        self.handle
-            .take()
-            .expect("not yet joined")
-            .join()
-            .expect("helper thread panicked")
     }
 }
 
@@ -375,18 +350,6 @@ mod tests {
         for o in &objs {
             assert_eq!(o.tier(), TierKind::Dram);
         }
-        assert_eq!(helper.shutdown(), 8);
-    }
-
-    #[test]
-    fn main_thread_can_poll_queue_status() {
-        let hms = RealHms::new(Bytes::mib(1));
-        let helper = HelperThread::spawn();
-        let o = hms.alloc("o", Bytes::kib(256), TierKind::Nvm).unwrap();
-        let t = helper.migrate(Arc::clone(&o), TierKind::Dram);
-        // Eventually done; is_done is a non-blocking poll.
-        assert!(t.wait());
-        assert!(t.is_done());
     }
 
     #[test]

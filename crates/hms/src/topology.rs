@@ -16,8 +16,7 @@
 //! Everything here is an immutable value computed before any rank runs,
 //! so placement is trivially deterministic; the shared-bandwidth model
 //! ([`crate::contention`]) and the DRAM service consume per-node specs
-//! from it, and the executor prices collectives and keys the
-//! per-node calibrations on the same assignment.
+//! from it, and the executor prices collectives on the same assignment.
 
 use crate::profiles::MachineConfig;
 use unimem_sim::{Bandwidth, VDur};
@@ -92,10 +91,6 @@ pub struct ClusterTopology {
     spec: ClusterSpec,
     /// `node_of[r]` = node of rank `r`. Dense rank ids, immutable.
     node_of: Vec<usize>,
-    /// `classes[n]` = equivalence class of node `n`: nodes with equal
-    /// `MachineConfig`s share a class, so per-machine work (Eq. 1
-    /// calibration) runs once per class, not once per node.
-    classes: Vec<usize>,
 }
 
 impl ClusterTopology {
@@ -117,7 +112,7 @@ impl ClusterTopology {
                 node_of.push(n);
             }
         }
-        ClusterTopology::finish(spec, node_of)
+        ClusterTopology { spec, node_of }
     }
 
     /// The legacy single-profile layout: `machine.ranks_per_node` ranks
@@ -133,32 +128,6 @@ impl ClusterTopology {
             ClusterSpec::homogeneous(machine.clone(), n_nodes, rpn),
             nranks,
         )
-    }
-
-    fn finish(spec: ClusterSpec, node_of: Vec<usize>) -> ClusterTopology {
-        // Class = index of the first node with an equal machine.
-        let mut reps: Vec<&MachineConfig> = Vec::new();
-        let classes = spec
-            .nodes
-            .iter()
-            .map(|n| {
-                if let Some(c) = reps.iter().position(|m| **m == n.machine) {
-                    c
-                } else {
-                    reps.push(&n.machine);
-                    reps.len() - 1
-                }
-            })
-            .collect();
-        ClusterTopology {
-            spec,
-            node_of,
-            classes,
-        }
-    }
-
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
     }
 
     pub fn nranks(&self) -> usize {
@@ -193,11 +162,6 @@ impl ClusterTopology {
     pub fn occupancy(&self, n: usize) -> usize {
         self.node_of.iter().filter(|&&x| x == n).count()
     }
-
-    /// Machine-equivalence class of node `n` (see `classes`).
-    pub fn class_of_node(&self, n: usize) -> usize {
-        self.classes[n]
-    }
 }
 
 #[cfg(test)]
@@ -223,20 +187,13 @@ mod tests {
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.occupancy(0), 4);
         assert_eq!(t.occupancy(1), 2);
-        assert_eq!(
-            t.class_of_node(1),
-            t.class_of_node(0),
-            "identical nodes share a class"
-        );
     }
 
     #[test]
-    fn mixed_rooms_get_distinct_classes() {
+    fn mixed_rooms_give_each_rank_its_nodes_machine() {
         let spec = ClusterSpec::mixed(vec![fast(), slow(), fast()], 2);
         let t = ClusterTopology::contiguous(spec, 6);
-        let classes: Vec<usize> = (0..3).map(|n| t.class_of_node(n)).collect();
-        assert_eq!(classes, [0, 1, 0]);
-        assert_eq!(t.class_of_node(t.node_of(0)), t.class_of_node(t.node_of(5)));
+        assert_eq!(t.machine_of(0), t.machine_of(5));
         assert_ne!(t.machine_of(0).nvm, t.machine_of(2).nvm);
     }
 

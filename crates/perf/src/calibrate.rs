@@ -17,8 +17,7 @@ use crate::eq1::eq1_bandwidth;
 use crate::sampler::{GroundTruth, Sampler, SamplerConfig};
 use unimem_cache::{AccessPattern, CacheModel, ObjAccess};
 use unimem_hms::object::{ObjId, UnitId};
-use unimem_hms::profiles::MachineConfig;
-use unimem_hms::tier::{AccessMix, TierKind};
+use unimem_hms::tier::{AccessMix, TierParams};
 use unimem_sim::Bytes;
 
 /// Platform constants produced by offline calibration.
@@ -61,19 +60,15 @@ fn pchase_descriptor() -> ObjAccess {
 }
 
 /// Run one calibration micro-benchmark on `tier`, returning
-/// (measured time, recorded accesses, windows_hit, windows, phase time).
+/// (measured time, recorded accesses, windows_hit, windows).
 fn run_micro(
-    machine: &MachineConfig,
+    tier: &TierParams,
     cache: &CacheModel,
     sampler: &mut Sampler,
     acc: &ObjAccess,
-    tier: TierKind,
 ) -> (unimem_sim::VDur, u64, u64, u64) {
     let est = cache.misses(acc, acc.touched);
-    let mem_time =
-        machine
-            .tier(tier)
-            .access_time(est.misses, est.miss_bytes, acc.pattern.mlp(), acc.mix);
+    let mem_time = tier.access_time(est.misses, est.miss_bytes, acc.pattern.mlp(), acc.mix);
     // The micro-benchmarks are pure memory loops: phase time = memory time.
     let profile = sampler.sample_phase(
         mem_time,
@@ -88,9 +83,12 @@ fn run_micro(
     (mem_time, s.recorded, s.windows_hit, profile.windows)
 }
 
-/// Perform the offline calibration for a machine configuration.
+/// Perform the offline calibration for a platform's two tiers: `dram`
+/// and `nvm` are the tier parameters the sampled phases will see (a
+/// rank's share of its node, under multi-rank nodes).
 pub fn calibrate(
-    machine: &MachineConfig,
+    dram: &TierParams,
+    nvm: &TierParams,
     cache: &CacheModel,
     cfg: SamplerConfig,
     seed: u64,
@@ -99,9 +97,8 @@ pub fn calibrate(
 
     // CF_bw: STREAM on DRAM.
     let stream = stream_descriptor();
-    let (measured, recorded, _, _) =
-        run_micro(machine, cache, &mut sampler, &stream, TierKind::Dram);
-    let predicted = Bytes(recorded * 64) / machine.dram.bandwidth(stream.mix);
+    let (measured, recorded, _, _) = run_micro(dram, cache, &mut sampler, &stream);
+    let predicted = Bytes(recorded * 64) / dram.bandwidth(stream.mix);
     let cf_bw = if predicted.is_zero() {
         1.0
     } else {
@@ -110,9 +107,8 @@ pub fn calibrate(
 
     // CF_lat: pointer chase on DRAM (single thread, no concurrency).
     let chase = pchase_descriptor();
-    let (measured_l, recorded_l, _, _) =
-        run_micro(machine, cache, &mut sampler, &chase, TierKind::Dram);
-    let predicted_l = machine.dram.latency(chase.mix) * recorded_l as f64;
+    let (measured_l, recorded_l, _, _) = run_micro(dram, cache, &mut sampler, &chase);
+    let predicted_l = dram.latency(chase.mix) * recorded_l as f64;
     let cf_lat = if predicted_l.is_zero() {
         1.0
     } else {
@@ -120,8 +116,7 @@ pub fn calibrate(
     };
 
     // BW_peak: STREAM on NVM, evaluated through Eq. 1.
-    let (t_nvm, rec_nvm, hit_nvm, win_nvm) =
-        run_micro(machine, cache, &mut sampler, &stream, TierKind::Nvm);
+    let (t_nvm, rec_nvm, hit_nvm, win_nvm) = run_micro(nvm, cache, &mut sampler, &stream);
     let bw_peak_sampled = eq1_bandwidth(rec_nvm, hit_nvm, win_nvm, t_nvm);
 
     Calibration {
@@ -134,6 +129,7 @@ pub fn calibrate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unimem_hms::profiles::MachineConfig;
 
     fn setup() -> (MachineConfig, CacheModel) {
         (
@@ -145,7 +141,7 @@ mod tests {
     #[test]
     fn cf_factors_absorb_sampling_period() {
         let (m, c) = setup();
-        let cal = calibrate(&m, &c, SamplerConfig::default(), 42);
+        let cal = calibrate(&m.dram, &m.nvm, &c, SamplerConfig::default(), 42);
         // Event period 1000 → counts undercount ×1000 → CF ≈ 1000 up to
         // model error (mix blending, MLP) within a factor of a few.
         assert!(
@@ -163,7 +159,7 @@ mod tests {
     #[test]
     fn bw_peak_is_sampled_scale() {
         let (m, c) = setup();
-        let cal = calibrate(&m, &c, SamplerConfig::default(), 42);
+        let cal = calibrate(&m.dram, &m.nvm, &c, SamplerConfig::default(), 42);
         let physical_nvm_bw = m.nvm.read_bw.bytes_per_s();
         // Sampled peak ≈ physical / event_period (harmonic-mix corrections
         // aside): strictly below physical, well above physical/10^5.
@@ -174,27 +170,19 @@ mod tests {
     #[test]
     fn calibration_is_deterministic() {
         let (m, c) = setup();
-        let a = calibrate(&m, &c, SamplerConfig::default(), 7);
-        let b = calibrate(&m, &c, SamplerConfig::default(), 7);
+        let a = calibrate(&m.dram, &m.nvm, &c, SamplerConfig::default(), 7);
+        let b = calibrate(&m.dram, &m.nvm, &c, SamplerConfig::default(), 7);
         assert_eq!(a, b);
     }
 
     #[test]
     fn latency_config_shifts_peak_little_bw_config_halves_it() {
         let c = CacheModel::platform_a();
-        let base = calibrate(
-            &MachineConfig::nvm_bw_fraction(1.0),
-            &c,
-            SamplerConfig::default(),
-            9,
-        );
-        let half = calibrate(
-            &MachineConfig::nvm_bw_fraction(0.5),
-            &c,
-            SamplerConfig::default(),
-            9,
-        );
-        let ratio = half.bw_peak_sampled / base.bw_peak_sampled;
+        let peak = |fraction| {
+            let m = MachineConfig::nvm_bw_fraction(fraction);
+            calibrate(&m.dram, &m.nvm, &c, SamplerConfig::default(), 9).bw_peak_sampled
+        };
+        let ratio = peak(0.5) / peak(1.0);
         assert!((ratio - 0.5).abs() < 0.05, "ratio={ratio}");
     }
 }

@@ -54,11 +54,6 @@ pub fn stencil(obj: u32, bytes: u64, sweeps: f64, reuse: u64) -> ObjAccess {
     .with_mix(AccessMix::new(0.7))
 }
 
-/// Uniform random references.
-pub fn random(obj: u32, bytes: u64, accesses: u64) -> ObjAccess {
-    ObjAccess::new(ObjId(obj), accesses, Bytes(bytes), AccessPattern::Random)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,7 +79,6 @@ mod tests {
             stencil(1, 64, 1.0, 8).pattern,
             AccessPattern::Stencil { .. }
         ));
-        assert!(matches!(random(1, 64, 10).pattern, AccessPattern::Random));
     }
 
     #[test]
