@@ -145,15 +145,6 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
     /// Per-tenant co-run cells (empty when the config has no mixes).
     pub corun_cells: Vec<CorunCell>,
-    /// The worker-pool width the sweep actually executed on. Run-time
-    /// metadata only: it is **never serialized** (the report bytes are a
-    /// pure function of the matrix, byte-identical for every worker
-    /// count), but callers can surface it —
-    /// [`crate::sweep::default_workers`] is the host's available
-    /// parallelism, which on a 1-CPU host silently serializes the whole
-    /// matrix, and before this field nothing recorded that it had
-    /// happened.
-    pub effective_workers: usize,
     /// How many cache lookups hit ([`run_sweep_cached`] with a cache; 0
     /// otherwise). Run-time metadata only, never serialized — the cache
     /// is invisible in the report bytes by contract.
@@ -216,18 +207,10 @@ impl SweepReport {
             config,
             cells,
             corun_cells,
-            effective_workers: 1,
             cache_hits: 0,
             cache_lookups: 0,
             index,
         }
-    }
-
-    /// Record the worker-pool width the sweep ran on (in-memory metadata;
-    /// see [`SweepReport::effective_workers`]).
-    pub fn with_workers(mut self, n_workers: usize) -> SweepReport {
-        self.effective_workers = n_workers.max(1);
-        self
     }
 
     /// Record the cache outcome (in-memory metadata; see
@@ -294,10 +277,9 @@ impl SweepReport {
 /// `n_workers = 1` runs every cell in order on the calling thread; any
 /// count produces byte-identical reports. Callers without a preference
 /// pass [`crate::sweep::default_workers`], the host's available
-/// parallelism. On a 1-CPU host that is 1 and the matrix runs serially;
-/// the width actually used is recorded in
-/// [`SweepReport::effective_workers`] so callers can see (and report)
-/// that, instead of assuming the pool fanned out.
+/// parallelism. On a 1-CPU host that is 1 and the matrix runs serially.
+/// The report records no worker count: the pool runs at most one worker
+/// per job, and the bytes are the same at every width.
 ///
 /// With a [`SweepCache`], finished cells load instead of recomputing,
 /// misses run on the pool and are written back, and the assembled
@@ -672,9 +654,7 @@ pub fn run_sweep_cached(
         .flat_map(|g| g.expect("every co-run group either hit the cache or ran"))
         .collect();
 
-    Ok(SweepReport::new(cfg, cells, corun_cells)
-        .with_workers(n_workers)
-        .with_cache_stats(hits, lookups))
+    Ok(SweepReport::new(cfg, cells, corun_cells).with_cache_stats(hits, lookups))
 }
 
 /// Normalize a cell's run time against its row's DRAM-only baseline,
@@ -909,21 +889,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_workers_is_recorded_but_never_serialized() {
+    fn worker_count_never_reaches_the_report_bytes() {
         let cfg = micro();
         let serial = run_sweep_cached(&cfg, 1, None).unwrap();
         let wide = run_sweep_cached(&cfg, 8, None).unwrap();
-        // The report remembers the width it ran on (the footgun: the
-        // default width on a 1-CPU host silently serialized with no trace)…
-        assert_eq!(serial.effective_workers, 1);
-        assert_eq!(wide.effective_workers, 8);
-        assert_eq!(
-            run_sweep_cached(&cfg, default_workers(), None)
-                .unwrap()
-                .effective_workers,
-            default_workers().max(1)
-        );
-        // …but the serialized bytes stay a pure function of the matrix.
+        // The serialized bytes are a pure function of the matrix.
         let (a, b) = (serial.to_json().to_string(), wide.to_json().to_string());
         assert_eq!(a, b, "worker count must not leak into the report bytes");
         assert!(!a.contains("workers"), "no workers key in the JSON");

@@ -39,19 +39,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Fully-associative variant (used to sanity-check set conflicts).
-    pub fn fully_associative(size: Bytes, line: Bytes) -> SetAssocCache {
-        let ways = (size.get() / line.get()).max(1) as usize;
-        SetAssocCache {
-            sets: vec![Vec::with_capacity(ways)],
-            assoc: ways,
-            line_shift: line.get().trailing_zeros(),
-            set_mask: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Reference byte address `addr`; returns true on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let tag = addr >> self.line_shift;
@@ -177,10 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn fully_associative_has_no_conflict_misses() {
-        // Stride-128 pattern conflicts in a 2-set cache but fits FA.
+    fn one_set_cache_has_no_conflict_misses() {
+        // Stride-128 pattern conflicts in a 2-set cache but fits a fully
+        // associative (FA) one: a single set of 256 / 64 = 4 ways.
         let mut sa = SetAssocCache::new(Bytes(256), Bytes(64), 2);
-        let mut fa = SetAssocCache::fully_associative(Bytes(256), Bytes(64));
+        let mut fa = SetAssocCache::new(Bytes(256), Bytes(64), 4);
         let addrs: Vec<u64> = (0..4).map(|i| i * 128).collect();
         for _ in 0..10 {
             for &a in &addrs {

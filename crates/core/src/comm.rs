@@ -40,8 +40,8 @@ pub enum CollectiveKind {
 /// Interconnect parameters, with standard LogP-flavoured costs: a
 /// point-to-point message of `n` bytes takes `alpha + n/beta`; a
 /// collective over `p` ranks costs `ceil(log2 p) · alpha` plus a size
-/// term depending on its shape. The defaults are a modest FDR-class
-/// cluster network (only relative magnitudes matter for the figures).
+/// term depending on its shape. [`NetParams::NODE`] prices traffic inside
+/// a node, [`NetParams::LINK`] traffic between nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetParams {
     /// Per-message latency.
@@ -55,17 +55,15 @@ pub struct NetParams {
 /// Software overhead per call, on the intra-node fabric and the link.
 const OVERHEAD: VDur = VDur::from_nanos(400.0);
 
-impl Default for NetParams {
-    fn default() -> NetParams {
-        NetParams {
-            alpha: VDur::from_micros(2.0),
-            beta: Bandwidth::gb_per_s(5.0),
-            overhead: OVERHEAD,
-        }
-    }
-}
-
 impl NetParams {
+    /// The intra-node fabric, a modest FDR-class network (only relative
+    /// magnitudes matter for the figures).
+    pub const NODE: NetParams = NetParams {
+        alpha: VDur::from_micros(2.0),
+        beta: Bandwidth::gb_per_s(5.0),
+        overhead: OVERHEAD,
+    };
+
     /// The inter-node link of every machine room, with the default
     /// software overhead.
     pub const LINK: NetParams = NetParams {
@@ -129,9 +127,9 @@ pub struct HierTiming {
 /// rank), in `room` or, for `None`, in the flat world.
 ///
 /// * **Flat (no room, or every rank on one node):** `leave = max(clocks)
-///   + net.collective_time(kind, nranks, bytes)`.
+///   + NODE.collective_time(kind, nranks, bytes)`.
 /// * **Multi-node:** each node finishes its intra-node phase at
-///   `max(clocks on node) + net.collective_time(kind, ranks on node,
+///   `max(clocks on node) + NODE.collective_time(kind, ranks on node,
 ///   bytes)` (a node with one rank has no intra phase); the inter-node
 ///   phase starts when the slowest node is ready (`t_meet`) and costs
 ///   the room link's `collective_time(kind, occupied nodes, bytes)`
@@ -145,12 +143,11 @@ pub fn collective_timing(
     clocks: &[VTime],
     kind: CollectiveKind,
     bytes: Bytes,
-    net: &NetParams,
     room: Option<&ClusterTopology>,
 ) -> HierTiming {
     let flat = || {
         let max_clock = clocks.iter().fold(VTime::ZERO, |acc, &c| acc.max(c));
-        let leave = max_clock + net.collective_time(kind, clocks.len(), bytes);
+        let leave = max_clock + NetParams::NODE.collective_time(kind, clocks.len(), bytes);
         HierTiming {
             t_meet: leave,
             inter: VDur::ZERO,
@@ -179,7 +176,7 @@ pub fn collective_timing(
     let mut t_meet = VTime::ZERO;
     for &(node_max, ranks, _) in &nodes {
         let t_leader = if ranks > 1 {
-            node_max + net.collective_time(kind, ranks, bytes)
+            node_max + NetParams::NODE.collective_time(kind, ranks, bytes)
         } else {
             node_max
         };
@@ -212,7 +209,7 @@ mod tests {
 
     #[test]
     fn p2p_cost_has_latency_and_bandwidth_terms() {
-        let n = NetParams::default();
+        let n = NetParams::NODE;
         let small = n.p2p_time(Bytes(8));
         let big = n.p2p_time(Bytes::mib(10));
         assert!(small.secs() >= n.alpha.secs());
@@ -222,7 +219,7 @@ mod tests {
 
     #[test]
     fn collective_scales_logarithmically() {
-        let n = NetParams::default();
+        let n = NetParams::NODE;
         let b4 = n.collective_time(CollectiveKind::Barrier, 4, Bytes::ZERO);
         let b16 = n.collective_time(CollectiveKind::Barrier, 16, Bytes::ZERO);
         assert!((b16.secs() / b4.secs() - 2.0).abs() < 1e-9); // log 16 / log 4
@@ -230,7 +227,7 @@ mod tests {
 
     #[test]
     fn allreduce_costs_more_than_bcast() {
-        let n = NetParams::default();
+        let n = NetParams::NODE;
         let bytes = Bytes::kib(64);
         assert!(
             n.collective_time(CollectiveKind::Allreduce, 8, bytes)
@@ -240,7 +237,7 @@ mod tests {
 
     #[test]
     fn alltoall_grows_with_ranks() {
-        let n = NetParams::default();
+        let n = NetParams::NODE;
         let bytes = Bytes::mib(1);
         let a4 = n.collective_time(CollectiveKind::Alltoall, 4, bytes);
         let a8 = n.collective_time(CollectiveKind::Alltoall, 8, bytes);
@@ -249,19 +246,19 @@ mod tests {
 
     #[test]
     fn single_rank_collective_is_cheap_but_positive() {
-        let n = NetParams::default();
+        let n = NetParams::NODE;
         let t = n.collective_time(CollectiveKind::Barrier, 1, Bytes::ZERO);
         assert!(t > VDur::ZERO);
     }
 
     #[test]
     fn flat_timing_matches_legacy_formula() {
-        let net = NetParams::default();
         let clocks = [t(1.0), t(3.0), t(2.0), t(0.5)];
-        let expect = t(3.0) + net.collective_time(CollectiveKind::Allreduce, 4, Bytes(1024));
+        let expect =
+            t(3.0) + NetParams::NODE.collective_time(CollectiveKind::Allreduce, 4, Bytes(1024));
         // The flat world, and a room whose ranks all share one node.
         for room in [None, Some(&room(2, 4, 4))] {
-            let ht = collective_timing(&clocks, CollectiveKind::Allreduce, Bytes(1024), &net, room);
+            let ht = collective_timing(&clocks, CollectiveKind::Allreduce, Bytes(1024), room);
             assert_eq!(ht.leave, expect);
             assert_eq!(ht.t_meet, expect);
             assert!(ht.inter.is_zero());
@@ -271,18 +268,11 @@ mod tests {
 
     #[test]
     fn two_level_timing_decomposes() {
-        let net = NetParams::default();
         let clocks = [t(1.0), t(2.0), t(4.0), t(3.0)];
         let room = room(2, 2, 4);
-        let ht = collective_timing(
-            &clocks,
-            CollectiveKind::Barrier,
-            Bytes(0),
-            &net,
-            Some(&room),
-        );
+        let ht = collective_timing(&clocks, CollectiveKind::Barrier, Bytes(0), Some(&room));
         // Node 0 leader ready at 2.0 + intra(2), node 1 at 4.0 + intra(2).
-        let intra_dur = net.collective_time(CollectiveKind::Barrier, 2, Bytes(0));
+        let intra_dur = NetParams::NODE.collective_time(CollectiveKind::Barrier, 2, Bytes(0));
         assert_eq!(ht.t_meet, t(4.0) + intra_dur);
         assert_eq!(
             ht.inter,
@@ -294,17 +284,10 @@ mod tests {
 
     #[test]
     fn lone_rank_nodes_skip_the_intra_phase() {
-        let net = NetParams::default();
         let clocks = [t(1.0), t(2.0)];
         // Three one-slot nodes, the last left empty: it takes no part.
         let room = room(3, 1, 2);
-        let ht = collective_timing(
-            &clocks,
-            CollectiveKind::Allreduce,
-            Bytes(64),
-            &net,
-            Some(&room),
-        );
+        let ht = collective_timing(&clocks, CollectiveKind::Allreduce, Bytes(64), Some(&room));
         assert_eq!(ht.t_meet, t(2.0), "no intra phase on 1-rank nodes");
         assert_eq!(
             ht.inter,

@@ -59,12 +59,13 @@ use crate::stats::RunStats;
 use std::collections::VecDeque;
 use unimem_cache::{CacheModel, MissEstimate, ObjAccess};
 use unimem_hms::contention::{BwClient, FlowScope, SharedBandwidth, TierLoads};
-use unimem_hms::journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ObsUnit, Record};
-use unimem_hms::object::{ObjectRegistry, ObjectSpec, UnitId};
+use unimem_hms::journal::{
+    DurabilityMode, Journal, JournalHandle, JournalStats, ObservedPhase, Record,
+};
+use unimem_hms::object::{GroundTruth, ObjectRegistry, ObjectSpec, UnitId};
 use unimem_hms::tier::{AccessMix, TierKind, TierParams};
 use unimem_hms::topology::{ClusterTopology, LINK_BW};
 use unimem_hms::{DramService, MachineConfig};
-use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, Channel, VDur, VTime};
 
 pub use crate::policy::{Policy, UnimemConfig};
@@ -398,35 +399,19 @@ impl RunSpec {
 /// points — so the journaled durations are only verified, never
 /// substituted.
 pub(crate) struct RankOracle {
-    observes: VecDeque<(VDur, Vec<GroundTruth>, PhaseContention)>,
+    observes: VecDeque<ObservedPhase>,
     comms: VecDeque<f64>,
     consumed: u64,
     comm_mismatches: u64,
 }
 
 impl RankOracle {
-    /// `observes`: per compute phase in journal order — `(phase_time,
-    /// truths, (contention_total, contention_neighbors))`. `comms`:
-    /// journaled comm durations in seconds, in order.
-    pub(crate) fn new(
-        observes: Vec<(VDur, Vec<GroundTruth>, (f64, f64))>,
-        comms: Vec<f64>,
-    ) -> RankOracle {
+    /// A replayed journal's compute observations and comm durations (in
+    /// seconds), each in journal order.
+    pub(crate) fn new(observes: Vec<ObservedPhase>, comms: Vec<f64>) -> RankOracle {
         RankOracle {
-            observes: observes
-                .into_iter()
-                .map(|(t, g, (total, neighbors))| {
-                    (
-                        t,
-                        g,
-                        PhaseContention {
-                            total: VDur(total),
-                            neighbors: VDur(neighbors),
-                        },
-                    )
-                })
-                .collect(),
-            comms: comms.into_iter().collect(),
+            observes: observes.into(),
+            comms: comms.into(),
             consumed: 0,
             comm_mismatches: 0,
         }
@@ -441,12 +426,16 @@ impl RankOracle {
         registry: &ObjectRegistry,
     ) -> Option<(VDur, Vec<GroundTruth>, PhaseContention)> {
         let obs = self.observes.pop_front()?;
-        if !obs.1.iter().all(|g| registry.has_unit(g.unit)) {
+        if !obs.units.iter().all(|g| registry.has_unit(g.unit)) {
             self.observes.clear();
             return None;
         }
         self.consumed += 1;
-        Some(obs)
+        let contention = PhaseContention {
+            total: VDur(obs.cont_total),
+            neighbors: VDur(obs.cont_neighbors),
+        };
+        Some((VDur(obs.time), obs.units, contention))
     }
 
     /// Bitwise-compare a live comm duration against the journaled one;
@@ -765,8 +754,7 @@ impl<'a> RankTask<'a> {
 
         // Journal the run identity, the object table (with its final
         // chunking — the policy may have partitioned), and the initial
-        // DRAM residency, so recovery can rebuild the placement state
-        // machine from the log alone.
+        // DRAM residency, ahead of any migration intent that moves them.
         if let Some(j) = &journal {
             let t0 = VTime::ZERO;
             let mut jm = j.borrow_mut();
@@ -910,16 +898,7 @@ impl<'a> RankTask<'a> {
                                         time: phase_time.secs(),
                                         cont_total: contention.total.secs(),
                                         cont_neighbors: contention.neighbors.secs(),
-                                        units: truths
-                                            .iter()
-                                            .map(|g| ObsUnit {
-                                                obj: g.unit.obj.0,
-                                                chunk: g.unit.chunk,
-                                                misses: g.misses,
-                                                miss_bytes: g.miss_bytes.get(),
-                                                mem_time: g.mem_time.secs(),
-                                            })
-                                            .collect(),
+                                        units: truths.clone(),
                                     },
                                     self.time.now(),
                                 );
@@ -1457,7 +1436,7 @@ fn resolve_comm(tasks: &mut [RankTask], run: &Run) {
         "collective steps must agree across ranks"
     );
     let clocks: Vec<VTime> = tasks.iter().map(|t| t.time.now()).collect();
-    let timing = collective_timing(&clocks, kind, bytes, &NetParams::default(), room);
+    let timing = collective_timing(&clocks, kind, bytes, room);
     let leave = if timing.inter.is_zero() {
         // Flat (or a zero-cost inter phase): the legacy single-level
         // rendezvous, bit for bit.
@@ -1538,7 +1517,7 @@ fn halo_timing(
     room: Option<&ClusterTopology>,
 ) -> (Vec<VTime>, Vec<LinkFlow>) {
     let n = halos.len();
-    let net = NetParams::default();
+    let net = NetParams::NODE;
     // Send pass: each send's arrival lands at its sender's offset plus
     // its list position; `leave` holds each rank's clock after its sends.
     let mut leave = Vec::with_capacity(n);
@@ -1922,7 +1901,7 @@ mod tests {
         halos: &[(VTime, &[usize], Bytes)],
         room: Option<&ClusterTopology>,
     ) -> (Vec<VTime>, Vec<LinkFlow>) {
-        let net = NetParams::default();
+        let net = NetParams::NODE;
         let mut avail: HashMap<(usize, usize), VecDeque<VTime>> = HashMap::new();
         let mut after_sends = Vec::new();
         let mut link_posts = Vec::new();

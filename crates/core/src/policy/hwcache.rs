@@ -29,9 +29,8 @@
 use super::{RankInit, RankState, StepEnv, TierView};
 use crate::comm::PhaseId;
 use unimem_hms::contention::BwClient;
-use unimem_hms::object::UnitSet;
+use unimem_hms::object::{GroundTruth, UnitSet};
 use unimem_hms::tier::TierKind;
-use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, VDur, VTime};
 
 /// Set associativity of the DRAM cache (the conflict-miss discount is

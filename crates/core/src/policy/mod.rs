@@ -48,9 +48,8 @@ use crate::exec::{CapacitySchedule, RankTime, StepSpec};
 use crate::search::SearchKind;
 use unimem_cache::CacheModel;
 use unimem_hms::contention::BwClient;
-use unimem_hms::object::{ObjectRegistry, UnitSet};
+use unimem_hms::object::{GroundTruth, ObjectRegistry, UnitSet};
 use unimem_hms::{DramService, MachineConfig, MigrationStats};
-use unimem_perf::sampler::GroundTruth;
 use unimem_sim::VDur;
 
 pub use unimem::UnimemConfig;

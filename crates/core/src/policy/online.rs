@@ -19,10 +19,9 @@ use crate::comm::PhaseId;
 use crate::deps::PhaseRefTable;
 use crate::exec::{Cause, StepSpec};
 use crate::search::SearchKind;
-use unimem_hms::object::{UnitId, UnitMap, UnitSet};
+use unimem_hms::object::{GroundTruth, UnitId, UnitMap, UnitSet};
 use unimem_hms::tier::TierKind;
 use unimem_hms::{MigrationEngine, MigrationStats};
-use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, DetRng, VDur};
 
 /// Per-miss sampling probability of the hotness profiler.

@@ -15,10 +15,9 @@ use crate::model::ModelParams;
 use crate::partition::partition_large_objects;
 use crate::profile::{IterationProfile, PhaseRecord};
 use crate::search::{best_plan, SearchInput, SearchKind};
-use unimem_hms::object::{UnitMap, UnitSet};
+use unimem_hms::object::{GroundTruth, UnitMap, UnitSet};
 use unimem_hms::tier::TierKind;
 use unimem_hms::{MigrationEngine, MigrationStats};
-use unimem_perf::sampler::GroundTruth;
 use unimem_perf::{Sampler, SamplerConfig};
 use unimem_sim::{Bytes, VDur};
 

@@ -6,8 +6,12 @@
 //! migration intents and requirement stalls, compute observations, comm
 //! durations — committed at MPI-fence epochs. Because the simulator is
 //! deterministic, a crash at virtual time `T` leaves exactly the durable
-//! prefix the chosen [`DurabilityMode`] guarantees by `T`; recovery
-//! replays that prefix into a [`ReplayedState`], then *re-runs* the
+//! prefix the chosen [`DurabilityMode`] guarantees by `T`. Recovery
+//! rebuilds no placement from that prefix, because the re-run recomputes
+//! it: [`ReplayedState::replay`] reads back only the compute
+//! observations, the comm durations, the record count and the last
+//! commit. The placement records stay in the log for the write-ahead
+//! rule and the flush cost they charge. Recovery then *re-runs* the
 //! workload with each rank's journaled compute observations substituted
 //! for the ground-truth model (an oracle). Replayed work skips the
 //! expensive modeling; once a rank's log runs out — the crash point —
@@ -26,10 +30,8 @@ use crate::exec::{
 };
 use unimem_cache::CacheModel;
 use unimem_hms::journal::{durable_prefix, DurabilityMode, JournalStats, ReplayedState};
-use unimem_hms::object::{ObjId, UnitId};
 use unimem_hms::tier::TierKind;
 use unimem_hms::MachineConfig;
-use unimem_perf::sampler::GroundTruth;
 use unimem_sim::{Bytes, CrashSpec, Json, VDur, VTime};
 
 /// CPU cost modeled per journal record during replay (decode + apply).
@@ -59,7 +61,7 @@ pub struct JournaledRun {
 pub struct ReplaySummary {
     /// Durable journal bytes surviving the crash (torn tail included).
     pub durable_bytes: u64,
-    /// Records reconstructed by replay.
+    /// Records replayed ([`ReplayedState::records`]).
     pub records: u64,
     /// Torn trailing bytes detected and discarded by the frame parser.
     pub torn_bytes_discarded: u64,
@@ -158,36 +160,6 @@ impl CrashOutcome {
     }
 }
 
-/// Turn a replayed per-rank state into the oracle the execution driver
-/// consumes: compute observations in journal-sequence order, comm
-/// durations likewise.
-fn oracle_from(st: &ReplayedState) -> RankOracle {
-    let observes = st
-        .observes
-        .values()
-        .map(|o| {
-            (
-                VDur(o.time),
-                o.units
-                    .iter()
-                    .map(|u| GroundTruth {
-                        unit: UnitId {
-                            obj: ObjId(u.obj),
-                            chunk: u.chunk,
-                        },
-                        misses: u.misses,
-                        miss_bytes: Bytes(u.miss_bytes),
-                        mem_time: VDur(u.mem_time),
-                    })
-                    .collect(),
-                (o.cont_total, o.cont_neighbors),
-            )
-        })
-        .collect();
-    let comms = st.comms.values().map(|&(_, dt)| dt).collect();
-    RankOracle::new(observes, comms)
-}
-
 impl RecoverySetup<'_> {
     /// Run the job journaled in `mode`, replaying `oracles` (one per
     /// rank, or none): the report and every rank's journal.
@@ -216,20 +188,31 @@ impl RecoverySetup<'_> {
     }
 
     /// Recover from per-rank durable journal prefixes: replay each into
-    /// a [`ReplayedState`], build oracles, and re-run to completion.
+    /// a [`ReplayedState`], hand its observations and comm durations to
+    /// the rank's oracle, and re-run to completion.
     pub fn recover(&self, mode: DurabilityMode, durable: &[Vec<u8>]) -> RecoveredRun {
         assert_eq!(durable.len(), self.nranks, "one durable journal per rank");
-        let states: Vec<ReplayedState> = durable.iter().map(|b| ReplayedState::replay(b)).collect();
-        let (report, outs) = self.run_with(mode, states.iter().map(oracle_from).collect());
+        let mut states: Vec<ReplayedState> =
+            durable.iter().map(|b| ReplayedState::replay(b)).collect();
+        let oracles = states
+            .iter_mut()
+            .map(|st| {
+                RankOracle::new(
+                    std::mem::take(&mut st.observes),
+                    std::mem::take(&mut st.comms),
+                )
+            })
+            .collect();
+        let (report, outs) = self.run_with(mode, oracles);
         let mut journals = Vec::with_capacity(self.nranks);
         let mut summaries = Vec::with_capacity(self.nranks);
         for (out, (st, bytes)) in outs.into_iter().zip(states.iter().zip(durable)) {
             summaries.push(ReplaySummary {
                 durable_bytes: bytes.len() as u64,
-                records: st.records() as u64,
+                records: st.records as u64,
                 torn_bytes_discarded: st.torn_bytes_discarded as u64,
                 last_at: st.last_at,
-                last_commit: st.last_commit().map(|(g, _)| g),
+                last_commit: st.last_commit.map(|(g, _)| g),
                 replayed_observes: out.replayed_observes,
                 comm_mismatches: out.comm_mismatches,
             });

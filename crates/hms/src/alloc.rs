@@ -136,11 +136,6 @@ impl SpaceAllocator {
             }
         }
     }
-
-    /// Number of free runs (fragmentation indicator, used by tests).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +146,6 @@ mod tests {
     fn fresh_allocator_is_one_run() {
         let a = SpaceAllocator::new(Bytes(1000));
         assert_eq!(a.available(), Bytes(1000));
-        assert_eq!(a.fragments(), 1);
         assert_eq!(a.largest_free_run(), Bytes(1000));
     }
 
@@ -162,7 +156,6 @@ mod tests {
         assert_eq!(a.allocated(), Bytes(300));
         a.free(r);
         assert_eq!(a.allocated(), Bytes(0));
-        assert_eq!(a.fragments(), 1);
         assert_eq!(a.largest_free_run(), Bytes(1000));
     }
 
@@ -198,7 +191,7 @@ mod tests {
         assert!(a.alloc(Bytes(50)).is_none());
         a.free(r2);
         // Now 75 contiguous at the front (r4 still allocated at the back).
-        assert_eq!(a.fragments(), 1);
+        assert_eq!(a.largest_free_run(), Bytes(75));
         assert!(a.alloc(Bytes(75)).is_some());
     }
 

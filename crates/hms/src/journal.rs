@@ -7,8 +7,10 @@
 //! DRAM residency, every migration *intent* (appended before the copy is
 //! scheduled), phase observations, and epoch commit marks riding the MPI
 //! fences the bandwidth ledger already defines. Recovery
-//! (`unimem::recovery`) replays the durable prefix to the last
-//! consistent placement and resumes from there.
+//! (`unimem::recovery`) re-runs the deterministic job and reads back
+//! only what [`ReplayedState::replay`] keeps: the observations, the comm
+//! durations, the record count and the last commit. The placement
+//! records stay in the log for the write-ahead rule and its flush cost.
 //!
 //! ## Durability modes
 //!
@@ -44,9 +46,9 @@
 //! a prefix, which is what [`durable_prefix`] computes per mode.
 
 use crate::contention::BwClient;
+use crate::object::{GroundTruth, ObjId, UnitId};
 use crate::tier::TierKind;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use unimem_sim::{Bandwidth, Bytes, CrashSpec, Fnv64, VDur, VTime};
 
@@ -87,21 +89,10 @@ impl DurabilityMode {
     }
 }
 
-/// Per-unit sampler input of one observed compute phase, as raw numbers
-/// (the journal deliberately does not depend on `unimem_perf`; the
-/// recovery layer converts to and from `GroundTruth`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsUnit {
-    pub obj: u32,
-    pub chunk: u16,
-    pub misses: u64,
-    pub miss_bytes: u64,
-    pub mem_time: f64,
-}
-
-/// One journal record. Everything needed to reconstruct the placement
-/// state machine — and, for observations, to replay the run itself
-/// without recomputing ground truth.
+/// One journal record. The placement records (`ObjectReg`, `InitPlace`,
+/// `MigIntent`, `MigRequire`) describe each placement action before it
+/// runs; the observations and comm durations let a recovery re-run skip
+/// recomputing ground truth.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// Run identity, appended first.
@@ -138,7 +129,7 @@ pub enum Record {
         time: f64,
         cont_total: f64,
         cont_neighbors: f64,
-        units: Vec<ObsUnit>,
+        units: Vec<GroundTruth>,
     },
     /// One communication phase and its synchronized duration.
     Comm { seq: u64, phase: u32, dt: f64 },
@@ -209,7 +200,8 @@ const TAG_OBSERVE: u8 = 5;
 const TAG_COMM: u8 = 6;
 const TAG_EPOCH_COMMIT: u8 = 7;
 
-/// Encoded size of one [`ObsUnit`]: obj, chunk, misses, miss bytes, time.
+/// Encoded size of one `Observe` unit: obj, chunk, misses, miss bytes,
+/// time.
 const OBS_UNIT_BYTES: usize = 4 + 2 + 8 + 8 + 8;
 
 impl Record {
@@ -280,11 +272,11 @@ impl Record {
                 put_f64(&mut b, *cont_neighbors);
                 put_u32(&mut b, units.len() as u32);
                 for u in units {
-                    put_u32(&mut b, u.obj);
-                    put_u16(&mut b, u.chunk);
+                    put_u32(&mut b, u.unit.obj.0);
+                    put_u16(&mut b, u.unit.chunk);
                     put_u64(&mut b, u.misses);
-                    put_u64(&mut b, u.miss_bytes);
-                    put_f64(&mut b, u.mem_time);
+                    put_u64(&mut b, u.miss_bytes.get());
+                    put_f64(&mut b, u.mem_time.secs());
                 }
             }
             Record::Comm { seq, phase, dt } => {
@@ -348,12 +340,14 @@ impl Record {
                 // rest of the payload can hold.
                 let mut units = Vec::with_capacity((n as usize).min(r.b.len() / OBS_UNIT_BYTES));
                 for _ in 0..n {
-                    units.push(ObsUnit {
-                        obj: r.u32()?,
-                        chunk: r.u16()?,
+                    units.push(GroundTruth {
+                        unit: UnitId {
+                            obj: ObjId(r.u32()?),
+                            chunk: r.u16()?,
+                        },
                         misses: r.u64()?,
-                        miss_bytes: r.u64()?,
-                        mem_time: r.f64()?,
+                        miss_bytes: Bytes(r.u64()?),
+                        mem_time: VDur(r.f64()?),
                     });
                 }
                 Record::Observe {
@@ -631,50 +625,27 @@ impl Journal {
 // ---------------------------------------------------------------------------
 // Replay
 
-/// One replayed migration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigEntry {
-    pub obj: u32,
-    pub chunk: u16,
-    pub to_dram: bool,
-    pub bytes: u64,
-    pub enqueued: f64,
-    pub start: f64,
-    pub done: f64,
-    /// Filled by a later `MigRequire` record, if any.
-    pub required_at: Option<f64>,
-}
-
 /// One replayed compute observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservedPhase {
-    pub phase: u32,
     pub time: f64,
     pub cont_total: f64,
     pub cont_neighbors: f64,
-    pub units: Vec<ObsUnit>,
+    pub units: Vec<GroundTruth>,
 }
 
-/// The placement state machine reconstructed from a (possibly
-/// truncated) journal. Every collection is keyed — by object, unit,
-/// migration sequence, epoch generation, or record sequence — so
-/// applying the same record twice is a no-op: **replay is idempotent**.
+/// What recovery reads back from a (possibly truncated) journal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayedState {
-    /// `(rank, nranks, iterations)` from the run header.
-    pub header: Option<(u32, u32, u64)>,
-    /// Object table: id → (size, chunks).
-    pub objects: BTreeMap<u32, (u64, u16)>,
-    /// Units initially resident in DRAM.
-    pub initial_dram: BTreeSet<(u32, u16)>,
-    /// Migrations by helper-queue sequence.
-    pub migrations: BTreeMap<u64, MigEntry>,
-    /// Epoch commits: ledger generation → fence vtime.
-    pub commits: BTreeMap<u64, f64>,
-    /// Compute observations by record sequence.
-    pub observes: BTreeMap<u64, ObservedPhase>,
-    /// Communication phases by record sequence: `(phase, dt)`.
-    pub comms: BTreeMap<u64, (u32, f64)>,
+    /// Compute observations, in append order.
+    pub observes: Vec<ObservedPhase>,
+    /// Communication durations in seconds, in append order.
+    pub comms: Vec<f64>,
+    /// Records replayed. A `MigRequire` does not count: it only annotates
+    /// the migration its `MigIntent` already counted.
+    pub records: usize,
+    /// The last epoch commit: `(generation, vtime)`.
+    pub last_commit: Option<(u64, f64)>,
     /// Append vtime of the latest replayed record.
     pub last_at: f64,
     /// Torn trailing bytes detected and discarded by the frame parser.
@@ -682,141 +653,52 @@ pub struct ReplayedState {
 }
 
 impl ReplayedState {
-    /// Replay a journal byte stream (tolerates a torn tail).
+    /// Replay a journal byte stream (tolerates a torn tail) in one pass
+    /// over its records in append order.
     pub fn replay(bytes: &[u8]) -> ReplayedState {
         let (records, torn) = read_journal(bytes);
         let mut st = ReplayedState {
             torn_bytes_discarded: torn,
             ..ReplayedState::default()
         };
-        for (rec, at) in &records {
-            st.apply(rec, *at);
+        for (rec, at) in records {
+            st.last_at = st.last_at.max(at.secs());
+            match rec {
+                Record::MigRequire { .. } => continue,
+                Record::Observe {
+                    time,
+                    cont_total,
+                    cont_neighbors,
+                    units,
+                    ..
+                } => st.observes.push(ObservedPhase {
+                    time,
+                    cont_total,
+                    cont_neighbors,
+                    units,
+                }),
+                Record::Comm { dt, .. } => st.comms.push(dt),
+                Record::EpochCommit { gen, at } => st.last_commit = Some((gen, at)),
+                _ => {}
+            }
+            st.records += 1;
         }
         st
-    }
-
-    /// Apply one record. Idempotent: replaying a record already applied
-    /// changes nothing.
-    pub fn apply(&mut self, rec: &Record, at: VTime) {
-        self.last_at = self.last_at.max(at.secs());
-        match rec {
-            Record::RunHeader {
-                rank,
-                nranks,
-                iterations,
-            } => self.header = Some((*rank, *nranks, *iterations)),
-            Record::ObjectReg { obj, size, chunks } => {
-                self.objects.insert(*obj, (*size, *chunks));
-            }
-            Record::InitPlace { obj, chunk } => {
-                self.initial_dram.insert((*obj, *chunk));
-            }
-            Record::MigIntent {
-                seq,
-                obj,
-                chunk,
-                to_dram,
-                bytes,
-                enqueued,
-                start,
-                done,
-            } => {
-                let required_at = self.migrations.get(seq).and_then(|m| m.required_at);
-                self.migrations.insert(
-                    *seq,
-                    MigEntry {
-                        obj: *obj,
-                        chunk: *chunk,
-                        to_dram: *to_dram,
-                        bytes: *bytes,
-                        enqueued: *enqueued,
-                        start: *start,
-                        done: *done,
-                        required_at,
-                    },
-                );
-            }
-            Record::MigRequire { seq, at, stall: _ } => {
-                if let Some(m) = self.migrations.get_mut(seq) {
-                    m.required_at = Some(*at);
-                }
-            }
-            Record::Observe {
-                seq,
-                phase,
-                time,
-                cont_total,
-                cont_neighbors,
-                units,
-            } => {
-                self.observes.insert(
-                    *seq,
-                    ObservedPhase {
-                        phase: *phase,
-                        time: *time,
-                        cont_total: *cont_total,
-                        cont_neighbors: *cont_neighbors,
-                        units: units.clone(),
-                    },
-                );
-            }
-            Record::Comm { seq, phase, dt } => {
-                self.comms.insert(*seq, (*phase, *dt));
-            }
-            Record::EpochCommit { gen, at } => {
-                self.commits.insert(*gen, *at);
-            }
-        }
-    }
-
-    /// Total replayed records across all collections.
-    pub fn records(&self) -> usize {
-        usize::from(self.header.is_some())
-            + self.objects.len()
-            + self.initial_dram.len()
-            + self.migrations.len()
-            + self.commits.len()
-            + self.observes.len()
-            + self.comms.len()
-    }
-
-    /// The most recent committed epoch, if any: `(generation, vtime)`.
-    pub fn last_commit(&self) -> Option<(u64, f64)> {
-        self.commits.iter().next_back().map(|(g, t)| (*g, *t))
-    }
-
-    /// DRAM-resident units at virtual time `t`: the initial placement
-    /// plus every migration completed by `t`, applied in helper-queue
-    /// order (the last completed move of a unit wins).
-    pub fn placement_at(&self, t: VTime) -> BTreeSet<(u32, u16)> {
-        let mut dram = self.initial_dram.clone();
-        for m in self.migrations.values() {
-            if m.done <= t.secs() {
-                if m.to_dram {
-                    dram.insert((m.obj, m.chunk));
-                } else {
-                    dram.remove(&(m.obj, m.chunk));
-                }
-            }
-        }
-        dram
-    }
-
-    /// Migrations in flight (enqueued but not completed) at `t` — the
-    /// copies a crash at `t` tears, which recovery must resume or roll
-    /// back. Returned in helper-queue order.
-    pub fn in_flight_at(&self, t: VTime) -> Vec<u64> {
-        self.migrations
-            .iter()
-            .filter(|(_, m)| m.enqueued <= t.secs() && m.done > t.secs())
-            .map(|(s, _)| *s)
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample_truth() -> GroundTruth {
+        GroundTruth {
+            unit: UnitId::whole(ObjId(0)),
+            misses: 1000,
+            miss_bytes: Bytes(64000),
+            mem_time: VDur(0.2),
+        }
+    }
 
     fn sample_records() -> Vec<(Record, VTime)> {
         vec![
@@ -857,13 +739,7 @@ mod tests {
                     time: 0.25,
                     cont_total: 0.01,
                     cont_neighbors: 0.004,
-                    units: vec![ObsUnit {
-                        obj: 0,
-                        chunk: 0,
-                        misses: 1000,
-                        miss_bytes: 64000,
-                        mem_time: 0.2,
-                    }],
+                    units: vec![sample_truth()],
                 },
                 VTime(0.75),
             ),
@@ -999,43 +875,31 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_idempotent() {
-        let bytes = journal_bytes(DurabilityMode::Strict);
-        let once = ReplayedState::replay(&bytes);
-        let mut twice = once.clone();
-        let (recs, _) = read_journal(&bytes);
-        for (rec, at) in &recs {
-            twice.apply(rec, *at);
-        }
-        assert_eq!(once, twice, "replaying twice must change nothing");
-    }
-
-    #[test]
     fn empty_journal_replays_to_the_default_state() {
         let st = ReplayedState::replay(&[]);
         assert_eq!(st, ReplayedState::default());
-        assert_eq!(st.records(), 0);
-        assert!(st.placement_at(VTime(1e9)).is_empty());
+        assert_eq!(st.records, 0);
     }
 
     #[test]
-    fn placement_tracks_initial_set_and_completed_migrations() {
+    fn replay_keeps_observations_comms_counts_and_the_last_commit() {
         let bytes = journal_bytes(DurabilityMode::Strict);
         let st = ReplayedState::replay(&bytes);
-        // Before the migration completes: only the initial unit.
         assert_eq!(
-            st.placement_at(VTime(0.6)),
-            [(0u32, 0u16)].into_iter().collect()
+            st.observes,
+            [ObservedPhase {
+                time: 0.25,
+                cont_total: 0.01,
+                cont_neighbors: 0.004,
+                units: vec![sample_truth()],
+            }]
         );
-        assert_eq!(st.in_flight_at(VTime(0.6)), vec![0]);
-        // After: both chunks resident.
-        assert_eq!(
-            st.placement_at(VTime(1.0)),
-            [(0, 0), (0, 1)].into_iter().collect()
-        );
-        assert!(st.in_flight_at(VTime(1.0)).is_empty());
-        assert_eq!(st.migrations[&0].required_at, Some(1.0));
-        assert_eq!(st.last_commit(), Some((1, 0.8)));
+        assert_eq!(st.comms, [0.05]);
+        // The trailing MigRequire annotates the MigIntent: 7 of 8.
+        assert_eq!(st.records, 7);
+        assert_eq!(st.last_commit, Some((1, 0.8)));
+        assert_eq!(st.last_at, 1.0);
+        assert_eq!(st.torn_bytes_discarded, 0);
     }
 
     #[test]
@@ -1055,8 +919,9 @@ mod tests {
         let bytes = journal_bytes(DurabilityMode::Strict);
         let d = durable_prefix(&bytes, DurabilityMode::Strict, CrashSpec::at(VTime(0.6)));
         let st = ReplayedState::replay(&d);
-        // Records at 0.0 and 0.5 survive; the 0.75 observe does not.
-        assert_eq!(st.migrations.len(), 1);
+        // The four records at 0.0 and 0.5 survive; the 0.75 observe does not.
+        assert_eq!(st.records, 4);
+        assert_eq!(st.last_at, 0.5);
         assert!(st.observes.is_empty());
         assert_eq!(st.torn_bytes_discarded, 0);
     }
@@ -1067,7 +932,7 @@ mod tests {
         // Crash after the fence at 0.8: the whole first epoch is durable.
         let d = durable_prefix(&bytes, DurabilityMode::Buffered, CrashSpec::at(VTime(0.9)));
         let st = ReplayedState::replay(&d);
-        assert_eq!(st.last_commit(), Some((1, 0.8)));
+        assert_eq!(st.last_commit, Some((1, 0.8)));
         assert_eq!(st.observes.len(), 1);
         // Crash before any fence: nothing was ever flushed.
         let none = durable_prefix(&bytes, DurabilityMode::Buffered, CrashSpec::at(VTime(0.7)));
@@ -1080,7 +945,7 @@ mod tests {
         let d = durable_prefix(&bytes, DurabilityMode::Buffered, CrashSpec::at(VTime(0.8)));
         let st = ReplayedState::replay(&d);
         assert_eq!(
-            st.last_commit(),
+            st.last_commit,
             Some((1, 0.8)),
             "a commit at the crash instant is durable (flush happens at the fence)"
         );

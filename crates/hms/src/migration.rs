@@ -392,18 +392,31 @@ mod tests {
 
     #[test]
     fn journaled_engine_records_intent_and_requirement() {
-        use crate::journal::{DurabilityMode, Journal, ReplayedState};
+        use crate::journal::{read_journal, DurabilityMode, Journal};
         let j = Journal::new(DurabilityMode::Strict).into_handle();
         let mut e = engine().with_journal(Some(j.clone()));
         e.enqueue(unit(0), TierKind::Dram, Bytes(1_000_000), VTime(0.0));
         let _ = e.require(unit(0), VTime(0.0005));
-        let st = ReplayedState::replay(j.borrow().bytes());
-        assert_eq!(st.migrations.len(), 1);
-        let m = &st.migrations[&0];
-        assert!(m.to_dram);
-        assert_eq!(m.bytes, 1_000_000);
-        assert_eq!(m.required_at, Some(0.0005));
-        assert_eq!(st.in_flight_at(VTime(0.0005)), vec![0]);
+        let (records, torn) = read_journal(j.borrow().bytes());
+        assert_eq!(torn, 0);
+        match &records[..] {
+            [(
+                Record::MigIntent {
+                    seq: 0,
+                    to_dram: true,
+                    bytes: 1_000_000,
+                    enqueued,
+                    done,
+                    ..
+                },
+                _,
+            ), (Record::MigRequire { seq: 0, at, .. }, _)] => {
+                assert_eq!(*at, 0.0005);
+                // The copy is still in flight when the main thread needs it.
+                assert!(*enqueued <= *at && *at < *done);
+            }
+            other => panic!("expected an intent and its requirement, got {other:?}"),
+        }
     }
 
     #[test]

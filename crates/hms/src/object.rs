@@ -9,7 +9,7 @@
 //! dense, and no object has more than [`MAX_CHUNKS`] chunks.
 
 use std::fmt;
-use unimem_sim::Bytes;
+use unimem_sim::{Bytes, VDur};
 
 /// Most chunks one object may be split into. A [`UnitSet`] keeps one
 /// `u64` word per object, one bit per chunk, so the cap is the word's
@@ -48,6 +48,19 @@ impl fmt::Display for UnitId {
             write!(f, "{}#{}", self.obj, self.chunk)
         }
     }
+}
+
+/// What one compute phase did to one unit: the ground truth the sampler
+/// observes, and what the journal's `Observe` record carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroundTruth {
+    pub unit: UnitId,
+    /// True LLC misses to the unit in the phase.
+    pub misses: u64,
+    /// Bytes those misses moved.
+    pub miss_bytes: Bytes,
+    /// Time the phase spent with this unit's memory traffic in flight.
+    pub mem_time: VDur,
 }
 
 /// Panic unless `u` fits the one-word-per-object layout. Callers build

@@ -44,7 +44,7 @@ pub struct ClusterSpec {
 /// Per-direction bandwidth of one node's link to the interconnect (the
 /// resource the `LinkUp`/`LinkDown` ledger channels meter): 2.5 GB/s,
 /// deliberately slower than the intra-node fabric
-/// (`unimem::comm::NetParams::default`: 5 GB/s, 2 µs) and than any node's
+/// (`unimem::comm::NetParams::NODE`: 5 GB/s, 2 µs) and than any node's
 /// DRAM, so crossing a link costs more than staying inside a node and
 /// the link is worth metering.
 pub const LINK_BW: Bandwidth = Bandwidth::gb_per_s(2.5);

@@ -14,9 +14,9 @@
 //! eviction traffic).
 
 use crate::eq1::eq1_bandwidth;
-use crate::sampler::{GroundTruth, Sampler, SamplerConfig};
+use crate::sampler::{Sampler, SamplerConfig};
 use unimem_cache::{AccessPattern, CacheModel, ObjAccess};
-use unimem_hms::object::{ObjId, UnitId};
+use unimem_hms::object::{GroundTruth, ObjId, UnitId};
 use unimem_hms::tier::{AccessMix, TierParams};
 use unimem_sim::Bytes;
 

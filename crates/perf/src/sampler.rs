@@ -17,8 +17,8 @@
 //! Both are thinned with deterministic binomial noise so repeated profiling
 //! of identical phases shows realistic (but reproducible) jitter.
 
-use unimem_hms::object::UnitId;
-use unimem_sim::{Bytes, DetRng, VDur};
+use unimem_hms::object::{GroundTruth, UnitId};
+use unimem_sim::{DetRng, VDur};
 
 /// Sampler configuration (defaults match the paper's §4 setup).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,18 +79,6 @@ impl PhaseProfile {
     }
 }
 
-/// Ground truth the sampler observes for one object in one phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroundTruth {
-    pub unit: UnitId,
-    /// True LLC misses to the object in the phase.
-    pub misses: u64,
-    /// Bytes those misses moved.
-    pub miss_bytes: Bytes,
-    /// Time the phase spent with this object's memory traffic in flight.
-    pub mem_time: VDur,
-}
-
 /// The simulated PMU.
 #[derive(Debug, Clone)]
 pub struct Sampler {
@@ -143,6 +131,7 @@ impl Sampler {
 mod tests {
     use super::*;
     use unimem_hms::object::ObjId;
+    use unimem_sim::Bytes;
 
     fn unit(n: u32) -> UnitId {
         UnitId::whole(ObjId(n))

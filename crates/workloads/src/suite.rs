@@ -82,18 +82,19 @@ pub fn select(names: &[&str], class: Class) -> Result<Vec<NamedWorkload>, String
         .collect())
 }
 
-/// Look a workload up by its short name ("CG", "FT", …, "Nek5000").
+/// Look a workload up by its short name ("CG", "FT", …, "Nek5000") or
+/// any alias [`canonical_name`] accepts.
 pub fn by_name(name: &str, class: Class) -> Option<Box<dyn Workload>> {
-    match name.to_ascii_uppercase().as_str() {
-        "CG" => Some(Box::new(Cg::new(class))),
-        "FT" => Some(Box::new(Ft::new(class))),
-        "BT" => Some(Box::new(Bt::new(class))),
-        "LU" => Some(Box::new(Lu::new(class))),
-        "SP" => Some(Box::new(Sp::new(class))),
-        "MG" => Some(Box::new(Mg::new(class))),
-        "NEK" | "NEK5000" | "NEK5000-EDDY" => Some(Box::new(Nek::new(class))),
-        _ => None,
-    }
+    Some(match canonical_name(name)? {
+        "CG" => Box::new(Cg::new(class)),
+        "FT" => Box::new(Ft::new(class)),
+        "BT" => Box::new(Bt::new(class)),
+        "LU" => Box::new(Lu::new(class)),
+        "SP" => Box::new(Sp::new(class)),
+        "MG" => Box::new(Mg::new(class)),
+        "Nek5000" => Box::new(Nek::new(class)),
+        canon => unreachable!("canonical name {canon} has no workload"),
+    })
 }
 
 #[cfg(test)]

@@ -325,20 +325,14 @@ fn main() -> ExitCode {
         eprintln!("cannot write {}: {e}", out.display());
         return ExitCode::from(2);
     }
-    // Surface the width the pool actually ran on: the default is the
-    // host's available parallelism, which on a 1-CPU box is 1 — the
-    // sweep serializes, and before this line nothing said so.
+    // The default width is the host's available parallelism, which on a
+    // 1-CPU box is 1: say when the sweep ran serially.
     println!(
-        "wrote {} ({} cells) in {:.2?} on {} worker{}",
+        "wrote {} ({} cells) in {:.2?} on {jobs} worker{}",
         out.display(),
         report.cells.len(),
         t0.elapsed(),
-        report.effective_workers,
-        if report.effective_workers == 1 {
-            " (serial)"
-        } else {
-            "s"
-        }
+        if jobs == 1 { " (serial)" } else { "s" }
     );
 
     if let Some(rate) = report.cache_hit_rate() {

@@ -34,7 +34,6 @@ fn facade_reexports_resolve() {
         &[sim::VTime::ZERO, busy],
         mpi::CollectiveKind::Barrier,
         sim::Bytes::ZERO,
-        &mpi::NetParams::default(),
         None,
     );
     assert!(timing.leave > busy);

@@ -6,7 +6,10 @@
 //! contract has no easy inputs.
 
 use unimem_repro::cache::CacheModel;
-use unimem_repro::hms::journal::{read_journal, DurabilityMode, Journal, Record, ReplayedState};
+use unimem_repro::hms::journal::{
+    durable_prefix, read_journal, DurabilityMode, Journal, Record, ReplayedState,
+};
+use unimem_repro::hms::object::{ObjId, UnitId};
 use unimem_repro::runtime::exec::Policy;
 use unimem_repro::runtime::recovery::RecoverySetup;
 use unimem_repro::sim::{CrashSpec, VTime};
@@ -67,13 +70,22 @@ fn crash_exactly_at_a_fence_epoch_recovers_the_committed_prefix() {
     let clean = s.run_journaled(DurabilityMode::Buffered);
     // A commit instant straight from rank 0's journal: the knife-edge
     // case where the crash lands on the epoch boundary itself.
-    let st = ReplayedState::replay(&clean.journals[0]);
-    let (gen, commit_at) = st
-        .last_commit()
-        .expect("a multi-iteration run commits epochs");
-    let mid_gen = *st.commits.keys().nth(st.commits.len() / 2).unwrap();
-    let mid_at = st.commits[&mid_gen];
-    assert!(gen >= mid_gen && commit_at >= mid_at);
+    let commits: Vec<(u64, f64)> = read_journal(&clean.journals[0])
+        .0
+        .into_iter()
+        .filter_map(|(rec, _)| match rec {
+            Record::EpochCommit { gen, at } => Some((gen, at)),
+            _ => None,
+        })
+        .collect();
+    assert!(commits.len() > 1, "a multi-iteration run commits epochs");
+    assert!(
+        commits
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+        "epochs commit in generation and time order"
+    );
+    let (mid_gen, mid_at) = commits[commits.len() / 2];
 
     let out = s.crash_and_recover(
         DurabilityMode::Buffered,
@@ -97,29 +109,30 @@ fn crash_during_the_first_migration_resumes_the_torn_copy() {
     // Find the first migration either rank enqueued and crash midway
     // through its copy window: the intent record is durable (appended
     // before the copy starts), the copy itself is torn.
-    let first = clean
+    let (start, done) = clean
         .journals
         .iter()
-        .flat_map(|j| {
-            let st = ReplayedState::replay(j);
-            st.migrations.values().cloned().collect::<Vec<_>>()
+        .flat_map(|j| read_journal(j).0)
+        .filter_map(|(rec, _)| match rec {
+            Record::MigIntent { start, done, .. } => Some((start, done)),
+            _ => None,
         })
-        .min_by(|a, b| a.start.total_cmp(&b.start))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("Unimem migrates on this workload");
-    assert!(first.done > first.start);
-    let mid = VTime(0.5 * (first.start + first.done));
+    assert!(done > start);
+    let mid = VTime(0.5 * (start + done));
 
     let out = s.crash_and_recover(DurabilityMode::Strict, CrashSpec::at(mid), &clean);
     assert!(out.equivalent(), "mid-copy crash must recover cleanly");
-    // At least one rank's durable journal shows the copy in flight at
-    // the crash instant — the recovery path had a torn copy to redo.
+    // At least one rank's durable journal holds an intent whose copy is
+    // in flight at the crash instant — the recovery path had a torn copy
+    // to redo.
     let in_flight = clean.journals.iter().any(|j| {
-        let durable = unimem_repro::hms::journal::durable_prefix(
-            j,
-            DurabilityMode::Strict,
-            CrashSpec::at(mid),
-        );
-        !ReplayedState::replay(&durable).in_flight_at(mid).is_empty()
+        let durable = durable_prefix(j, DurabilityMode::Strict, CrashSpec::at(mid));
+        read_journal(&durable).0.iter().any(|(rec, _)| {
+            matches!(*rec, Record::MigIntent { enqueued, done, .. }
+                if enqueued <= mid.secs() && done > mid.secs())
+        })
     });
     assert!(in_flight, "crash point missed the migration window");
 }
@@ -135,11 +148,7 @@ fn torn_final_record_is_detected_and_discarded() {
 
     // The torn fragment parses as garbage-free: replay sees only whole
     // frames and reports the discarded tail.
-    let durable = unimem_repro::hms::journal::durable_prefix(
-        &clean.journals[0],
-        DurabilityMode::Strict,
-        crash,
-    );
+    let durable = durable_prefix(&clean.journals[0], DurabilityMode::Strict, crash);
     let st = ReplayedState::replay(&durable);
     assert!(st.torn_bytes_discarded > 0, "the tear left no fragment");
     let (records, torn) = read_journal(&durable);
@@ -155,35 +164,27 @@ fn torn_final_record_is_detected_and_discarded() {
 }
 
 #[test]
-fn replaying_a_journal_twice_changes_nothing() {
-    let rig = Rig::new();
-    let s = rig.setup();
-    let clean = s.run_journaled(DurabilityMode::Strict);
-    for journal in &clean.journals {
-        let once = ReplayedState::replay(journal);
-        let mut twice = ReplayedState::replay(journal);
-        for (rec, at) in read_journal(journal).0 {
-            twice.apply(&rec, at);
-        }
-        assert_eq!(once, twice, "replay must be idempotent");
-    }
-}
-
-#[test]
 fn header_records_identify_the_run() {
     let rig = Rig::new();
     let s = rig.setup();
     let clean = s.run_journaled(DurabilityMode::InMemory);
     for (rank, journal) in clean.journals.iter().enumerate() {
-        let st = ReplayedState::replay(journal);
-        let (r, n, iters) = st.header.expect("run header first");
-        assert_eq!(r as usize, rank);
-        assert_eq!(n, 2);
-        assert!(iters > 0);
-        assert!(!st.objects.is_empty(), "object table journaled");
-        // The first record in the byte stream is the header itself.
         let (records, _) = read_journal(journal);
-        assert!(matches!(records[0].0, Record::RunHeader { .. }));
+        let Record::RunHeader {
+            rank: r,
+            nranks,
+            iterations,
+        } = records[0].0
+        else {
+            panic!("record 0 is the run header: {:?}", records[0]);
+        };
+        assert_eq!(r as usize, rank);
+        assert_eq!(nranks, 2);
+        assert!(iterations > 0);
+        assert!(
+            matches!(records[1].0, Record::ObjectReg { .. }),
+            "the object table follows the header"
+        );
     }
 }
 
@@ -198,8 +199,10 @@ fn forge_observe(journal: &[u8], nth: usize, obj: u32, chunk: u16) -> (Vec<u8>, 
         if let Record::Observe { units, .. } = &mut rec {
             if let Some(first) = units.first_mut() {
                 if non_empty == nth {
-                    first.obj = obj;
-                    first.chunk = chunk;
+                    first.unit = UnitId {
+                        obj: ObjId(obj),
+                        chunk,
+                    };
                     before = Some(observes);
                 }
                 non_empty += 1;

@@ -605,29 +605,6 @@ fn arbitrary_kill_points_recover_byte_identically() {
     });
 }
 
-/// Replay is idempotent at *every* truncation point: parse whatever
-/// prefix survives (whole frames + a possibly torn tail), then apply all
-/// of its records a second time — nothing may change.
-#[test]
-fn journal_replay_is_idempotent_at_any_truncation() {
-    use unimem_repro::hms::journal::{read_journal, DurabilityMode, ReplayedState};
-
-    let clean = journaled_run("CG", DurabilityMode::Strict);
-    for_seeds("journal_replay_is_idempotent_at_any_truncation", 8, |rng| {
-        let cut_frac = rng.range_f64(0.0, 1.001);
-        for journal in &clean.journals {
-            let cut = ((journal.len() as f64) * cut_frac) as usize;
-            let prefix = &journal[..cut.min(journal.len())];
-            let once = ReplayedState::replay(prefix);
-            let mut twice = ReplayedState::replay(prefix);
-            for (rec, at) in read_journal(prefix).0 {
-                twice.apply(&rec, at);
-            }
-            assert_eq!(&once, &twice, "second replay changed the state");
-        }
-    });
-}
-
 /// Rank 0's journal from one clean `Buffered` CG run, built once.
 fn clean_journal() -> &'static [u8] {
     use unimem_repro::hms::journal::DurabilityMode;
@@ -703,7 +680,7 @@ fn journal_decoders_survive_hostile_bytes() {
             assert!(torn_bytes <= bytes.len());
             let state = ReplayedState::replay(bytes);
             assert_eq!(state.torn_bytes_discarded, torn_bytes);
-            assert!(state.records() <= records.len());
+            assert!(state.records <= records.len());
             for mode in DurabilityMode::ALL {
                 let prefix = durable_prefix(bytes, mode, crash);
                 assert!(bytes.starts_with(&prefix));
