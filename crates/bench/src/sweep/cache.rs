@@ -1,5 +1,6 @@
 //! Content-addressed on-disk cell cache: the cross-run half of the
-//! sweep's incremental-reuse layer (ROADMAP item 4).
+//! sweep's incremental-reuse layer, so that a sweep re-runs only the
+//! cells no earlier sweep has run.
 //!
 //! Growing the matrix re-runs every cell from scratch even when only one
 //! axis value was added. This module makes sweep results **reusable
@@ -134,13 +135,13 @@ impl SweepCache {
         ranks_per_node: usize,
         topology: &TopologySpec,
     ) -> CacheKey {
-        let mut doc = key_preamble("cell", &self.salt, cfg);
-        doc.push("workload", workload)
-            .push("policy", policy.name())
-            .push("profile", profile.name())
-            .push("nranks", nranks)
-            .push("ranks_per_node", ranks_per_node)
-            .push("topology", topology.name());
+        let mut doc = key_preamble("cell", &self.salt, cfg, 6);
+        doc.field("workload", workload)
+            .field("policy", policy.name())
+            .field("profile", profile.name())
+            .field("nranks", nranks)
+            .field("ranks_per_node", ranks_per_node)
+            .field("topology", topology.name());
         CacheKey::of(doc, "cell")
     }
 
@@ -155,25 +156,25 @@ impl SweepCache {
         profile: NvmProfile,
         nranks: usize,
     ) -> CacheKey {
-        let mut doc = key_preamble("corun", &self.salt, cfg);
+        let mut doc = key_preamble("corun", &self.salt, cfg, 5);
         let members: Vec<Json> = mix
             .members
             .iter()
             .map(|m| {
-                let mut o = Json::obj();
-                o.push("workload", m.workload.as_str())
-                    .push("tenant", m.tenant.as_str())
-                    .push("weight", u64::from(m.weight))
-                    .push("start_epoch", m.start_epoch);
+                let mut o = Json::obj_with_capacity(4);
+                o.field("workload", m.workload.as_str())
+                    .field("tenant", m.tenant.as_str())
+                    .field("weight", u64::from(m.weight))
+                    .field("start_epoch", m.start_epoch);
                 o
             })
             .collect();
         let arbiters: Vec<Json> = cfg.arbiters.iter().map(|a| Json::from(a.name())).collect();
-        doc.push("mix", mix.label())
-            .push("members", members)
-            .push("arbiters", arbiters)
-            .push("profile", profile.name())
-            .push("nranks", nranks);
+        doc.field("mix", mix.label())
+            .field("members", members)
+            .field("arbiters", arbiters)
+            .field("profile", profile.name())
+            .field("nranks", nranks);
         CacheKey::of(doc, "corun")
     }
 
@@ -240,16 +241,17 @@ impl SweepCache {
 
 /// The shared head of every key document: schemas, fingerprint, salt,
 /// and the config axes that apply to every cell kind (workload class and
-/// the DRAM-capacity override reshape every machine).
-fn key_preamble(entry: &str, salt: &str, cfg: &SweepConfig) -> Json {
-    let mut doc = Json::obj();
-    doc.push("entry", entry)
-        .push("cache", SCHEMA)
-        .push("sweep", SWEEP_SCHEMA)
-        .push("engine", ENGINE_FINGERPRINT)
-        .push("salt", salt)
-        .push("class", cfg.class.name())
-        .push(
+/// the DRAM-capacity override reshape every machine). The document has
+/// room for the `more` members its caller appends.
+fn key_preamble(entry: &str, salt: &str, cfg: &SweepConfig, more: usize) -> Json {
+    let mut doc = Json::obj_with_capacity(7 + more);
+    doc.field("entry", entry)
+        .field("cache", SCHEMA)
+        .field("sweep", SWEEP_SCHEMA)
+        .field("engine", ENGINE_FINGERPRINT)
+        .field("salt", salt)
+        .field("class", cfg.class.name())
+        .field(
             "dram_capacity",
             match cfg.dram_capacity {
                 Some(b) => Json::UInt(b.0),
@@ -387,67 +389,67 @@ fn decode_entry<T>(
 // ---------------------------------------------------------------------
 
 fn stats_to_json(s: &RunStats) -> Json {
-    let mut o = Json::obj();
-    o.push("total_time_s", s.total_time)
-        .push("app_time_s", s.app_time)
-        .push("profiling_overhead_s", s.profiling_overhead)
-        .push("modeling_overhead_s", s.modeling_overhead)
-        .push("sync_overhead_s", s.sync_overhead)
-        .push("migration_stall_s", s.migration_stall)
-        .push("contention_time_s", s.contention_time)
-        .push("neighbor_contention_time_s", s.neighbor_contention_time)
-        .push("mig_count", s.migrations.count)
-        .push("mig_bytes", s.migrations.bytes)
-        .push("mig_to_dram", s.migrations.to_dram_count)
-        .push("mig_to_nvm", s.migrations.to_nvm_count)
-        .push("mig_overlapped_s", s.migrations.overlapped)
-        .push("mig_exposed_s", s.migrations.exposed)
-        .push("reprofiles", s.reprofiles)
-        .push("lease_replans", s.lease_replans)
-        .push("iterations", s.iterations);
+    let mut o = Json::obj_with_capacity(17);
+    o.field("total_time_s", s.total_time)
+        .field("app_time_s", s.app_time)
+        .field("profiling_overhead_s", s.profiling_overhead)
+        .field("modeling_overhead_s", s.modeling_overhead)
+        .field("sync_overhead_s", s.sync_overhead)
+        .field("migration_stall_s", s.migration_stall)
+        .field("contention_time_s", s.contention_time)
+        .field("neighbor_contention_time_s", s.neighbor_contention_time)
+        .field("mig_count", s.migrations.count)
+        .field("mig_bytes", s.migrations.bytes)
+        .field("mig_to_dram", s.migrations.to_dram_count)
+        .field("mig_to_nvm", s.migrations.to_nvm_count)
+        .field("mig_overlapped_s", s.migrations.overlapped)
+        .field("mig_exposed_s", s.migrations.exposed)
+        .field("reprofiles", s.reprofiles)
+        .field("lease_replans", s.lease_replans)
+        .field("iterations", s.iterations);
     o
 }
 
 fn report_to_json(r: &RunReport) -> Json {
     let per_rank: Vec<Json> = r.per_rank.iter().map(stats_to_json).collect();
-    let mut o = Json::obj();
-    o.push("workload", r.workload.as_str())
-        .push("policy", r.policy.as_str())
-        .push("plan_kind", r.plan_kind_json())
-        .push("job", stats_to_json(&r.job))
-        .push("per_rank", per_rank);
+    let mut o = Json::obj_with_capacity(5);
+    o.field("workload", r.workload.as_str())
+        .field("policy", r.policy.as_str())
+        .field("plan_kind", r.plan_kind_json())
+        .field("job", stats_to_json(&r.job))
+        .field("per_rank", per_rank);
     o
 }
 
 fn cell_to_json(c: &SweepCell) -> Json {
-    let mut o = Json::obj();
-    o.push("workload", c.workload.as_str())
-        .push("full_name", c.full_name.as_str())
-        .push("policy", c.policy.name())
-        .push("profile", c.profile.name())
-        .push("nranks", c.nranks)
-        .push("ranks_per_node", c.ranks_per_node)
-        .push("topology", c.topology.name())
-        .push("normalized_to_dram", c.normalized_to_dram)
-        .push("report", report_to_json(&c.report));
+    let mut o = Json::obj_with_capacity(9);
+    o.field("workload", c.workload.as_str())
+        .field("full_name", c.full_name.as_str())
+        .field("policy", c.policy.name())
+        .field("profile", c.profile.name())
+        .field("nranks", c.nranks)
+        .field("ranks_per_node", c.ranks_per_node)
+        .field("topology", c.topology.name())
+        .field("normalized_to_dram", c.normalized_to_dram)
+        .field("report", report_to_json(&c.report));
     o
 }
 
 fn corun_cell_to_json(c: &CorunCell) -> Json {
-    let mut o = Json::obj();
-    o.push("mix", c.mix.as_str())
-        .push("workload", c.workload.as_str())
-        .push("tenant", c.tenant.as_str())
-        .push("weight", u64::from(c.weight))
-        .push("start_epoch", c.start_epoch)
-        .push("arbiter", c.arbiter.name())
-        .push("profile", c.profile.name())
-        .push("nranks", c.nranks)
-        .push("solo_time_s", c.solo_time_s)
-        .push("slowdown", c.slowdown)
-        .push("lease_min", c.lease_min)
-        .push("lease_max", c.lease_max)
-        .push("report", report_to_json(&c.report));
+    let mut o = Json::obj_with_capacity(13);
+    o.field("mix", c.mix.as_str())
+        .field("workload", c.workload.as_str())
+        .field("tenant", c.tenant.as_str())
+        .field("weight", u64::from(c.weight))
+        .field("start_epoch", c.start_epoch)
+        .field("arbiter", c.arbiter.name())
+        .field("profile", c.profile.name())
+        .field("nranks", c.nranks)
+        .field("solo_time_s", c.solo_time_s)
+        .field("slowdown", c.slowdown)
+        .field("lease_min", c.lease_min)
+        .field("lease_max", c.lease_max)
+        .field("report", report_to_json(&c.report));
     o
 }
 
@@ -613,6 +615,7 @@ fn named_member<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use unimem_sim::DetRng;
     use unimem_workloads::Class;
@@ -962,6 +965,67 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The number of objects in `v`, each checked to hold borrowed keys
+    /// in a member vector of exact size.
+    fn borrowed_exact_objects(v: &Json, what: &str) -> usize {
+        match v {
+            Json::Arr(items) => items.iter().map(|x| borrowed_exact_objects(x, what)).sum(),
+            Json::Obj(ms) => {
+                assert_eq!(ms.capacity(), ms.len(), "{what}: an object's size");
+                let mut objects = 1;
+                for (k, x) in ms {
+                    assert!(matches!(k, Cow::Borrowed(_)), "{what}: key {k:?} is copied");
+                    objects += borrowed_exact_objects(x, what);
+                }
+                objects
+            }
+            _ => 0,
+        }
+    }
+
+    /// Every report and cache writer stores its literal keys borrowed, in
+    /// objects created at their final size. A writer that goes back to
+    /// `Json::push` with a literal key, or sizes an object wrongly, fails
+    /// here while its bytes stay the same.
+    #[test]
+    fn writers_borrow_every_key_in_objects_of_exact_size() {
+        let mut cfg = sample_config();
+        cfg.topologies.push(TopologySpec::Nodes { count: 4 });
+        cfg.coruns = unimem_workloads::parse_mixes(&["CG+LU"]).expect("mix parses");
+        cfg.arbiters = vec![ArbiterPolicy::FairShare];
+        let report = crate::sweep::run_sweep_cached(&cfg, 1, None).expect("micro matrix runs");
+        assert!(report
+            .cells
+            .iter()
+            .any(|c| c.topology != TopologySpec::Flat));
+        assert!(!report.corun_cells.is_empty());
+        // A cell, its run, the job and one object per rank.
+        let objects = |r: &RunReport| 3 + r.per_rank.len();
+        let mut in_report = 1;
+        for c in &report.cells {
+            assert_eq!(
+                borrowed_exact_objects(&cell_to_json(c), &c.coords()),
+                objects(&c.report)
+            );
+            in_report += objects(&c.report);
+        }
+        for c in &report.corun_cells {
+            assert_eq!(
+                borrowed_exact_objects(&corun_cell_to_json(c), &c.coords()),
+                objects(&c.report)
+            );
+            in_report += objects(&c.report);
+        }
+        assert_eq!(
+            borrowed_exact_objects(&report.to_json(), "report"),
+            in_report
+        );
+        assert_eq!(
+            borrowed_exact_objects(&key_preamble("cell", "", &cfg, 0), "key"),
+            1
+        );
+    }
+
     #[test]
     fn salt_and_axes_change_the_digest() {
         let dir = tmp_dir();
@@ -1151,7 +1215,7 @@ mod tests {
             (0, Json::Obj(ms)) => !ms.is_empty(),
             (1, _) | (2 | 3, Json::UInt(_)) => true,
             (4, v) => v.get("per_rank").is_some(),
-            (5, Json::Obj(ms)) => ms.iter().any(|(k, _)| NAMED.contains(&k.as_str())),
+            (5, Json::Obj(ms)) => ms.iter().any(|(k, _)| NAMED.contains(&k.as_ref())),
             _ => false,
         }
     }
@@ -1199,7 +1263,7 @@ mod tests {
                 // per_rank emptied or doubled.
                 (4, Json::Obj(ms)) => {
                     for (k, x) in ms.iter_mut() {
-                        if let ("per_rank", Json::Arr(xs)) = (k.as_str(), x) {
+                        if let ("per_rank", Json::Arr(xs)) = (k.as_ref(), x) {
                             if rng.index(2) == 0 {
                                 xs.clear();
                             } else {
@@ -1211,7 +1275,7 @@ mod tests {
                 // Names that match nothing.
                 (_, Json::Obj(ms)) => {
                     for (k, x) in ms.iter_mut() {
-                        if NAMED.contains(&k.as_str()) && rng.index(2) == 0 {
+                        if NAMED.contains(&k.as_ref()) && rng.index(2) == 0 {
                             *x = Json::from(UNKNOWN_NAMES[rng.index(UNKNOWN_NAMES.len())]);
                         }
                     }

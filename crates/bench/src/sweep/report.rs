@@ -88,29 +88,30 @@ impl SweepCell {
     /// Deterministic JSON form of one single-tenant cell.
     pub fn to_json(&self) -> Json {
         let job = &self.report.job;
-        let mut o = Json::obj();
-        o.push("workload", self.workload.as_str())
-            .push("full_name", self.full_name.as_str())
-            .push("policy", self.policy.name())
-            .push("profile", self.profile.name())
-            .push("nranks", self.nranks)
-            .push("ranks_per_node", self.ranks_per_node);
         // Clustered cells name their room; flat cells keep the exact v4
         // byte shape.
-        if self.topology != TopologySpec::Flat {
-            o.push("topology", self.topology.name());
+        let clustered = self.topology != TopologySpec::Flat;
+        let mut o = Json::obj_with_capacity(17 + usize::from(clustered));
+        o.field("workload", self.workload.as_str())
+            .field("full_name", self.full_name.as_str())
+            .field("policy", self.policy.name())
+            .field("profile", self.profile.name())
+            .field("nranks", self.nranks)
+            .field("ranks_per_node", self.ranks_per_node);
+        if clustered {
+            o.field("topology", self.topology.name());
         }
-        o.push("time_s", self.time_s())
-            .push("normalized_to_dram", self.normalized_to_dram)
-            .push("plan_kind", self.report.plan_kind_json())
-            .push("migration_count", job.migration_count())
-            .push("migrated_bytes", job.migrated_bytes())
-            .push("overlap_pct", job.overlap_pct())
-            .push("contention_time_s", job.contention_time)
-            .push("neighbor_contention_time_s", job.neighbor_contention_time)
-            .push("pure_runtime_cost", job.pure_runtime_cost())
-            .push("reprofiles", job.reprofiles)
-            .push("run", self.report.to_json());
+        o.field("time_s", self.time_s())
+            .field("normalized_to_dram", self.normalized_to_dram)
+            .field("plan_kind", self.report.plan_kind_json())
+            .field("migration_count", job.migration_count())
+            .field("migrated_bytes", job.migrated_bytes())
+            .field("overlap_pct", job.overlap_pct())
+            .field("contention_time_s", job.contention_time)
+            .field("neighbor_contention_time_s", job.neighbor_contention_time)
+            .field("pure_runtime_cost", job.pure_runtime_cost())
+            .field("reprofiles", job.reprofiles)
+            .field("run", self.report.to_json());
         o
     }
 }
@@ -119,22 +120,22 @@ impl CorunCell {
     /// Deterministic JSON form of one per-tenant co-run cell.
     pub fn to_json(&self) -> Json {
         let job = &self.report.job;
-        let mut o = Json::obj();
-        o.push("mix", self.mix.as_str())
-            .push("workload", self.workload.as_str())
-            .push("tenant", self.tenant.as_str())
-            .push("weight", u64::from(self.weight))
-            .push("start_epoch", self.start_epoch)
-            .push("arbiter", self.arbiter.name())
-            .push("profile", self.profile.name())
-            .push("nranks", self.nranks)
-            .push("time_s", self.time_s())
-            .push("solo_time_s", self.solo_time_s)
-            .push("slowdown", self.slowdown)
-            .push("lease_min", self.lease_min)
-            .push("lease_max", self.lease_max)
-            .push("lease_replans", job.lease_replans)
-            .push("run", self.report.to_json());
+        let mut o = Json::obj_with_capacity(15);
+        o.field("mix", self.mix.as_str())
+            .field("workload", self.workload.as_str())
+            .field("tenant", self.tenant.as_str())
+            .field("weight", u64::from(self.weight))
+            .field("start_epoch", self.start_epoch)
+            .field("arbiter", self.arbiter.name())
+            .field("profile", self.profile.name())
+            .field("nranks", self.nranks)
+            .field("time_s", self.time_s())
+            .field("solo_time_s", self.solo_time_s)
+            .field("slowdown", self.slowdown)
+            .field("lease_min", self.lease_min)
+            .field("lease_max", self.lease_max)
+            .field("lease_replans", job.lease_replans)
+            .field("run", self.report.to_json());
         o
     }
 }
@@ -144,34 +145,35 @@ impl SweepReport {
     pub fn to_json(&self) -> Json {
         let cfg = &self.config;
         let strings = |v: Vec<&str>| Json::Arr(v.into_iter().map(Json::from).collect());
-        let mut o = Json::obj();
-        o.push("schema", SCHEMA)
-            .push("class", cfg.class.name())
-            .push(
-                "workloads",
-                strings(cfg.workloads.iter().map(String::as_str).collect()),
-            )
-            .push(
-                "policies",
-                strings(cfg.policies.iter().map(|p| p.name()).collect()),
-            )
-            .push(
-                "profiles",
-                strings(cfg.profiles.iter().map(|p| p.name()).collect()),
-            )
-            .push(
-                "ranks",
-                Json::Arr(cfg.ranks.iter().map(|&r| Json::from(r)).collect()),
-            )
-            .push(
-                "ranks_per_node",
-                Json::Arr(cfg.ranks_per_node.iter().map(|&r| Json::from(r)).collect()),
-            );
         // The topology axis appears only when clustered rooms are
         // configured, so a default (flat-only) sweep's report differs
         // from v4 by the schema tag alone.
-        if cfg.topologies != [TopologySpec::Flat] {
-            o.push(
+        let clustered = cfg.topologies != [TopologySpec::Flat];
+        let mut o = Json::obj_with_capacity(13 + usize::from(clustered));
+        o.field("schema", SCHEMA)
+            .field("class", cfg.class.name())
+            .field(
+                "workloads",
+                strings(cfg.workloads.iter().map(String::as_str).collect()),
+            )
+            .field(
+                "policies",
+                strings(cfg.policies.iter().map(|p| p.name()).collect()),
+            )
+            .field(
+                "profiles",
+                strings(cfg.profiles.iter().map(|p| p.name()).collect()),
+            )
+            .field(
+                "ranks",
+                Json::Arr(cfg.ranks.iter().map(|&r| Json::from(r)).collect()),
+            )
+            .field(
+                "ranks_per_node",
+                Json::Arr(cfg.ranks_per_node.iter().map(|&r| Json::from(r)).collect()),
+            );
+        if clustered {
+            o.field(
                 "topologies",
                 Json::Arr(
                     cfg.topologies
@@ -181,21 +183,21 @@ impl SweepReport {
                 ),
             );
         }
-        o.push(
+        o.field(
             "mixes",
             Json::Arr(cfg.coruns.iter().map(|m| Json::from(m.label())).collect()),
         )
-        .push(
+        .field(
             "arbiters",
             strings(cfg.arbiters.iter().map(|a| a.name()).collect()),
         )
-        .push("n_cells", self.cells.len())
-        .push("n_corun_cells", self.corun_cells.len())
-        .push(
+        .field("n_cells", self.cells.len())
+        .field("n_corun_cells", self.corun_cells.len())
+        .field(
             "cells",
             Json::Arr(self.cells.iter().map(SweepCell::to_json).collect()),
         )
-        .push(
+        .field(
             "corun_cells",
             Json::Arr(self.corun_cells.iter().map(CorunCell::to_json).collect()),
         );

@@ -402,9 +402,11 @@ pub fn run_sweep_cached(
             need_baseline[job.baseline] = true;
         }
     }
+    // Only a row with a cell to run reads its baseline, so a fully warm
+    // sweep clones none.
     let mut baselines: Vec<Option<RunReport>> = vec![None; rows.len()];
     for (cached, job) in cached_cells.iter().zip(&cell_jobs) {
-        if job.policy == PolicyKind::DramOnly {
+        if job.policy == PolicyKind::DramOnly && need_baseline[job.baseline] {
             if let Some(cell) = cached {
                 baselines[job.baseline] = Some(cell.report.clone());
             }

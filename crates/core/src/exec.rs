@@ -247,13 +247,13 @@ impl RunReport {
     /// runs and sweep worker counts.
     pub fn to_json(&self) -> unimem_sim::Json {
         use unimem_sim::Json;
-        let mut o = Json::obj();
-        o.push("workload", self.workload.as_str())
-            .push("policy", self.policy.as_str())
-            .push("plan_kind", self.plan_kind_json())
-            .push("time_s", self.time())
-            .push("job", self.job.to_json())
-            .push(
+        let mut o = Json::obj_with_capacity(6);
+        o.field("workload", self.workload.as_str())
+            .field("policy", self.policy.as_str())
+            .field("plan_kind", self.plan_kind_json())
+            .field("time_s", self.time())
+            .field("job", self.job.to_json())
+            .field(
                 "per_rank",
                 Json::Arr(self.per_rank.iter().map(RunStats::to_json).collect()),
             );

@@ -121,17 +121,17 @@ impl RecoveryStats {
     }
 
     pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.push("mode", self.mode.name())
-            .push("crash_at_s", self.crash_at.secs())
-            .push("torn", self.torn)
-            .push("durable_bytes", self.durable_bytes)
-            .push("replayed_records", self.replayed_records)
-            .push("replay_time_s", self.replay_time)
-            .push("redo_time_s", self.redo_time)
-            .push("recovery_time_s", self.recovery_time)
-            .push("restart_time_s", self.restart_time)
-            .push("advantage", self.advantage());
+        let mut o = Json::obj_with_capacity(10);
+        o.field("mode", self.mode.name())
+            .field("crash_at_s", self.crash_at.secs())
+            .field("torn", self.torn)
+            .field("durable_bytes", self.durable_bytes)
+            .field("replayed_records", self.replayed_records)
+            .field("replay_time_s", self.replay_time)
+            .field("redo_time_s", self.redo_time)
+            .field("recovery_time_s", self.recovery_time)
+            .field("restart_time_s", self.restart_time)
+            .field("advantage", self.advantage());
         o
     }
 }

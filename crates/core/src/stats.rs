@@ -69,24 +69,24 @@ impl RunStats {
     /// integers, plus the derived Table-4 figures. Member order is fixed,
     /// so equal stats serialize to byte-identical text.
     pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.push("total_time_s", self.total_time)
-            .push("app_time_s", self.app_time)
-            .push("profiling_overhead_s", self.profiling_overhead)
-            .push("modeling_overhead_s", self.modeling_overhead)
-            .push("sync_overhead_s", self.sync_overhead)
-            .push("migration_stall_s", self.migration_stall)
-            .push("contention_time_s", self.contention_time)
-            .push("neighbor_contention_time_s", self.neighbor_contention_time)
-            .push("migration_count", self.migrations.count)
-            .push("migrated_bytes", self.migrations.bytes)
-            .push("migrations_to_dram", self.migrations.to_dram_count)
-            .push("migrations_to_nvm", self.migrations.to_nvm_count)
-            .push("overlap_pct", self.overlap_pct())
-            .push("pure_runtime_cost", self.pure_runtime_cost())
-            .push("reprofiles", self.reprofiles)
-            .push("lease_replans", self.lease_replans)
-            .push("iterations", self.iterations);
+        let mut o = Json::obj_with_capacity(17);
+        o.field("total_time_s", self.total_time)
+            .field("app_time_s", self.app_time)
+            .field("profiling_overhead_s", self.profiling_overhead)
+            .field("modeling_overhead_s", self.modeling_overhead)
+            .field("sync_overhead_s", self.sync_overhead)
+            .field("migration_stall_s", self.migration_stall)
+            .field("contention_time_s", self.contention_time)
+            .field("neighbor_contention_time_s", self.neighbor_contention_time)
+            .field("migration_count", self.migrations.count)
+            .field("migrated_bytes", self.migrations.bytes)
+            .field("migrations_to_dram", self.migrations.to_dram_count)
+            .field("migrations_to_nvm", self.migrations.to_nvm_count)
+            .field("overlap_pct", self.overlap_pct())
+            .field("pure_runtime_cost", self.pure_runtime_cost())
+            .field("reprofiles", self.reprofiles)
+            .field("lease_replans", self.lease_replans)
+            .field("iterations", self.iterations);
         o
     }
 

@@ -12,6 +12,14 @@
 //! * **Self-containment** — no dependency beyond `std`, so every crate in
 //!   the workspace (and the sweep harness in particular) can emit reports.
 //!
+//! Object keys are `Cow<'static, str>`. A writer whose member names are
+//! literals builds each object with [`Json::obj_with_capacity`] at its
+//! final member count and appends with [`Json::field`], which stores the
+//! name borrowed: a report tree then allocates no key, and each object's
+//! member vector once. [`Json::push`] copies a name known only at run
+//! time. Equality, [`Json::get`] and both emitters read a key by its
+//! content, so the two kinds of key are interchangeable.
+//!
 //! Non-finite floats have no JSON representation and render as `null`,
 //! matching what `serde_json` does with `arbitrary_precision` disabled.
 //! The emitter writes in runs: indentation comes from a static run of
@@ -73,21 +81,50 @@ pub enum Json {
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    /// Members in insertion order. A key is borrowed when its writer
+    /// named it with a literal ([`Json::field`]) and owned otherwise.
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
-    /// Empty object, to be filled with [`Json::push`].
+    /// Empty object, to be filled with [`Json::push`] or [`Json::field`].
     pub fn obj() -> Json {
         Json::Obj(Vec::new())
     }
 
-    /// Append a member to an object. Panics on non-objects: that is a
-    /// construction bug, not a data error.
+    /// Empty object with room for exactly `members` members, so that a
+    /// writer that knows its member count allocates the vector once.
+    pub fn obj_with_capacity(members: usize) -> Json {
+        Json::Obj(Vec::with_capacity(members))
+    }
+
+    /// Append a member whose name is known only at run time; the name is
+    /// copied. Panics on non-objects: that is a construction bug, not a
+    /// data error.
     pub fn push(&mut self, key: &str, value: impl Into<Json>) -> &mut Json {
+        self.member(Cow::Owned(key.to_owned()), value.into())
+    }
+
+    /// Append a member whose name is a literal; the name is borrowed, not
+    /// copied. The member is the one [`Json::push`] would append.
+    ///
+    /// ```
+    /// use unimem_sim::Json;
+    /// let mut o = Json::obj_with_capacity(2);
+    /// o.field("name", "CG.C").field("iters", 50u64);
+    /// assert_eq!(o.to_compact(), r#"{"name":"CG.C","iters":50}"#);
+    /// let mut copied = Json::obj();
+    /// copied.push("name", "CG.C").push("iters", 50u64);
+    /// assert_eq!(o, copied);
+    /// ```
+    pub fn field(&mut self, key: &'static str, value: impl Into<Json>) -> &mut Json {
+        self.member(Cow::Borrowed(key), value.into())
+    }
+
+    fn member(&mut self, key: Cow<'static, str>, value: Json) -> &mut Json {
         match self {
-            Json::Obj(members) => members.push((key.to_string(), value.into())),
-            other => panic!("Json::push on non-object {other:?}"),
+            Json::Obj(members) => members.push((key, value)),
+            other => panic!("a member appended to non-object {other:?}"),
         }
         self
     }
@@ -675,7 +712,7 @@ impl<'a> Reader<'a> {
                 self.begin_object()?;
                 let mut members = Vec::new();
                 while let Some(key) = self.key()? {
-                    members.push((key.into_owned(), self.value()?));
+                    members.push((Cow::Owned(key.into_owned()), self.value()?));
                 }
                 self.end_object()?;
                 Json::Obj(members)
@@ -833,6 +870,38 @@ mod tests {
             .push("none", Json::Null)
             .push("tags", Json::Arr(vec![Json::from("a"), Json::from("b")]));
         o
+    }
+
+    /// [`sample`] with every key borrowed, in an object of exact size.
+    fn sample_borrowed() -> Json {
+        let mut o = Json::obj_with_capacity(6);
+        o.field("name", "CG.C")
+            .field("time", 1.5)
+            .field("count", 42u64)
+            .field("ok", true)
+            .field("none", Json::Null)
+            .field("tags", Json::Arr(vec![Json::from("a"), Json::from("b")]));
+        o
+    }
+
+    /// A borrowed key and a copied key make the same member: the trees
+    /// compare equal, look members up alike and emit the same bytes.
+    #[test]
+    fn borrowed_and_copied_keys_make_the_same_members() {
+        let (copied, borrowed) = (sample(), sample_borrowed());
+        let keys = |v: &Json, borrowed: bool| match v {
+            Json::Obj(ms) => ms
+                .iter()
+                .all(|(k, _)| matches!(k, Cow::Borrowed(_)) == borrowed),
+            _ => false,
+        };
+        assert!(keys(&copied, false) && keys(&borrowed, true));
+        assert!(matches!(&borrowed, Json::Obj(ms) if ms.capacity() == ms.len()));
+        assert_eq!(borrowed, copied);
+        assert_eq!(borrowed.to_compact(), copied.to_compact());
+        assert_eq!(borrowed.to_pretty(), copied.to_pretty());
+        assert_eq!(borrowed.get("count"), Some(&Json::UInt(42)));
+        assert_eq!(Json::parse(&borrowed.to_compact()).unwrap(), borrowed);
     }
 
     #[test]
@@ -1170,6 +1239,23 @@ mod tests {
             .collect()
     }
 
+    /// A key for an arbitrary object: copied from a [`hostile_string`],
+    /// or borrowed from literals that hold the same kinds of character.
+    fn arbitrary_key(rng: &mut crate::DetRng) -> Cow<'static, str> {
+        const LITERALS: [&str; 6] = [
+            "",
+            "a",
+            "q\"b\\s",
+            "\n\t\u{0}\u{1f}",
+            "é\u{2028}",
+            "\u{1F600}",
+        ];
+        match rng.index(2) {
+            0 => Cow::Owned(hostile_string(rng)),
+            _ => Cow::Borrowed(LITERALS[rng.index(LITERALS.len())]),
+        }
+    }
+
     fn arbitrary_scalar(rng: &mut crate::DetRng) -> Json {
         match rng.index(6) {
             0 => Json::Null,
@@ -1219,7 +1305,7 @@ mod tests {
         if rng.index(2) == 0 {
             Json::Arr(kids)
         } else {
-            Json::Obj(kids.into_iter().map(|k| (hostile_string(rng), k)).collect())
+            Json::Obj(kids.into_iter().map(|k| (arbitrary_key(rng), k)).collect())
         }
     }
 

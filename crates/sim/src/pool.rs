@@ -119,8 +119,9 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Default worker count: the host's available parallelism (the ROADMAP's
-/// "as fast as the hardware allows"), 1 when it cannot be queried.
+/// Default worker count: the host's available parallelism, so that a
+/// sweep can keep every CPU the process may use busy; 1 when it cannot
+/// be queried.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

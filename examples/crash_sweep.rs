@@ -149,36 +149,36 @@ fn main() -> ExitCode {
                 o.stats.advantage(),
                 if ok { "ok" } else { "FAIL" },
             );
-            let mut cell = Json::obj();
-            cell.push("workload", canon.as_str())
-                .push("kill_index", kill.index)
-                .push("forced_late", kill.forced_late)
-                .push("equivalent", o.equivalent())
-                .push("report_equal", o.report_equal)
-                .push("journals_equal", o.journals_equal)
-                .push(
+            let mut cell = Json::obj_with_capacity(10);
+            cell.field("workload", canon.as_str())
+                .field("kill_index", kill.index)
+                .field("forced_late", kill.forced_late)
+                .field("equivalent", o.equivalent())
+                .field("report_equal", o.report_equal)
+                .field("journals_equal", o.journals_equal)
+                .field(
                     "durable_records",
                     o.summaries.iter().map(|s| s.records).sum::<u64>(),
                 )
-                .push(
+                .field(
                     "replayed_observes",
                     o.summaries.iter().map(|s| s.replayed_observes).sum::<u64>(),
                 )
-                .push("stats", o.stats.to_json())
-                .push("ok", ok);
+                .field("stats", o.stats.to_json())
+                .field("ok", ok);
             cells.push(cell);
         }
     }
 
-    let mut report = Json::obj();
+    let mut report = Json::obj_with_capacity(7);
     report
-        .push("seed", seed)
-        .push("points", points)
-        .push("nranks", nranks)
-        .push("profile", profile.name())
-        .push("recovery_bound", tol.recovery_bound)
-        .push("recovery_advantage_min", tol.recovery_advantage_min)
-        .push("cells", Json::Arr(cells));
+        .field("seed", seed)
+        .field("points", points)
+        .field("nranks", nranks)
+        .field("profile", profile.name())
+        .field("recovery_bound", tol.recovery_bound)
+        .field("recovery_advantage_min", tol.recovery_advantage_min)
+        .field("cells", Json::Arr(cells));
     if let Err(e) = std::fs::write(&out, report.to_pretty()) {
         eprintln!("cannot write {}: {e}", out.display());
         return ExitCode::from(2);

@@ -77,7 +77,7 @@ fn golden_projected_onto(policies: &[PolicyKind]) -> Json {
     let kept = |v: &Json| policies.iter().any(|p| v.as_str() == Some(p.name()));
     let mut n_cells = 0;
     for (key, value) in members.iter_mut() {
-        match (key.as_str(), value) {
+        match (key.as_ref(), value) {
             ("policies", Json::Arr(names)) => names.retain(kept),
             ("cells", Json::Arr(cells)) => {
                 cells.retain(|c| c.get("policy").is_some_and(kept));
