@@ -272,7 +272,7 @@ pub fn check_report(report: &SweepReport, tol: &Tolerances) -> Vec<Violation> {
     }
     violations.extend(check_policy_ordering(report, tol));
     violations.extend(check_hw_cache_envelope(report));
-    violations.extend(check_contention_cells(report, tol));
+    violations.extend(check_migration_contention(report, tol));
     violations.extend(check_coruns(report, tol));
     violations
 }
@@ -395,24 +395,63 @@ fn check_policy_ordering(report: &SweepReport, tol: &Tolerances) -> Vec<Violatio
     violations
 }
 
-/// The report-scoped half of the `migration-contention` check (the
-/// DRAM-only invariance probe is [`check_contention`]): when the matrix
-/// carries a `ranks_per_node ≥ 2` layout, the contention pathway must be
-/// demonstrably live — at least one Unimem cell on a packed node reports
-/// neighbor-caused contention time, i.e. a co-located rank was measurably
-/// slowed by its neighbor's migration traffic. A matrix whose layouts
-/// never pack a node is out of scope (the claim is about shared nodes).
-/// "Unimem still beats NVM-only under contention" needs no extra code:
-/// the `nvm-win` check runs per cell at matching coordinates, packed
-/// layouts included.
-fn check_contention_cells(report: &SweepReport, tol: &Tolerances) -> Vec<Violation> {
+/// Policies that never move data: `dram-only` and `nvm-only` pin every
+/// object to one tier, and `xmem` pins its offline placement for the
+/// whole run.
+const MIGRATION_FREE: [PolicyKind; 3] =
+    [PolicyKind::DramOnly, PolicyKind::NvmOnly, PolicyKind::Xmem];
+
+/// The `migration-contention` check, in two halves.
+///
+/// A run that moves no data posts no helper flow, so it pays no
+/// contention: every cell of a [`MIGRATION_FREE`] policy, in every
+/// layout and room, must report zero migrations and zero contention
+/// time, for the job and for each rank.
+///
+/// When the matrix carries a `ranks_per_node ≥ 2` layout, the contention
+/// pathway must also be demonstrably live — at least one Unimem cell on
+/// a packed node reports neighbor-caused contention time, i.e. a
+/// co-located rank was measurably slowed by its neighbor's migration
+/// traffic. A matrix whose layouts never pack a node is out of scope for
+/// this half (the claim is about shared nodes). "Unimem still beats
+/// NVM-only under contention" needs no extra code: the `nvm-win` check
+/// runs per cell at matching coordinates, packed layouts included.
+fn check_migration_contention(report: &SweepReport, tol: &Tolerances) -> Vec<Violation> {
+    let mut violations: Vec<Violation> = report
+        .cells
+        .iter()
+        .filter(|c| MIGRATION_FREE.contains(&c.policy))
+        .filter_map(|cell| {
+            let ranks = cell.report.per_rank.iter().enumerate();
+            let (rank, s) = std::iter::once((None, &cell.report.job))
+                .chain(ranks.map(|(r, s)| (Some(r), s)))
+                .find(|(_, s)| {
+                    s.migrations.count > 0
+                        || !s.contention_time.is_zero()
+                        || !s.neighbor_contention_time.is_zero()
+                })?;
+            let who = rank.map_or("the job".to_string(), |r| format!("rank {r}"));
+            Some(Violation {
+                check: "migration-contention",
+                cell: cell.coords(),
+                detail: format!(
+                    "{who} of a migration-free policy reports {} migration(s) and \
+                     {:.3e}s contention ({:.3e}s from neighbors): the contention \
+                     model charged a run that moves no data",
+                    s.migrations.count,
+                    s.contention_time.secs(),
+                    s.neighbor_contention_time.secs(),
+                ),
+            })
+        })
+        .collect();
     let packed_requested = report
         .config
         .rank_layouts()
         .iter()
         .any(|&(_, rpn)| rpn >= 2);
     if !packed_requested {
-        return Vec::new();
+        return violations;
     }
     let packed_unimem: Vec<&SweepCell> = report
         .cells
@@ -424,13 +463,14 @@ fn check_contention_cells(report: &SweepReport, tol: &Tolerances) -> Vec<Violati
         })
         .collect();
     if packed_unimem.is_empty() {
-        return vec![Violation {
+        violations.push(Violation {
             check: "migration-contention",
             cell: "(matrix)".into(),
             detail: "ranks_per_node ≥ 2 requested but no packed Unimem cell ran; \
                      the contention claim was not evaluated"
                 .into(),
-        }];
+        });
+        return violations;
     }
     let best = packed_unimem
         .iter()
@@ -443,7 +483,7 @@ fn check_contention_cells(report: &SweepReport, tol: &Tolerances) -> Vec<Violati
         })
         .expect("non-empty");
     if best.report.job.neighbor_contention_time.secs() < tol.contention_evidence_min {
-        return vec![Violation {
+        violations.push(Violation {
             check: "migration-contention",
             cell: best.coords(),
             detail: format!(
@@ -453,59 +493,7 @@ fn check_contention_cells(report: &SweepReport, tol: &Tolerances) -> Vec<Violati
                 tol.contention_evidence_min,
                 best.report.job.neighbor_contention_time.secs(),
             ),
-        }];
-    }
-    Vec::new()
-}
-
-/// The probe half of the `migration-contention` check: DRAM-only timing
-/// must be **invariant to helper traffic** — the contention machinery
-/// must not perturb a run that never migrates a byte. For each profile,
-/// one DRAM-only cell (largest layout) runs twice, with helper
-/// contention charged and suppressed, and the two `RunReport`s must be
-/// byte-identical. NVM-only is covered by the same probe since it is
-/// equally migration-free; DRAM-only is the normalization baseline, so
-/// its invariance is what keeps every `normalized_to_dram` comparable
-/// across the A/B.
-pub fn check_contention(cfg: &SweepConfig) -> Vec<Violation> {
-    use unimem::exec::{run_workload, Policy};
-    use unimem_cache::CacheModel;
-    use unimem_workloads::select;
-
-    // The most-packed layout (axes are deduped but user-ordered, so
-    // "last" could be an unpacked pair where the probe is structurally
-    // inert); ties broken toward more ranks.
-    let Some((nranks, rpn)) = cfg.rank_layouts().into_iter().max_by_key(|&(r, p)| (p, r)) else {
-        return Vec::new();
-    };
-    let Some(workload) = cfg.workloads.first() else {
-        return Vec::new();
-    };
-    let Ok(selection) = select(&[workload.as_str()], cfg.class) else {
-        return Vec::new(); // unknown names are run_sweep_cached's error to report
-    };
-    let (canon, w) = &selection[0];
-
-    let cache = CacheModel::platform_a();
-    let mut violations = Vec::new();
-    for &profile in &cfg.profiles {
-        let machine = cfg.machine(profile, rpn);
-        let run = |m: &unimem_hms::MachineConfig| {
-            run_workload(w.as_ref(), m, &cache, nranks, &Policy::DramOnly)
-                .to_json()
-                .to_pretty()
-        };
-        let with = run(&machine.clone().with_helper_contention(true));
-        let without = run(&machine.with_helper_contention(false));
-        if with != without {
-            violations.push(Violation {
-                check: "migration-contention",
-                cell: format!("{canon}/{}/r{nranks}x{rpn}/dram-only", profile.name()),
-                detail: "DRAM-only run changed with helper contention toggled: \
-                         the contention model leaks into migration-free runs"
-                    .into(),
-            });
-        }
+        });
     }
     violations
 }
@@ -951,6 +939,7 @@ mod tests {
     use crate::sweep::jobs::default_workers;
     use crate::sweep::matrix::NvmProfile;
     use crate::sweep::runner::run_sweep_cached;
+    use unimem::exec::RunReport;
     use unimem_workloads::Class;
 
     fn small_matrix() -> SweepConfig {
@@ -1230,10 +1219,38 @@ mod tests {
         );
     }
 
+    /// A migration-free cell that reports 1 ns of contention (on the
+    /// job) or one migration (on its last rank) fires
+    /// `migration-contention` at its coordinates; the unforged report
+    /// fires none.
     #[test]
-    fn contention_probe_passes_dram_only_invariance() {
-        let violations = check_contention(&small_matrix());
-        assert!(violations.is_empty(), "{violations:?}");
+    fn migration_free_cells_that_contend_or_migrate_fire() {
+        let rep = run_sweep_cached(&small_matrix(), default_workers(), None).unwrap();
+        let contention = |rep: &SweepReport| -> Vec<Violation> {
+            check_report(rep, &Tolerances::default())
+                .into_iter()
+                .filter(|v| v.check == "migration-contention")
+                .collect()
+        };
+        assert!(contention(&rep).is_empty(), "{:?}", contention(&rep));
+        for policy in MIGRATION_FREE {
+            let k = rep
+                .cells
+                .iter()
+                .position(|c| c.policy == policy)
+                .expect("the small matrix has every policy");
+            let forgeries: [fn(&mut RunReport); 2] = [
+                |r| r.job.contention_time = VDur::from_nanos(1.0),
+                |r| r.per_rank.last_mut().unwrap().migrations.count = 1,
+            ];
+            for forge in forgeries {
+                let mut forged = rep.clone();
+                forge(&mut forged.cells[k].report);
+                let fired = contention(&forged);
+                assert_eq!(fired.len(), 1, "{fired:?}");
+                assert_eq!(fired[0].cell, rep.cells[k].coords());
+            }
+        }
     }
 
     #[test]

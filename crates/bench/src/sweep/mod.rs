@@ -55,8 +55,8 @@ pub mod runner;
 
 pub use cache::SweepCache;
 pub use conformance::{
-    check_contention, check_determinism, check_recovery, check_report, check_weak_scaling,
-    inject_crashes, KillPoint, Tolerances, Violation, CRASH_SEED,
+    check_determinism, check_recovery, check_report, check_weak_scaling, inject_crashes, KillPoint,
+    Tolerances, Violation, CRASH_SEED,
 };
 pub use jobs::{default_workers, run_pool};
 pub use matrix::{ArbiterPolicy, NvmProfile, PolicyKind, SweepConfig, TopologySpec};

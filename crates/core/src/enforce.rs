@@ -28,8 +28,8 @@ use unimem_sim::{VDur, VTime};
 enum Action {
     /// Evict `unit` to NVM (scheduled before admissions at the trigger).
     Out { unit: UnitId },
-    /// Admit `unit` to DRAM, needed at `use_phase`.
-    In { unit: UnitId, use_phase: PhaseId },
+    /// Admit `unit` to DRAM, no later than the phase that first uses it.
+    In { unit: UnitId },
 }
 
 /// Accounting of one phase boundary.
@@ -215,7 +215,7 @@ impl Enforcer {
         for i in 0..self.schedule[p].len() {
             match self.schedule[p][i] {
                 Action::Out { unit } => self.do_evict(unit, now, registry, engine, service),
-                Action::In { unit, .. } => self.do_admit(unit, now, registry, engine, service),
+                Action::In { unit } => self.do_admit(unit, now, registry, engine, service),
             }
         }
         let retry = std::mem::take(&mut self.pending_in);
@@ -280,7 +280,7 @@ pub fn estimate_cycle_stall(
         for p in 0..n {
             for a in &schedule[p] {
                 let unit = match a {
-                    Action::Out { unit } | Action::In { unit, .. } => *unit,
+                    Action::Out { unit } | Action::In { unit } => *unit,
                 };
                 let start = now.max(helper_free);
                 let done = start + registry.unit_size(unit) / copy_bw;
@@ -356,7 +356,7 @@ fn build_schedule(
                     }
                 }
             }
-            schedule[t].push(Action::In { unit: u, use_phase });
+            schedule[t].push(Action::In { unit: u });
         }
     }
     schedule
@@ -433,13 +433,13 @@ mod tests {
         assert_eq!(all.len(), 4, "{s:?}");
         assert!(s[1]
             .iter()
-            .any(|a| matches!(a, Action::In { unit: u, .. } if *u == unit(1))));
+            .any(|a| matches!(a, Action::In { unit: u } if *u == unit(1))));
         assert!(s[1]
             .first()
             .is_some_and(|a| matches!(a, Action::Out { .. })));
         assert!(s[0]
             .iter()
-            .any(|a| matches!(a, Action::In { unit: u, .. } if *u == unit(0))));
+            .any(|a| matches!(a, Action::In { unit: u } if *u == unit(0))));
     }
 
     #[test]
@@ -450,7 +450,7 @@ mod tests {
         let s = build_schedule(&plan.per_phase, &refs, &registry(), Bytes::mib(256));
         assert!(s[0]
             .iter()
-            .any(|a| matches!(a, Action::In { unit: u, .. } if *u == unit(1))));
+            .any(|a| matches!(a, Action::In { unit: u } if *u == unit(1))));
     }
 
     #[test]

@@ -1232,11 +1232,10 @@ impl StepMemo {
 /// its script epoch under a mostly stable placement, so the sites and
 /// the plain-share pass are kept until the placement moves (see
 /// [`StepMemo`]). Each call then reads the window's load on the four
-/// tier channels once: a quiet window (no load, or helper contention
-/// off) charges exactly the plain share, so the memo answers with only
-/// `spec.cpu` added; a loud one re-prices the own-traffic and full
-/// passes over the memoized sites. Either way the result is bit for bit
-/// the direct computation's.
+/// tier channels once: a quiet window (no load) charges exactly the
+/// plain share, so the memo answers with only `spec.cpu` added; a loud
+/// one re-prices the own-traffic and full passes over the memoized
+/// sites. Either way the result is bit for bit the direct computation's.
 fn ground_truth(
     memo: &mut Option<StepMemo>,
     spec: &ComputeSpec,
@@ -1450,7 +1449,7 @@ fn resolve_comm(tasks: &mut [RankTask], run: &Run) {
         for &leader in &timing.leaders {
             let client = &tasks[leader].client;
             for dir in [Channel::LinkUp, Channel::LinkDown] {
-                let eff = client.effective_link(dir, timing.t_meet, timing.leave, FlowScope::All);
+                let eff = client.effective_link(dir, timing.t_meet, timing.leave);
                 let ratio = LINK_BW.bytes_per_s() / eff.bytes_per_s();
                 if ratio > slow {
                     slow = ratio;
@@ -2609,10 +2608,9 @@ mod tests {
 
     /// The memoized [`ground_truth`] equals the reference bit for bit
     /// over generated steps, views and ledgers: no flows, own copies that
-    /// overlap the window or end inside it, fenced neighbour traffic,
-    /// helper contention off, and zero-length windows. Each case prices
-    /// one memo slot under a view, the same view again, another view and
-    /// the first one back.
+    /// overlap the window or end inside it, fenced neighbour traffic, and
+    /// zero-length windows. Each case prices one memo slot under a view,
+    /// the same view again, another view and the first one back.
     #[test]
     fn memoized_ground_truth_matches_the_reference() {
         let (mut loud, mut empty) = (0, 0);
@@ -2620,10 +2618,8 @@ mod tests {
             let mut rng = DetRng::seed(seed);
             let registry = chunked_registry(&mut rng);
             let spec = random_step(&mut rng, seed % 10 == 0);
-            let ledger = rng.index(5);
-            let m = machine()
-                .with_ranks_per_node(2)
-                .with_helper_contention(ledger != 4);
+            let ledger = rng.index(4);
+            let m = machine().with_ranks_per_node(2);
             let bw = SharedBandwidth::from_topology(&ClusterTopology::homogeneous(&m, 2));
             let (me, neighbor) = (bw.client(0), bw.client(1));
             let now = VTime(1.0);
@@ -2637,7 +2633,6 @@ mod tests {
                     neighbor.post_copy(to, VTime(0.5), VTime(0.75), bytes);
                     bw.fence(now);
                 }
-                4 => me.post_copy(to, now, now + ms(5.0), bytes),
                 _ => {}
             }
             if !me.tier_loads(now, now + ms(5.0)).is_quiet() {

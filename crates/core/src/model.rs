@@ -42,8 +42,9 @@ pub struct ModelParams {
     /// Eq. 4 contention term for NVM→DRAM admissions: the slowdown one
     /// second of in-flight copy induces on overlapping compute — the
     /// copy's rate over the tightest of the two pools an admission
-    /// actually draws from (NVM read, DRAM write). Zero when helper
-    /// traffic does not share the application's bandwidth.
+    /// actually draws from (NVM read, DRAM write). The local search
+    /// charges it on the hidden part of a copy train; zero unless
+    /// [`ModelParams::with_contention_penalties`] sets it.
     pub contention_penalty_in: f64,
     /// Same, for DRAM→NVM evictions (DRAM read, NVM write pools — on
     /// write-asymmetric technologies this can be far harsher than the
@@ -66,8 +67,9 @@ impl ModelParams {
         }
     }
 
-    /// Set the per-direction Eq. 4 contention terms (see
-    /// [`ModelParams::movement_cost`]).
+    /// Set the per-direction Eq. 4 contention terms
+    /// ([`ModelParams::contention_penalty_in`] and
+    /// [`ModelParams::contention_penalty_out`]).
     pub fn with_contention_penalties(mut self, inbound: f64, outbound: f64) -> Self {
         self.contention_penalty_in = inbound.max(0.0);
         self.contention_penalty_out = outbound.max(0.0);
@@ -119,21 +121,6 @@ impl ModelParams {
             Sensitivity::Latency => self.bft_lat(recorded),
             Sensitivity::Either => self.bft_bw(recorded).max(self.bft_lat(recorded)),
         }
-    }
-
-    /// Eq. 4 with the contention term: the cost of moving a unit into
-    /// DRAM is the exposed stall (copy time beyond the overlap window)
-    /// **plus** the slowdown the overlapped portion induces on the
-    /// compute it hides behind — hiding a copy is not free when the copy
-    /// and the application draw from the same tier pools. Models an
-    /// NVM→DRAM admission; eviction traffic uses
-    /// [`ModelParams::contention_penalty_out`] (the local search weighs
-    /// its copy train per direction).
-    pub fn movement_cost(&self, size: Bytes, overlap: VDur) -> VDur {
-        let copy = size / self.copy_bw;
-        let exposed = copy.saturating_sub(overlap);
-        let hidden = copy.min(overlap);
-        exposed + hidden * self.contention_penalty_in
     }
 
     /// Raw copy time `size / mem_copy_bw`.
@@ -223,30 +210,6 @@ mod tests {
         let rec = 50_000;
         let expect = p.bft_bw(rec).max(p.bft_lat(rec));
         assert_eq!(p.benefit(Sensitivity::Either, rec), expect);
-    }
-
-    #[test]
-    fn movement_cost_fully_overlapped_is_zero_without_contention() {
-        let p = params();
-        let size = Bytes::mib(64);
-        let copy = p.copy_time(size);
-        assert_eq!(p.movement_cost(size, copy * 2.0), VDur::ZERO);
-        assert!(p.movement_cost(size, VDur::ZERO) > VDur::ZERO);
-    }
-
-    #[test]
-    fn movement_cost_charges_hidden_copies_under_contention() {
-        let p = params().with_contention_penalties(0.5, 0.9);
-        let size = Bytes::mib(64);
-        let copy = p.copy_time(size);
-        // Fully hidden: cost = hidden copy time x penalty, not zero.
-        let cost = p.movement_cost(size, copy * 2.0);
-        assert!((cost.secs() - copy.secs() * 0.5).abs() < 1e-12);
-        // Not overlapped at all: pure exposed stall, no contention term.
-        assert_eq!(p.movement_cost(size, VDur::ZERO), copy);
-        // Half overlapped: half exposed + half x penalty.
-        let half = p.movement_cost(size, copy * 0.5);
-        assert!((half.secs() - (copy.secs() * 0.5 + copy.secs() * 0.25)).abs() < 1e-12);
     }
 
     #[test]

@@ -103,11 +103,7 @@ pub(super) fn init_rank(cfg: &UnimemConfig, init: RankInit<'_>) -> Box<dyn RankS
     let cal = calibrate_memoized(&dram_share, &nvm_share, init.cache, cfg.sampler, SEED);
     let rho = init.client.copy_rate().bytes_per_s();
     let pressure = |read_pool: unimem_sim::Bandwidth, write_pool: unimem_sim::Bandwidth| {
-        if machine.helper_contention {
-            rho / read_pool.bytes_per_s().min(write_pool.bytes_per_s())
-        } else {
-            0.0
-        }
+        rho / read_pool.bytes_per_s().min(write_pool.bytes_per_s())
     };
     let model = ModelParams::new(dram_share, nvm_share, init.client.copy_rate(), cal)
         .with_contention_penalties(

@@ -28,10 +28,8 @@
 //! 3. **Comm vs. comm** — inter-node traffic is posted on the node's
 //!    [`Channel::LinkUp`]/[`Channel::LinkDown`] lanes and charged by
 //!    [`BwClient::effective_link`], so link contention composes with
-//!    tier contention through the same fence protocol. Link flows are
-//!    communication, not helper traffic, so `helper_contention` does
-//!    **not** gate them — and single-node runs never post any, which
-//!    keeps all legacy timing untouched.
+//!    tier contention through the same fence protocol. Single-node runs
+//!    never post any, which keeps all legacy timing untouched.
 //!
 //! Determinism: flow visibility follows the ledger's fence protocol (see
 //! `unimem_sim::ledger`) — own flows are interval-exact, and neighbor
@@ -40,11 +38,10 @@
 //! MPI collective, closing the epoch on every node at once while every
 //! rank task is paused, so everything is a pure function of virtual
 //! program order. Each neighbor's rate is capped at the node's per-helper
-//! copy rate. `MachineConfig::helper_contention` gates step 2 only: with it
-//! off, copy/journal flows are neither posted nor charged, which is the
-//! A/B the `migration-contention` conformance check uses to prove that
-//! runs without helper traffic (DRAM-only in particular) are
-//! byte-identical either way.
+//! copy rate. Every copy and write flow is posted and charged. A run
+//! without migrations, cache fills or journal flushes posts none and so
+//! pays no contention, which the `migration-contention` conformance
+//! check asserts on every migration-free cell of a sweep report.
 
 use crate::tier::{TierKind, TierParams};
 use crate::topology::{ClusterTopology, LINK_BW};
@@ -91,8 +88,6 @@ struct Node {
     /// This node's tier parameters (per-node: heterogeneous rooms differ).
     dram: TierParams,
     nvm: TierParams,
-    /// Whether helper traffic on this node draws from the shared pools.
-    helper_contention: bool,
 }
 
 #[derive(Debug)]
@@ -133,7 +128,6 @@ impl SharedBandwidth {
                     copy_rate,
                     dram: machine.dram,
                     nvm: machine.nvm,
-                    helper_contention: machine.helper_contention,
                 }
             })
             .collect();
@@ -216,11 +210,8 @@ impl BwClient {
 
     /// Post one helper copy: `bytes` moved to `to` over `[start, end]`,
     /// drawing read bandwidth from the source tier and write bandwidth
-    /// from the destination tier. No-op when helper contention is off.
+    /// from the destination tier.
     pub fn post_copy(&self, to: TierKind, start: VTime, end: VTime, bytes: Bytes) {
-        if !self.node().helper_contention {
-            return;
-        }
         let (src_read, _) = channels_of(to.other());
         self.node()
             .ledger
@@ -233,13 +224,8 @@ impl BwClient {
     /// writes NVM; a hardware-cache fill writes DRAM, and the NVM read
     /// behind it is the demand miss the timing model already priced.
     /// Overlapping compute pays for either as it pays for migration
-    /// copies. No-op when helper contention is off (the gate `post_copy`
-    /// honours, which keeps the `migration-contention` A/B byte-identity
-    /// intact).
+    /// copies.
     pub fn post_write(&self, tier: TierKind, start: VTime, end: VTime, bytes: Bytes) {
-        if !self.node().helper_contention {
-            return;
-        }
         let (_, write) = channels_of(tier);
         self.node()
             .ledger
@@ -248,9 +234,7 @@ impl BwClient {
 
     /// Post inter-node traffic crossing this node's link over
     /// `[start, end]`: `up` bytes leaving the node, `down` bytes
-    /// arriving. Link flows are communication, not helper traffic, so
-    /// they are **not** gated on `helper_contention`; legacy single-node
-    /// runs simply never cross a link and post nothing.
+    /// arriving. Single-node runs never cross a link and post nothing.
     pub fn post_link(&self, start: VTime, end: VTime, up: Bytes, down: Bytes) {
         let ledger = &self.node().ledger;
         if up.get() > 0 {
@@ -261,31 +245,15 @@ impl BwClient {
         }
     }
 
-    /// Effective link bandwidth in `dir` over `[w0, w1]` under the flows
-    /// `scope` selects: `LINK_BW / (1 + load / LINK_BW)` — the same
-    /// proportional-share form as tier contention, but **without** the
-    /// occupancy divisor (compute streams do not saturate the NIC; only
-    /// posted link flows contend).
-    pub fn effective_link(
-        &self,
-        dir: Channel,
-        w0: VTime,
-        w1: VTime,
-        scope: FlowScope,
-    ) -> Bandwidth {
+    /// Effective link bandwidth in `dir` over `[w0, w1]` under the own
+    /// and fenced-visible neighbor link flows: `LINK_BW / (1 + load /
+    /// LINK_BW)` — the same proportional-share form as tier contention,
+    /// but **without** the occupancy divisor (compute streams do not
+    /// saturate the NIC; only posted link flows contend).
+    pub fn effective_link(&self, dir: Channel, w0: VTime, w1: VTime) -> Bandwidth {
         debug_assert!(matches!(dir, Channel::LinkUp | Channel::LinkDown));
-        let node = self.node();
         let bw = LINK_BW.bytes_per_s();
-        let load = if scope != FlowScope::None {
-            let split = node.ledger.load(self.owner, dir, w0, w1);
-            match scope {
-                FlowScope::Own => split.own,
-                FlowScope::All => split.total(),
-                FlowScope::None => unreachable!(),
-            }
-        } else {
-            0.0
-        };
+        let load = self.node().ledger.load(self.owner, dir, w0, w1).total();
         Bandwidth(bw / (1.0 + load / bw))
     }
 
@@ -299,14 +267,9 @@ impl BwClient {
 
     /// The helper load on the four tier channels over `[w0, w1]`, in one
     /// ledger read: what [`BwClient::effective`] charges, for both
-    /// tiers and every scope at once. All zero when helper contention is
-    /// off, since such a node charges no helper flow.
+    /// tiers and every scope at once.
     pub fn tier_loads(&self, w0: VTime, w1: VTime) -> TierLoads {
-        let node = self.node();
-        if !node.helper_contention {
-            return TierLoads::default();
-        }
-        TierLoads(node.ledger.loads(self.owner, w0, w1))
+        TierLoads(self.node().ledger.loads(self.owner, w0, w1))
     }
 
     /// [`BwClient::effective`] under loads [`BwClient::tier_loads`] has
@@ -452,16 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn helper_contention_off_posts_and_charges_nothing() {
-        let m = machine().with_helper_contention(false);
-        let s = room(&m, 1);
-        let c = s.client(0);
-        c.post_copy(TierKind::Dram, VTime::ZERO, VTime(1.0), Bytes::gib(1));
-        let eff = c.effective(TierKind::Nvm, VTime::ZERO, VTime(1.0), FlowScope::All);
-        assert_eq!(eff, m.nvm);
-    }
-
-    #[test]
     fn access_time_slows_under_shared_load() {
         let m = machine().with_ranks_per_node(2);
         let s = room(&m, 2);
@@ -495,17 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn link_flows_contend_without_helper_gate() {
-        // helper_contention off must NOT silence link traffic: the gate
-        // covers helper copies, not communication.
-        let m = machine()
-            .with_helper_contention(false)
-            .with_ranks_per_node(1);
-        let topo = ClusterTopology::homogeneous(&m, 2);
-        let s = SharedBandwidth::from_topology(&topo);
+    fn link_flows_contend_per_direction() {
+        let s = room(&machine(), 2);
         let c = s.client(0);
         let bw = LINK_BW;
-        let clean = c.effective_link(Channel::LinkUp, VTime::ZERO, VTime(1.0), FlowScope::Own);
+        let clean = c.effective_link(Channel::LinkUp, VTime::ZERO, VTime(1.0));
         assert_eq!(clean, bw, "idle link at full bandwidth");
         // Saturate the up direction for 1 s.
         c.post_link(
@@ -514,13 +461,13 @@ mod tests {
             Bytes(bw.bytes_per_s() as u64),
             Bytes(0),
         );
-        let loaded = c.effective_link(Channel::LinkUp, VTime::ZERO, VTime(1.0), FlowScope::Own);
+        let loaded = c.effective_link(Channel::LinkUp, VTime::ZERO, VTime(1.0));
         assert!(
             (loaded.bytes_per_s() - bw.bytes_per_s() / 2.0).abs() < 1.0,
             "one saturating flow should halve the proportional share"
         );
         // The down direction is a separate lane.
-        let down = c.effective_link(Channel::LinkDown, VTime::ZERO, VTime(1.0), FlowScope::Own);
+        let down = c.effective_link(Channel::LinkDown, VTime::ZERO, VTime(1.0));
         assert_eq!(down, bw);
     }
 }

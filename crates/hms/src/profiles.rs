@@ -31,11 +31,6 @@ pub struct MachineConfig {
     /// MPI ranks sharing one node: its DRAM allowance (per-node service),
     /// its tier bandwidth, and its copy path.
     pub ranks_per_node: usize,
-    /// Whether helper-thread copies draw from the shared tier pools
-    /// (the contention model's A/B switch; on by default). Compute-side
-    /// bandwidth sharing among co-located ranks is machine physics and is
-    /// not gated by this.
-    pub helper_contention: bool,
     /// Human-readable label for harness output.
     pub label: String,
 }
@@ -120,7 +115,6 @@ impl MachineConfig {
             dram_capacity: Bytes::mib(256),
             copy_bw: copy_bw_between(dram, nvm),
             ranks_per_node: 1,
-            helper_contention: true,
             label,
         }
     }
@@ -167,14 +161,6 @@ impl MachineConfig {
     pub fn with_ranks_per_node(mut self, r: usize) -> MachineConfig {
         assert!(r >= 1);
         self.ranks_per_node = r;
-        self
-    }
-
-    /// Toggle whether helper-thread copies draw from the shared tier
-    /// pools (the `migration-contention` conformance probe runs the same
-    /// cell both ways).
-    pub fn with_helper_contention(mut self, on: bool) -> MachineConfig {
-        self.helper_contention = on;
         self
     }
 
@@ -283,8 +269,7 @@ mod tests {
     fn contention_knobs_default_on_single_rank_nodes() {
         let cfg = MachineConfig::nvm_bw_fraction(0.5);
         assert_eq!(cfg.ranks_per_node, 1);
-        assert!(cfg.helper_contention);
-        assert!(!cfg.with_helper_contention(false).helper_contention);
+        assert_eq!(cfg.copy_bw, copy_bw_between(cfg.dram, cfg.nvm));
     }
 
     #[test]

@@ -36,9 +36,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use unimem_repro::bench::sweep::{
-    check_contention, check_determinism, check_recovery, check_report, check_weak_scaling,
-    default_workers, run_sweep_cached, ArbiterPolicy, NvmProfile, PolicyKind, SweepCache,
-    SweepConfig, Tolerances, TopologySpec,
+    check_determinism, check_recovery, check_report, check_weak_scaling, default_workers,
+    run_sweep_cached, ArbiterPolicy, NvmProfile, PolicyKind, SweepCache, SweepConfig, Tolerances,
+    TopologySpec,
 };
 use unimem_repro::workloads::{corun, Class};
 
@@ -365,7 +365,6 @@ fn main() -> ExitCode {
         let tol = Tolerances::default();
         let mut violations = check_report(&report, &tol);
         violations.extend(check_determinism(&cfg));
-        violations.extend(check_contention(&cfg));
         violations.extend(check_recovery(&cfg, &tol));
         violations.extend(check_weak_scaling(&cfg, &tol));
         if violations.is_empty() {
